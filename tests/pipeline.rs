@@ -82,3 +82,221 @@ fn encodings_injective_across_permutations_and_costs_bounded() {
     // Theorem 7.5 numerically: max cost ≥ log2(4!)/κ with κ ≤ 8.
     assert!((max_cost * 8) as f64 >= exclusion::lb::log2_factorial(4));
 }
+
+/// FNV-1a over 64 bits. Its output is fixed by its definition, so the
+/// pins below hold on every Rust release (`DefaultHasher`'s do not).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn index(&mut self, x: Option<usize>) {
+        self.u64(x.map_or(u64::MAX, |i| i as u64));
+    }
+
+    fn ids(&mut self, ids: &[exclusion::lb::MetastepId]) {
+        self.u64(ids.len() as u64);
+        for id in ids {
+            self.index(Some(id.index()));
+        }
+    }
+
+    fn step(&mut self, s: Option<&exclusion::shmem::Step>) {
+        use exclusion::shmem::Step;
+        match s.copied() {
+            None => self.u64(0),
+            Some(Step::Read { pid, reg }) => {
+                self.u64(1);
+                self.index(Some(pid.index()));
+                self.index(Some(reg.index()));
+            }
+            Some(Step::Write { pid, reg, value }) => {
+                self.u64(2);
+                self.index(Some(pid.index()));
+                self.index(Some(reg.index()));
+                self.u64(value);
+            }
+            Some(Step::Crit { pid, kind }) => {
+                self.u64(3);
+                self.index(Some(pid.index()));
+                self.u64(kind as u64);
+            }
+            Some(other) => panic!("the register-only pipeline never emits {other:?}"),
+        }
+    }
+
+    fn steps(&mut self, steps: &[exclusion::shmem::Step]) {
+        self.u64(steps.len() as u64);
+        for s in steps {
+            self.step(Some(s));
+        }
+    }
+}
+
+/// Re-serializes raw cells through the public [`BitWriter`] in the
+/// format of `Encoding::to_bits`, so a test can hand `decode` a table
+/// that no construction produced.
+///
+/// [`BitWriter`]: exclusion::lb::bits::BitWriter
+fn rebuild(cols: &[Vec<exclusion::lb::Cell>]) -> Encoding {
+    use exclusion::lb::Cell;
+    let mut w = exclusion::lb::bits::BitWriter::new();
+    for col in cols {
+        for cell in col {
+            match *cell {
+                Cell::Read => w.push_bits(0b00, 2),
+                Cell::Write => w.push_bits(0b010, 3),
+                Cell::Crit => w.push_bits(0b011, 3),
+                Cell::Preread => w.push_bits(0b100, 3),
+                Cell::SoloRead => w.push_bits(0b101, 3),
+                Cell::Winner { pr, r, w: wc } => {
+                    w.push_bits(0b110, 3);
+                    w.push_gamma(u64::from(pr) + 1);
+                    w.push_gamma(u64::from(r) + 1);
+                    w.push_gamma(u64::from(wc));
+                }
+            }
+        }
+        w.push_bits(0b111, 3);
+    }
+    let (bytes, len) = w.into_parts();
+    Encoding::from_bits(&bytes, len, cols.len()).expect("rebuilt cells parse")
+}
+
+/// Three fixed corruptions of an encoding: the last cell of column 0
+/// dropped, columns 0 and 1 swapped, and the first winner's read count
+/// raised by one.
+fn corruptions(enc: &Encoding) -> [Vec<Vec<exclusion::lb::Cell>>; 3] {
+    use exclusion::lb::Cell;
+    let mut dropped = enc.columns().to_vec();
+    dropped[0].pop();
+    let mut swapped = enc.columns().to_vec();
+    swapped.swap(0, 1);
+    let mut recounted = enc.columns().to_vec();
+    if let Some(Cell::Winner { r, .. }) = recounted
+        .iter_mut()
+        .flatten()
+        .find(|c| matches!(c, Cell::Winner { .. }))
+    {
+        *r += 1;
+    }
+    [dropped, swapped, recounted]
+}
+
+/// Everything the pipeline produces for one (algorithm, π): each
+/// metastep, the DAG's stored edge order, the encoding's bits, the
+/// decoded steps, and `decode`'s verdict on three corrupted encodings.
+fn pipeline_digest<A: Automaton>(alg: &A, pi: &Permutation) -> u64 {
+    let mut h = Fnv::new();
+    let c = construct(alg, pi, &ConstructConfig::default()).unwrap_or_else(|e| panic!("{pi}: {e}"));
+    h.u64(c.metasteps().len() as u64);
+    for m in c.metasteps() {
+        h.u64(m.kind() as u64);
+        h.index(m.register().map(|r| r.index()));
+        h.step(m.winner());
+        h.steps(m.writes());
+        h.steps(m.reads());
+        h.step(m.crit());
+        h.ids(m.pread());
+        h.index(m.preread_of().map(|r| r.index()));
+    }
+    for m in c.metasteps() {
+        h.ids(c.dag().preds(m.id()));
+        h.ids(c.dag().succs(m.id()));
+    }
+    let enc = encode(&c);
+    let (bytes, len) = enc.to_bits();
+    h.u64(len as u64);
+    h.bytes(&bytes);
+    let alpha = decode(alg, &enc).unwrap_or_else(|e| panic!("{pi}: {e}"));
+    assert!(c.is_linearization(&alpha), "{pi}");
+    h.steps(alpha.steps());
+    for cols in corruptions(&enc) {
+        match decode(alg, &rebuild(&cols)) {
+            Ok(alpha) => {
+                h.u64(0);
+                h.steps(alpha.steps());
+            }
+            Err(e) => {
+                h.u64(1);
+                h.bytes(format!("{e:?}").as_bytes());
+            }
+        }
+    }
+    h.0
+}
+
+/// The nine registry entries the construction accepts, with one pinned
+/// digest per size in [`DIGEST_SIZES`]. Each digest folds the identity,
+/// the reversal and two seeded permutations.
+#[rustfmt::skip]
+const PINNED_DIGESTS: [(&str, [u64; 4]); 9] = [
+    ("dekker-tree", [0xb78935a92eabbca5, 0xc8123f652dca1495, 0x6ecd92bd9e9cffe7, 0x5f49d91a04b63c59]),
+    ("peterson", [0x2851894f2e6026b9, 0x8059be19f47556c1, 0x6d7fc44f1baef809, 0x5628319f3c4ac630]),
+    ("rpeterson", [0x2851894f2e6026b9, 0x8059be19f47556c1, 0x6d7fc44f1baef809, 0x5628319f3c4ac630]),
+    ("bakery", [0x853d587eb8def54d, 0xbb5a020cdb8866a5, 0x1979485fe33a9645, 0x0f8f31e790e22345]),
+    ("filter", [0x2851894f2e6026b9, 0x2ce2c03d6991bb41, 0x49ef09a38954a52f, 0x91780ba0aeafffbf]),
+    ("dijkstra", [0x7f9e4576551ea82d, 0x6746c63e1baf9e5d, 0xadc921e101aa107a, 0xdd23beece63ed31e]),
+    ("burns-lynch", [0x7a4b0a5387fddb6d, 0x8e19376eae2b7791, 0x8e789882b0b26dff, 0x34caa6a61de8bc33]),
+    ("splitter", [0x7bfe3319e1d6fb85, 0xc1592c9f2d9310cd, 0xe4c541388e6b66fd, 0xc969c3f0bb266546]),
+    ("splitter-gate", [0x3067ed2821bcb6f1, 0xf9db01b57a24e7d5, 0xec975ebd0522a694, 0x376417e183c82c5b]),
+];
+
+const DIGEST_SIZES: [usize; 4] = [2, 3, 5, 8];
+
+#[test]
+fn pipeline_outputs_match_their_pinned_digests() {
+    use exclusion::mutex::registry::AlgorithmRegistry;
+    use exclusion::shmem::dynamic::DynRef;
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let reg = AlgorithmRegistry::global();
+    let mut got = Vec::new();
+    for (name, _) in PINNED_DIGESTS {
+        let digests = DIGEST_SIZES.map(|n| {
+            let resolved = reg
+                .resolve_str(name, n)
+                .unwrap_or_else(|e| panic!("{name}: {e}"));
+            let alg = DynRef(resolved.automaton.as_ref());
+            let mut perms = vec![Permutation::identity(n), Permutation::reversed(n)];
+            perms.extend(
+                [1u64, 2].map(|seed| Permutation::random(n, &mut StdRng::seed_from_u64(seed))),
+            );
+            let mut h = Fnv::new();
+            for pi in &perms {
+                h.u64(pipeline_digest(&alg, pi));
+            }
+            h.0
+        });
+        got.push((name, digests));
+    }
+    let table: String = got
+        .iter()
+        .map(|(name, d)| {
+            format!(
+                "    (\"{name}\", [{:#018x}, {:#018x}, {:#018x}, {:#018x}]),\n",
+                d[0], d[1], d[2], d[3]
+            )
+        })
+        .collect();
+    assert!(
+        got.iter()
+            .zip(&PINNED_DIGESTS)
+            .all(|(a, b)| a.0 == b.0 && a.1 == b.1),
+        "pipeline output changed; digests now:\n{table}"
+    );
+}
