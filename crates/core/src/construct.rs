@@ -19,7 +19,7 @@
 //!   process is stuck and livelock freedom is violated);
 //! * a **critical step** becomes its own metastep (lines 37–39).
 //!
-//! Two implementation notes, both covered in DESIGN.md §6:
+//! Three implementation notes:
 //!
 //! 1. Because the automaton is deterministic and a process's state
 //!    depends only on its own projection, the stage threads the process
@@ -27,7 +27,14 @@
 //!    every iteration; the equivalence is asserted by replay in tests.
 //! 2. A fresh read metastep is additionally ordered before the minimal
 //!    unexecuted write metastep on its register (becoming its preread),
-//!    which pins down the value it reads in *every* linearization.
+//!    which pins down the value it reads in *every* linearization (see
+//!    [`ConstructConfig::sr_preread_remedy`]).
+//! 3. `µ ≼ m′` is answered from the frontier's ancestor bitset, and the
+//!    maximal unexecuted reads of line 21 come from one backward sweep
+//!    over the DAG. The sweep may stop at the frontier: the frontier is
+//!    the down-closed set of ancestors of `m′`, so anything at or below
+//!    a frontier member is itself a frontier member, and a path between
+//!    two candidates outside it never passes through it.
 
 use exclusion_shmem::{Automaton, NextStep, Observation, ProcessId, RegisterId, Step, Value};
 
@@ -81,9 +88,9 @@ impl Dag {
         self.preds.is_empty()
     }
 
-    /// Whether `a ≼ b` (reflexive, transitive reachability). Linear in
-    /// the explored region; intended for tests and sparse queries — the
-    /// construction itself uses a frontier bitset for its hot path.
+    /// Whether `a ≼ b` (reflexive, transitive reachability). Each call
+    /// is a fresh DFS, linear in the explored region, so it suits tests
+    /// and sparse queries. The construction never calls it.
     #[must_use]
     pub fn le(&self, a: MetastepId, b: MetastepId) -> bool {
         if a == b {
@@ -107,15 +114,19 @@ impl Dag {
 
 /// The monotone ancestor set of the current stage's frontier metastep
 /// `m′`: `contains(µ)` answers `µ ≼ m′` in O(1), and advancing the
-/// frontier costs amortized O(edges) per stage.
+/// frontier costs amortized O(edges) per stage. The DFS stack is kept
+/// for the whole stage, so neither `advance` nor
+/// [`maximal_unexecuted`] allocates one per call.
 struct Frontier {
     in_anc: BitSet,
+    stack: Vec<MetastepId>,
 }
 
 impl Frontier {
     fn new() -> Self {
         Frontier {
             in_anc: BitSet::new(),
+            stack: Vec::new(),
         }
     }
 
@@ -126,14 +137,14 @@ impl Frontier {
     /// Moves the frontier to `to` (which must be ≽ the previous
     /// frontier), pulling every new ancestor into the set.
     fn advance(&mut self, dag: &Dag, to: MetastepId) {
-        let mut stack = vec![to];
-        while let Some(x) = stack.pop() {
+        self.stack.push(to);
+        while let Some(x) = self.stack.pop() {
             if !self.in_anc.insert(x.index()) {
                 continue;
             }
             for &p in &dag.preds[x.index()] {
                 if !self.in_anc.contains(p.index()) {
-                    stack.push(p);
+                    self.stack.push(p);
                 }
             }
         }
@@ -374,7 +385,7 @@ fn generate<A: Automaton>(
                     // pending reads on the register.
                     let m = new_write(c, reg, e);
                     let cands = std::mem::take(&mut pending_reads[reg.index()]);
-                    for r in maximal_unexecuted(c, &frontier, cands) {
+                    for r in maximal_unexecuted(c, &mut frontier, cands) {
                         c.dag.add_edge(r, m);
                         c.metasteps[m.index()].pread.push(r);
                         c.metasteps[r.index()].preread_of = Some(m);
@@ -496,21 +507,30 @@ fn current_value<A: Automaton>(
 }
 
 /// The maximal (w.r.t. ≼) elements among the candidates not ≼ the
-/// frontier — the set `Mr` of Figure 1 line 21.
+/// frontier — the set `Mr` of Figure 1 line 21 — in candidate order.
+///
+/// One backward sweep from the live candidates marks every strict
+/// ancestor of one; the unmarked live candidates are the maximal ones.
+/// The sweep never enters the frontier (see the module notes), so it
+/// visits only unexecuted metasteps.
 fn maximal_unexecuted(
     c: &Construction,
-    frontier: &Frontier,
-    cands: Vec<MetastepId>,
+    frontier: &mut Frontier,
+    mut cands: Vec<MetastepId>,
 ) -> Vec<MetastepId> {
-    let alive: Vec<MetastepId> = cands
-        .into_iter()
-        .filter(|&m| !frontier.contains(m))
-        .collect();
-    alive
-        .iter()
-        .copied()
-        .filter(|&m| alive.iter().all(|&other| other == m || !c.dag.le(m, other)))
-        .collect()
+    let Frontier { in_anc, stack } = frontier;
+    cands.retain(|m| !in_anc.contains(m.index()));
+    let mut below = BitSet::with_capacity(c.dag.len());
+    stack.extend_from_slice(&cands);
+    while let Some(x) = stack.pop() {
+        for &p in c.dag.preds(x) {
+            if !in_anc.contains(p.index()) && below.insert(p.index()) {
+                stack.push(p);
+            }
+        }
+    }
+    cands.retain(|m| !below.contains(m.index()));
+    cands
 }
 
 fn new_metastep(c: &mut Construction, m: Metastep) -> MetastepId {

@@ -9,11 +9,30 @@
 //! its signature exactly (writes first, the winner last among them, then
 //! the reads — a legal `Seq` expansion).
 //!
-//! Deviations from the figure, justified in DESIGN.md §6.2: readers that
-//! arrive before their register's signature are parked and re-examined
-//! whenever the signature changes (the figure's line 19 implicitly
-//! assumes the signature is present), and the preread counter is
-//! compared with `≥` and decremented on firing rather than reset.
+//! Two deviations from the figure:
+//!
+//! 1. Readers that arrive before their register's signature are parked
+//!    and re-examined whenever the signature changes. The figure's line
+//!    19 classifies a reader against the signature on arrival, which
+//!    assumes the signature is already there; but the winner carrying
+//!    it may be a later column, or reach its cell in a later round. A
+//!    parked reader joins the metastep iff the winner's value changes
+//!    its state (Lemma 5.9), checked when the metastep is about to fire.
+//! 2. The preread counter is compared with `≥` and decremented by the
+//!    signature's count on firing, not reset. Prereads execute at once,
+//!    as read metasteps, so those of a later write metastep on the same
+//!    register can run before the earlier one fires. A reset would drop
+//!    them from the later metastep's count.
+//!
+//! Each round is driven from two worklists. Phase 1 visits only the
+//! unparked processes, in index order. Phase 2 looks only at the
+//! registers phase 1 touched, in index order. That fires the same
+//! metasteps in the same order as rescanning every register: whether a
+//! register fires depends only on its pools, its signature and its
+//! preread count, which only phase 1 changes, and on the states of its
+//! parked readers, which are frozen while they are parked. A register
+//! that did not fire when last examined therefore cannot fire until
+//! phase 1 touches it again.
 
 use exclusion_shmem::{
     Automaton, CritKind, Execution, NextStep, Observation, ProcessId, RegisterId, Step, Value,
@@ -66,8 +85,6 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
         .map(|r| alg.initial_value(r))
         .collect();
     let mut pc = vec![0usize; n];
-    let mut done = vec![false; n];
-    let mut waiting = vec![false; n];
     // Pending shared-memory step of each parked process.
     let mut pending: Vec<Option<NextStep>> = vec![None; n];
 
@@ -76,36 +93,41 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
     let mut readers: Vec<Vec<ProcessId>> = vec![Vec::new(); regs_n];
     let mut pr_count = vec![0usize; regs_n];
 
+    // Phase 1's worklist: the unparked, unfinished processes in index
+    // order. Phase 2's: the registers phase 1 touched this round.
+    let mut active: Vec<ProcessId> = ProcessId::all(n).collect();
+    let mut next_active: Vec<ProcessId> = Vec::with_capacity(n);
+    let mut touched: Vec<usize> = Vec::new();
+    let mut finished = 0;
+
     let mismatch =
         |pid: ProcessId, row: usize, detail: String| DecodeError::CellMismatch { pid, row, detail };
 
     loop {
-        let mut progress = false;
+        let mut progress = !active.is_empty();
 
         // Phase 1 (Figure 3, lines 6–37): consume one cell per unparked
         // process, computing its pending step from δ.
-        for i in 0..n {
-            if done[i] || waiting[i] {
-                continue;
-            }
-            let pid = ProcessId::new(i);
-            if pc[i] >= enc.column(pid).len() {
-                done[i] = true;
-                progress = true;
+        for &pid in &active {
+            let i = pid.index();
+            let column = enc.column(pid);
+            if pc[i] >= column.len() {
+                finished += 1;
                 continue;
             }
             let row = pc[i];
-            let cell = enc.column(pid)[row];
+            let cell = column[row];
             pc[i] += 1;
-            progress = true;
             let next = alg.next_step(pid, &states[i]);
-            match (cell, next) {
+            let parked_on = match (cell, next) {
                 (Cell::Crit, NextStep::Crit(kind)) => {
                     exec.push(Step::crit(pid, kind));
                     states[i] = alg.observe(pid, &states[i], Observation::Crit);
-                    if kind == CritKind::Rem && pc[i] >= enc.column(pid).len() {
-                        done[i] = true;
+                    if kind == CritKind::Rem && pc[i] >= column.len() {
+                        finished += 1;
+                        continue;
                     }
+                    None
                 }
                 (Cell::SoloRead | Cell::Preread, NextStep::Read(reg)) => {
                     // Read metasteps execute immediately; prereads also
@@ -115,21 +137,19 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                     states[i] = alg.observe(pid, &states[i], Observation::Read(v));
                     if cell == Cell::Preread {
                         pr_count[reg.index()] += 1;
+                        touched.push(reg.index());
                     }
+                    None
                 }
                 (Cell::Read, NextStep::Read(reg)) => {
-                    waiting[i] = true;
-                    pending[i] = Some(next);
                     readers[reg.index()].push(pid);
+                    Some(reg)
                 }
                 (Cell::Write, NextStep::Write(reg, _)) => {
-                    waiting[i] = true;
-                    pending[i] = Some(next);
                     writers[reg.index()].push(pid);
+                    Some(reg)
                 }
                 (Cell::Winner { pr, r, w }, NextStep::Write(reg, _)) => {
-                    waiting[i] = true;
-                    pending[i] = Some(next);
                     writers[reg.index()].push(pid);
                     sig[reg.index()] = Some(Signature {
                         winner: pid,
@@ -137,6 +157,7 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                         w: w as usize,
                         pr: pr as usize,
                     });
+                    Some(reg)
                 }
                 (cell, next) => {
                     return Err(mismatch(
@@ -145,12 +166,21 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                         format!("cell {cell:?} but δ produces {next:?}"),
                     ));
                 }
+            };
+            match parked_on {
+                Some(reg) => {
+                    pending[i] = Some(next);
+                    touched.push(reg.index());
+                }
+                None => next_active.push(pid),
             }
         }
 
         // Phase 2 (lines 38–45): fire write metasteps whose pools match
         // their signature.
-        for reg in 0..regs_n {
+        touched.sort_unstable();
+        touched.dedup();
+        for reg in touched.drain(..) {
             let Some(s) = sig[reg] else { continue };
             let Some(NextStep::Write(_, v_win)) = pending[s.winner.index()] else {
                 return Err(DecodeError::Stalled {
@@ -179,21 +209,21 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                 exec.push(Step::write(p, wr, v));
                 regs[wr.index()] = v;
                 states[p.index()] = alg.observe(p, &states[p.index()], Observation::Write);
-                waiting[p.index()] = false;
                 pending[p.index()] = None;
+                next_active.push(p);
             }
             let wreg = RegisterId::new(reg);
             exec.push(Step::write(s.winner, wreg, v_win));
             regs[reg] = v_win;
             states[s.winner.index()] =
                 alg.observe(s.winner, &states[s.winner.index()], Observation::Write);
-            waiting[s.winner.index()] = false;
             pending[s.winner.index()] = None;
+            next_active.push(s.winner);
             for &p in &in_group {
                 exec.push(Step::read(p, wreg));
                 states[p.index()] = alg.observe(p, &states[p.index()], Observation::Read(v_win));
-                waiting[p.index()] = false;
                 pending[p.index()] = None;
+                next_active.push(p);
             }
             readers[reg].retain(|p| !in_group.contains(p));
             writers[reg].clear();
@@ -202,13 +232,9 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
             progress = true;
         }
 
-        if done.iter().all(|&d| d) {
-            // All columns consumed; nothing may remain parked.
-            if waiting.iter().any(|&w| w) {
-                return Err(DecodeError::Stalled {
-                    decoded_steps: exec.len(),
-                });
-            }
+        // A process finishes only in phase 1, which skips parked ones,
+        // so once all have finished none is left parked.
+        if finished == n {
             return Ok(Execution::from_steps(exec));
         }
         if !progress {
@@ -216,6 +242,9 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                 decoded_steps: exec.len(),
             });
         }
+        next_active.sort_unstable();
+        std::mem::swap(&mut active, &mut next_active);
+        next_active.clear();
     }
 }
 
