@@ -1,4 +1,4 @@
-//! Regenerates every experiment table of EXPERIMENTS.md.
+//! Prints the experiment tables of [`exclusion_bench::experiments`].
 //!
 //! ```text
 //! tables                 # run everything (full grids)

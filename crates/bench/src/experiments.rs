@@ -1,4 +1,5 @@
-//! The experiments of EXPERIMENTS.md (index in DESIGN.md §5).
+//! The experiments: one table per theorem or claim the repository
+//! reproduces.
 //!
 //! Every function regenerates one table. `quick` shrinks the parameter
 //! grids so the whole suite smoke-runs in seconds (used by tests);
@@ -25,11 +26,11 @@ use crate::table::{f1, f2, Table};
 pub const SEED: u64 = 0x5eed_2006;
 
 /// Algorithms exercised at size `n`, with the cubic-cost filter lock
-/// capped at n ≤ 16 to keep runtimes sane.
+/// capped at n ≤ 64 to keep runtimes sane.
 fn algorithms(n: usize) -> Vec<AnyAlgorithm> {
     AnyAlgorithm::suite(n)
         .into_iter()
-        .filter(|a| n <= 16 || a.name() != "filter")
+        .filter(|a| n <= 64 || a.name() != "filter")
         .collect()
 }
 
@@ -67,7 +68,7 @@ pub fn e1_lower_bound_shape(quick: bool) -> Table {
     let sizes: &[usize] = if quick {
         &[2, 4, 8]
     } else {
-        &[2, 4, 8, 16, 32, 64]
+        &[2, 4, 8, 16, 32, 64, 128, 256]
     };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
@@ -121,7 +122,11 @@ pub fn e2_encoding_efficiency(quick: bool) -> Table {
             "max κ",
         ],
     );
-    let sizes: &[usize] = if quick { &[4] } else { &[4, 8, 16, 32] };
+    let sizes: &[usize] = if quick {
+        &[4]
+    } else {
+        &[4, 8, 16, 32, 64, 128, 256]
+    };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
         for alg in algorithms(n) {
@@ -151,8 +156,10 @@ pub fn e2_encoding_efficiency(quick: bool) -> Table {
         }
     }
     t.set_caption(
-        "κ = |E_π| in bits / C(α_π) stays below a small constant (≈4–6 with the γ-coded \
-         cells) across algorithms and sizes — the linearity Theorem 6.2 requires.",
+        "κ = |E_π| in bits / C(α_π) stays below a small constant across algorithms and \
+         sizes — the linearity Theorem 6.2 requires. The maximum κ falls as n grows: from \
+         7.50 at n = 4 to 6.00 at n = 256 for the tournament locks, and from ≤ 6.50 at \
+         n = 4 to 3.0–3.1 at n = 256 for the scan-based ones.",
     );
     t
 }
@@ -519,7 +526,7 @@ pub fn e10a_encoding_ablation(quick: bool) -> Table {
 }
 
 /// E10b — ablation: disabling the SR-read ordering completion
-/// (DESIGN.md §6.1) and counting how many pipelines break.
+/// ([`ConstructConfig::sr_preread_remedy`]) and counting how many pipelines break.
 #[must_use]
 pub fn e10b_remedy_ablation(quick: bool) -> Table {
     let mut t = Table::new(
@@ -779,7 +786,7 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
 }
 
 /// Runs every experiment, printing each table as it completes. Returns
-/// the tables (used to regenerate EXPERIMENTS.md).
+/// the tables.
 pub fn run_all(quick: bool) -> Vec<Table> {
     type Experiment = (&'static str, fn(bool) -> Table);
     let experiments: Vec<Experiment> = vec![

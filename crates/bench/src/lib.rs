@@ -1,5 +1,5 @@
-//! The experiment harness: every table of EXPERIMENTS.md is regenerated
-//! by a function in [`experiments`], and `cargo run -p exclusion-bench
+//! The experiment harness: every experiment table is generated by a
+//! function in [`experiments`], and `cargo run -p exclusion-bench
 //! --bin tables` prints them all. The `bench_sweep` binary (module
 //! [`sweepbench`]) times the streaming pricing engine against the
 //! record+replay one and emits `BENCH_sweep.json`; the `bench_dispatch`
@@ -25,9 +25,9 @@
 //! `BENCH_hw.json`.
 //!
 //! The paper (a theory paper) has no numbered tables or figures; the
-//! experiments here are the executable counterparts of its theorems, as
-//! indexed in DESIGN.md §5. Each function returns a [`table::Table`] so
-//! the binary, the tests and EXPERIMENTS.md all see identical rows.
+//! experiments here are the executable counterparts of its theorems.
+//! Each function returns a [`table::Table`] so the binary and the tests
+//! see identical rows.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

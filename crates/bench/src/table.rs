@@ -50,8 +50,7 @@ impl Table {
         &self.rows
     }
 
-    /// Renders the table as Markdown (used to regenerate EXPERIMENTS.md
-    /// sections verbatim).
+    /// Renders the table as Markdown (`tables --markdown`).
     #[must_use]
     pub fn to_markdown(&self) -> String {
         let mut out = String::new();

@@ -156,11 +156,24 @@ impl Frontier {
 pub struct ConstructConfig {
     /// Maximum number of steps a single process may take in its stage.
     pub max_steps_per_stage: usize,
-    /// Whether to apply the SR-read ordering completion (DESIGN.md
-    /// §6.1): order every fresh read metastep before the minimal
-    /// unexecuted write metastep on its register. Disabling it
-    /// reproduces Figure 1 verbatim; the E10 ablation measures how often
-    /// the verbatim rule yields executions whose decoding breaks.
+    /// Whether to apply the SR-read ordering completion: order every
+    /// fresh read metastep before the minimal unexecuted write metastep
+    /// on its register, as that metastep's preread.
+    ///
+    /// Figure 1 verbatim (lines 33–35) gives a fresh read metastep the
+    /// register's current value but orders it against no unexecuted
+    /// write on the register. A write whose value would not change the
+    /// reader's state can then be linearized before the read, which
+    /// returns a value the construction never assumed, and the replay
+    /// diverges. A register's write metasteps are totally ordered
+    /// (Lemma 5.3), so ordering the read before the minimal one puts it
+    /// before all of them: it reads the current value in every
+    /// linearization. [`Construction::sr_remedy_edges`] counts how often
+    /// the completion fires; the register-only suite never triggers it.
+    ///
+    /// Disabling it reproduces Figure 1 verbatim; the E10 ablation
+    /// measures how often the verbatim rule yields executions whose
+    /// decoding breaks.
     pub sr_preread_remedy: bool,
 }
 
@@ -190,10 +203,11 @@ pub struct Construction {
     /// The stage order: π for a full construction, a prefix of it for
     /// [`construct_stages`].
     pub(crate) stages: Vec<ProcessId>,
-    /// How often the SR-read ordering completion (DESIGN.md §6.1)
-    /// actually added an edge — i.e. a fresh read metastep coexisted
-    /// with unexecuted writes on its register, making the read's value
-    /// linearization-dependent under Figure 1 verbatim.
+    /// How often the SR-read ordering completion
+    /// ([`ConstructConfig::sr_preread_remedy`]) actually added an edge —
+    /// i.e. a fresh read metastep coexisted with unexecuted writes on its
+    /// register, making the read's value linearization-dependent under
+    /// Figure 1 verbatim.
     pub(crate) sr_remedy_edges: usize,
 }
 
@@ -344,7 +358,7 @@ pub fn construct_stages<A: Automaton>(
     };
     // Read metasteps per register that are not yet prereads and may still
     // be overtaken by a future write metastep (cleared at each write
-    // metastep creation; see DESIGN.md §6.1).
+    // metastep creation).
     let mut pending_reads: Vec<Vec<MetastepId>> = vec![Vec::new(); registers];
 
     for (stage, &pid) in stages.iter().enumerate() {
@@ -420,8 +434,8 @@ fn generate<A: Automaton>(
                     frontier.advance(&c.dag, m_prev);
                     state = alg.observe(pid, &state, Observation::Read(v));
                 } else {
-                    // Lines 33–35 (+ DESIGN.md §6.1): fresh read
-                    // metastep, reading the current value.
+                    // Lines 33–35 (+ the SR-read completion): fresh
+                    // read metastep, reading the current value.
                     let cur = current_value(alg, c, &frontier, reg);
                     let next = alg.observe(pid, &state, Observation::Read(cur));
                     if next == state {
@@ -726,13 +740,13 @@ mod tests {
     }
 
     /// A two-process automaton exhibiting the read-value ambiguity of
-    /// Figure 1 verbatim (DESIGN.md §6.1): `p0` writes `ℓ := 1` and
-    /// stops; `p1` busy-waits until `ℓ == 0` (the initial value). In
-    /// stage 1, `p0`'s write is unexecuted but reading its value would
-    /// *not* change `p1`'s state, so `p1`'s read becomes a fresh read
-    /// metastep — and without the ordering completion it is unordered
-    /// against the write, making the value it reads depend on the
-    /// linearization.
+    /// Figure 1 verbatim (see [`ConstructConfig::sr_preread_remedy`]):
+    /// `p0` writes `ℓ := 1` and stops; `p1` busy-waits until `ℓ == 0`
+    /// (the initial value). In stage 1, `p0`'s write is unexecuted but
+    /// reading its value would *not* change `p1`'s state, so `p1`'s read
+    /// becomes a fresh read metastep — and without the ordering
+    /// completion it is unordered against the write, making the value it
+    /// reads depend on the linearization.
     #[derive(Clone, Copy, Debug)]
     struct GateToy;
 

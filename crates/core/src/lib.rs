@@ -18,8 +18,8 @@
 //! Since decoding is injective on the n! permutations, some `E_π` has
 //! ≥ log₂ n! bits, so some α_π costs Ω(n log n) — Theorem 7.5. The
 //! [`verify`] module packages each theorem as an executable check, and
-//! `exclusion-bench` turns them into the experiment tables of
-//! EXPERIMENTS.md.
+//! `exclusion-bench` turns them into experiment tables (see the README's
+//! "Examples and experiments").
 //!
 //! # Example
 //!

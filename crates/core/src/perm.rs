@@ -16,9 +16,9 @@ use rand::Rng;
 /// use exclusion_lb::Permutation;
 /// let pi = Permutation::identity(3);
 /// assert_eq!(pi.len(), 3);
-/// assert_eq!(pi.rank(), 0);
+/// assert_eq!(pi.rank(), Some(0));
 /// let rev = Permutation::reversed(3);
-/// assert_eq!(rev.rank(), 5); // the last of the 3! = 6 permutations
+/// assert_eq!(rev.rank(), Some(5)); // the last of the 3! = 6 permutations
 /// ```
 #[derive(Clone, PartialEq, Eq, Hash, Debug)]
 pub struct Permutation {
@@ -67,37 +67,47 @@ impl Permutation {
     }
 
     /// The permutation of rank `k` (0-based) in lexicographic order —
-    /// the inverse of [`rank`](Permutation::rank).
+    /// the inverse of [`rank`](Permutation::rank). Every `u64` is a
+    /// valid rank for `n > 20`, where `n!` exceeds `u64::MAX`.
     ///
     /// # Panics
     ///
     /// Panics if `k ≥ n!` (for `n ≤ 20`).
     #[must_use]
     pub fn unrank(n: usize, mut k: u64) -> Self {
+        if let Some(total) = checked_factorial(n) {
+            assert!(k < total, "rank {k} out of range for n = {n}");
+        }
         let mut pool: Vec<ProcessId> = ProcessId::all(n).collect();
         let mut order = Vec::with_capacity(n);
         for i in (0..n).rev() {
-            let f = factorial(i);
-            let idx = (k / f) as usize;
-            k %= f;
+            // An `i!` past `u64::MAX` exceeds every rank: its digit is 0.
+            let idx = checked_factorial(i).map_or(0, |f| {
+                let digit = k / f;
+                k %= f;
+                digit as usize
+            });
             order.push(pool.remove(idx));
         }
-        assert_eq!(k, 0, "rank out of range");
         Permutation { order }
     }
 
-    /// The lexicographic rank of this permutation in `0..n!`.
+    /// The lexicographic rank of this permutation in `0..n!`, or `None`
+    /// when it does not fit in a `u64` (only possible for `n > 20`).
     #[must_use]
-    pub fn rank(&self) -> u64 {
+    pub fn rank(&self) -> Option<u64> {
         let n = self.order.len();
         let mut pool: Vec<usize> = (0..n).collect();
         let mut rank = 0u64;
         for (i, p) in self.order.iter().enumerate() {
             let idx = pool.iter().position(|&x| x == p.index()).expect("member");
-            rank += idx as u64 * factorial(n - 1 - i);
             pool.remove(idx);
+            if idx > 0 {
+                let digit = checked_factorial(n - 1 - i)?.checked_mul(idx as u64)?;
+                rank = rank.checked_add(digit)?;
+            }
         }
-        rank
+        Some(rank)
     }
 
     /// Number of processes.
@@ -154,8 +164,12 @@ impl std::fmt::Display for Permutation {
 /// Panics if `n > 20` (overflow).
 #[must_use]
 pub fn factorial(n: usize) -> u64 {
-    assert!(n <= 20, "n! overflows u64 for n > 20");
-    (1..=n as u64).product()
+    checked_factorial(n).expect("n! overflows u64 for n > 20")
+}
+
+/// `n!` as a `u64`, or `None` past `u64::MAX` (`n > 20`).
+fn checked_factorial(n: usize) -> Option<u64> {
+    (1..=n as u64).try_fold(1u64, u64::checked_mul)
 }
 
 /// `log₂(n!)` in bits — the information-theoretic minimum size of a
@@ -192,9 +206,36 @@ mod tests {
         for n in 1..=5 {
             for k in 0..factorial(n) {
                 let p = Permutation::unrank(n, k);
-                assert_eq!(p.rank(), k, "n = {n}, k = {k}");
+                assert_eq!(p.rank(), Some(k), "n = {n}, k = {k}");
             }
         }
+    }
+
+    #[test]
+    fn unrank_accepts_every_u64_rank_past_n_20() {
+        for n in [21, 64, 256] {
+            for k in [0, 1, u64::MAX] {
+                let p = Permutation::unrank(n, k);
+                assert_eq!(p.len(), n);
+                let _ = Permutation::from_order(p.order().to_vec());
+                assert_eq!(p.rank(), Some(k), "n = {n}, k = {k}");
+            }
+            // Rank 1 swaps the last two processes and nothing else.
+            let one = Permutation::unrank(n, 1);
+            assert_eq!(one.at(n - 2).index(), n - 1);
+            assert_eq!(one.at(n - 1).index(), n - 2);
+            // The last permutation's rank n! - 1 does not fit in a u64.
+            assert_eq!(Permutation::reversed(n).rank(), None);
+        }
+        let last = factorial(20) - 1;
+        assert_eq!(Permutation::unrank(20, last), Permutation::reversed(20));
+        assert_eq!(Permutation::reversed(20).rank(), Some(last));
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn unrank_rejects_ranks_past_n_factorial() {
+        let _ = Permutation::unrank(20, factorial(20));
     }
 
     #[test]

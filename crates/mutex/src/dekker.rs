@@ -3,9 +3,9 @@
 //! is tight in the state-change cost model.
 //!
 //! Processes climb an arbitration tree (as in Yang & Anderson \[13\], the
-//! algorithm the paper cites for the matching upper bound; see DESIGN.md
-//! §6.3 for why the element here is Dekker's rather than a reconstruction
-//! of theirs). At a node, a process raises its side's flag and checks the
+//! algorithm the paper cites for the matching upper bound; see
+//! [`stale_tournament`](crate::stale_tournament) for why the element here
+//! is Dekker's rather than a reconstruction of theirs). At a node, a process raises its side's flag and checks the
 //! rival flag; on contention the tie-break register decides, and — the
 //! key restructuring — **every busy-wait loop reads a single register**:
 //!

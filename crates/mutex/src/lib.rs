@@ -6,7 +6,7 @@
 //!
 //! | Algorithm | Canonical SC cost | Notes |
 //! |---|---|---|
-//! | [`DekkerTournament`] | Θ(n log n) | local-spin tournament; the tight upper bound (DESIGN.md §6.3) |
+//! | [`DekkerTournament`] | Θ(n log n) | local-spin tournament; the tight upper bound (see [`stale_tournament`] for why Dekker's element) |
 //! | [`Peterson`] | Θ(n log n) | tournament; remote spins under contention |
 //! | [`Dijkstra`] | Θ(n²) | the original 1965 algorithm |
 //! | [`BurnsLynch`] | Θ(n²) | one shared bit per process (space-optimal) |

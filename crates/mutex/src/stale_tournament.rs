@@ -25,9 +25,9 @@
 //! The 48-step witness is found by
 //! [`check_mutual_exclusion`](exclusion_shmem::checker::check_mutual_exclusion)
 //! at `n = 2`, three passages, in a few thousand states — see this
-//! module's tests, and DESIGN.md §6.3 for why the workspace's actual
-//! upper-bound witness is [`DekkerTournament`](crate::DekkerTournament)
-//! instead. Exhausting both exit orders (withdraw-then-read and
+//! module's tests. This race is why the workspace's actual upper-bound
+//! witness is [`DekkerTournament`](crate::DekkerTournament) instead.
+//! Exhausting both exit orders (withdraw-then-read and
 //! read-then-withdraw) shifts but does not close the window, which is
 //! precisely why this artifact is worth keeping: it demonstrates that the
 //! checker rejects plausible-but-wrong synchronization, so its green

@@ -39,9 +39,8 @@
 //!   deterministic metrics aggregation, Chrome trace-event export, and
 //!   count-throttled live progress — zero overhead when off.
 //!
-//! See `README.md` for a tour, `DESIGN.md` for the system inventory and
-//! the paper-to-code mapping, and `EXPERIMENTS.md` for the reproduced
-//! results.
+//! See `README.md` for a tour of the crates, the paper's pipeline and
+//! the experiment tables.
 //!
 //! # Quickstart
 //!
