@@ -220,7 +220,7 @@ mod tests {
                 let _ = Permutation::from_order(p.order().to_vec());
                 assert_eq!(p.rank(), Some(k), "n = {n}, k = {k}");
             }
-            // Rank 1 swaps the last two processes and nothing else.
+            // Rank 1 swaps the last two processes.
             let one = Permutation::unrank(n, 1);
             assert_eq!(one.at(n - 2).index(), n - 1);
             assert_eq!(one.at(n - 1).index(), n - 2);
