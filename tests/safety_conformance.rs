@@ -5,11 +5,15 @@
 //! their registry metadata disclaims it (the splitter locks, whose
 //! contention hazard must then be *found*); the planted `broken` lock
 //! must be caught with a minimal counterexample that replays through
-//! the ordinary replay machinery.
+//! the ordinary replay machinery. The explorer's whole output over that
+//! grid is also pinned by digest.
 
-use exclusion::explore::{conformance_registry, explore, ExploreConfig};
+use exclusion::explore::{
+    analyze, conformance_registry, explore, ExploreConfig, Model, WorstCaseReport, WorstCost,
+};
+use exclusion::explore::{ExploreReport, HazardKind};
 use exclusion::shmem::testing::fixtures;
-use exclusion::shmem::{replay, DynRef};
+use exclusion::shmem::{replay, DynRef, ProcessId};
 
 /// Pinned state-space sizes for the register-only suite at the fixture
 /// grid (passages = 1). These are exact reachable-state counts; a
@@ -136,4 +140,233 @@ fn truncated_runs_never_certify() {
     assert!(report.truncated);
     assert!(!report.certified_safe());
     assert!(!report.certified_deadlock_free());
+}
+
+/// FNV-1a over 64 bits. Its output is fixed by its definition, so the
+/// pins below hold on every Rust release (`DefaultHasher`'s do not).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn u64(&mut self, x: u64) {
+        for b in x.to_le_bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn pids(&mut self, pids: &[ProcessId]) {
+        self.u64(pids.len() as u64);
+        for p in pids {
+            self.u64(p.index() as u64);
+        }
+    }
+}
+
+/// Everything `analyze` reports for one (algorithm, n, model) cell.
+/// Hazard schedules and pump prefixes are folded in by length only:
+/// among equally short candidates the explorer takes the first by node
+/// id, and node ids follow the transposition table's hash, so their
+/// spelling is not part of the contract. Everything else is: a one-worker
+/// build discovers states in a fixed order, so its parent chains, and
+/// the violation and exact witnesses read off them, are deterministic.
+fn explorer_digest(report: &ExploreReport, worst: Option<&WorstCaseReport>) -> u64 {
+    let mut h = Fnv::new();
+    for x in [
+        report.states,
+        report.edges,
+        report.depth,
+        usize::from(report.truncated),
+        report.dedup_hits,
+        report.peak_frontier,
+    ] {
+        h.u64(x as u64);
+    }
+    match &report.violation {
+        None => h.u64(0),
+        Some(cex) => {
+            h.u64(1);
+            h.pids(&cex.schedule);
+            h.pids(&[cex.culprits.0, cex.culprits.1]);
+        }
+    }
+    match &report.hazard {
+        None => h.u64(0),
+        Some(hazard) => {
+            h.u64(match hazard.kind {
+                HazardKind::Deadlock => 1,
+                HazardKind::Livelock => 2,
+            });
+            h.u64(hazard.doomed_states as u64);
+            h.u64(hazard.schedule.len() as u64);
+        }
+    }
+    match worst {
+        None => h.u64(0),
+        Some(w) => {
+            h.u64(1);
+            h.u64(w.nodes as u64);
+            h.u64(w.edges as u64);
+            h.u64(w.incumbent as u64);
+            match &w.cost {
+                WorstCost::Exact { cost, schedule } => {
+                    h.u64(1);
+                    h.u64(*cost as u64);
+                    h.pids(schedule);
+                }
+                WorstCost::Unbounded { prefix, .. } => {
+                    h.u64(2);
+                    h.u64(prefix.len() as u64);
+                }
+                WorstCost::Unknown => h.u64(3),
+            }
+        }
+    }
+    h.0
+}
+
+/// The pinned grid: every conformance entry under SC at n = 2 and 3,
+/// under CC and DSM at n = 2, and two register-only locks under CC at
+/// n = 3 (their product graphs are the largest the grid reaches).
+#[rustfmt::skip]
+const PINNED_EXPLORER_DIGESTS: &[(&str, usize, &str, u64)] = &[
+    ("dekker-tree", 2, "sc", 0x03a4ff04af97a876),
+    ("dekker-tree", 2, "cc", 0x73e80ceccf68cbde),
+    ("dekker-tree", 2, "dsm", 0xc8d952b2375e57ca),
+    ("peterson", 2, "sc", 0xbb88bef97796c674),
+    ("peterson", 2, "cc", 0x8ac2e4874486fb6f),
+    ("peterson", 2, "dsm", 0xbb88bef97796c674),
+    ("bakery", 2, "sc", 0x9a5d7aeadac970a1),
+    ("bakery", 2, "cc", 0xbadaecc35d21e2c5),
+    ("bakery", 2, "dsm", 0x3c0e1331a8192954),
+    ("filter", 2, "sc", 0xbb88bef97796c674),
+    ("filter", 2, "cc", 0x8ac2e4874486fb6f),
+    ("filter", 2, "dsm", 0x541eba4a7d377fc8),
+    ("dijkstra", 2, "sc", 0x99e32e562fe71baa),
+    ("dijkstra", 2, "cc", 0x1b0cc5c72a6fbd7a),
+    ("dijkstra", 2, "dsm", 0x0b824c139c789650),
+    ("burns-lynch", 2, "sc", 0x4bf0eccefbacbc5e),
+    ("burns-lynch", 2, "cc", 0x151dd89b7df48509),
+    ("burns-lynch", 2, "dsm", 0xcf6f5e14b345766c),
+    ("splitter", 2, "sc", 0x9c832bc08f126675),
+    ("splitter", 2, "cc", 0x3af5a9c6407714d1),
+    ("splitter", 2, "dsm", 0x9c832bc08f126675),
+    ("splitter-gate", 2, "sc", 0x9190067f45fdd8e8),
+    ("splitter-gate", 2, "cc", 0x6cf767f9be7d3390),
+    ("splitter-gate", 2, "dsm", 0x12c4515fbbe635b5),
+    ("tas-sim", 2, "sc", 0x329fe5988df361c8),
+    ("tas-sim", 2, "cc", 0x3422cc976a870245),
+    ("tas-sim", 2, "dsm", 0x4cd65589f37c1c40),
+    ("ttas-sim", 2, "sc", 0x8e0dc33409146cc1),
+    ("ttas-sim", 2, "cc", 0x02abb0992617a087),
+    ("ttas-sim", 2, "dsm", 0xc170842aafdad07f),
+    ("ticket-sim", 2, "sc", 0xb585c6320f2c1c91),
+    ("ticket-sim", 2, "cc", 0x2c58529061817a05),
+    ("ticket-sim", 2, "dsm", 0xc170842aafdad07f),
+    ("clh-sim", 2, "sc", 0x4827b8f5d1166f15),
+    ("clh-sim", 2, "cc", 0xf2b3e86805909cfc),
+    ("clh-sim", 2, "dsm", 0xd49881b11e2c01e8),
+    ("mcs-sim", 2, "sc", 0x37d5fc0822431fc9),
+    ("mcs-sim", 2, "cc", 0x37d96ec709e94fa7),
+    ("mcs-sim", 2, "dsm", 0x4b3eb3621818c27a),
+    ("mcs", 2, "sc", 0x37d5fc0822431fc9),
+    ("mcs", 2, "cc", 0x37d96ec709e94fa7),
+    ("mcs", 2, "dsm", 0x153bca98be7efec8),
+    ("clh", 2, "sc", 0x4827b8f5d1166f15),
+    ("clh", 2, "cc", 0xf2b3e86805909cfc),
+    ("clh", 2, "dsm", 0xd49881b11e2c01e8),
+    ("ticket", 2, "sc", 0xb585c6320f2c1c91),
+    ("ticket", 2, "cc", 0x2c58529061817a05),
+    ("ticket", 2, "dsm", 0xc170842aafdad07f),
+    ("rpeterson", 2, "sc", 0xbb88bef97796c674),
+    ("rpeterson", 2, "cc", 0x8ac2e4874486fb6f),
+    ("rpeterson", 2, "dsm", 0xbb88bef97796c674),
+    ("rtas", 2, "sc", 0x92cbd87161dfc47a),
+    ("rtas", 2, "cc", 0x41f3dd6413bc643f),
+    ("rtas", 2, "dsm", 0xcce476692f1eff12),
+    ("broken-recover", 2, "sc", 0x92cbd87161dfc47a),
+    ("broken-recover", 2, "cc", 0x41f3dd6413bc643f),
+    ("broken-recover", 2, "dsm", 0xcce476692f1eff12),
+    ("broken", 2, "sc", 0x375b48e6bb87a651),
+    ("broken", 2, "cc", 0x751291501999059e),
+    ("broken", 2, "dsm", 0x751291501999059e),
+    ("dekker-tree", 3, "sc", 0x25051489b7f4508e),
+    ("peterson", 3, "sc", 0x263b1377d640d690),
+    ("bakery", 3, "sc", 0x78cea3e8572ff00e),
+    ("filter", 3, "sc", 0x1a4d95feb4659a5a),
+    ("dijkstra", 3, "sc", 0xb101fcef145d7d86),
+    ("burns-lynch", 3, "sc", 0x9393a686bd9dc4e6),
+    ("splitter", 3, "sc", 0x3f8c5efd7d205abf),
+    ("splitter-gate", 3, "sc", 0xc3b9002eae046c54),
+    ("tas-sim", 3, "sc", 0x6495f8cbb61e69c6),
+    ("ttas-sim", 3, "sc", 0xe54e2511e8ff0dd2),
+    ("ticket-sim", 3, "sc", 0xb5eeccd8a318589a),
+    ("clh-sim", 3, "sc", 0xde3b47d406629309),
+    ("mcs-sim", 3, "sc", 0x8555afe0ee1b2148),
+    ("mcs", 3, "sc", 0x8555afe0ee1b2148),
+    ("clh", 3, "sc", 0xde3b47d406629309),
+    ("ticket", 3, "sc", 0xb5eeccd8a318589a),
+    ("rpeterson", 3, "sc", 0x263b1377d640d690),
+    ("rtas", 3, "sc", 0x477c75553e32e617),
+    ("broken-recover", 3, "sc", 0x477c75553e32e617),
+    ("broken", 3, "sc", 0x0c68360386d57b1d),
+    ("dekker-tree", 3, "cc", 0x7cdbeefc64bb32b8),
+    ("peterson", 3, "cc", 0x9839010b98ffb74f),
+];
+
+#[test]
+fn explorer_outputs_match_their_pinned_digests() {
+    let registry = conformance_registry();
+    // One worker keeps parent chains deterministic; the step cap keeps
+    // the greedy incumbent of the splitter locks (which never complete
+    // under it) from running the default 50 M-step budget.
+    let cfg = ExploreConfig {
+        workers: 1,
+        max_steps: 100_000,
+        ..ExploreConfig::default()
+    };
+    let mut cells: Vec<(String, usize, Model)> = Vec::new();
+    for &n in fixtures::SMALL_NS {
+        for name in registry.names() {
+            if registry.get(&name).expect("listed").info().min_n > n {
+                continue;
+            }
+            cells.push((name.clone(), n, Model::Sc));
+            if n == 2 {
+                cells.push((name.clone(), n, Model::Cc));
+                cells.push((name, n, Model::Dsm));
+            }
+        }
+    }
+    for name in ["dekker-tree", "peterson"] {
+        cells.push((name.to_string(), 3, Model::Cc));
+    }
+    let got: Vec<(String, usize, Model, u64)> = cells
+        .into_iter()
+        .map(|(name, n, model)| {
+            let alg = registry
+                .resolve_str(&name, n)
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+                .automaton;
+            let (report, worst) = analyze(alg.as_ref(), model, &cfg);
+            let digest = explorer_digest(&report, worst.as_ref());
+            (name, n, model, digest)
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, n, model, d)| format!("    (\"{name}\", {n}, \"{model}\", {d:#018x}),\n"))
+        .collect();
+    assert!(
+        got.len() == PINNED_EXPLORER_DIGESTS.len()
+            && got.iter().zip(PINNED_EXPLORER_DIGESTS).all(
+                |((name, n, model, d), &(pn, pnn, pm, pd))| {
+                    name == pn && *n == pnn && model.name() == pm && *d == pd
+                }
+            ),
+        "explorer output changed; digests now:\n{table}"
+    );
 }
