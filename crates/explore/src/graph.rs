@@ -9,9 +9,11 @@
 //! search space is exactly the reachable snapshot graph; the CC lens
 //! explores the product of snapshots and cache states.
 //!
-//! The table is sharded: each shard owns a hash-bucketed index and the
-//! node storage for the snapshots that hash into it, behind its own
-//! mutex, so concurrent inserts from different workers rarely contend.
+//! The table is sharded: each shard owns an index from key hash to
+//! node and the node storage for the keys whose hash picks it, behind
+//! its own mutex, so concurrent inserts from different workers rarely
+//! contend. Each key is hashed once ([`key_hash`]): the hash's top bits
+//! pick the shard, and the shard's index is keyed by the hash itself.
 //! Workers pull chunks of the current BFS layer from a shared cursor
 //! (dynamic partitioning — a fast worker steals the work a slow one
 //! never claimed) and accumulate the next layer locally; layers are
@@ -19,12 +21,20 @@
 //! therefore every verdict derived from the graph — independent of the
 //! worker count.
 //!
+//! Expanding an edge allocates nothing unless its target is new: each
+//! worker keeps one scratch [`System`], snapshot and digest, restores
+//! the parent into them for every successor, and copies a successor
+//! into the table and the next layer only when it is fresh. A layer
+//! gets one worker per [`GRAIN`] states (at most the configured
+//! count); a layer with one runs on the calling thread, since a thread
+//! spawn costs more than expanding a small layer.
+//!
 //! # Orbit reduction
 //!
 //! For algorithms declaring process-permutation symmetry
 //! ([`DynAutomaton::dyn_symmetric`]), every discovered snapshot is
 //! replaced by the canonical representative of its orbit
-//! ([`canonicalize_snapshot`]) before interning, so the table holds one
+//! ([`canonical_perm`]) before interning, so the table holds one
 //! node per orbit — up to `n!` fewer states — and every stored schedule
 //! lives in *canonical frames*: the pid recorded on an edge is the pid
 //! in the canonical relabelling of its source node, not in the original
@@ -34,17 +44,17 @@
 //! whose prices are *not* permutation-invariant opts out via
 //! [`CostLens::symmetry_compatible`].
 
-use std::collections::hash_map::DefaultHasher;
+use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef, DynState};
 use exclusion_shmem::probe::{Probe, TraceEvent};
 use exclusion_shmem::{
-    canonicalize_snapshot, permute_snapshot, CritKind, Executed, NextStep, Perm, ProcessId,
-    Section, Snapshot, System,
+    canonical_perm, permute_snapshot, CritKind, Executed, NextStep, Perm, ProcessId, Section,
+    Snapshot, System,
 };
 
 use crate::ExploreConfig;
@@ -58,6 +68,16 @@ pub(crate) const NO_PARENT: u32 = u32::MAX;
 
 /// Frontier chunk claimed per cursor fetch.
 const CHUNK: usize = 32;
+
+/// Layer states per worker: a layer of `k` states is expanded by
+/// `min(workers, k / GRAIN)` workers, at least one. Expanding a state
+/// takes about a microsecond and spawning plus joining a thread tens of
+/// microseconds, so a worker needs hundreds of states to pay for
+/// itself.
+pub(crate) const GRAIN: usize = 512;
+
+/// End of a chain of same-hash nodes in a shard.
+const NO_NODE: u32 = u32::MAX;
 
 /// A cost model's view of exploration: the extra state it carries per
 /// node and the price of each executed step.
@@ -355,10 +375,23 @@ pub(crate) struct BuiltGraph {
 /// diverge on what "can still complete" means.
 pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
     let n = graph.nodes.len();
-    let mut preds: Vec<Vec<u32>> = vec![Vec::new(); n];
+    // Predecessor lists in one CSR array: node `t`'s predecessors are
+    // `preds[start[t]..start[t + 1]]`.
+    let mut start = vec![0usize; n + 1];
+    for node in &graph.nodes {
+        for &(_, t, _) in &node.succs {
+            start[t as usize + 1] += 1;
+        }
+    }
+    for t in 0..n {
+        start[t + 1] += start[t];
+    }
+    let mut fill = start.clone();
+    let mut preds = vec![0u32; start[n]];
     for (u, node) in graph.nodes.iter().enumerate() {
         for &(_, t, _) in &node.succs {
-            preds[t as usize].push(u as u32);
+            preds[fill[t as usize]] = u as u32;
+            fill[t as usize] += 1;
         }
     }
     let mut live = vec![false; n];
@@ -369,7 +402,7 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
         live[u as usize] = true;
     }
     while let Some(u) = work.pop() {
-        for &p in &preds[u as usize] {
+        for &p in &preds[start[u as usize]..start[u as usize + 1]] {
             if !live[p as usize] {
                 live[p as usize] = true;
                 work.push(p);
@@ -406,9 +439,10 @@ impl BuiltGraph {
 }
 
 struct Shard<D> {
-    /// 64-bit snapshot hash → node indices *within this shard* that
-    /// carry it (collisions resolved by full key equality).
-    map: HashMap<u64, Vec<u32>>,
+    /// Key hash → the newest node *within this shard* that carries it;
+    /// older ones chain through [`BuildNode::next`] (collisions resolved
+    /// by full key equality).
+    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
     nodes: Vec<BuildNode<D>>,
 }
 
@@ -416,10 +450,9 @@ struct Shard<D> {
 enum StoredKey<D> {
     /// The full transposition key: exact, the default.
     Full(Snap, D),
-    /// A 128-bit fingerprint of the key (two independently seeded hash
-    /// passes): an order of magnitude smaller, exact only modulo
-    /// fingerprint collisions — reports built this way say so via
-    /// `fingerprinted`.
+    /// A 128-bit [`fingerprint`] of the key: an order of magnitude
+    /// smaller, exact only modulo fingerprint collisions — reports
+    /// built this way say so via `fingerprinted`.
     Fingerprint(u128),
 }
 
@@ -434,6 +467,9 @@ impl<D: Eq> StoredKey<D> {
 
 struct BuildNode<D> {
     key: StoredKey<D>,
+    /// The next older node of this shard with the same key hash, or
+    /// [`NO_NODE`].
+    next: u32,
     flat: FlatNode,
 }
 
@@ -445,21 +481,104 @@ struct Table<D> {
     compress: bool,
 }
 
-/// The deterministic 128-bit key fingerprint: two [`DefaultHasher`]
-/// passes, the second seeded with a fixed prefix so the halves are
-/// independent. A pure function of the key — identical across workers
-/// and runs.
-fn fingerprint<D: Hash>(snap: &Snap, digest: &D) -> (u64, u128) {
+/// The table's key hash: one multiply–rotate pass over the key's words
+/// ([`WordHasher`]). A pure function of the key — identical across
+/// workers and runs.
+fn key_hash<D: Hash>(snap: &Snap, digest: &D) -> u64 {
+    let mut h = WordHasher(0);
+    snap.hash(&mut h);
+    digest.hash(&mut h);
+    h.finish()
+}
+
+/// Hashes a word at a time: rotate, xor the word in, multiply (the
+/// FxHash step). `finish` avalanches the state (murmur3's `fmix64`), so
+/// every output bit depends on every input bit — the shard is taken
+/// from the top bits and the shard's index from the low ones.
+struct WordHasher(u64);
+
+impl WordHasher {
+    fn word(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        let mut words = bytes.chunks_exact(8);
+        for w in &mut words {
+            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
+        }
+        let rest = words.remainder();
+        if !rest.is_empty() {
+            let mut last = [0u8; 8];
+            last[..rest.len()].copy_from_slice(rest);
+            self.word(u64::from_le_bytes(last));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.word(u64::from(x));
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.word(x);
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.word(x as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        let mut h = self.0;
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^ (h >> 33)
+    }
+}
+
+/// The shard index's hasher: its keys already are [`key_hash`]es, so it
+/// passes the one `u64` it is given through.
+#[derive(Default)]
+struct PassThrough(u64);
+
+impl Hasher for PassThrough {
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("the shard index hashes only u64 keys")
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = x;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// The 128-bit key fingerprint [`ExploreConfig::compress`] stores in
+/// place of the key: two [`DefaultHasher`] (SipHash) passes, the second
+/// seeded with a fixed prefix so the halves are independent. A pure
+/// function of the key — identical across workers and runs.
+fn fingerprint<D: Hash>(snap: &Snap, digest: &D) -> u128 {
     let mut h1 = DefaultHasher::new();
     snap.hash(&mut h1);
     digest.hash(&mut h1);
-    let a = h1.finish();
     let mut h2 = DefaultHasher::new();
     0x9e37_79b9_7f4a_7c15u64.hash(&mut h2);
     snap.hash(&mut h2);
     digest.hash(&mut h2);
-    let b = h2.finish();
-    (a, (u128::from(a) << 64) | u128::from(b))
+    (u128::from(h1.finish()) << 64) | u128::from(h2.finish())
 }
 
 impl<D: Eq> Table<D> {
@@ -468,7 +587,7 @@ impl<D: Eq> Table<D> {
             shards: (0..shard_count)
                 .map(|_| {
                     Mutex::new(Shard {
-                        map: HashMap::new(),
+                        index: HashMap::default(),
                         nodes: Vec::new(),
                     })
                 })
@@ -493,31 +612,45 @@ impl<D: Eq> Table<D> {
     where
         D: Hash + Clone,
     {
-        let (hv, fp) = fingerprint(snap, digest);
-        let s = (hv & self.mask()) as usize;
+        let hv = key_hash(snap, digest);
+        let fp = if self.compress {
+            fingerprint(snap, digest)
+        } else {
+            0
+        };
+        // At least 16 shards, so the shift stays below 64.
+        let s = (hv >> (64 - self.shard_bits)) as usize;
         let mut guard = self.shards[s].lock().expect("shard poisoned");
-        let Shard { map, nodes } = &mut *guard;
-        if let Some(ids) = map.get(&hv) {
-            for &id in ids {
-                let idx = (id >> self.shard_bits) as usize;
-                if nodes[idx].key.matches(snap, digest, fp) {
-                    return (id, false);
-                }
-            }
-        }
+        let Shard { index, nodes } = &mut *guard;
         let idx = nodes.len() as u32;
-        let id = (idx << self.shard_bits) | s as u32;
+        let next = match index.entry(hv) {
+            Entry::Occupied(mut head) => {
+                let mut at = *head.get();
+                while at != NO_NODE {
+                    let node = &nodes[at as usize];
+                    if node.key.matches(snap, digest, fp) {
+                        return ((at << self.shard_bits) | s as u32, false);
+                    }
+                    at = node.next;
+                }
+                head.insert(idx)
+            }
+            Entry::Vacant(head) => {
+                head.insert(idx);
+                NO_NODE
+            }
+        };
         nodes.push(BuildNode {
             key: if self.compress {
                 StoredKey::Fingerprint(fp)
             } else {
                 StoredKey::Full(snap.clone(), digest.clone())
             },
+            next,
             flat: meta,
         });
-        map.entry(hv).or_default().push(id);
         self.count.fetch_add(1, Ordering::Relaxed);
-        (id, true)
+        ((idx << self.shard_bits) | s as u32, true)
     }
 
     fn set_succs(&self, id: u32, succs: Vec<(ProcessId, u32, u32)>) {
@@ -846,20 +979,19 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
 
     // Orbit reduction is on only when the config asks for it, the
     // algorithm declares the symmetry contract, and the lens's prices
-    // survive relabelling. (`canonicalize_snapshot` additionally falls
-    // back to identity for boxed states, which keeps the build — and
-    // the de-canonicalization helpers, which go through the same
-    // function — sound even then.)
+    // survive relabelling. (`canonical_perm` additionally falls back to
+    // identity for boxed states, which keeps the build — and the
+    // de-canonicalization helpers, which go through the same function —
+    // sound even then.)
     let symmetric = cfg.symmetry && n > 1 && alg.dyn_symmetric() && lens.symmetry_compatible(alg);
 
     let dref = DynRef(alg);
-    let root_sys = System::new(&dref);
-    let (root_snap, root_perm) = if symmetric {
-        canonicalize_snapshot(alg, &root_sys.snapshot())
-    } else {
-        (root_sys.snapshot(), Perm::identity(n))
-    };
-    let root_digest = lens.permute_digest(&lens.initial(alg.registers()), &root_perm);
+    let mut root_snap = System::new(&dref).snapshot();
+    let mut root_digest = lens.initial(alg.registers());
+    if let Some(perm) = symmetric.then(|| canonical_perm(alg, &root_snap)).flatten() {
+        root_snap = permute_snapshot(alg, &root_snap, &perm);
+        root_digest = lens.permute_digest(&root_digest, &perm);
+    }
     let root_goal = root_snap.passages().iter().all(|&p| p >= cfg.passages);
     let (root, _) = table.insert(
         &root_snap,
@@ -899,149 +1031,151 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         let cursor = AtomicUsize::new(0);
         let layer = &frontier;
         let states_before = table.count.load(Ordering::Relaxed);
-        let layer_inserts = AtomicUsize::new(0);
-        let mut next: Vec<(u32, Snap, L::Digest)> = Vec::new();
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers.min(layer.len().div_ceil(CHUNK)).max(1))
-                .map(|_| {
-                    scope.spawn(|| {
-                        let dref = DynRef(alg);
-                        let mut local = Vec::new();
-                        let mut inserts = 0usize;
-                        #[cfg(unix)]
-                        let mut chunk_buf: Vec<(u32, Snap, L::Digest)> = Vec::new();
-                        'pull: loop {
-                            let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                            if start >= layer.len() || stop.load(Ordering::Relaxed) {
-                                break;
+        // One worker's pass over the layer: pull chunks until none are
+        // left, returning the fresh states it interned (the worker's
+        // share of the next layer) and its insert count.
+        let expand = || {
+            let dref = DynRef(alg);
+            // Scratch state, reused for every successor: the parent is
+            // restored into `sys` and the successor read back into
+            // `snap2`/`d2`, so only fresh states are ever copied.
+            let mut sys = System::new(&dref);
+            let mut snap2 = sys.snapshot();
+            let mut d2 = lens.initial(alg.registers());
+            let mut succs: Vec<(ProcessId, u32, u32)> = Vec::new();
+            let mut local = Vec::new();
+            let mut inserts = 0usize;
+            #[cfg(unix)]
+            let mut chunk_buf: Vec<(u32, Snap, L::Digest)> = Vec::new();
+            'pull: loop {
+                let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
+                if start >= layer.len() || stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                let end = (start + CHUNK).min(layer.len());
+                let items = match layer {
+                    Layer::Mem(v) => &v[start..end],
+                    #[cfg(unix)]
+                    Layer::Disk(codec, sp) => {
+                        codec.read_into(lens, sp, start, end - start, &mut chunk_buf);
+                        chunk_buf.as_slice()
+                    }
+                };
+                for (id, snap, digest) in items {
+                    if stop.load(Ordering::Relaxed) {
+                        break 'pull;
+                    }
+                    if snap.passages().iter().all(|&p| p >= cfg.passages) {
+                        continue; // goal: nothing to expand
+                    }
+                    succs.clear();
+                    // Ordinary steps first, then (budget permitting) one
+                    // crash injection per incomplete process — both in
+                    // pid order, so parent races resolve to the same
+                    // lexicographic witness order crash-free builds have
+                    // always had.
+                    let crashes = lens.crash_allowance(digest) > 0;
+                    // Ample-set reduction: a `try`/`rem` step is local
+                    // (no register access), cannot enter the critical
+                    // section, and is the only enabled step of its
+                    // process, so it commutes with every other process's
+                    // step — expanding it alone preserves violation and
+                    // goal *reachability* (though not minimal witness
+                    // depth, nor which hazard kind a stuck orbit shows).
+                    // Only sound with no crash branch pending: a crash of
+                    // the ample process does not commute with its own
+                    // step.
+                    let ample = if cfg.por && !crashes {
+                        ProcessId::all(n).find(|&p| {
+                            snap.passages()[p.index()] < cfg.passages
+                                && matches!(
+                                    alg.dyn_next_step(p, &snap.states()[p.index()]),
+                                    NextStep::Crit(CritKind::Try | CritKind::Rem)
+                                )
+                        })
+                    } else {
+                        None
+                    };
+                    for crashed in [false, true] {
+                        if crashed && !crashes {
+                            break;
+                        }
+                        for p in ProcessId::all(n) {
+                            if snap.passages()[p.index()] >= cfg.passages {
+                                continue;
                             }
-                            let end = (start + CHUNK).min(layer.len());
-                            let items = match layer {
-                                Layer::Mem(v) => &v[start..end],
-                                #[cfg(unix)]
-                                Layer::Disk(codec, sp) => {
-                                    codec.read_into(lens, sp, start, end - start, &mut chunk_buf);
-                                    chunk_buf.as_slice()
+                            if ample.is_some_and(|a| a != p) {
+                                continue;
+                            }
+                            sys.restore(snap);
+                            let done = if crashed { sys.crash(p) } else { sys.step(p) };
+                            d2.clone_from(digest);
+                            let cost = lens.price(&mut d2, &done);
+                            sys.snapshot_into(&mut snap2);
+                            if let Some(sigma) =
+                                symmetric.then(|| canonical_perm(alg, &snap2)).flatten()
+                            {
+                                snap2 = permute_snapshot(alg, &snap2, &sigma);
+                                d2 = lens.permute_digest(&d2, &sigma);
+                            }
+                            let goal = snap2.passages().iter().all(|&q| q >= cfg.passages);
+                            let violating = snap2.in_critical().nth(1).is_some();
+                            let (tid, fresh) = table.insert(
+                                &snap2,
+                                &d2,
+                                FlatNode {
+                                    depth: depth + 1,
+                                    parent: *id,
+                                    via: p,
+                                    via_crash: crashed,
+                                    goal,
+                                    violating,
+                                    succs: Vec::new(),
+                                },
+                            );
+                            inserts += 1;
+                            succs.push((p, tid, cost));
+                            if fresh {
+                                if violating {
+                                    // Record it but *complete the layer*:
+                                    // the set of interned states stays
+                                    // worker-count independent, and every
+                                    // violation in the layer is at the
+                                    // same (minimal) depth. The layer loop
+                                    // below halts before the next layer.
+                                    violations.lock().expect("violations poisoned").push(tid);
                                 }
-                            };
-                            for (id, snap, digest) in items {
-                                if stop.load(Ordering::Relaxed) {
-                                    break 'pull;
+                                if table.count.load(Ordering::Relaxed) > cfg.max_states {
+                                    truncated.store(true, Ordering::Relaxed);
+                                    stop.store(true, Ordering::Relaxed);
                                 }
-                                if snap.passages().iter().all(|&p| p >= cfg.passages) {
-                                    continue; // goal: nothing to expand
-                                }
-                                let base = System::from_snapshot(&dref, snap);
-                                let mut succs = Vec::new();
-                                // Ordinary steps first, then (budget
-                                // permitting) one crash injection per
-                                // incomplete process — both in pid order,
-                                // so parent races resolve to the same
-                                // lexicographic witness order crash-free
-                                // builds have always had.
-                                let crashes = lens.crash_allowance(digest) > 0;
-                                // Ample-set reduction: a `try`/`rem` step
-                                // is local (no register access), cannot
-                                // enter the critical section, and is the
-                                // only enabled step of its process, so it
-                                // commutes with every other process's
-                                // step — expanding it alone preserves
-                                // violation and goal *reachability*
-                                // (though not minimal witness depth, nor
-                                // which hazard kind a stuck orbit shows).
-                                // Only sound with no crash branch pending:
-                                // a crash of the ample process does not
-                                // commute with its own step.
-                                let ample = if cfg.por && !crashes {
-                                    ProcessId::all(n).find(|&p| {
-                                        snap.passages()[p.index()] < cfg.passages
-                                            && matches!(
-                                                alg.dyn_next_step(p, &snap.states()[p.index()]),
-                                                NextStep::Crit(CritKind::Try | CritKind::Rem)
-                                            )
-                                    })
-                                } else {
-                                    None
-                                };
-                                for crashed in [false, true] {
-                                    if crashed && !crashes {
-                                        break;
-                                    }
-                                    for p in ProcessId::all(n) {
-                                        if snap.passages()[p.index()] >= cfg.passages {
-                                            continue;
-                                        }
-                                        if ample.is_some_and(|a| a != p) {
-                                            continue;
-                                        }
-                                        let mut sys = base.clone();
-                                        let done = if crashed { sys.crash(p) } else { sys.step(p) };
-                                        let mut d2 = digest.clone();
-                                        let cost = lens.price(&mut d2, &done);
-                                        let mut snap2 = sys.snapshot();
-                                        if symmetric {
-                                            let (c, sigma) = canonicalize_snapshot(alg, &snap2);
-                                            if !sigma.is_identity() {
-                                                snap2 = c;
-                                                d2 = lens.permute_digest(&d2, &sigma);
-                                            }
-                                        }
-                                        let goal =
-                                            snap2.passages().iter().all(|&q| q >= cfg.passages);
-                                        let violating = snap2.in_critical().nth(1).is_some();
-                                        let (tid, fresh) = table.insert(
-                                            &snap2,
-                                            &d2,
-                                            FlatNode {
-                                                depth: depth + 1,
-                                                parent: *id,
-                                                via: p,
-                                                via_crash: crashed,
-                                                goal,
-                                                violating,
-                                                succs: Vec::new(),
-                                            },
-                                        );
-                                        inserts += 1;
-                                        succs.push((p, tid, cost));
-                                        if fresh {
-                                            if violating {
-                                                // Record it but *complete the layer*:
-                                                // the set of interned states stays
-                                                // worker-count independent, and every
-                                                // violation in the layer is at the
-                                                // same (minimal) depth. The layer
-                                                // loop below halts before the next
-                                                // layer.
-                                                violations
-                                                    .lock()
-                                                    .expect("violations poisoned")
-                                                    .push(tid);
-                                            }
-                                            if table.count.load(Ordering::Relaxed) > cfg.max_states
-                                            {
-                                                truncated.store(true, Ordering::Relaxed);
-                                                stop.store(true, Ordering::Relaxed);
-                                            }
-                                            local.push((tid, snap2, d2));
-                                        }
-                                    }
-                                }
-                                table.set_succs(*id, succs);
+                                local.push((tid, snap2.clone(), d2.clone()));
                             }
                         }
-                        layer_inserts.fetch_add(inserts, Ordering::Relaxed);
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                next.append(&mut h.join().expect("explorer worker panicked"));
+                    }
+                    table.set_succs(*id, succs.clone());
+                }
             }
-        });
+            (local, inserts)
+        };
+        let fan = workers.min(layer.len() / GRAIN).max(1);
+        let (next, inserts) = if fan == 1 {
+            expand()
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..fan).map(|_| scope.spawn(expand)).collect();
+                let mut next = Vec::new();
+                let mut inserts = 0usize;
+                for h in handles {
+                    let (mut local, k) = h.join().expect("explorer worker panicked");
+                    next.append(&mut local);
+                    inserts += k;
+                }
+                (next, inserts)
+            })
+        };
         let states_after = table.count.load(Ordering::Relaxed);
         let fresh = states_after - states_before;
-        let inserts = layer_inserts.into_inner();
         dedup_hits += inserts - fresh;
         if probe.enabled() {
             // Emitted after the barrier, single-threaded: layer totals
@@ -1124,11 +1258,10 @@ impl<'a> Decanon<'a> {
     pub(crate) fn new(alg: &'a (dyn DynAutomaton + Sync), symmetric: bool) -> Self {
         let dref = DynRef(alg);
         let snap = System::new(&dref).snapshot();
-        let mu = if symmetric {
-            canonicalize_snapshot(alg, &snap).1
-        } else {
-            Perm::identity(alg.processes())
-        };
+        let mu = symmetric
+            .then(|| canonical_perm(alg, &snap))
+            .flatten()
+            .unwrap_or_else(|| Perm::identity(alg.processes()));
         Decanon {
             alg,
             snap,
@@ -1159,8 +1292,9 @@ impl<'a> Decanon<'a> {
         }
         self.snap = sys.snapshot();
         let framed = permute_snapshot(self.alg, &self.snap, &self.mu);
-        let (_, sigma) = canonicalize_snapshot(self.alg, &framed);
-        self.mu = self.mu.then(&sigma);
+        if let Some(sigma) = canonical_perm(self.alg, &framed) {
+            self.mu = self.mu.then(&sigma);
+        }
         p
     }
 }

@@ -191,7 +191,11 @@ pub struct ExploreConfig {
     pub max_states: usize,
     /// Optional BFS depth bound; `None` explores to exhaustion.
     pub max_depth: Option<usize>,
-    /// Worker threads; `0` means one per available core.
+    /// Most worker threads one BFS layer is expanded by; `0` means one
+    /// per available core. A layer gets one worker per 512 states (the
+    /// explorer's grain) up to this count, and a layer with one worker
+    /// runs on the calling thread, so layers under 1,024 states never
+    /// spawn a thread.
     pub workers: usize,
     /// Step budget for the greedy-incumbent run of [`worst_case`].
     pub max_steps: usize,
@@ -214,7 +218,9 @@ pub struct ExploreConfig {
     /// for big runs; a report produced this way is certified only
     /// modulo fingerprint collisions (probability ≈ `states²/2^129`)
     /// and says so via [`ExploreReport::fingerprinted`]; off by
-    /// default.
+    /// default. The fingerprint costs two SipHash passes per key on top
+    /// of the table's own one-pass hash, so a compressed build trades
+    /// time for its memory.
     pub compress: bool,
     /// Spill each completed BFS frontier layer to a temporary disk
     /// shard and stream it back during expansion, so peak RAM holds
@@ -427,6 +433,46 @@ mod tests {
         assert_eq!(one.depth, many.depth);
         assert_eq!(one.violation, many.violation);
         assert_eq!(one.hazard, many.hazard);
+
+        // Those layers are too small to fan out (a layer gets one worker
+        // per `GRAIN` states). Peterson's at n = 4 reach thousands, so
+        // its 2- and 4-worker builds expand them on spawned threads.
+        struct WidestLayer(usize);
+        impl Probe for WidestLayer {
+            fn record(&mut self, ev: &TraceEvent) {
+                if let TraceEvent::Layer { expanded, .. } = *ev {
+                    self.0 = self.0.max(expanded);
+                }
+            }
+        }
+        let alg = conformance_registry()
+            .resolve_str("peterson", 4)
+            .expect("resolves")
+            .automaton;
+        let runs = [1, 2, 4].map(|workers| {
+            let mut widest = WidestLayer(0);
+            let cfg = ExploreConfig { workers, ..base };
+            let (report, worst) = analyze_probed(alg.as_ref(), Model::Sc, &cfg, &mut widest);
+            (report, worst.expect("peterson is safe"), widest.0)
+        });
+        let (one, one_worst, widest) = &runs[0];
+        assert!(*widest >= 2 * graph::GRAIN, "widest layer {widest}");
+        for (many, many_worst, _) in &runs[1..] {
+            assert_eq!(one.states, many.states);
+            assert_eq!(one.edges, many.edges);
+            assert_eq!(one.depth, many.depth);
+            assert_eq!(one.dedup_hits, many.dedup_hits);
+            assert_eq!(one.violation, many.violation);
+            assert_eq!(one.hazard, many.hazard);
+            assert_eq!(one_worst.nodes, many_worst.nodes);
+            assert_eq!(one_worst.edges, many_worst.edges);
+            assert_eq!(one_worst.incumbent, many_worst.incumbent);
+            assert_eq!(one_worst.cost.exact(), many_worst.cost.exact());
+            assert_eq!(
+                one_worst.cost.is_unbounded(),
+                many_worst.cost.is_unbounded()
+            );
+        }
     }
 
     #[test]

@@ -144,6 +144,9 @@ trait ErasedState: fmt::Debug + Send + Sync {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
     fn clone_box(&self) -> Box<dyn ErasedState>;
+    /// Clones `self` into `target` in place; `false` (and `target`
+    /// untouched) when `target` holds another type.
+    fn clone_into_erased(&self, target: &mut dyn ErasedState) -> bool;
     fn eq_erased(&self, other: &dyn ErasedState) -> bool;
     fn hash_erased(&self, state: &mut dyn Hasher);
 }
@@ -160,6 +163,15 @@ where
     }
     fn clone_box(&self) -> Box<dyn ErasedState> {
         Box::new(self.clone())
+    }
+    fn clone_into_erased(&self, target: &mut dyn ErasedState) -> bool {
+        match target.as_any_mut().downcast_mut::<T>() {
+            Some(t) => {
+                t.clone_from(self);
+                true
+            }
+            None => false,
+        }
     }
     fn eq_erased(&self, other: &dyn ErasedState) -> bool {
         other.as_any().downcast_ref::<T>() == Some(self)
@@ -302,6 +314,17 @@ impl Clone for DynState {
             Repr::Boxed(b) => Repr::Boxed(b.clone_box()),
         };
         DynState { repr }
+    }
+
+    /// Reuses `self`'s box when both states are boxed states of one
+    /// type, so restoring a system from a snapshot allocates nothing.
+    fn clone_from(&mut self, source: &Self) {
+        if let (Repr::Boxed(dst), Repr::Boxed(src)) = (&mut self.repr, &source.repr) {
+            if src.clone_into_erased(dst.as_mut()) {
+                return;
+            }
+        }
+        *self = source.clone();
     }
 }
 

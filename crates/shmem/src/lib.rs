@@ -85,5 +85,5 @@ pub use replay::{replay, replay_collect, StepOutcome};
 pub use sched::{ProcessView, SchedContext, Scheduler, ViewTable};
 pub use spec::{ParamInfo, Spec, SpecError};
 pub use step::{CritKind, Step, StepType};
-pub use symmetry::{canonicalize_snapshot, permute_snapshot, Perm};
+pub use symmetry::{canonical_perm, canonicalize_snapshot, permute_snapshot, Perm};
 pub use system::{Executed, Section, Snapshot, System};

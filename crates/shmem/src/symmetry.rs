@@ -12,7 +12,8 @@
 //!
 //! This module provides the group element ([`Perm`]), the action
 //! ([`permute_snapshot`]), and the representative chooser
-//! ([`canonicalize_snapshot`]). Which algorithms may use them is
+//! ([`canonicalize_snapshot`], or [`canonical_perm`] for just the
+//! permutation). Which algorithms may use them is
 //! declared — and contractually constrained — by
 //! [`Automaton::symmetric`](crate::Automaton::symmetric).
 
@@ -177,6 +178,18 @@ fn section_rank(s: Section) -> u8 {
     }
 }
 
+/// Process `i`'s sort key; its state must use the inline representation.
+fn local_key(snap: &Snapshot<DynState>, i: usize) -> Key {
+    let words = snap.states()[i].words().unwrap_or_default();
+    let mut padded = [0u64; 4];
+    padded[..words.len()].copy_from_slice(words);
+    (padded, section_rank(snap.sections()[i]), snap.passages()[i])
+}
+
+/// Process counts up to which [`canonical_perm`] keeps its buffers on
+/// the stack (the explorer's process cap); larger counts use the heap.
+const STACK_PROCESSES: usize = 64;
+
 /// Chooses the canonical representative of `snap`'s orbit under the
 /// process-permutation group and returns it together with the
 /// permutation that maps `snap` onto it.
@@ -196,6 +209,25 @@ fn section_rank(s: Section) -> u8 {
 ///   it is itself a legal configuration with identical future behavior
 ///   modulo relabelling.
 ///
+/// The permutation is [`canonical_perm`]'s (the identity when that
+/// returns `None`); see there for how it is chosen and when it falls
+/// back to the identity.
+#[must_use]
+pub fn canonicalize_snapshot(
+    alg: &dyn DynAutomaton,
+    snap: &Snapshot<DynState>,
+) -> (Snapshot<DynState>, Perm) {
+    match canonical_perm(alg, snap) {
+        Some(perm) => (permute_snapshot(alg, snap, &perm), perm),
+        None => (snap.clone(), Perm::identity(snap.states().len())),
+    }
+}
+
+/// The permutation [`canonicalize_snapshot`] applies to `snap`, or
+/// `None` when `snap` is already its orbit's representative. Nothing is
+/// allocated in the `None` case, so a caller that keeps `snap` when it
+/// is canonical pays for no copy.
+///
 /// The representative is computed in `O(n log n + registers)` — no
 /// factorial enumeration: processes are sorted by their local data
 /// (packed state words, section, passage count); ties are broken by
@@ -203,12 +235,12 @@ fn section_rank(s: Section) -> u8 {
 /// index order, via [`pid_in_value`](crate::Automaton::pid_in_value));
 /// processes still tied after that are bit-identical and unreferenced,
 /// hence fully interchangeable — any assignment yields the same
-/// representative.
+/// representative, and pid order is used.
 ///
-/// Falls back to the **identity** permutation (always sound, no
-/// reduction) when the algorithm does not declare symmetry, when it
-/// has fewer than two processes, or when its states use the boxed
-/// (non-word-packed) representation, which admits no total order.
+/// Returns `None` (the identity: always sound, no reduction) when the
+/// algorithm does not declare symmetry, when it has fewer than two
+/// processes, or when its states use the boxed (non-word-packed)
+/// representation, which admits no total order.
 ///
 /// One caveat completes the contract: the tie-break inspects register
 /// references only, so a symmetric algorithm whose *states* embed
@@ -219,65 +251,58 @@ fn section_rank(s: Section) -> u8 {
 /// interchangeable. All symmetric algorithms in this suite have
 /// pid-free states, making the condition vacuous.
 #[must_use]
-pub fn canonicalize_snapshot(
+pub fn canonical_perm(alg: &dyn DynAutomaton, snap: &Snapshot<DynState>) -> Option<Perm> {
+    let n = snap.states().len();
+    if !alg.dyn_symmetric() || n <= 1 || snap.states().iter().any(|s| s.words().is_none()) {
+        return None;
+    }
+    if n <= STACK_PROCESSES {
+        let mut first_ref = [usize::MAX; STACK_PROCESSES];
+        let mut order = [0usize; STACK_PROCESSES];
+        canonical_order(alg, snap, &mut first_ref[..n], &mut order[..n])
+    } else {
+        canonical_order(alg, snap, &mut vec![usize::MAX; n], &mut vec![0; n])
+    }
+}
+
+/// [`canonical_perm`] over caller-provided buffers of length `n`:
+/// `first_ref` starts all `usize::MAX`, `order` is scratch.
+fn canonical_order(
     alg: &dyn DynAutomaton,
     snap: &Snapshot<DynState>,
-) -> (Snapshot<DynState>, Perm) {
-    let n = snap.states().len();
-    if !alg.dyn_symmetric() || n <= 1 {
-        return (snap.clone(), Perm::identity(n));
-    }
-    let mut keys: Vec<Key> = Vec::with_capacity(n);
-    for i in 0..n {
-        let Some(words) = snap.states()[i].words() else {
-            // Boxed states admit no total order; stay sound via identity.
-            return (snap.clone(), Perm::identity(n));
-        };
-        let mut padded = [0u64; 4];
-        padded[..words.len()].copy_from_slice(words);
-        keys.push((padded, section_rank(snap.sections()[i]), snap.passages()[i]));
-    }
-    // Stable sort groups equal keys into contiguous slot runs.
-    let mut order: Vec<usize> = (0..n).collect();
-    order.sort_by(|&a, &b| keys[a].cmp(&keys[b]));
-    let mut run_of = vec![0usize; n];
-    let mut cursor: Vec<usize> = Vec::new(); // per run: next free slot
-    let mut run = 0usize;
-    for pos in 0..n {
-        if pos > 0 && keys[order[pos]] != keys[order[pos - 1]] {
-            run += 1;
-        }
-        if run == cursor.len() {
-            cursor.push(pos);
-        }
-        run_of[order[pos]] = run;
-    }
-    let mut map = vec![usize::MAX; n];
-    let assign = |p: usize, map: &mut [usize], cursor: &mut [usize]| {
-        if map[p] == usize::MAX {
-            map[p] = cursor[run_of[p]];
-            cursor[run_of[p]] += 1;
-        }
-    };
-    // Tie-break within runs: first register reference wins the lowest
-    // slot. Scanning registers in index order keeps the choice a
-    // function of the orbit, not of the incoming labelling.
+    first_ref: &mut [usize],
+    order: &mut [usize],
+) -> Option<Perm> {
+    let n = order.len();
+    // The first register referencing a process ranks it within its run
+    // of equal local keys. Scanning registers in index order keeps the
+    // choice a function of the orbit, not of the incoming labelling.
     for j in 0..alg.registers() {
         if let Some(p) = alg.dyn_pid_in_value(RegisterId::new(j), snap.registers()[j]) {
-            if p.index() < n {
-                assign(p.index(), &mut map, &mut cursor);
+            if p.index() < n && first_ref[p.index()] == usize::MAX {
+                first_ref[p.index()] = j;
             }
         }
     }
-    // Leftovers are interchangeable; any deterministic fill works.
-    for p in 0..n {
-        assign(p, &mut map, &mut cursor);
+    for (i, slot) in order.iter_mut().enumerate() {
+        *slot = i;
     }
-    let perm = Perm::from_map(map);
-    if perm.is_identity() {
-        return (snap.clone(), perm);
+    // Unreferenced processes with equal keys are interchangeable; the
+    // pid makes the order total, so an unstable sort is deterministic.
+    order.sort_unstable_by(|&a, &b| {
+        local_key(snap, a)
+            .cmp(&local_key(snap, b))
+            .then(first_ref[a].cmp(&first_ref[b]))
+            .then(a.cmp(&b))
+    });
+    if order.iter().enumerate().all(|(slot, &p)| slot == p) {
+        return None;
     }
-    (permute_snapshot(alg, snap, &perm), perm)
+    let mut map = vec![0; n];
+    for (slot, &p) in order.iter().enumerate() {
+        map[p] = slot;
+    }
+    Some(Perm { map })
 }
 
 #[cfg(test)]

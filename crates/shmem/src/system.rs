@@ -219,16 +219,7 @@ impl<'a, A: Automaton> System<'a, A> {
     /// process and register counts.
     #[must_use]
     pub fn from_snapshot(alg: &'a A, snap: &Snapshot<A::State>) -> Self {
-        assert_eq!(
-            snap.states.len(),
-            alg.processes(),
-            "snapshot process count does not match the algorithm"
-        );
-        assert_eq!(
-            snap.regs.len(),
-            alg.registers(),
-            "snapshot register count does not match the algorithm"
-        );
+        check_dimensions(alg, snap);
         System {
             alg,
             states: snap.states.clone(),
@@ -236,6 +227,22 @@ impl<'a, A: Automaton> System<'a, A> {
             sections: snap.sections.clone(),
             passages: snap.passages.clone(),
         }
+    }
+
+    /// Puts this system into the state `snap` was taken from, reusing
+    /// its buffers: the in-place form of [`System::from_snapshot`], for
+    /// loops that restore one system many times.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the snapshot's dimensions do not match the algorithm's
+    /// process and register counts.
+    pub fn restore(&mut self, snap: &Snapshot<A::State>) {
+        check_dimensions(self.alg, snap);
+        self.states.clone_from(&snap.states);
+        self.regs.clone_from(&snap.regs);
+        self.sections.clone_from(&snap.sections);
+        self.passages.clone_from(&snap.passages);
     }
 
     /// Captures the complete current state as a canonical, hashable
@@ -248,6 +255,14 @@ impl<'a, A: Automaton> System<'a, A> {
             sections: self.sections.clone(),
             passages: self.passages.clone(),
         }
+    }
+
+    /// Overwrites `out` with [`System::snapshot`], reusing its buffers.
+    pub fn snapshot_into(&self, out: &mut Snapshot<A::State>) {
+        out.states.clone_from(&self.states);
+        out.regs.clone_from(&self.regs);
+        out.sections.clone_from(&self.sections);
+        out.passages.clone_from(&self.passages);
     }
 
     /// The algorithm this system runs.
@@ -451,6 +466,21 @@ impl<'a, A: Automaton> System<'a, A> {
             read_value,
         }
     }
+}
+
+/// The dimension checks shared by [`System::from_snapshot`] and
+/// [`System::restore`].
+fn check_dimensions<A: Automaton>(alg: &A, snap: &Snapshot<A::State>) {
+    assert_eq!(
+        snap.states.len(),
+        alg.processes(),
+        "snapshot process count does not match the algorithm"
+    );
+    assert_eq!(
+        snap.regs.len(),
+        alg.registers(),
+        "snapshot register count does not match the algorithm"
+    );
 }
 
 // Manual impl: `A` itself need not be `Clone` (it is only borrowed).

@@ -24,8 +24,9 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use exclusion_explore::{analyze, explore, report as xreport, ExploreConfig, Model};
+use exclusion_explore::{analyze_probed, explore_probed, report as xreport, ExploreConfig, Model};
 use exclusion_mutex::registry::AlgorithmRegistry;
+use exclusion_shmem::probe::{Probe, SpanScope, TraceEvent};
 use exclusion_workload::schedreg::SchedulerRegistry;
 use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions};
 
@@ -324,9 +325,30 @@ OPTIONS:
     --quiet              suppress the text table
     --help               this text
 
+The table's `ms` column is each row's wall time (certification plus the
+worst-case search); `states/s` is the certification pass's rate alone.
+Neither is in the JSON report, which stays byte-comparable across runs.
+
 Exit status is nonzero when any explored algorithm other than `broken`
 fails certification, or when `broken` is explored and NOT caught.
 ";
+
+/// Wall time of an exploration's certification pass, read off its
+/// [`SpanScope::Explore`] span.
+struct CertifyClock(u64);
+
+impl Probe for CertifyClock {
+    fn record(&mut self, ev: &TraceEvent) {
+        if let TraceEvent::SpanEnd {
+            scope: SpanScope::Explore,
+            wall_ns,
+            ..
+        } = *ev
+        {
+            self.0 += wall_ns;
+        }
+    }
+}
 
 struct ExploreArgs {
     algs: Vec<String>,
@@ -434,6 +456,8 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         "dl-free",
         "worst",
         "greedy",
+        "ms",
+        "states/s",
         "note",
     ]
     .iter()
@@ -448,11 +472,15 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         let alg = resolved.automaton;
         // `analyze` shares one graph between certification and the SC
         // worst-case search; `--no-worst` skips the search entirely.
+        let start = std::time::Instant::now();
+        let mut clock = CertifyClock(0);
         let (report, worst) = if args.no_worst {
-            (explore(alg.as_ref(), &args.cfg), None)
+            (explore_probed(alg.as_ref(), &args.cfg, &mut clock), None)
         } else {
-            analyze(alg.as_ref(), args.model, &args.cfg)
+            analyze_probed(alg.as_ref(), args.model, &args.cfg, &mut clock)
         };
+        let row_ms = start.elapsed().as_secs_f64() * 1e3;
+        let states_per_s = report.states as f64 / (clock.0 as f64 / 1e9).max(1e-9);
         let note = if let Some(v) = &report.violation {
             format!(
                 "violation in {} steps ({} and {} in critical)",
@@ -527,6 +555,8 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
             worst
                 .as_ref()
                 .map_or_else(|| "-".into(), |w| w.incumbent.to_string()),
+            format!("{row_ms:.1}"),
+            format!("{states_per_s:.0}"),
             note,
         ]);
         let mut item = format!("{{\"explore\":{}", xreport::explore_json(&report));

@@ -1,10 +1,12 @@
 //! Property coverage for the erased-state contract the explorer's
 //! transposition table leans on: `DynState` hashing and equality agree
 //! with the concrete states under both representations (inline words
-//! and boxed), and `System` snapshots round-trip bit-identically.
+//! and boxed), and `System` snapshots round-trip bit-identically, also
+//! through the buffer-reusing `restore` and `snapshot_into`.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use exclusion::mutex::AlgorithmRegistry;
 use exclusion::shmem::dynamic::{DynState, WordState};
@@ -97,6 +99,27 @@ proptest! {
         let mut restored = System::from_snapshot(&dref, &snap);
         prop_assert_eq!(restored.snapshot(), snap.clone(), "{}: restore must be exact", name);
         prop_assert_eq!(hash_of(&restored.snapshot()), hash_of(&snap), "{}", name);
+
+        // The buffer-reusing forms match: `restore` into a system that
+        // holds another configuration, and `snapshot_into` a buffer that
+        // holds another (larger) instance's snapshot.
+        let mut reused = System::new(&dref);
+        for p in ProcessId::all(n) {
+            reused.step(p);
+        }
+        reused.restore(&snap);
+        prop_assert_eq!(reused.snapshot(), snap.clone(), "{}: restore must be exact", name);
+        let bigger = registry.resolve_str(name, n + 1).expect("resolves").automaton;
+        let mut buf = System::new(&DynRef(bigger.as_ref())).snapshot();
+        let wrong = buf.clone();
+        sys.snapshot_into(&mut buf);
+        prop_assert_eq!(&buf, &snap, "{}: snapshot_into must be exact", name);
+        prop_assert_eq!(hash_of(&buf), hash_of(&snap), "{}", name);
+        // A snapshot of the wrong size is refused by both forms.
+        let fresh = catch_unwind(AssertUnwindSafe(|| System::from_snapshot(&dref, &wrong).processes()));
+        prop_assert!(fresh.is_err(), "{}: from_snapshot took a foreign snapshot", name);
+        let reuse = catch_unwind(AssertUnwindSafe(|| reused.restore(&wrong)));
+        prop_assert!(reuse.is_err(), "{}: restore took a foreign snapshot", name);
 
         // Both systems take the same continuation and stay in lockstep.
         for p in ProcessId::all(n) {

@@ -21,11 +21,12 @@ use exclusion::explore::{
     analyze, conformance_registry, explore, price_schedule, ExploreConfig, ExploreError, Model,
     WorstCost,
 };
+use exclusion::shmem::dynamic::{DynAutomaton, DynState};
 use exclusion::shmem::sched::{Random, Scheduler, Script};
 use exclusion::shmem::testing::fixtures;
 use exclusion::shmem::{
-    canonicalize_snapshot, permute_snapshot, replay, DynRef, Perm, ProcessId, SchedContext, System,
-    ViewTable,
+    canonical_perm, canonicalize_snapshot, permute_snapshot, replay, DynRef, Perm, ProcessId,
+    SchedContext, Snapshot, System, ViewTable,
 };
 use proptest::prelude::*;
 
@@ -312,6 +313,47 @@ fn oversized_state_caps_are_structured_errors() {
     );
 }
 
+/// The canonicalization contract at one snapshot of a symmetric
+/// algorithm, for both `canonicalize_snapshot` and `canonical_perm`.
+fn canonicalization_contract(
+    alg: &dyn DynAutomaton,
+    snap: &Snapshot<DynState>,
+    seed: u64,
+) -> Result<(), TestCaseError> {
+    let n = snap.states().len();
+    let (canon, mu) = canonicalize_snapshot(alg, snap);
+    // Membership: the representative is μ's image of the input.
+    prop_assert_eq!(
+        &permute_snapshot(alg, snap, &mu),
+        &canon,
+        "representative must be the recorded permutation's image"
+    );
+    // `canonical_perm` is `None` exactly on the identity, and otherwise
+    // is the permutation onto the same representative.
+    let perm = canonical_perm(alg, snap);
+    prop_assert_eq!(perm.is_none(), mu.is_identity());
+    if let Some(perm) = &perm {
+        prop_assert_eq!(&permute_snapshot(alg, snap, perm), &canon);
+    }
+    // Idempotence.
+    let (again, sigma) = canonicalize_snapshot(alg, &canon);
+    prop_assert_eq!(
+        &again,
+        &canon,
+        "canonicalizing a canonical snapshot moves it"
+    );
+    prop_assert!(sigma.is_identity());
+    prop_assert!(canonical_perm(alg, &canon).is_none());
+    // Invariance under a random relabelling.
+    let pi = random_perm(n, seed ^ 0x9e3779b97f4a7c15);
+    let permuted = permute_snapshot(alg, snap, &pi);
+    let (canon2, _) = canonicalize_snapshot(alg, &permuted);
+    prop_assert_eq!(&canon2, &canon, "whole orbit must share one representative");
+    let onto = canonical_perm(alg, &permuted).unwrap_or_else(|| Perm::identity(n));
+    prop_assert_eq!(&permute_snapshot(alg, &permuted, &onto), &canon);
+    Ok(())
+}
+
 /// Drives a seeded random walk of `cut` steps and returns the system.
 fn walk<'a>(dref: &'a DynRef<'a>, _n: usize, seed: u64, cut: usize) -> System<'a, DynRef<'a>> {
     let mut sched = Random::new(seed);
@@ -351,7 +393,9 @@ proptest! {
     /// is idempotent, permutation-invariant, and returns a
     /// representative that really is the recorded permutation's image
     /// of the input — the exact contract the explorer's transposition
-    /// table relies on to merge orbits without merging behaviors.
+    /// table relies on to merge orbits without merging behaviors. Each
+    /// case also checks tas-sim at n = 80, past the process count up to
+    /// which `canonical_perm` keeps its buffers on the stack.
     #[test]
     fn canonicalization_is_idempotent_and_permutation_invariant(
         alg_idx in 0usize..5,
@@ -360,33 +404,12 @@ proptest! {
         cut in 0usize..32,
     ) {
         let registry = conformance_registry();
-        let alg = registry
-            .resolve_str(SYMMETRIC[alg_idx], n)
-            .expect("resolves")
-            .automaton;
-        let dref = DynRef(alg.as_ref());
-        let sys = walk(&dref, n, seed, cut);
-        let snap = sys.snapshot();
-
-        let (canon, mu) = canonicalize_snapshot(alg.as_ref(), &snap);
-        // Membership: the representative is μ's image of the input.
-        prop_assert_eq!(
-            &permute_snapshot(alg.as_ref(), &snap, &mu),
-            &canon,
-            "representative must be the recorded permutation's image"
-        );
-        // Idempotence.
-        let (again, sigma) = canonicalize_snapshot(alg.as_ref(), &canon);
-        prop_assert_eq!(&again, &canon, "canonicalizing a canonical snapshot moves it");
-        prop_assert!(sigma.is_identity());
-        // Invariance under a random relabelling.
-        let pi = random_perm(n, seed ^ 0x9e3779b97f4a7c15);
-        let permuted = permute_snapshot(alg.as_ref(), &snap, &pi);
-        let (canon2, _) = canonicalize_snapshot(alg.as_ref(), &permuted);
-        prop_assert_eq!(
-            &canon2, &canon,
-            "whole orbit must share one representative"
-        );
+        for (name, n, cut) in [(SYMMETRIC[alg_idx], n, cut), ("tas-sim", 80, 8 * cut)] {
+            let alg = registry.resolve_str(name, n).expect("resolves").automaton;
+            let dref = DynRef(alg.as_ref());
+            let snap = walk(&dref, n, seed, cut).snapshot();
+            canonicalization_contract(alg.as_ref(), &snap, seed)?;
+        }
     }
 
     /// The symmetry contract itself, checked dynamically: stepping then
