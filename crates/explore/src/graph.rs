@@ -1158,14 +1158,14 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             }
             (local, inserts)
         };
+        // The calling thread is always one of the layer's workers.
         let fan = workers.min(layer.len() / GRAIN).max(1);
         let (next, inserts) = if fan == 1 {
             expand()
         } else {
             std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..fan).map(|_| scope.spawn(expand)).collect();
-                let mut next = Vec::new();
-                let mut inserts = 0usize;
+                let handles: Vec<_> = (1..fan).map(|_| scope.spawn(expand)).collect();
+                let (mut next, mut inserts) = expand();
                 for h in handles {
                     let (mut local, k) = h.join().expect("explorer worker panicked");
                     next.append(&mut local);

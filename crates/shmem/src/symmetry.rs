@@ -164,11 +164,6 @@ pub fn permute_snapshot(
     )
 }
 
-/// Total order on per-process local data, used to sort processes into
-/// their canonical slots. All states of one algorithm pack into the
-/// same number of inline words, so zero-padding cannot collide.
-type Key = ([u64; 4], u8, usize);
-
 fn section_rank(s: Section) -> u8 {
     match s {
         Section::Remainder => 0,
@@ -178,12 +173,16 @@ fn section_rank(s: Section) -> u8 {
     }
 }
 
-/// Process `i`'s sort key; its state must use the inline representation.
-fn local_key(snap: &Snapshot<DynState>, i: usize) -> Key {
-    let words = snap.states()[i].words().unwrap_or_default();
-    let mut padded = [0u64; 4];
-    padded[..words.len()].copy_from_slice(words);
-    (padded, section_rank(snap.sections()[i]), snap.passages()[i])
+/// Process `i`'s local data, the primary key that sorts processes into
+/// their canonical slots; its state must use the inline representation.
+/// All states of one algorithm pack into the same number of words, so
+/// the words compare as fixed-width tuples.
+fn local_key(snap: &Snapshot<DynState>, i: usize) -> (&[u64], u8, usize) {
+    (
+        snap.states()[i].words().unwrap_or_default(),
+        section_rank(snap.sections()[i]),
+        snap.passages()[i],
+    )
 }
 
 /// Process counts up to which [`canonical_perm`] keeps its buffers on
