@@ -223,9 +223,10 @@ pub fn canonicalize_snapshot(
 }
 
 /// The permutation [`canonicalize_snapshot`] applies to `snap`, or
-/// `None` when `snap` is already its orbit's representative. Nothing is
-/// allocated in the `None` case, so a caller that keeps `snap` when it
-/// is canonical pays for no copy.
+/// `None` when `snap` is already its orbit's representative. Up to 64
+/// processes the search runs in stack buffers, so the `None` case
+/// allocates nothing and a caller that keeps `snap` when it is
+/// canonical pays for no copy.
 ///
 /// The representative is computed in `O(n log n + registers)` — no
 /// factorial enumeration: processes are sorted by their local data
