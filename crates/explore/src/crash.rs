@@ -207,6 +207,7 @@ fn materialize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::WidestLayer;
     use crate::{conformance_registry, explore};
     use exclusion_shmem::run_faulted;
 
@@ -238,20 +239,27 @@ mod tests {
     }
 
     /// The honest recoverable locks survive every ≤2-crash schedule at
-    /// n = 2 — and the certification is worker-count independent.
+    /// n = 2 (and rpeterson at n = 3) — and the certification is
+    /// worker-count independent.
     #[test]
     fn recoverable_locks_certify_under_two_crashes() {
         let reg = conformance_registry();
-        for name in ["rpeterson", "rtas"] {
-            let alg = reg.resolve_str(name, 2).unwrap().automaton;
-            let one = certify_recoverable(
+        // rpeterson's n = 3 product graph has layers of over 1,600
+        // states, so its 4-worker build expands them on spawned threads.
+        let mut widest = 0;
+        for (name, n) in [("rpeterson", 2), ("rtas", 2), ("rpeterson", 3)] {
+            let alg = reg.resolve_str(name, n).unwrap().automaton;
+            let mut probe = WidestLayer(0);
+            let one = certify_recoverable_probed(
                 alg.as_ref(),
                 2,
                 &ExploreConfig {
                     workers: 1,
                     ..cfg()
                 },
+                &mut probe,
             );
+            widest = widest.max(probe.0);
             let many = certify_recoverable(
                 alg.as_ref(),
                 2,
@@ -260,14 +268,19 @@ mod tests {
                     ..cfg()
                 },
             );
-            assert!(one.certified_recoverable(), "{name}: {:?}", one.violation);
-            assert_eq!(one.states, many.states, "{name}");
-            assert_eq!(one.edges, many.edges, "{name}");
-            assert_eq!(one.depth, many.depth, "{name}");
+            assert!(
+                one.certified_recoverable(),
+                "{name} n={n}: {:?}",
+                one.violation
+            );
+            assert_eq!(one.states, many.states, "{name} n={n}");
+            assert_eq!(one.edges, many.edges, "{name} n={n}");
+            assert_eq!(one.depth, many.depth, "{name} n={n}");
             // The crash budget strictly enlarges the product space.
             let zero = certify_recoverable(alg.as_ref(), 0, &cfg());
-            assert!(one.states > zero.states, "{name}");
+            assert!(one.states > zero.states, "{name} n={n}");
         }
+        assert!(widest >= 2 * crate::GRAIN, "widest layer {widest}");
     }
 
     /// The planted `broken-recover` lock — crash-free identical to the

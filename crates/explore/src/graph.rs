@@ -12,8 +12,11 @@
 //! The table is sharded: each shard owns an index from key hash to
 //! node and the node storage for the keys whose hash picks it, behind
 //! its own mutex, so concurrent inserts from different workers rarely
-//! contend. Each key is hashed once ([`key_hash`]): the hash's top bits
-//! pick the shard, and the shard's index is keyed by the hash itself.
+//! contend. Each key is hashed once ([`key_hash`]): bits 32 and up of
+//! the hash pick the shard, and the shard's index is keyed by the hash
+//! itself. The index's `HashMap` takes its slot from the hash's low bits
+//! and its SIMD tag from the top seven, so the shard bits stay clear of
+//! both and every key in a shard keeps its full tag entropy.
 //! Workers pull chunks of the current BFS layer from a shared cursor
 //! (dynamic partitioning — a fast worker steals the work a slow one
 //! never claimed) and accumulate the next layer locally; layers are
@@ -26,8 +29,9 @@
 //! the parent into them for every successor, and copies a successor
 //! into the table and the next layer only when it is fresh. A layer
 //! gets one worker per [`GRAIN`] states (at most the configured
-//! count); a layer with one runs on the calling thread, since a thread
-//! spawn costs more than expanding a small layer.
+//! count). The calling thread is always one of them, so a layer with
+//! one worker spawns no thread: a thread spawn costs more than
+//! expanding a small layer.
 //!
 //! # Orbit reduction
 //!
@@ -74,7 +78,7 @@ const CHUNK: usize = 32;
 /// takes about a microsecond and spawning plus joining a thread tens of
 /// microseconds, so a worker needs hundreds of states to pay for
 /// itself.
-pub(crate) const GRAIN: usize = 512;
+pub const GRAIN: usize = 512;
 
 /// End of a chain of same-hash nodes in a shard.
 const NO_NODE: u32 = u32::MAX;
@@ -494,7 +498,7 @@ fn key_hash<D: Hash>(snap: &Snap, digest: &D) -> u64 {
 /// Hashes a word at a time: rotate, xor the word in, multiply (the
 /// FxHash step). `finish` avalanches the state (murmur3's `fmix64`), so
 /// every output bit depends on every input bit — the shard is taken
-/// from the top bits and the shard's index from the low ones.
+/// from the middle bits and the shard's index from the rest.
 struct WordHasher(u64);
 
 impl WordHasher {
@@ -618,8 +622,9 @@ impl<D: Eq> Table<D> {
         } else {
             0
         };
-        // At least 16 shards, so the shift stays below 64.
-        let s = (hv >> (64 - self.shard_bits)) as usize;
+        // Bits 32.. are neither the index's slot (low bits) nor its tag
+        // (top seven); at most 1,024 shards keeps them below bit 57.
+        let s = ((hv >> 32) & self.mask()) as usize;
         let mut guard = self.shards[s].lock().expect("shard poisoned");
         let Shard { index, nodes } = &mut *guard;
         let idx = nodes.len() as u32;
@@ -1158,22 +1163,19 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             }
             (local, inserts)
         };
-        // The calling thread is always one of the layer's workers.
+        // The calling thread is always one of the layer's workers, so a
+        // one-worker layer spawns nothing.
         let fan = workers.min(layer.len() / GRAIN).max(1);
-        let (next, inserts) = if fan == 1 {
-            expand()
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (1..fan).map(|_| scope.spawn(expand)).collect();
-                let (mut next, mut inserts) = expand();
-                for h in handles {
-                    let (mut local, k) = h.join().expect("explorer worker panicked");
-                    next.append(&mut local);
-                    inserts += k;
-                }
-                (next, inserts)
-            })
-        };
+        let (next, inserts) = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..fan).map(|_| scope.spawn(expand)).collect();
+            let (mut next, mut inserts) = expand();
+            for h in handles {
+                let (mut local, k) = h.join().expect("explorer worker panicked");
+                next.append(&mut local);
+                inserts += k;
+            }
+            (next, inserts)
+        });
         let states_after = table.count.load(Ordering::Relaxed);
         let fresh = states_after - states_before;
         dedup_hits += inserts - fresh;

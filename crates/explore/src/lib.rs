@@ -89,6 +89,7 @@ use exclusion_shmem::probe::{NoProbe, Probe, SpanScope, TraceEvent};
 pub use crash::{
     certify_recoverable, certify_recoverable_probed, CrashCounterexample, CrashReport,
 };
+pub use graph::GRAIN;
 pub use verdict::{explore, explore_probed, Counterexample, ExploreReport, Hazard, HazardKind};
 pub use worst::{price_schedule, worst_case, worst_case_probed, WorstCaseReport, WorstCost};
 
@@ -192,10 +193,9 @@ pub struct ExploreConfig {
     /// Optional BFS depth bound; `None` explores to exhaustion.
     pub max_depth: Option<usize>,
     /// Most worker threads one BFS layer is expanded by; `0` means one
-    /// per available core. A layer gets one worker per 512 states (the
-    /// explorer's grain) up to this count, and a layer with one worker
-    /// runs on the calling thread, so layers under 1,024 states never
-    /// spawn a thread.
+    /// per available core. A layer gets one worker per [`GRAIN`] states
+    /// up to this count, and the calling thread is always one of them,
+    /// so layers under `2 * GRAIN` states never spawn a thread.
     pub workers: usize,
     /// Step budget for the greedy-incumbent run of [`worst_case`].
     pub max_steps: usize,
@@ -406,6 +406,19 @@ mod tests {
     use exclusion_shmem::sched::Script;
     use exclusion_shmem::testing::{Alternator, NoLock};
 
+    /// Records the most states any BFS layer expanded, so a test can
+    /// check that its build reached the multi-worker path (a layer of
+    /// at least `2 * GRAIN` states).
+    pub(crate) struct WidestLayer(pub(crate) usize);
+
+    impl Probe for WidestLayer {
+        fn record(&mut self, ev: &TraceEvent) {
+            if let TraceEvent::Layer { expanded, .. } = *ev {
+                self.0 = self.0.max(expanded);
+            }
+        }
+    }
+
     #[test]
     fn alternator_is_certified_safe_and_deadlock_free() {
         for workers in [1, 4] {
@@ -437,14 +450,6 @@ mod tests {
         // Those layers are too small to fan out (a layer gets one worker
         // per `GRAIN` states). Peterson's at n = 4 reach thousands, so
         // its 2- and 4-worker builds expand them on spawned threads.
-        struct WidestLayer(usize);
-        impl Probe for WidestLayer {
-            fn record(&mut self, ev: &TraceEvent) {
-                if let TraceEvent::Layer { expanded, .. } = *ev {
-                    self.0 = self.0.max(expanded);
-                }
-            }
-        }
         let alg = conformance_registry()
             .resolve_str("peterson", 4)
             .expect("resolves")
@@ -456,7 +461,7 @@ mod tests {
             (report, worst.expect("peterson is safe"), widest.0)
         });
         let (one, one_worst, widest) = &runs[0];
-        assert!(*widest >= 2 * graph::GRAIN, "widest layer {widest}");
+        assert!(*widest >= 2 * GRAIN, "widest layer {widest}");
         for (many, many_worst, _) in &runs[1..] {
             assert_eq!(one.states, many.states);
             assert_eq!(one.edges, many.edges);

@@ -18,10 +18,11 @@
 //!   `fingerprinted` flag).
 
 use exclusion::explore::{
-    analyze, conformance_registry, explore, price_schedule, ExploreConfig, ExploreError, Model,
-    WorstCost,
+    analyze, conformance_registry, explore, explore_probed, price_schedule, ExploreConfig,
+    ExploreError, Model, WorstCost, GRAIN,
 };
 use exclusion::shmem::dynamic::{DynAutomaton, DynState};
+use exclusion::shmem::probe::{Probe, TraceEvent};
 use exclusion::shmem::sched::{Random, Scheduler, Script};
 use exclusion::shmem::testing::fixtures;
 use exclusion::shmem::{
@@ -275,27 +276,48 @@ fn compression_and_spilling_change_no_verdict() {
     }
 }
 
+/// Records the most states any BFS layer expanded.
+struct WidestLayer(usize);
+
+impl Probe for WidestLayer {
+    fn record(&mut self, ev: &TraceEvent) {
+        if let TraceEvent::Layer { expanded, .. } = *ev {
+            self.0 = self.0.max(expanded);
+        }
+    }
+}
+
 /// Reduced explorations stay worker-count independent: the layer
 /// barrier plus canonical representatives make states, depth and
 /// verdicts a pure function of the algorithm and bounds.
 #[test]
 fn reduced_verdicts_are_worker_count_independent() {
     let registry = conformance_registry();
-    for name in ["splitter", "splitter-gate"] {
-        let alg = registry.resolve_str(name, 3).expect("resolves").automaton;
-        let base = explore(alg.as_ref(), &cfg_with(|c| c.workers = 1));
+    // A layer gets one worker per `GRAIN` states, so the n = 3 layers
+    // run on one thread at every worker count. splitter-gate's reduced
+    // layers at n = 7 reach almost 2,000 states, so its 2- and 4-worker
+    // builds canonicalize and intern on spawned threads.
+    let mut widest = 0;
+    for (name, n) in [("splitter", 3), ("splitter-gate", 3), ("splitter-gate", 7)] {
+        let alg = registry.resolve_str(name, n).expect("resolves").automaton;
+        let mut probe = WidestLayer(0);
+        let base = explore_probed(alg.as_ref(), &cfg_with(|c| c.workers = 1), &mut probe);
+        widest = widest.max(probe.0);
         for workers in [2, 4] {
             let alt = explore(alg.as_ref(), &cfg_with(|c| c.workers = workers));
-            assert_eq!(alt.states, base.states, "{name} workers={workers}");
-            assert_eq!(alt.edges, base.edges, "{name} workers={workers}");
-            assert_eq!(alt.depth, base.depth, "{name} workers={workers}");
+            let at = format!("{name} n={n} workers={workers}");
+            assert_eq!(alt.states, base.states, "{at}");
+            assert_eq!(alt.edges, base.edges, "{at}");
+            assert_eq!(alt.depth, base.depth, "{at}");
+            assert_eq!(alt.dedup_hits, base.dedup_hits, "{at}");
             assert_eq!(
                 alt.hazard.as_ref().map(|h| (h.kind, h.doomed_states)),
                 base.hazard.as_ref().map(|h| (h.kind, h.doomed_states)),
-                "{name} workers={workers}"
+                "{at}"
             );
         }
     }
+    assert!(widest >= 2 * GRAIN, "widest layer {widest}");
 }
 
 /// The node-id budget is a structured error, not an assert: an
