@@ -94,3 +94,181 @@ fn a_million_requests_stay_within_the_ring_and_lanes() {
     // almost all of it.
     assert!(report.cache_hits > report.cache_misses);
 }
+
+/// FNV-1a over 64 bits. Its output is fixed by its definition, so the
+/// pins below hold on every Rust release (`DefaultHasher`'s do not).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn hist(&mut self, h: &exclusion::trace::Hist) {
+        self.str(&h.to_json());
+        for q in [0.5, 0.9, 0.99, 0.999] {
+            self.u64(h.quantile(q));
+        }
+    }
+}
+
+/// Everything a serve report carries: its identity, every count and
+/// total, the four histograms and the stripe errors.
+fn report_digest(r: &exclusion::serve::ServeReport) -> u64 {
+    let mut h = Fnv::new();
+    h.str(&r.algorithm);
+    h.str(&r.scheduler);
+    h.str(&r.arrivals);
+    for x in [
+        r.n as u64,
+        r.requests,
+        r.stripe,
+        r.ring as u64,
+        r.deadline.unwrap_or(u64::MAX),
+        r.seed,
+        r.completed,
+        r.abandoned,
+        r.unserved,
+        r.steps,
+        r.ticks,
+        r.total_latency,
+        r.sc_total,
+        r.cc_total,
+        r.dsm_total,
+        r.peak_in_flight as u64,
+        r.peak_queue as u64,
+    ] {
+        h.u64(x);
+    }
+    for hist in [&r.latency, &r.cost_sc, &r.cost_cc, &r.cost_dsm] {
+        h.hist(hist);
+    }
+    h.u64(r.errors.len() as u64);
+    for e in &r.errors {
+        h.str(e);
+    }
+    h.0
+}
+
+/// The digest grid's arrival specs: every family, a saturating and a
+/// sparse spec of the two seeded ones, and the sparse streams
+/// (`steady:gap=64`, `poisson:rate=0.02`, a diurnal trough) on which
+/// admissions are mostly solo.
+const DIGEST_ARRIVALS: [&str; 6] = [
+    "steady:gap=3",
+    "steady:gap=64",
+    "poisson:rate=0.3",
+    "poisson:rate=0.02",
+    "bursty:size=3,gap=7",
+    "diurnal:period=512,peak=0.5,trough=0.01",
+];
+
+/// The digest grid's schedulers: two stateful rotations and the
+/// preview-reading greedy adversary.
+const DIGEST_SCHEDULERS: [&str; 3] = ["round-robin", "random", "greedy-adversary"];
+
+/// One pinned digest per (algorithm, arrivals) row and scheduler; each
+/// folds n = 2 under a deadline of 8 ticks and n = 4 with none.
+#[rustfmt::skip]
+const PINNED_SERVE_DIGESTS: [(&str, &str, [u64; 3]); 24] = [
+    ("peterson", "steady:gap=3", [0x6f9e276d53aadfda, 0xfbb338501835c540, 0x5f2c846c2c3592f5]),
+    ("peterson", "steady:gap=64", [0x69017587d36eb668, 0x4d305f881c5e815f, 0xaf37174645fe1ec3]),
+    ("peterson", "poisson:rate=0.3", [0x2c82aa0211c9d27b, 0xd4d42ef60ff17324, 0x7331d6084e34ebbd]),
+    ("peterson", "poisson:rate=0.02", [0xaccf29b335e965c9, 0x586afb7daa8908ec, 0xba9792c413333099]),
+    ("peterson", "bursty:size=3,gap=7", [0x39ab1ca791279bc7, 0xac4e0e0c64cb0733, 0x90c0187df4a65ec8]),
+    ("peterson", "diurnal:period=512,peak=0.5,trough=0.01", [0x24951343eadbaef4, 0xe065a91947fb4ea8, 0x32b0e08ae6996cf0]),
+    ("dekker-tree", "steady:gap=3", [0x541806799a987075, 0x5dddab29a8c39d91, 0xad5842df51fa0857]),
+    ("dekker-tree", "steady:gap=64", [0xa6c73cd664a30d3f, 0x3474c2c3e7110f3d, 0x63459930e22c0f6b]),
+    ("dekker-tree", "poisson:rate=0.3", [0x04d4927fe55f3652, 0x2b1dc8a68e39b2b7, 0x0d4704629942358b]),
+    ("dekker-tree", "poisson:rate=0.02", [0x4044cf1b7718111b, 0x8a7c7a06e4311f1e, 0xf7b3bfe38f6463fb]),
+    ("dekker-tree", "bursty:size=3,gap=7", [0x945ac2d0b7cfc78d, 0xb9f92389706ae46d, 0xb296835e11d3c94d]),
+    ("dekker-tree", "diurnal:period=512,peak=0.5,trough=0.01", [0x3e5acc88638a50cc, 0xa3b457343e0b0acf, 0x06c1dc28940632eb]),
+    ("tas-sim", "steady:gap=3", [0x69ab5db55a203360, 0xea08b200d841511c, 0x46b5b76b5ed17bc8]),
+    ("tas-sim", "steady:gap=64", [0x665bc1b64d72049b, 0x9e9b45de4f54451d, 0x6d06f1e31ee705eb]),
+    ("tas-sim", "poisson:rate=0.3", [0xe2871b2777fab1c1, 0x040137b40818b573, 0x5cbf12080d254269]),
+    ("tas-sim", "poisson:rate=0.02", [0xa94a3dfbfe9d84ad, 0x74646b64d3fa281c, 0x827f185729ce19cb]),
+    ("tas-sim", "bursty:size=3,gap=7", [0x32c6280145a8862a, 0x837ccc3a03475121, 0x1ecd33fab908b32d]),
+    ("tas-sim", "diurnal:period=512,peak=0.5,trough=0.01", [0xa1c39270bc376ac9, 0x6f1e6d65620244fe, 0xefe4fe19088d4a08]),
+    ("ticket-sim", "steady:gap=3", [0x1da9fed57c8af72a, 0x816e46236843b802, 0x5b26c6eb4913ac7e]),
+    ("ticket-sim", "steady:gap=64", [0x6232950288400222, 0x3fe3623283704e41, 0x68d189042e03b3ba]),
+    ("ticket-sim", "poisson:rate=0.3", [0x230142b73e437a1e, 0x9706a01bddee0797, 0x7c95eb9a3a8f5f12]),
+    ("ticket-sim", "poisson:rate=0.02", [0x9876fe51c27f64ad, 0x4fff9313babb9aa8, 0x18a43181ae94a4a1]),
+    ("ticket-sim", "bursty:size=3,gap=7", [0x7cd46f10624aad6b, 0xfa03fd6031e4b4b2, 0x351697695695ca3d]),
+    ("ticket-sim", "diurnal:period=512,peak=0.5,trough=0.01", [0xd602377e30e38d9f, 0x9fc477b35c9546ed, 0xe3d71c5fe15d9df4]),
+];
+
+#[test]
+fn serve_outputs_match_their_pinned_digests() {
+    use exclusion::shmem::sched::{GreedyAdversary, Random, RoundRobin};
+    use exclusion::shmem::Scheduler;
+
+    let build = |sched: &str| -> fn(u64) -> Box<dyn Scheduler> {
+        match sched {
+            "round-robin" => |_| Box::new(RoundRobin::new()),
+            "random" => |seed| Box::new(Random::new(seed)),
+            _ => |_| Box::new(GreedyAdversary::new()),
+        }
+    };
+    let mut got = Vec::new();
+    for alg in ALGORITHMS {
+        for arrivals in DIGEST_ARRIVALS {
+            let digests = DIGEST_SCHEDULERS.map(|sched| {
+                let mut h = Fnv::new();
+                for (n, deadline) in [(2, Some(8)), (4, None)] {
+                    let job = ServeJob::new(alg, n, 1_500)
+                        .unwrap()
+                        .arrivals(arrivals)
+                        .unwrap()
+                        .scheduler(sched, build(sched));
+                    let report = serve(
+                        &job,
+                        &ServeOptions {
+                            workers: 1,
+                            stripe: 256,
+                            deadline,
+                            seed: 11,
+                            cache: false,
+                            ..ServeOptions::default()
+                        },
+                    );
+                    h.u64(report_digest(&report));
+                }
+                h.0
+            });
+            got.push((alg, arrivals, digests));
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(alg, arrivals, d)| {
+            format!(
+                "    (\"{alg}\", \"{arrivals}\", [{:#018x}, {:#018x}, {:#018x}]),\n",
+                d[0], d[1], d[2]
+            )
+        })
+        .collect();
+    assert!(
+        got.len() == PINNED_SERVE_DIGESTS.len()
+            && got
+                .iter()
+                .zip(&PINNED_SERVE_DIGESTS)
+                .all(|(a, b)| a.0 == b.0 && a.1 == b.1 && a.2 == b.2),
+        "serve output changed; digests now:\n{table}"
+    );
+}
