@@ -16,7 +16,7 @@ use std::time::Instant;
 use exclusion_serve::{serve, ServeJob, ServeOptions, ServeReport};
 
 /// Schema tag stamped into `BENCH_serve.json`.
-pub const BENCH_SCHEMA: &str = "exclusion-bench-serve/v1";
+pub const BENCH_SCHEMA: &str = "exclusion-bench-serve/v2";
 
 /// Timed serves per cell; the fastest is reported.
 pub const REPS: usize = 3;
@@ -24,8 +24,8 @@ pub const REPS: usize = 3;
 /// The algorithms every arrival model streams through.
 pub const ALGORITHMS: [&str; 2] = ["tas-sim", "peterson"];
 
-/// One cache-friendly sparse stream and one saturating stream: the
-/// two ends of the contention spectrum.
+/// One sparse stream (every admission solo) and one saturating
+/// stream: the two ends of the contention spectrum.
 pub const ARRIVALS: [&str; 2] = ["steady:gap=64", "poisson:rate=0.25"];
 
 /// Worker counts each (algorithm, arrivals) pair is served under.
@@ -50,8 +50,6 @@ pub struct BenchCell {
     pub completed: u64,
     /// Automaton steps executed.
     pub steps: u64,
-    /// Solo-admission cache fast-forwards taken.
-    pub cache_hits: u64,
     /// Stripes that failed.
     pub failures: usize,
     /// Whether this worker count reproduced the 1-worker report
@@ -139,7 +137,6 @@ pub fn run(quick: bool) -> Vec<BenchCell> {
                     requests: count,
                     completed: report.completed,
                     steps: report.steps,
-                    cache_hits: report.cache_hits,
                     failures: report.errors.len(),
                     identical,
                     wall_ns,
@@ -176,7 +173,7 @@ pub fn to_json(cells: &[BenchCell], quick: bool) -> String {
             out,
             "{{\"algorithm\":\"{}\",\"arrivals\":\"{}\",\"workers\":{},\
              \"requests\":{},\"completed\":{},\"steps\":{},\
-             \"cache_hits\":{},\"failures\":{},\"identical\":{},\
+             \"failures\":{},\"identical\":{},\
              \"wall_ns\":{},\"requests_per_sec\":{:.0},\
              \"steps_per_sec\":{:.0},\"ns_per_request\":{:.1}}}",
             c.algorithm,
@@ -185,7 +182,6 @@ pub fn to_json(cells: &[BenchCell], quick: bool) -> String {
             c.requests,
             c.completed,
             c.steps,
-            c.cache_hits,
             c.failures,
             c.identical,
             c.wall_ns,
@@ -202,18 +198,17 @@ pub fn to_json(cells: &[BenchCell], quick: bool) -> String {
 #[must_use]
 pub fn to_text(cells: &[BenchCell]) -> String {
     let mut out = String::from(
-        "algorithm   arrivals                 w   completed        steps    cache     wall ms       req/s    ns/req  ident\n",
+        "algorithm   arrivals                 w   completed        steps     wall ms       req/s    ns/req  ident\n",
     );
     for c in cells {
         let _ = writeln!(
             out,
-            "{:<12}{:<24}{:>2}{:>12}{:>13}{:>9}{:>12.1}{:>12.0}{:>10.1}  {}",
+            "{:<12}{:<24}{:>2}{:>12}{:>13}{:>12.1}{:>12.0}{:>10.1}  {}",
             c.algorithm,
             c.arrivals,
             c.workers,
             c.completed,
             c.steps,
-            c.cache_hits,
             c.wall_ns as f64 / 1e6,
             c.requests_per_sec(),
             c.ns_per_request(),
@@ -263,7 +258,6 @@ mod tests {
                 requests: count,
                 completed: report.completed,
                 steps: report.steps,
-                cache_hits: report.cache_hits,
                 failures: report.errors.len(),
                 identical,
                 wall_ns,

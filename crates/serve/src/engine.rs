@@ -18,6 +18,17 @@
 //!    system executes one step, the cost tracker prices it, and a lane
 //!    whose passage completed retires its request.
 //!
+//! # Lanes in the view table
+//!
+//! Lane occupancy lives in the driver's own [`ViewTable`]: every lane
+//! starts with a target of 0 passages, so its view is `done` (idle) and
+//! no scheduler may pick it. Admission raises the lane's target by one
+//! passage; the lane retires when its view turns `done` again. The
+//! scheduler reads the table's views directly and [`ViewTable::step`]
+//! executes the pending step the picked lane's view already holds, so a
+//! step evaluates the automaton's transition function once and copies
+//! nothing.
+//!
 //! # Striping and determinism
 //!
 //! The stream of `requests` is split into fixed-size stripes by
@@ -27,33 +38,16 @@
 //! results merge in stripe order — the same discipline as `sweep` —
 //! so the report is bit-identical across worker counts and repeated
 //! runs.
-//!
-//! # The admission cache
-//!
-//! Each stripe of a resolved (algorithm, n, scheduler) triple keeps a
-//! bounded cache keyed by the hash of `(lane, system snapshot)` at
-//! **solo** admissions (one request in flight, empty queue). On a hit
-//! — and only when no arrival is due before the cached passage length
-//! elapses — the passage is fast-forwarded: the system still executes
-//! and the tracker still prices every step (costs stay exact), but the
-//! scheduler is not consulted and no views are copied, skipping the
-//! per-step resolution work on the uncontended hot path. Hit patterns
-//! are a pure function of the stripe's own content, so the cache
-//! cannot perturb cross-worker determinism.
 
-use std::collections::hash_map::DefaultHasher;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
-use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use exclusion_cost::CostTracker;
 use exclusion_mutex::registry::{AlgorithmRegistry, DynAlgorithm};
-use exclusion_shmem::dynamic::DynState;
 use exclusion_shmem::{
-    DynRef, Executed, ProcessId, ProcessView, SchedContext, Scheduler, Snapshot, SpecError, System,
-    ViewTable,
+    DynRef, Executed, ProcessId, SchedContext, Scheduler, SpecError, System, ViewTable,
 };
 use exclusion_trace::{Hist, Progress};
 
@@ -217,8 +211,6 @@ pub struct ServeOptions {
     /// Step budget per stripe; exceeding it fails the stripe (recorded
     /// in the report, never a panic).
     pub max_steps: u64,
-    /// Whether the solo-admission cache is on (default true).
-    pub cache: bool,
     /// Live progress throttle: report every `progress` events to
     /// stderr via [`Progress`]; `0` is silent. Never changes results.
     pub progress: u64,
@@ -233,7 +225,6 @@ impl Default for ServeOptions {
             deadline: None,
             seed: 1,
             max_steps: 50_000_000,
-            cache: true,
             progress: 0,
         }
     }
@@ -248,31 +239,11 @@ fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// The admission-cache key: a fixed-state hash of the lane and the
-/// behavior-relevant system state — process states, registers, and
-/// sections, but *not* the monotone passage counters (which would make
-/// every admission unique). [`DefaultHasher::new`] has fixed keys, so
-/// the mapping is deterministic within a build; a collision costs only
-/// a failed fast-forward (the replay stops when the passage actually
-/// completes), never a wrong result.
-fn admission_key(lane: usize, snap: &Snapshot<DynState>) -> u64 {
-    let mut h = DefaultHasher::new();
-    lane.hash(&mut h);
-    snap.states().hash(&mut h);
-    snap.registers().hash(&mut h);
-    snap.sections().hash(&mut h);
-    h.finish()
-}
-
-/// Entries per stripe the admission cache will hold at most.
-const CACHE_CAP: usize = 1024;
-
 /// One in-flight request: which tick it arrived, and the lane's
-/// passage count and per-model cost baselines at admission (so retire
-/// can attribute exact per-request deltas).
+/// per-model cost baselines at admission (so retire can attribute
+/// exact per-request deltas).
 struct InFlight {
     arrived: u64,
-    base: usize,
     sc0: usize,
     cc0: usize,
     dsm0: usize,
@@ -292,8 +263,6 @@ pub(crate) struct StripeStats {
     pub(crate) dsm_total: u64,
     pub(crate) peak_in_flight: usize,
     pub(crate) peak_queue: usize,
-    pub(crate) cache_hits: u64,
-    pub(crate) cache_misses: u64,
     pub(crate) latency: Hist,
     pub(crate) cost_sc: Hist,
     pub(crate) cost_cc: Hist,
@@ -301,19 +270,11 @@ pub(crate) struct StripeStats {
     pub(crate) error: Option<String>,
 }
 
-/// A solo passage being recorded for the admission cache.
-struct Recording {
-    key: u64,
-    lane: usize,
-    start: u64,
-}
-
 /// One stripe's live event loop. `sys` borrows the erased automaton
 /// through `DynRef`, so the whole struct lives inside `run_stripe`.
 struct Stripe<'a> {
     sys: System<'a, DynRef<'a>>,
     table: ViewTable,
-    scratch: Vec<ProcessView>,
     sched: Box<dyn Scheduler>,
     tracker: CostTracker,
     arrivals: Box<dyn crate::arrival::ArrivalModel>,
@@ -329,10 +290,6 @@ struct Stripe<'a> {
     now: u64,
     steps: u64,
     max_steps: u64,
-    cache_on: bool,
-    cache: HashMap<u64, u64>,
-    recording: Option<Recording>,
-    replay: Option<(usize, u64)>,
     progress: Option<Progress>,
     stats: StripeStats,
 }
@@ -375,9 +332,8 @@ impl Stripe<'_> {
         }
     }
 
-    /// Queued requests occupy free lanes; a solo admission consults
-    /// the cache (hit → schedule a fast-forward; miss → start
-    /// recording).
+    /// Queued requests occupy free lanes: each admission raises its
+    /// lane's target by one passage, which makes the lane live.
     fn admit(&mut self) {
         while self.occupied < self.lanes.len() && !self.pending.is_empty() {
             let arrived = self.pending.pop_front().expect("pending is non-empty");
@@ -389,44 +345,18 @@ impl Stripe<'_> {
             let pid = ProcessId::new(lane);
             self.lanes[lane] = Some(InFlight {
                 arrived,
-                base: self.sys.passages(pid),
                 sc0: self.tracker.sc().process(pid),
                 cc0: self.tracker.cc().process(pid),
                 dsm0: self.tracker.dsm().process(pid),
             });
+            self.table.set_target(pid, self.sys.passages(pid) + 1);
             self.occupied += 1;
             self.stats.peak_in_flight = self.stats.peak_in_flight.max(self.occupied);
-            if self.occupied > 1 {
-                // A concurrent admission: whatever solo passage was
-                // being recorded is contended now.
-                self.recording = None;
-            } else if self.cache_on && self.pending.is_empty() {
-                let key = admission_key(lane, &self.sys.snapshot());
-                match self.cache.get(&key) {
-                    Some(&k)
-                        if self.next_arrival.is_none_or(|t| t >= self.now + k)
-                            && self.steps + k <= self.max_steps =>
-                    {
-                        self.stats.cache_hits += 1;
-                        self.replay = Some((lane, k));
-                    }
-                    Some(_) => {}
-                    None => {
-                        self.stats.cache_misses += 1;
-                        self.recording = Some(Recording {
-                            key,
-                            lane,
-                            start: self.steps,
-                        });
-                    }
-                }
-            }
         }
     }
 
     /// Retires the completed passage on `lane`: latency and exact
-    /// per-request cost deltas go to the histograms, and a still-solo
-    /// recording is committed to the cache.
+    /// per-request cost deltas go to the histograms.
     fn retire(&mut self, lane: usize) {
         let f = self.lanes[lane].take().expect("retiring an occupied lane");
         self.occupied -= 1;
@@ -444,38 +374,6 @@ impl Stripe<'_> {
         self.stats.cost_sc.observe(sc);
         self.stats.cost_cc.observe(cc);
         self.stats.cost_dsm.observe(dsm);
-        if let Some(rec) = self.recording.take() {
-            if rec.lane == lane {
-                if self.cache.len() < CACHE_CAP {
-                    self.cache.insert(rec.key, self.steps - rec.start);
-                }
-            } else {
-                self.recording = Some(rec);
-            }
-        }
-    }
-
-    /// Fast-forwards a cached solo passage: the system steps and the
-    /// tracker prices exactly as normal, but the scheduler is not
-    /// consulted. Stops as soon as the passage completes, so a key
-    /// collision degrades to a partial fast-forward, never a wrong
-    /// result.
-    fn fast_forward(&mut self, lane: usize, k: u64) {
-        let pid = ProcessId::new(lane);
-        let base = self.lanes[lane].as_ref().expect("replaying a lane").base;
-        for _ in 0..k {
-            let done = self.sys.step(pid);
-            self.observe(&done);
-            self.table.apply(&self.sys, usize::MAX, &done);
-            self.now += 1;
-            self.steps += 1;
-            if self.sys.passages(pid) > base {
-                break;
-            }
-        }
-        if self.sys.passages(pid) > base {
-            self.retire(lane);
-        }
     }
 
     /// One scheduled step; returns `false` when the stripe must stop
@@ -485,18 +383,12 @@ impl Stripe<'_> {
             self.stats.error = Some(format!("step budget {} exhausted", self.max_steps));
             return false;
         }
-        self.scratch.copy_from_slice(self.table.views());
-        for (i, lane) in self.lanes.iter().enumerate() {
-            if lane.is_none() {
-                // Idle lanes are not live: the scheduler only ever
-                // picks among in-flight requests.
-                self.scratch[i].done = true;
-            }
-        }
+        // Idle lanes' views are `done`: the scheduler only ever picks
+        // among in-flight requests.
         let ctx = SchedContext {
             step: usize::try_from(self.steps).unwrap_or(usize::MAX),
             target_passages: usize::MAX,
-            views: &self.scratch,
+            views: self.table.views(),
         };
         let Some(p) = self.sched.pick(&ctx) else {
             self.stats.error = Some(format!(
@@ -513,12 +405,11 @@ impl Stripe<'_> {
             ));
             return false;
         }
-        let done = self.sys.step(p);
+        let done = self.table.step(&mut self.sys, p);
         self.observe(&done);
-        self.table.apply(&self.sys, usize::MAX, &done);
         self.now += 1;
         self.steps += 1;
-        if self.sys.passages(p) > self.lanes[p.index()].as_ref().expect("occupied lane").base {
+        if self.table.views()[p.index()].done {
             self.retire(p.index());
         }
         true
@@ -538,10 +429,6 @@ impl Stripe<'_> {
                 if before == (self.produced, self.pending.len(), self.occupied) {
                     break;
                 }
-            }
-            if let Some((lane, k)) = self.replay.take() {
-                self.fast_forward(lane, k);
-                continue;
             }
             if self.occupied > 0 {
                 if !self.step_once() {
@@ -573,15 +460,14 @@ fn run_stripe(
     let base = splitmix64(opts.seed ^ stripe.wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let sys = System::new(&alg);
     let sched = (job.sched)(splitmix64(base));
-    let table = ViewTable::new(&sys, usize::MAX, sched.wants_step_previews());
-    let scratch = table.views().to_vec();
+    // Target 0: every lane starts idle.
+    let table = ViewTable::new(&sys, 0, sched.wants_step_previews());
     let mut arrivals = job.arrival.build(base);
     let next_arrival = (count > 0).then(|| arrivals.next_arrival());
     let stripe = Stripe {
         tracker: CostTracker::new(&alg),
         sys,
         table,
-        scratch,
         sched,
         arrivals,
         lanes: std::iter::repeat_with(|| None).take(job.n).collect(),
@@ -595,10 +481,6 @@ fn run_stripe(
         now: 0,
         steps: 0,
         max_steps: opts.max_steps,
-        cache_on: opts.cache,
-        cache: HashMap::new(),
-        recording: None,
-        replay: None,
         progress: (opts.progress > 0).then(|| Progress::new(opts.progress)),
         stats: StripeStats::default(),
     };
@@ -732,33 +614,6 @@ mod tests {
         assert!(report.abandoned > 0, "tight deadline must abandon");
         assert_eq!(report.completed + report.abandoned, 4_000);
         assert!(report.abandonment_rate() > 0.0);
-    }
-
-    #[test]
-    fn solo_streams_hit_the_admission_cache() {
-        // A sparse stream keeps the service solo, so after the first
-        // few passages every admission is snapshot-identical.
-        let job = job(4_000).arrivals("steady:gap=64").unwrap();
-        let report = serve(&job, &ServeOptions::default());
-        assert_eq!(report.completed, 4_000);
-        assert!(
-            report.cache_hits > report.cache_misses,
-            "hits {} should dominate misses {}",
-            report.cache_hits,
-            report.cache_misses
-        );
-        let cold = serve(
-            &job,
-            &ServeOptions {
-                cache: false,
-                ..ServeOptions::default()
-            },
-        );
-        assert_eq!(cold.cache_hits, 0);
-        assert_eq!(cold.completed, 4_000);
-        // An uncontended stream takes the same trajectory either way.
-        assert_eq!(cold.steps, report.steps);
-        assert_eq!(cold.latency, report.latency);
     }
 
     #[test]

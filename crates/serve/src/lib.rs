@@ -25,10 +25,11 @@
 //!   ring and in-flight set are capacity-bounded, and arrivals are
 //!   materialized one at a time; memory does not grow with the request
 //!   count.
-//! * **Hot-path economy** — a per-(algorithm, n, scheduler) admission
-//!   cache recognizes snapshot-identical solo admissions and replays
-//!   their passages without consulting the scheduler or copying views,
-//!   skipping the per-step resolution work entirely.
+//! * **Hot-path economy** — one stepping path: lane occupancy lives in
+//!   the driver's incrementally maintained view table as per-lane
+//!   passage targets, so the scheduler reads the views in place, and
+//!   each step executes the pending step its view already holds — one
+//!   transition-function evaluation and no view copy per step.
 //!
 //! # Quickstart
 //!

@@ -11,7 +11,7 @@ use exclusion_trace::Hist;
 use crate::engine::{ServeJob, ServeOptions, StripeStats};
 
 /// Schema tag stamped into [`ServeReport::to_json`] output.
-pub const SERVE_SCHEMA: &str = "exclusion-serve/v1";
+pub const SERVE_SCHEMA: &str = "exclusion-serve/v2";
 
 /// The merged outcome of serving a request stream.
 ///
@@ -39,8 +39,6 @@ pub struct ServeReport {
     pub deadline: Option<u64>,
     /// Base seed.
     pub seed: u64,
-    /// Whether the solo-admission cache was on.
-    pub cache: bool,
     /// Requests that completed a passage.
     pub completed: u64,
     /// Requests that abandoned the queue past their deadline.
@@ -63,10 +61,6 @@ pub struct ServeReport {
     pub peak_in_flight: usize,
     /// Deepest the pending ring got in any stripe.
     pub peak_queue: usize,
-    /// Solo-admission cache fast-forwards taken.
-    pub cache_hits: u64,
-    /// Solo admissions that recorded a new cache entry.
-    pub cache_misses: u64,
     /// Latency histogram (ticks from arrival to retirement).
     pub latency: Hist,
     /// Per-request SC cost histogram.
@@ -92,7 +86,6 @@ impl ServeReport {
             ring,
             deadline: opts.deadline,
             seed: opts.seed,
-            cache: opts.cache,
             completed: 0,
             abandoned: 0,
             unserved: 0,
@@ -104,8 +97,6 @@ impl ServeReport {
             dsm_total: 0,
             peak_in_flight: 0,
             peak_queue: 0,
-            cache_hits: 0,
-            cache_misses: 0,
             latency: Hist::default(),
             cost_sc: Hist::default(),
             cost_cc: Hist::default(),
@@ -127,8 +118,6 @@ impl ServeReport {
         self.dsm_total += s.dsm_total;
         self.peak_in_flight = self.peak_in_flight.max(s.peak_in_flight);
         self.peak_queue = self.peak_queue.max(s.peak_queue);
-        self.cache_hits += s.cache_hits;
-        self.cache_misses += s.cache_misses;
         self.latency.merge(&s.latency);
         self.cost_sc.merge(&s.cost_sc);
         self.cost_cc.merge(&s.cost_cc);
@@ -194,14 +183,14 @@ impl ServeReport {
             escape(&self.arrivals)
         ));
         out.push_str(&format!(
-            "\"n\":{},\"requests\":{},\"stripe\":{},\"ring\":{},\"deadline\":{},\"seed\":{},\"cache\":{},",
+            "\"n\":{},\"requests\":{},\"stripe\":{},\"ring\":{},\"deadline\":{},\"seed\":{},",
             self.n,
             self.requests,
             self.stripe,
             self.ring,
-            self.deadline.map_or_else(|| "null".into(), |d| d.to_string()),
-            self.seed,
-            self.cache
+            self.deadline
+                .map_or_else(|| "null".into(), |d| d.to_string()),
+            self.seed
         ));
         out.push_str(&format!(
             "\"completed\":{},\"abandoned\":{},\"unserved\":{},\"abandonment_rate\":{:.6},",
@@ -232,8 +221,8 @@ impl ServeReport {
             quantiles(&self.cost_dsm)
         ));
         out.push_str(&format!(
-            "\"peak_in_flight\":{},\"peak_queue\":{},\"cache\":{{\"hits\":{},\"misses\":{}}},",
-            self.peak_in_flight, self.peak_queue, self.cache_hits, self.cache_misses
+            "\"peak_in_flight\":{},\"peak_queue\":{},",
+            self.peak_in_flight, self.peak_queue
         ));
         out.push_str("\"errors\":[");
         for (i, e) in self.errors.iter().enumerate() {

@@ -281,7 +281,7 @@ where
                 break;
             }
             let done = sys.crash(victim);
-            table.apply(&sys, passages, &done);
+            table.apply(&sys, &done);
             crashed[victim.index()] = true;
             if probe.enabled() {
                 probe.record(&TraceEvent::Crash {
@@ -315,9 +315,7 @@ where
                         });
                     }
                 }
-                let done = sys.step(p);
-                table.apply(&sys, passages, &done);
-                sink(&done);
+                sink(&table.step(&mut sys, p));
                 executed += 1;
             }
             Some(_) => break,

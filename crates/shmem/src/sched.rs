@@ -59,12 +59,23 @@
 //!   waiter index (a write can flip exactly those previews — a pending
 //!   write/crit preview depends only on the acting process's own state).
 //!
-//! The per-step cost is therefore O(1 + affected) instead of Θ(n). A
-//! custom [`Scheduler`] may rely on the views it sees being *exactly*
-//! what a fresh rebuild would produce (pinned by tests), and a custom
-//! driver that wants the same guarantee can use [`ViewTable`] directly:
-//! construct it with [`ViewTable::new`], and call [`ViewTable::apply`]
-//! with the [`Executed`] outcome of every step it performs.
+//! The per-step cost is therefore O(1 + affected) instead of Θ(n), and
+//! δ (the automaton's transition function) is evaluated once per step:
+//! [`ViewTable::step`] executes the pending step the acting process's
+//! view already holds, so only the step after it is computed.
+//!
+//! Each process is driven to its own target passage count, and its view
+//! is `done` once it has completed that many. [`ViewTable::new`] gives
+//! every process the same target; [`ViewTable::set_target`] moves one
+//! process's target (an open driver, like `exclusion-serve`'s lanes,
+//! starts every process at target 0 and raises one by a passage to hand
+//! it work). A custom [`Scheduler`] may rely on the views it sees being
+//! *exactly* what a fresh rebuild would produce — `ViewTable::new(sys,
+//! 0, previews)` followed by the same `set_target` calls (pinned by
+//! tests). A custom driver that wants the same guarantee can use
+//! [`ViewTable`] directly: construct it with [`ViewTable::new`], execute
+//! scheduled steps with [`ViewTable::step`], and report any step made
+//! outside it (a [`System::crash`]) with [`ViewTable::apply`].
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -164,27 +175,18 @@ pub trait Scheduler {
 fn view_of<A: Automaton>(
     sys: &System<'_, A>,
     pid: ProcessId,
-    passages: usize,
+    target: usize,
     previews: bool,
 ) -> ProcessView {
+    let next = sys.peek(pid);
     ProcessView {
         pid,
         section: sys.section(pid),
         passages: sys.passages(pid),
-        done: sys.passages(pid) >= passages,
-        next: sys.peek(pid),
-        changes_state: previews && sys.step_changes_state(pid),
+        done: sys.passages(pid) >= target,
+        next,
+        changes_state: previews && sys.next_changes_state(pid, next),
     }
-}
-
-fn build_views<A: Automaton>(
-    sys: &System<'_, A>,
-    passages: usize,
-    previews: bool,
-    out: &mut Vec<ProcessView>,
-) {
-    out.clear();
-    out.extend(ProcessId::all(sys.processes()).map(|p| view_of(sys, p, passages, previews)));
 }
 
 /// Incrementally maintained [`ProcessView`]s over a live [`System`] —
@@ -192,7 +194,8 @@ fn build_views<A: Automaton>(
 /// module docs for the contract).
 ///
 /// A `ViewTable` is always equal to what a from-scratch rebuild against
-/// the current system would produce; [`ViewTable::new`] *is* that
+/// the current system would produce: [`ViewTable::new`] with target 0,
+/// followed by the same [`ViewTable::set_target`] calls. `new` *is* that
 /// rebuild, so the invariant is directly testable:
 ///
 /// ```
@@ -203,13 +206,16 @@ fn build_views<A: Automaton>(
 /// let alg = Alternator::new(3);
 /// let mut sys = System::new(&alg);
 /// let mut table = ViewTable::new(&sys, 1, true);
-/// let done = sys.step(ProcessId::new(0));
-/// table.apply(&sys, 1, &done);
+/// table.step(&mut sys, ProcessId::new(0));
 /// assert_eq!(table.views(), ViewTable::new(&sys, 1, true).views());
+/// table.set_target(ProcessId::new(2), 0);
+/// assert!(table.views()[2].done);
 /// ```
 #[derive(Clone, Debug)]
 pub struct ViewTable {
     views: Vec<ProcessView>,
+    /// `targets[p]`: the passage count at which `p`'s view is `done`.
+    targets: Vec<usize>,
     previews: bool,
     /// `waiters[r]`: processes whose pending step reads or RMWs register
     /// `r` — the only views whose `changes_state` preview a write to `r`
@@ -222,13 +228,16 @@ pub struct ViewTable {
 
 impl ViewTable {
     /// Builds the table from scratch against the system's current state:
-    /// one view per process, driven to `passages` target passages, with
-    /// `changes_state` previews populated iff `previews` is set.
+    /// one view per process, each driven to `passages` target passages,
+    /// with `changes_state` previews populated iff `previews` is set.
     #[must_use]
     pub fn new<A: Automaton>(sys: &System<'_, A>, passages: usize, previews: bool) -> Self {
         let n = sys.processes();
         let mut table = ViewTable {
-            views: Vec::with_capacity(n),
+            views: ProcessId::all(n)
+                .map(|p| view_of(sys, p, passages, previews))
+                .collect(),
+            targets: vec![passages; n],
             previews,
             waiters: vec![
                 Vec::new();
@@ -240,7 +249,6 @@ impl ViewTable {
             ],
             slot: vec![None; if previews { n } else { 0 }],
         };
-        build_views(sys, passages, previews, &mut table.views);
         if previews {
             for p in ProcessId::all(n) {
                 table.enroll(p);
@@ -255,14 +263,37 @@ impl ViewTable {
         &self.views
     }
 
+    /// Moves `pid`'s target to `passages` completed passages; its view
+    /// is `done` from then on iff it has completed that many.
+    pub fn set_target(&mut self, pid: ProcessId, passages: usize) {
+        self.targets[pid.index()] = passages;
+        let view = &mut self.views[pid.index()];
+        view.done = view.passages >= passages;
+    }
+
+    /// Executes `pid`'s pending step — the one its view holds — on `sys`
+    /// and updates the table, returning the step's outcome.
+    ///
+    /// # Panics
+    ///
+    /// As [`System::step`]; a debug build also checks that the view's
+    /// pending step is the one δ gives for `pid`'s current state.
+    pub fn step<A: Automaton>(&mut self, sys: &mut System<'_, A>, pid: ProcessId) -> Executed {
+        let next = self.views[pid.index()].next;
+        debug_assert_eq!(next, sys.peek(pid), "stale view of {pid}");
+        let done = sys.apply(pid, next);
+        self.apply(sys, &done);
+        done
+    }
+
     /// Updates the table after `sys` executed one step with outcome
     /// `done`: the acting process's view is rebuilt, and — when previews
     /// are on and the step wrote a register — the `changes_state`
     /// preview of every process waiting on that register is
     /// re-evaluated.
-    pub fn apply<A: Automaton>(&mut self, sys: &System<'_, A>, passages: usize, done: &Executed) {
+    pub fn apply<A: Automaton>(&mut self, sys: &System<'_, A>, done: &Executed) {
         let pid = done.step.pid();
-        self.views[pid.index()] = view_of(sys, pid, passages, self.previews);
+        self.views[pid.index()] = view_of(sys, pid, self.targets[pid.index()], self.previews);
         if !self.previews {
             return;
         }
@@ -272,7 +303,8 @@ impl ViewTable {
             for k in 0..self.waiters[reg.index()].len() {
                 let q = self.waiters[reg.index()][k];
                 if q != pid {
-                    self.views[q.index()].changes_state = sys.step_changes_state(q);
+                    let view = &mut self.views[q.index()];
+                    view.changes_state = sys.next_changes_state(q, view.next);
                 }
             }
         }
@@ -345,9 +377,7 @@ where
                     "{} picked finished process {p}",
                     sched.name()
                 );
-                let done = sys.step(p);
-                table.apply(&sys, passages, &done);
-                sink(&done);
+                sink(&table.step(&mut sys, p));
                 executed += 1;
             }
             Some(_) => break,
@@ -463,9 +493,16 @@ impl Scheduler for RoundRobin {
 
     fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<ProcessId> {
         let n = ctx.views.len();
+        if self.next >= n {
+            // Left past the end by a run over more processes.
+            self.next = self.next.checked_rem(n)?;
+        }
         for _ in 0..n {
-            let v = &ctx.views[self.next % n];
-            self.next = (self.next + 1) % n;
+            let v = &ctx.views[self.next];
+            self.next += 1;
+            if self.next == n {
+                self.next = 0;
+            }
             if !v.done {
                 return Some(v.pid);
             }
@@ -1052,8 +1089,8 @@ mod tests {
         // Step p1 to its spin on `turn` (which p0 has not released).
         let p1 = ProcessId::new(1);
         sys.step(p1);
-        let mut views = Vec::new();
-        build_views(&sys, 1, true, &mut views);
+        let table = ViewTable::new(&sys, 1, true);
+        let views = table.views();
         assert_eq!(views.len(), 2);
         // p0's pending try changes state but is not shared.
         assert!(!views[0].shared());
@@ -1065,34 +1102,97 @@ mod tests {
     }
 
     /// The incremental-view contract: after every step of an adversarial
-    /// run, the [`ViewTable`] equals a from-scratch rebuild — with and
-    /// without `changes_state` previews.
+    /// run, the [`ViewTable`] equals a from-scratch rebuild with the same
+    /// targets — with and without `changes_state` previews, while some
+    /// processes' targets move mid-run.
     #[test]
     fn incremental_views_match_fresh_views_after_every_step() {
+        let [p0, p1, p2, p3, p4] = [0, 1, 2, 3, 4].map(ProcessId::new);
+        // (step, process, new target): raise two targets, retire p4
+        // early and bring it back, then raise the rest to match — the
+        // token ring only terminates if everyone ends on one target.
+        let moves = [
+            (30, p1, 4),
+            (30, p3, 4),
+            (70, p4, 0),
+            (110, p4, 4),
+            (150, p0, 4),
+            (150, p2, 4),
+        ];
         for previews in [true, false] {
             let alg = Alternator::new(5);
-            let passages = 3;
+            let mut targets = [3; 5];
             let mut sched = GreedyAdversary::new();
             let mut sys = System::new(&alg);
-            let mut table = ViewTable::new(&sys, passages, previews);
-            let mut fresh = Vec::new();
+            let mut table = ViewTable::new(&sys, 3, previews);
             let mut finished = false;
             for step in 0..10_000 {
-                build_views(&sys, passages, previews, &mut fresh);
-                assert_eq!(table.views(), &fresh[..], "previews={previews} step={step}");
+                for &(at, p, target) in &moves {
+                    if at == step {
+                        table.set_target(p, target);
+                        targets[p.index()] = target;
+                    }
+                }
+                let mut fresh = ViewTable::new(&sys, 0, previews);
+                for p in ProcessId::all(5) {
+                    fresh.set_target(p, targets[p.index()]);
+                }
+                assert_eq!(
+                    table.views(),
+                    fresh.views(),
+                    "previews={previews} step={step}"
+                );
                 let ctx = SchedContext {
                     step,
-                    target_passages: passages,
+                    target_passages: 4,
                     views: table.views(),
                 };
                 let Some(p) = sched.pick(&ctx) else {
                     finished = true;
                     break;
                 };
-                let done = sys.step(p);
-                table.apply(&sys, passages, &done);
+                table.step(&mut sys, p);
             }
             assert!(finished, "adversarial run did not terminate");
+            assert!(ProcessId::all(5).all(|p| sys.passages(p) == 4));
+        }
+    }
+
+    /// The compare-and-reset cursor picks exactly what the `% n`
+    /// rotation did, including after a run over more processes left
+    /// the cursor past the end.
+    #[test]
+    fn round_robin_matches_the_modulo_rotation() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut new = RoundRobin::new();
+        let mut old = 0usize;
+        for _ in 0..2_000 {
+            let n = rng.random_range(1..9);
+            let views: Vec<ProcessView> = ProcessId::all(n)
+                .map(|pid| ProcessView {
+                    pid,
+                    section: Section::Remainder,
+                    passages: 0,
+                    done: rng.random_range(0..3) == 0,
+                    next: NextStep::Crit(crate::step::CritKind::Try),
+                    changes_state: false,
+                })
+                .collect();
+            let ctx = SchedContext {
+                step: 0,
+                target_passages: 1,
+                views: &views,
+            };
+            let mut expected = None;
+            for _ in 0..n {
+                let v = &views[old % n];
+                old = (old + 1) % n;
+                if !v.done {
+                    expected = Some(v.pid);
+                    break;
+                }
+            }
+            assert_eq!(new.pick(&ctx), expected, "n={n}");
         }
     }
 

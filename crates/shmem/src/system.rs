@@ -343,7 +343,13 @@ impl<'a, A: Automaton> System<'a, A> {
     /// already spinning on returns `false` here.
     #[must_use]
     pub fn step_changes_state(&self, pid: ProcessId) -> bool {
-        let obs = match self.peek(pid) {
+        self.next_changes_state(pid, self.peek(pid))
+    }
+
+    /// [`System::step_changes_state`] for a pending step `next` the
+    /// caller already holds (it must be `pid`'s `peek`).
+    pub(crate) fn next_changes_state(&self, pid: ProcessId, next: NextStep) -> bool {
+        let obs = match next {
             NextStep::Read(reg) => Observation::Read(self.register(reg)),
             NextStep::Write(..) => Observation::Write,
             NextStep::Rmw(reg, _) => Observation::Rmw(self.register(reg)),
@@ -432,7 +438,8 @@ impl<'a, A: Automaton> System<'a, A> {
         Ok(self.apply(pid, next))
     }
 
-    fn apply(&mut self, pid: ProcessId, next: NextStep) -> Executed {
+    /// Executes `next`, which must be `pid`'s pending step (its `peek`).
+    pub(crate) fn apply(&mut self, pid: ProcessId, next: NextStep) -> Executed {
         let i = pid.index();
         let (step, obs, read_value) = match next {
             NextStep::Read(reg) => {

@@ -1522,7 +1522,6 @@ OPTIONS:
     --workers W          worker threads, 0 = one per core (default: 0)
     --seed S             base seed (default: 1)
     --max-steps N        step budget per stripe (default: 50000000)
-    --no-cache           disable the solo-admission cache
     --json PATH          write the JSON report (`-` for stdout,
                          the default)
     --progress every:N   print a status line to stderr every N events
@@ -1548,7 +1547,6 @@ struct ServeArgs {
     workers: usize,
     seed: u64,
     max_steps: u64,
-    cache: bool,
     json: String,
     every: u64,
     quiet: bool,
@@ -1567,7 +1565,6 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
         workers: 0,
         seed: 1,
         max_steps: 50_000_000,
-        cache: true,
         json: "-".into(),
         every: 0,
         quiet: false,
@@ -1599,7 +1596,6 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
             "--max-steps" => {
                 args.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
             }
-            "--no-cache" => args.cache = false,
             "--json" => args.json = value()?,
             "--progress" => args.every = parse_progress(&value()?)?,
             "--quiet" => args.quiet = true,
@@ -1647,7 +1643,6 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
         deadline: args.deadline,
         seed: args.seed,
         max_steps: args.max_steps,
-        cache: args.cache,
         progress: args.every,
     };
     let start = std::time::Instant::now();
@@ -1668,13 +1663,11 @@ fn run_serve(argv: &[String]) -> Result<(), String> {
             report.arrivals,
         );
         eprintln!(
-            "  {} steps in {:.1} ms wall ({:.0} requests/s, {:.0} steps/s) | cache {} hits / {} misses",
+            "  {} steps in {:.1} ms wall ({:.0} requests/s, {:.0} steps/s)",
             report.steps,
             elapsed * 1e3,
             rate(report.completed),
             rate(report.steps),
-            report.cache_hits,
-            report.cache_misses,
         );
         eprintln!(
             "  latency ticks p50 {} p90 {} p99 {} p999 {} | throughput {:.4}/tick | abandonment {:.4}",

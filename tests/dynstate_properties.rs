@@ -90,8 +90,7 @@ proptest! {
         for step in 0..cut {
             let ctx = SchedContext { step, target_passages: 1, views: table.views() };
             let Some(p) = sched.pick(&ctx) else { break };
-            let done = sys.step(p);
-            table.apply(&sys, 1, &done);
+            table.step(&mut sys, p);
             picks.push(p);
         }
 

@@ -90,9 +90,6 @@ fn a_million_requests_stay_within_the_ring_and_lanes() {
         "peak queue {} exceeds the ring capacity 4",
         report.peak_queue
     );
-    // The solo stream is cache-friendly: the fast path must carry
-    // almost all of it.
-    assert!(report.cache_hits > report.cache_misses);
 }
 
 /// FNV-1a over 64 bits. Its output is fixed by its definition, so the
@@ -243,7 +240,6 @@ fn serve_outputs_match_their_pinned_digests() {
                             stripe: 256,
                             deadline,
                             seed: 11,
-                            cache: false,
                             ..ServeOptions::default()
                         },
                     );

@@ -13,7 +13,7 @@ use exclusion::cost::{all_costs, run_priced, run_priced_dyn, CostTracker};
 use exclusion::mutex::{AlgorithmRegistry, AnyAlgorithm};
 use exclusion::shmem::sched::run_scheduler;
 use exclusion::shmem::testing::fixtures;
-use exclusion::shmem::{Automaton, DynRef, ProcessId, RegisterId, System, ViewTable};
+use exclusion::shmem::{Automaton, DynRef, ProcessId, RegisterId, Section, System, ViewTable};
 use exclusion::workload::{SchedSpec, SchedulerRegistry};
 
 const MAX_STEPS: usize = fixtures::MAX_STEPS;
@@ -169,9 +169,7 @@ fn manual_tracker_feed_matches_run_priced() {
             views: table.views(),
         };
         let Some(p) = sched.pick(&ctx) else { break };
-        let done = sys.step(p);
-        table.apply(&sys, passages, &done);
-        tracker.observe(&done);
+        tracker.observe(&table.step(&mut sys, p));
     }
     let mut again = sched_entry.build(passages, 0);
     let priced = run_priced(&alg, again.as_mut(), passages, MAX_STEPS).expect("run");
@@ -182,44 +180,63 @@ fn manual_tracker_feed_matches_run_priced() {
 
 /// The incremental-view regression: during a greedy-adversary run of a
 /// real tournament lock **driven through the erased dyn path**, the
-/// driver's `ViewTable` equals a from-scratch rebuild after every
-/// single step.
+/// driver's `ViewTable` equals a from-scratch rebuild with the same
+/// targets after every single step — with and without previews, while
+/// targets move during the first thousand steps: every 37 steps one
+/// process gets a passage more, or, if it sits in its remainder
+/// section, retires early.
 #[test]
 fn incremental_views_equal_fresh_views_during_adversarial_dyn_runs() {
     for alg_name in ["dekker-tree", "burns-lynch", "mcs-sim"] {
-        let n = 5;
-        let passages = 2;
-        let handle = AlgorithmRegistry::global()
-            .resolve_str(alg_name, n)
-            .expect("known")
-            .automaton;
-        let alg = DynRef(handle.as_ref());
-        let sched_entry = SchedulerRegistry::global()
-            .resolve_str("greedy", n)
-            .expect("known policy");
-        let mut sched = sched_entry.build(passages, 0);
-        let previews = sched.wants_step_previews();
-        let mut sys = System::new(&alg);
-        let mut table = ViewTable::new(&sys, passages, previews);
-        let mut finished = false;
-        for step in 0..100_000 {
-            assert_eq!(
-                table.views(),
-                ViewTable::new(&sys, passages, previews).views(),
-                "{alg_name} step {step}"
-            );
-            let ctx = exclusion::shmem::SchedContext {
-                step,
-                target_passages: passages,
-                views: table.views(),
-            };
-            let Some(p) = sched.pick(&ctx) else {
-                finished = true;
-                break;
-            };
-            let done = sys.step(p);
-            table.apply(&sys, passages, &done);
+        for previews in [true, false] {
+            let n = 5;
+            let handle = AlgorithmRegistry::global()
+                .resolve_str(alg_name, n)
+                .expect("known")
+                .automaton;
+            let alg = DynRef(handle.as_ref());
+            let mut sched = SchedulerRegistry::global()
+                .resolve_str("greedy", n)
+                .expect("known policy")
+                .build(2, 0);
+            let mut targets = vec![2; n];
+            let mut sys = System::new(&alg);
+            let mut table = ViewTable::new(&sys, 2, previews);
+            let mut finished = false;
+            for step in 0..100_000 {
+                if step < 1_000 && step % 37 == 36 {
+                    let k = step / 37;
+                    let q = ProcessId::new(k % n);
+                    targets[q.index()] = if k % 2 == 0 {
+                        targets[q.index()] + 1
+                    } else if sys.section(q) == Section::Remainder {
+                        sys.passages(q)
+                    } else {
+                        targets[q.index()]
+                    };
+                    table.set_target(q, targets[q.index()]);
+                }
+                let mut fresh = ViewTable::new(&sys, 0, previews);
+                for q in ProcessId::all(n) {
+                    fresh.set_target(q, targets[q.index()]);
+                }
+                assert_eq!(
+                    table.views(),
+                    fresh.views(),
+                    "{alg_name} previews={previews} step {step}"
+                );
+                let ctx = exclusion::shmem::SchedContext {
+                    step,
+                    target_passages: 2,
+                    views: table.views(),
+                };
+                let Some(p) = sched.pick(&ctx) else {
+                    finished = true;
+                    break;
+                };
+                table.step(&mut sys, p);
+            }
+            assert!(finished, "{alg_name}: run did not terminate");
         }
-        assert!(finished, "{alg_name}: run did not terminate");
     }
 }
