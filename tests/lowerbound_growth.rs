@@ -14,13 +14,18 @@
 //! their curves are *supposed* to stay linear. The dominance check
 //! still covers them: whatever an algorithm's growth class, the
 //! adversary must never report less than its own greedy member.
+//!
+//! The whole output of every game on the grid, and of the crash games
+//! of the recoverable locks, is also pinned by digest.
 
 use std::sync::OnceLock;
 
 use exclusion::bound::{
-    force_curve, register_only, BoundConfig, BoundCurve, ForcedRun, MODELS, SC,
+    force_crash_curve, force_curve, register_only, BoundConfig, BoundCurve, CrashForcedRun,
+    ForcedRun, MODELS, SC,
 };
 use exclusion::mutex::registry::AlgorithmRegistry;
+use exclusion::shmem::{RmwOp, Step};
 
 /// The growth grid the satellite pins.
 const GRID: [usize; 4] = [8, 16, 32, 64];
@@ -171,4 +176,285 @@ fn sc_fit_coefficients_are_pinned() {
         // grid) is the floor.
         assert!(fit.r2 > 0.85, "{name}: r² = {:.3}", fit.r2);
     }
+}
+
+/// FNV-1a over 64 bits. Its output is fixed by its definition, so the
+/// pins below hold on every Rust release (`DefaultHasher`'s do not).
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn bytes(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    fn u64(&mut self, x: u64) {
+        self.bytes(&x.to_le_bytes());
+    }
+
+    fn str(&mut self, s: &str) {
+        self.u64(s.len() as u64);
+        self.bytes(s.as_bytes());
+    }
+
+    fn costs(&mut self, costs: &[usize]) {
+        for &c in costs {
+            self.u64(c as u64);
+        }
+    }
+
+    fn step(&mut self, s: &Step) {
+        self.u64(s.pid().index() as u64);
+        match *s {
+            Step::Read { reg, .. } => {
+                self.u64(1);
+                self.u64(reg.index() as u64);
+            }
+            Step::Write { reg, value, .. } => {
+                self.u64(2);
+                self.u64(reg.index() as u64);
+                self.u64(value);
+            }
+            Step::Rmw { reg, op, .. } => {
+                self.u64(3);
+                self.u64(reg.index() as u64);
+                let words = match op {
+                    RmwOp::Swap(v) => [0, v, 0],
+                    RmwOp::CompareAndSwap { expect, new } => [1, expect, new],
+                    RmwOp::FetchAdd(v) => [2, v, 0],
+                };
+                for w in words {
+                    self.u64(w);
+                }
+            }
+            Step::Crit { kind, .. } => {
+                self.u64(4);
+                self.u64(kind as u64);
+            }
+            Step::Crash { .. } => self.u64(5),
+        }
+    }
+}
+
+/// Everything one forced game reports: the forced, adaptive and greedy
+/// cost and the winner per model, the winning schedule and its length,
+/// and the strategy errors.
+fn forced_digest(run: &ForcedRun) -> u64 {
+    let mut h = Fnv::new();
+    h.costs(&[run.n, run.passages, run.steps]);
+    h.costs(&run.forced);
+    h.costs(&run.adaptive);
+    h.costs(&run.greedy);
+    for w in run.winner {
+        h.str(w);
+    }
+    h.u64(run.schedule.len() as u64);
+    for p in &run.schedule {
+        h.u64(p.index() as u64);
+    }
+    h.u64(run.errors.len() as u64);
+    for e in &run.errors {
+        h.str(e);
+    }
+    h.0
+}
+
+/// Everything one crash game reports, its witness step by step.
+fn crash_digest(run: &CrashForcedRun) -> u64 {
+    let mut h = Fnv::new();
+    h.costs(&[run.n, run.passages, run.budget, run.injected, run.steps]);
+    h.costs(&run.forced);
+    h.costs(&run.adaptive);
+    h.costs(&run.greedy);
+    for w in run.winner {
+        h.str(w);
+    }
+    h.u64(run.witness.len() as u64);
+    for s in &run.witness {
+        h.step(s);
+    }
+    h.u64(run.errors.len() as u64);
+    for e in &run.errors {
+        h.str(e);
+    }
+    h.0
+}
+
+/// One pinned digest per (algorithm, n) of the growth grid.
+#[rustfmt::skip]
+const PINNED_FORCED_DIGESTS: &[(&str, usize, u64)] = &[
+    ("dekker-tree", 8, 0xd1324c7798e39f51),
+    ("dekker-tree", 16, 0x7fdbfd2db002bcad),
+    ("dekker-tree", 32, 0x74cc8c124b18a72d),
+    ("dekker-tree", 64, 0xda14f93b09779310),
+    ("peterson", 8, 0x3df8a908e743aa8a),
+    ("peterson", 16, 0xa91f1401dd1e1201),
+    ("peterson", 32, 0xf92ec2667244bf2b),
+    ("peterson", 64, 0xd9d9ee7e49fdd8e2),
+    ("bakery", 8, 0xc02303158889ad23),
+    ("bakery", 16, 0x26be34067d7bae42),
+    ("bakery", 32, 0x6706ae89ff3b1eeb),
+    ("bakery", 64, 0x767b973fed98a10b),
+    ("filter", 8, 0xef6aa6e5fccd316e),
+    ("filter", 16, 0x434745e6f8a1a9e5),
+    ("filter", 32, 0x2c7f978f8abaee79),
+    ("filter", 64, 0xe0c37a18f3e7fbe6),
+    ("dijkstra", 8, 0x073edabad6f32fc5),
+    ("dijkstra", 16, 0xfa1c561f5c8c35d0),
+    ("dijkstra", 32, 0x6caf927ded4c8340),
+    ("dijkstra", 64, 0x0d0c06db741d8eae),
+    ("burns-lynch", 8, 0x5a7a5ad7537c2347),
+    ("burns-lynch", 16, 0xda7be50cbaca38d3),
+    ("burns-lynch", 32, 0xc4a9bc93bd5a2eb6),
+    ("burns-lynch", 64, 0x57aba7a620a9f380),
+    ("tas-sim", 8, 0x86b961e8e3596a1b),
+    ("tas-sim", 16, 0x4e7a60446ea377ee),
+    ("tas-sim", 32, 0xc1778d64fc19595e),
+    ("tas-sim", 64, 0x0924e866eafc010e),
+    ("ttas-sim", 8, 0x9c8856f7033c842d),
+    ("ttas-sim", 16, 0xb7c304c8289961ef),
+    ("ttas-sim", 32, 0x37853169a642563b),
+    ("ttas-sim", 64, 0x6b2a3f195ce481af),
+    ("ticket-sim", 8, 0x7191ed1f106eef13),
+    ("ticket-sim", 16, 0x2a4573866cdff85e),
+    ("ticket-sim", 32, 0x25d64d6c3def8a1e),
+    ("ticket-sim", 64, 0x0035323e772b732e),
+    ("clh-sim", 8, 0xdad6797a27a50ceb),
+    ("clh-sim", 16, 0xdedfe60430da652e),
+    ("clh-sim", 32, 0x41e9adf8a4400bae),
+    ("clh-sim", 64, 0xbe55248af95859e1),
+    ("mcs-sim", 8, 0xe8a5c96418f58843),
+    ("mcs-sim", 16, 0xadbba3480f72f3b7),
+    ("mcs-sim", 32, 0x722cf1596b65a4eb),
+    ("mcs-sim", 64, 0xd8f13c71fc598260),
+    ("mcs", 8, 0xefab2a9378041393),
+    ("mcs", 16, 0x74060823dcbf2a97),
+    ("mcs", 32, 0x7a751116d794c2ab),
+    ("mcs", 64, 0x10a130baa7c4c08f),
+    ("clh", 8, 0xdad6797a27a50ceb),
+    ("clh", 16, 0xdedfe60430da652e),
+    ("clh", 32, 0x41e9adf8a4400bae),
+    ("clh", 64, 0xbe55248af95859e1),
+    ("ticket", 8, 0x7191ed1f106eef13),
+    ("ticket", 16, 0x2a4573866cdff85e),
+    ("ticket", 32, 0x25d64d6c3def8a1e),
+    ("ticket", 64, 0x0035323e772b732e),
+    ("rpeterson", 8, 0x3df8a908e743aa8a),
+    ("rpeterson", 16, 0xa91f1401dd1e1201),
+    ("rpeterson", 32, 0xf92ec2667244bf2b),
+    ("rpeterson", 64, 0xd9d9ee7e49fdd8e2),
+    ("rtas", 8, 0x86b961e8e3596a1b),
+    ("rtas", 16, 0x4e7a60446ea377ee),
+    ("rtas", 32, 0xc1778d64fc19595e),
+    ("rtas", 64, 0x0924e866eafc010e),
+    ("broken-recover", 8, 0x86b961e8e3596a1b),
+    ("broken-recover", 16, 0x4e7a60446ea377ee),
+    ("broken-recover", 32, 0xc1778d64fc19595e),
+    ("broken-recover", 64, 0x0924e866eafc010e),
+];
+
+/// The forced games above, replayed from the shared curves: every
+/// cost, winner, step count and schedule is pinned.
+#[test]
+fn forced_outputs_match_their_pinned_digests() {
+    let got: Vec<(&str, usize, u64)> = curves()
+        .iter()
+        .flat_map(|c| {
+            c.cells
+                .iter()
+                .map(|cell| (c.algorithm.as_str(), cell.n, forced_digest(cell)))
+        })
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(alg, n, d)| format!("    (\"{alg}\", {n}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        got == PINNED_FORCED_DIGESTS,
+        "force output changed; digests now:\n{table}"
+    );
+}
+
+/// One pinned digest per (recoverable lock, n, crash budget).
+#[rustfmt::skip]
+const PINNED_CRASH_DIGESTS: &[(&str, usize, usize, u64)] = &[
+    ("rpeterson", 2, 0, 0x8716af5c6926c473),
+    ("rpeterson", 4, 0, 0xf72bb24764ce7321),
+    ("rpeterson", 8, 0, 0xc4ef1b59f955ed9e),
+    ("rpeterson", 16, 0, 0x6be529496a9b80ac),
+    ("rpeterson", 2, 1, 0xaea7513e6aa025a9),
+    ("rpeterson", 4, 1, 0x14d57c120e635872),
+    ("rpeterson", 8, 1, 0xa3f4f79f11cde9ee),
+    ("rpeterson", 16, 1, 0x45486310019c680f),
+    ("rpeterson", 2, 2, 0x3dc17e061609bf57),
+    ("rpeterson", 4, 2, 0xf2876f1bfe992a59),
+    ("rpeterson", 8, 2, 0xe5e60d0b9da5610a),
+    ("rpeterson", 16, 2, 0xc0c40bed1ec44481),
+    ("rtas", 2, 0, 0x58e86b343ea43781),
+    ("rtas", 4, 0, 0xf162e66702d24fe8),
+    ("rtas", 8, 0, 0xe6020f2bb38895b0),
+    ("rtas", 16, 0, 0x0d28f4ec84a913ea),
+    ("rtas", 2, 1, 0x23af025dcbb2d256),
+    ("rtas", 4, 1, 0x5eadf03893c90099),
+    ("rtas", 8, 1, 0x6822ec8a6f3b624d),
+    ("rtas", 16, 1, 0x5abe412e25096447),
+    ("rtas", 2, 2, 0xe0d0d838e387889a),
+    ("rtas", 4, 2, 0x6cfd581122f52317),
+    ("rtas", 8, 2, 0x90f8f2a81f332b77),
+    ("rtas", 16, 2, 0xd1ad5450cdbb073d),
+    ("broken-recover", 2, 0, 0x58e86b343ea43781),
+    ("broken-recover", 4, 0, 0xf162e66702d24fe8),
+    ("broken-recover", 8, 0, 0xe6020f2bb38895b0),
+    ("broken-recover", 16, 0, 0x0d28f4ec84a913ea),
+    ("broken-recover", 2, 1, 0xcbc255189f932c56),
+    ("broken-recover", 4, 1, 0x757f6da26ba3a17b),
+    ("broken-recover", 8, 1, 0xd04086984d37220b),
+    ("broken-recover", 16, 1, 0xea765a91aeef5181),
+    ("broken-recover", 2, 2, 0xe1bdf154c5092dbb),
+    ("broken-recover", 4, 2, 0xd479234d57ed1c26),
+    ("broken-recover", 8, 2, 0x9d68c46096c9f906),
+    ("broken-recover", 16, 2, 0xa09a623183850a14),
+];
+
+/// The crash games of the recoverable locks (the planted
+/// `broken-recover` included) over n ∈ {2, 4, 8, 16} and budgets
+/// k ∈ {0, 1, 2}: injected crashes, both RMR columns, winners and the
+/// witness, step by step, are pinned.
+#[test]
+fn crash_forced_outputs_match_their_pinned_digests() {
+    let registry = AlgorithmRegistry::global();
+    let mut got: Vec<(String, usize, usize, u64)> = Vec::new();
+    for name in ["rpeterson", "rtas", "broken-recover"] {
+        let curve = force_crash_curve(
+            registry,
+            name,
+            &[2, 4, 8, 16],
+            &[0, 1, 2],
+            &BoundConfig::default(),
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for row in &curve.rows {
+            for cell in &row.cells {
+                got.push((name.to_string(), cell.n, row.budget, crash_digest(cell)));
+            }
+        }
+    }
+    let table: String = got
+        .iter()
+        .map(|(alg, n, k, d)| format!("    (\"{alg}\", {n}, {k}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        got.len() == PINNED_CRASH_DIGESTS.len()
+            && got
+                .iter()
+                .zip(PINNED_CRASH_DIGESTS)
+                .all(|(a, b)| a.0 == b.0 && a.1 == b.1 && a.2 == b.2 && a.3 == b.3),
+        "crash-game output changed; digests now:\n{table}"
+    );
 }
