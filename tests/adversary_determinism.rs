@@ -23,7 +23,7 @@ const ALGORITHMS: [&str; 8] = [
     "burns-lynch",
     "tas-sim",
     "ttas-sim",
-    "ticket-sim",
+    "ticket",
 ];
 
 proptest! {

@@ -8,7 +8,7 @@ use exclusion::serve::{serve, ServeJob, ServeOptions};
 use proptest::prelude::*;
 
 /// Registry algorithms cheap enough for a property grid.
-const ALGORITHMS: [&str; 4] = ["peterson", "dekker-tree", "tas-sim", "ticket-sim"];
+const ALGORITHMS: [&str; 4] = ["peterson", "dekker-tree", "tas-sim", "ticket"];
 
 /// One spec per arrival-model family, parameters picked to exercise
 /// idle gaps, saturation, and everything between.
@@ -202,12 +202,12 @@ const PINNED_SERVE_DIGESTS: [(&str, &str, [u64; 3]); 24] = [
     ("tas-sim", "poisson:rate=0.02", [0xa94a3dfbfe9d84ad, 0x74646b64d3fa281c, 0x827f185729ce19cb]),
     ("tas-sim", "bursty:size=3,gap=7", [0x32c6280145a8862a, 0x837ccc3a03475121, 0x1ecd33fab908b32d]),
     ("tas-sim", "diurnal:period=512,peak=0.5,trough=0.01", [0xa1c39270bc376ac9, 0x6f1e6d65620244fe, 0xefe4fe19088d4a08]),
-    ("ticket-sim", "steady:gap=3", [0x1da9fed57c8af72a, 0x816e46236843b802, 0x5b26c6eb4913ac7e]),
-    ("ticket-sim", "steady:gap=64", [0x6232950288400222, 0x3fe3623283704e41, 0x68d189042e03b3ba]),
-    ("ticket-sim", "poisson:rate=0.3", [0x230142b73e437a1e, 0x9706a01bddee0797, 0x7c95eb9a3a8f5f12]),
-    ("ticket-sim", "poisson:rate=0.02", [0x9876fe51c27f64ad, 0x4fff9313babb9aa8, 0x18a43181ae94a4a1]),
-    ("ticket-sim", "bursty:size=3,gap=7", [0x7cd46f10624aad6b, 0xfa03fd6031e4b4b2, 0x351697695695ca3d]),
-    ("ticket-sim", "diurnal:period=512,peak=0.5,trough=0.01", [0xd602377e30e38d9f, 0x9fc477b35c9546ed, 0xe3d71c5fe15d9df4]),
+    ("ticket", "steady:gap=3", [0x39ac6e13a0e09215, 0x4b599c935a1769cc, 0x8bda49fc56764c94]),
+    ("ticket", "steady:gap=64", [0x267e7328585d1c23, 0x5ffe42d40bef8cb7, 0x6cad765f074951e5]),
+    ("ticket", "poisson:rate=0.3", [0xef944adbe0efbe36, 0x4f5b6d014d21b2c5, 0x447c954a889154be]),
+    ("ticket", "poisson:rate=0.02", [0xbe87a38f29d0961a, 0x9fc6548cc6ebb3d6, 0x7b15e6640f632833]),
+    ("ticket", "bursty:size=3,gap=7", [0x2a7a223aaed13ea3, 0xbf26f35b5222d6ef, 0xdd4d2ff2a0b99bc6]),
+    ("ticket", "diurnal:period=512,peak=0.5,trough=0.01", [0x445633e83673914f, 0x392bbad61f231b0c, 0x0f8feb289110acbf]),
 ];
 
 #[test]

@@ -33,13 +33,7 @@ use proptest::prelude::*;
 
 /// The registry entries declaring full process-permutation symmetry —
 /// the ones orbit reduction actually shrinks.
-const SYMMETRIC: [&str; 5] = [
-    "splitter",
-    "splitter-gate",
-    "tas-sim",
-    "ttas-sim",
-    "ticket-sim",
-];
+const SYMMETRIC: [&str; 5] = ["splitter", "splitter-gate", "tas-sim", "ttas-sim", "ticket"];
 
 fn cfg_with(f: impl FnOnce(&mut ExploreConfig)) -> ExploreConfig {
     let mut cfg = ExploreConfig::default();

@@ -32,7 +32,7 @@ const ALGORITHMS: [&str; 8] = [
     "burns-lynch",
     "tas-sim",
     "ttas-sim",
-    "ticket-sim",
+    "ticket",
 ];
 
 /// Over the full registry × scheduler fixture grid: pricing a run with
