@@ -328,6 +328,10 @@ OPTIONS:
 The table's `ms` column is each row's wall time (certification plus the
 worst-case search); `states/s` is the certification pass's rate alone.
 Neither is in the JSON report, which stays byte-comparable across runs.
+The `greedy` column is the greedy adversary's cost, the incumbent the
+exact worst case must dominate; for locks that disclaim deadlock-freedom
+(the splitter locks), whose greedy runs never complete, that run stops
+after 100000 steps and reports 0.
 
 Exit status is nonzero when any explored algorithm other than `broken`
 fails certification, or when `broken` is explored and NOT caught.
@@ -349,6 +353,12 @@ impl Probe for CertifyClock {
         }
     }
 }
+
+/// Step budget of the greedy incumbent for entries whose metadata
+/// disclaims deadlock-freedom. The greedy adversary can strand every
+/// process of such a lock, and the run would then spend the whole
+/// default budget only to report a cost of 0.
+const STRANDABLE_INCUMBENT_STEPS: usize = 100_000;
 
 struct ExploreArgs {
     algs: Vec<String>,
@@ -470,14 +480,22 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
             .resolve_str(spec, args.n)
             .map_err(|e| e.to_string())?;
         let alg = resolved.automaton;
+        let cfg = if resolved.deadlock_free {
+            args.cfg
+        } else {
+            ExploreConfig {
+                max_steps: args.cfg.max_steps.min(STRANDABLE_INCUMBENT_STEPS),
+                ..args.cfg
+            }
+        };
         // `analyze` shares one graph between certification and the SC
         // worst-case search; `--no-worst` skips the search entirely.
         let start = std::time::Instant::now();
         let mut clock = CertifyClock(0);
         let (report, worst) = if args.no_worst {
-            (explore_probed(alg.as_ref(), &args.cfg, &mut clock), None)
+            (explore_probed(alg.as_ref(), &cfg, &mut clock), None)
         } else {
-            analyze_probed(alg.as_ref(), args.model, &args.cfg, &mut clock)
+            analyze_probed(alg.as_ref(), args.model, &cfg, &mut clock)
         };
         let row_ms = start.elapsed().as_secs_f64() * 1e3;
         let states_per_s = report.states as f64 / (clock.0 as f64 / 1e9).max(1e-9);
