@@ -12,9 +12,9 @@ use exclusion_lb::{
     construct, encode, log2_factorial, run_pipeline, verify_counting, ConstructConfig, Permutation,
     PipelineError,
 };
-use exclusion_mutex::AnyAlgorithm;
+use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, ResolvedAlgorithm};
 use exclusion_shmem::sched::{run_random, run_sequential};
-use exclusion_shmem::{Automaton, ProcessId};
+use exclusion_shmem::{Automaton, DynRef, ProcessId};
 use exclusion_spin::harness::all_locks;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -25,13 +25,22 @@ use crate::table::{f1, f2, Table};
 /// reproducible run to run.
 pub const SEED: u64 = 0x5eed_2006;
 
-/// Algorithms exercised at size `n`, with the cubic-cost filter lock
-/// capped at n ≤ 64 to keep runtimes sane.
-fn algorithms(n: usize) -> Vec<AnyAlgorithm> {
-    AnyAlgorithm::suite(n)
+/// The paper's locks (registry entries that are register-only,
+/// deadlock-free and not crash-recoverable) at size `n`, in report
+/// order, with the cubic-cost filter lock capped at n ≤ 64 to keep
+/// runtimes sane.
+fn algorithms(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global()
+        .resolve_where(n, AlgorithmInfo::paper_lock)
         .into_iter()
-        .filter(|a| n <= 64 || a.name() != "filter")
+        .filter(|r| n <= 64 || r.label != "filter")
         .collect()
+}
+
+/// The paper's locks followed by the RMW locks: every registry entry
+/// that completes its runs and is not crash-recoverable.
+fn full_suite(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().resolve_where(n, |i| i.deadlock_free && !i.recoverable)
 }
 
 /// Identity, reversal, and `k` seeded-random permutations.
@@ -72,7 +81,8 @@ pub fn e1_lower_bound_shape(quick: bool) -> Table {
     };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n) {
+            let alg = DynRef(r.automaton.as_ref());
             let perms = sample_perms(n, samples);
             let costs: Vec<usize> = perms
                 .iter()
@@ -129,7 +139,8 @@ pub fn e2_encoding_efficiency(quick: bool) -> Table {
     };
     let samples = if quick { 2 } else { 8 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n) {
+            let alg = DynRef(r.automaton.as_ref());
             let mut max_bits = 0usize;
             let mut sum_bits = 0usize;
             let mut max_k: f64 = 0.0;
@@ -175,7 +186,8 @@ pub fn e3_pipeline_verification(quick: bool) -> Table {
     let sizes: &[usize] = if quick { &[3] } else { &[3, 5, 8, 12] };
     let samples = if quick { 2 } else { 6 };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n) {
+            let alg = DynRef(r.automaton.as_ref());
             let perms = sample_perms(n, samples);
             let mut pass = 0;
             let mut fail = 0;
@@ -221,7 +233,8 @@ pub fn e4_cost_invariance(quick: bool) -> Table {
     );
     let n = if quick { 4 } else { 6 };
     let seeds = if quick { 4 } else { 16 };
-    for alg in algorithms(n) {
+    for r in algorithms(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let perms = sample_perms(n, 3);
         let mut distinct_max = 0usize;
         for pi in &perms {
@@ -272,7 +285,8 @@ pub fn e5_counting(quick: bool) -> Table {
     );
     let sizes: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4, 5] };
     for &n in sizes {
-        for alg in algorithms(n) {
+        for r in algorithms(n) {
+            let alg = DynRef(r.automaton.as_ref());
             let r = verify_counting(&alg, &ConstructConfig::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
             t.push_row(vec![
@@ -352,7 +366,8 @@ pub fn e7_cost_models(quick: bool) -> Table {
         &["algorithm", "n", "steps", "SC", "CC", "DSM"],
     );
     let order: Vec<_> = ProcessId::all(n).collect();
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in full_suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         if alg.name() == "filter" && n > 16 {
             continue;
         }
@@ -389,7 +404,8 @@ pub fn e8_contended_rmr(quick: bool) -> Table {
     let seeds = if quick { 2 } else { 6 };
     let passages = 3usize;
     for &n in sizes {
-        for alg in AnyAlgorithm::full_suite(n) {
+        for r in full_suite(n) {
+            let alg = DynRef(r.automaton.as_ref());
             if alg.name() == "filter" && n > 16 {
                 continue;
             }
@@ -507,7 +523,8 @@ pub fn e10a_encoding_ablation(quick: bool) -> Table {
         &["algorithm", "n", "γ bits", "fixed bits", "fixed/γ"],
     );
     let n = if quick { 4 } else { 8 };
-    for alg in algorithms(n) {
+    for r in algorithms(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::reversed(n);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let enc = encode(&c);
@@ -546,7 +563,8 @@ pub fn e10b_remedy_ablation(quick: bool) -> Table {
         sr_preread_remedy: false,
         ..ConstructConfig::default()
     };
-    for alg in algorithms(n) {
+    for r in algorithms(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let mut pass_on = 0usize;
         let mut pass_off = 0usize;
         let mut total = 0usize;
@@ -601,7 +619,8 @@ pub fn e11_fairness(quick: bool) -> Table {
     let n = if quick { 3 } else { 8 };
     let passages = 4usize;
     let seeds: u64 = if quick { 2 } else { 6 };
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in full_suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         if alg.name() == "filter" && n > 16 {
             continue;
         }
@@ -656,7 +675,8 @@ pub fn e12_anatomy(quick: bool) -> Table {
         ],
     );
     let n = if quick { 4 } else { 12 };
-    for alg in algorithms(n) {
+    for r in algorithms(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::reversed(n);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let s = c.stats();
@@ -739,9 +759,9 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
     ];
     let scenarios: Vec<Scenario> = algorithms(n)
         .iter()
-        .flat_map(|alg| {
+        .flat_map(|r| {
             patterns.iter().map(|sched| {
-                Scenario::builder(alg.name(), n)
+                Scenario::builder(r.label.as_str(), n)
                     .passages(passages)
                     .sched(sched.clone())
                     .seeds(1..=seeds)
@@ -883,10 +903,13 @@ mod tests {
     #[test]
     fn e11_fifo_locks_do_not_overtake() {
         let t = e11_fairness(true);
-        for row in t.rows() {
-            if ["ticket-sim", "clh-sim", "mcs-sim"].contains(&row[0].as_str()) {
-                assert_eq!(row[3], "0", "{row:?}");
-            }
+        for lock in ["ticket", "clh", "mcs", "mcs-sim"] {
+            let row = t
+                .rows()
+                .iter()
+                .find(|row| row[0] == lock)
+                .unwrap_or_else(|| panic!("e11 has no {lock} row"));
+            assert_eq!(row[3], "0", "{row:?}");
         }
     }
 

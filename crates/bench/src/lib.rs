@@ -2,15 +2,13 @@
 //! function in [`experiments`], and `cargo run -p exclusion-bench
 //! --bin tables` prints them all. The `bench_sweep` binary (module
 //! [`sweepbench`]) times the streaming pricing engine against the
-//! record+replay one and emits `BENCH_sweep.json`; the `bench_dispatch`
-//! binary (module [`dispatchbench`]) times the registry's erased-state
-//! dyn path against the monomorphized enum path and emits
-//! `BENCH_dispatch.json`; the `bench_explore` binary (module
-//! [`explorebench`]) computes the exact worst-case cost tables for
-//! small `n` and emits `BENCH_explore.json`; the `bench_bound` binary
-//! (module [`boundbench`]) plays the adaptive lower-bound adversary
-//! against the greedy baseline across the forced-cost grid and emits
-//! `BENCH_bound.json`; the `bench_trace` binary (module [`tracebench`])
+//! record+replay one and emits `BENCH_sweep.json`; the `bench_explore`
+//! binary (module [`explorebench`]) computes the exact worst-case cost
+//! tables for small `n` and emits `BENCH_explore.json`; the
+//! `bench_bound` binary (module [`boundbench`]) plays the adaptive
+//! lower-bound adversary against the greedy baseline across the
+//! forced-cost grid and emits `BENCH_bound.json`; the `bench_trace`
+//! binary (module [`tracebench`])
 //! times the streaming pricer with the probe absent, disabled and
 //! collecting, gates the overhead, and emits `BENCH_trace.json`; the
 //! `bench_crash` binary (module [`crashbench`]) plays the crash-budget
@@ -34,7 +32,6 @@
 
 pub mod boundbench;
 pub mod crashbench;
-pub mod dispatchbench;
 pub mod experiments;
 pub mod explorebench;
 pub mod hwbench;

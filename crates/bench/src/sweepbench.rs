@@ -12,8 +12,8 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use exclusion_cost::all_costs;
-use exclusion_mutex::AnyAlgorithm;
-use exclusion_shmem::{Execution, ProcessId, ProcessView, SchedContext, System};
+use exclusion_mutex::AlgorithmRegistry;
+use exclusion_shmem::{DynRef, Execution, ProcessId, ProcessView, SchedContext, System};
 use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions, SweepReport};
 
 /// Schema tag stamped into `BENCH_sweep.json`.
@@ -78,8 +78,10 @@ type BaselineTotals = (usize, usize, usize, usize);
 /// process per step — the execution is recorded in full, and the three
 /// cost models are computed by three more replays.
 fn baseline_run_one(scenario: &Scenario, seed: u64) -> Result<BaselineTotals, String> {
-    let alg = AnyAlgorithm::by_name(&scenario.algorithm, scenario.n)
-        .ok_or_else(|| format!("unknown algorithm `{}`", scenario.algorithm))?;
+    let resolved = AlgorithmRegistry::global()
+        .resolve_str(&scenario.algorithm, scenario.n)
+        .map_err(|e| e.to_string())?;
+    let alg = DynRef(resolved.automaton.as_ref());
     let mut sched = scenario.build_scheduler(seed);
     let previews = sched.wants_step_previews();
     let passages = scenario.passages;

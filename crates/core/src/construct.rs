@@ -611,9 +611,10 @@ fn new_read(c: &mut Construction, reg: RegisterId, read: Step) -> MetastepId {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_mutex::{AnyAlgorithm, Bakery, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
     use exclusion_shmem::testing::Alternator;
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     #[test]
     fn dekker_identity_construction_succeeds() {
@@ -638,7 +639,8 @@ mod tests {
 
     #[test]
     fn whole_suite_constructs_for_assorted_permutations() {
-        for alg in AnyAlgorithm::suite(5) {
+        for r in AlgorithmRegistry::global().resolve_where(5, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for pi in [
                 Permutation::identity(5),
                 Permutation::reversed(5),
@@ -850,7 +852,8 @@ mod tests {
         // The real algorithms' busy-waits are always released by an
         // already-constructed state-changing write, so the completion's
         // precondition never arises for them (reported in E10b).
-        for alg in AnyAlgorithm::suite(5) {
+        for r in AlgorithmRegistry::global().resolve_where(5, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 60, 119] {
                 let pi = Permutation::unrank(5, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();

@@ -254,12 +254,14 @@ mod tests {
     use crate::construct::{construct, ConstructConfig};
     use crate::encode::encode;
     use crate::perm::Permutation;
-    use exclusion_mutex::{AnyAlgorithm, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     #[test]
     fn decode_reproduces_a_linearization_for_the_whole_suite() {
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().resolve_where(4, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 5, 13, 23] {
                 let pi = Permutation::unrank(4, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default())

@@ -253,8 +253,9 @@ mod tests {
     use super::*;
     use crate::construct::{construct, ConstructConfig};
     use crate::perm::Permutation;
-    use exclusion_mutex::{AnyAlgorithm, Bakery, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     fn build_encoding(n: usize, rank: u64) -> (Construction, Encoding) {
         let alg = DekkerTournament::new(n);
@@ -300,7 +301,8 @@ mod tests {
 
     #[test]
     fn bit_roundtrip_for_whole_suite() {
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().resolve_where(4, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             let pi = Permutation::unrank(4, 19);
             let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
             let e = encode(&c);
@@ -324,7 +326,8 @@ mod tests {
         // contributes at most ~8 bits with our tags (3-bit tag + γ
         // codes amortized against the steps they count), plus 16 bits
         // per process for the cost-free critical cells and terminator.
-        for alg in AnyAlgorithm::suite(5) {
+        for r in AlgorithmRegistry::global().resolve_where(5, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 50, 100] {
                 let pi = Permutation::unrank(5, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();

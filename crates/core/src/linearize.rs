@@ -264,8 +264,9 @@ impl Construction {
 mod tests {
     use crate::construct::{construct, ConstructConfig};
     use crate::perm::Permutation;
-    use exclusion_mutex::{AnyAlgorithm, DekkerTournament};
+    use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
     use exclusion_shmem::Automaton;
+    use exclusion_shmem::DynRef;
 
     fn build(n: usize, rank: u64) -> (DekkerTournament, crate::Construction) {
         let alg = DekkerTournament::new(n);
@@ -294,7 +295,8 @@ mod tests {
     fn linearizations_replay_against_the_automaton() {
         // The deepest consistency check of the construction: the woven
         // execution really is an execution of the algorithm.
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().resolve_where(4, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 7, 23] {
                 let pi = Permutation::unrank(4, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default())
@@ -311,7 +313,8 @@ mod tests {
     #[test]
     fn linearizations_are_canonical_with_cs_order_pi() {
         // Theorem 5.5, experimentally.
-        for alg in AnyAlgorithm::suite(4) {
+        for r in AlgorithmRegistry::global().resolve_where(4, AlgorithmInfo::paper_lock) {
+            let alg = DynRef(r.automaton.as_ref());
             for rank in [0u64, 11, 23] {
                 let pi = Permutation::unrank(4, rank);
                 let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();

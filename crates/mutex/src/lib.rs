@@ -69,7 +69,6 @@ pub mod registry;
 pub mod rmw;
 pub mod splitter;
 pub mod stale_tournament;
-pub mod suite;
 pub mod tree;
 
 pub use bakery::Bakery;
@@ -85,4 +84,3 @@ pub use registry::{
 };
 pub use rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
 pub use splitter::Splitter;
-pub use suite::{AnyAlgorithm, AnyState};

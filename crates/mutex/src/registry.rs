@@ -2,20 +2,19 @@
 //! metadata, resolving specs like `"filter:levels=5"` into erased
 //! [`DynAutomaton`] handles.
 //!
-//! Where [`AnyAlgorithm`](crate::AnyAlgorithm) closed the family into a
-//! macro-generated enum — adding a lock meant editing the enum, the
-//! parser, the CLI and the tests in lockstep — a registry is a plain
-//! runtime value: downstream crates [`register`](AlgorithmRegistry::register)
-//! entries for their own [`Automaton`](exclusion_shmem::Automaton)s
-//! and every consumer (scenario
-//! builder, sweep runner, CLI listing, benchmarks) picks them up through
-//! the same [`resolve`](AlgorithmRegistry::resolve) call, no enum or
-//! match arm in sight.
+//! A registry is a plain runtime value: downstream crates
+//! [`register`](AlgorithmRegistry::register) entries for their own
+//! [`Automaton`](exclusion_shmem::Automaton)s and every consumer
+//! (scenario builder, sweep runner, CLI listing, experiments, tests)
+//! picks them up through the same
+//! [`resolve`](AlgorithmRegistry::resolve) call, no enum or match arm
+//! in sight. Consumers that iterate over a family select it by metadata
+//! ([`AlgorithmRegistry::resolve_where`]), so the paper's locks are
+//! [`AlgorithmInfo::paper_lock`] and a new entry joins every grid its
+//! metadata places it in.
 //!
 //! Resolution is also what the sweep hot loop uses, so it is cheap by
-//! construction: one hash lookup plus one constructor call — unlike the
-//! old `AnyAlgorithm::by_name`, which instantiated the entire suite per
-//! lookup (once per *run*).
+//! construction: one hash lookup plus one constructor call.
 //!
 //! # Example: registering a custom lock
 //!
@@ -112,6 +111,17 @@ pub struct AlgorithmInfo {
     pub params: Vec<ParamInfo>,
 }
 
+impl AlgorithmInfo {
+    /// Whether the entry is one of the locks the paper's Ω(n log n)
+    /// theorem is about: register-only, deadlock-free and not
+    /// crash-recoverable. In the standard registry these are
+    /// dekker-tree, peterson, bakery, filter, dijkstra and burns-lynch.
+    #[must_use]
+    pub fn paper_lock(&self) -> bool {
+        !self.uses_rmw && self.deadlock_free && !self.recoverable
+    }
+}
+
 type Resolver = dyn Fn(&Spec, usize) -> Result<DynAlgorithm, SpecError> + Send + Sync;
 
 /// One named constructor in an [`AlgorithmRegistry`].
@@ -199,12 +209,13 @@ impl AlgorithmRegistry {
         AlgorithmRegistry::default()
     }
 
-    /// The built-in suite: the six register-only algorithms of the
-    /// paper's model plus the two symmetric splitter locks, the five
-    /// RMW-based locks (in the stable report order
-    /// `AnyAlgorithm::full_suite` uses), and the three
-    /// crash-recoverable locks of [`crate::recover`] — including the
-    /// deliberately planted `broken-recover`.
+    /// The built-in suite, in report order: the six register-only
+    /// algorithms of the paper's model plus the two symmetric splitter
+    /// locks, the RMW-based locks (the simulated TAS, TTAS and MCS
+    /// locks of [`crate::rmw`], then the composed `mcs`, `clh` and
+    /// `ticket` of [`crate::queue`]), and the three crash-recoverable
+    /// locks of [`crate::recover`] — including the deliberately planted
+    /// `broken-recover`.
     #[must_use]
     pub fn standard() -> Self {
         fn plain<A>(
@@ -577,6 +588,36 @@ impl AlgorithmRegistry {
         })
     }
 
+    /// Resolves, by its bare name at `n` processes, every entry whose
+    /// metadata passes `keep`, in registration order. Entries that do
+    /// not resolve bare at `n` (below their `min_n` floor, or requiring
+    /// a parameter) are left out.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use exclusion_mutex::registry::{AlgorithmInfo, AlgorithmRegistry};
+    ///
+    /// let paper = AlgorithmRegistry::global().resolve_where(4, AlgorithmInfo::paper_lock);
+    /// let labels: Vec<_> = paper.iter().map(|r| r.label.as_str()).collect();
+    /// assert_eq!(
+    ///     labels,
+    ///     ["dekker-tree", "peterson", "bakery", "filter", "dijkstra", "burns-lynch"]
+    /// );
+    /// ```
+    #[must_use]
+    pub fn resolve_where(
+        &self,
+        n: usize,
+        keep: impl Fn(&AlgorithmInfo) -> bool,
+    ) -> Vec<ResolvedAlgorithm> {
+        self.entries
+            .iter()
+            .filter(|e| keep(&e.info))
+            .filter_map(|e| self.resolve_str(&e.info.name, n).ok())
+            .collect()
+    }
+
     /// Parses and resolves a spec string in one call.
     ///
     /// # Errors
@@ -591,7 +632,8 @@ impl AlgorithmRegistry {
 mod tests {
     use super::*;
     use exclusion_shmem::dynamic::DynRef;
-    use exclusion_shmem::sched::run_round_robin;
+    use exclusion_shmem::sched::{run_round_robin, run_sequential};
+    use exclusion_shmem::ProcessId;
 
     #[test]
     fn standard_registry_matches_the_suite_order() {
@@ -623,6 +665,20 @@ mod tests {
         assert_eq!(reg.entries().filter(|e| e.info().uses_rmw).count(), 10);
         assert_eq!(reg.entries().filter(|e| e.info().recoverable).count(), 3);
         assert_eq!(reg.entries().filter(|e| e.info().symmetric).count(), 6);
+    }
+
+    #[test]
+    fn paper_locks_complete_canonical_runs() {
+        let paper = AlgorithmRegistry::global().resolve_where(5, AlgorithmInfo::paper_lock);
+        assert_eq!(paper.len(), 6);
+        let order: Vec<_> = ProcessId::all(5).collect();
+        for r in &paper {
+            let alg = DynRef(r.automaton.as_ref());
+            let exec = run_sequential(&alg, &order, 100_000)
+                .unwrap_or_else(|e| panic!("{}: {e}", r.label));
+            assert!(exec.is_canonical(5), "{}", r.label);
+            assert_eq!(exec.critical_order(), order, "{}", r.label);
+        }
     }
 
     #[test]

@@ -565,16 +565,21 @@ fn unpack(v: Value) -> (Value, Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::{AlgorithmRegistry, ResolvedAlgorithm};
     use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
+    use exclusion_shmem::DynRef;
 
-    fn rmw_algorithms(n: usize) -> Vec<crate::AnyAlgorithm> {
-        crate::AnyAlgorithm::rmw_suite(n)
+    /// The registry's RMW locks that are not crash-recoverable: the
+    /// simulated locks of this module and the composed queue locks.
+    fn rmw_algorithms(n: usize) -> Vec<ResolvedAlgorithm> {
+        AlgorithmRegistry::global().resolve_where(n, |i| i.uses_rmw && !i.recoverable)
     }
 
     #[test]
     fn all_rmw_locks_complete_canonical_runs() {
-        for alg in rmw_algorithms(5) {
+        for r in rmw_algorithms(5) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(5).collect();
             let exec = run_sequential(&alg, &order, 100_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
@@ -585,7 +590,8 @@ mod tests {
 
     #[test]
     fn all_rmw_locks_are_safe_under_contention() {
-        for alg in rmw_algorithms(3) {
+        for r in rmw_algorithms(3) {
+            let alg = DynRef(r.automaton.as_ref());
             let exec = run_round_robin(&alg, 2, 1_000_000)
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
             assert!(exec.mutual_exclusion(3), "{}", alg.name());
@@ -599,7 +605,8 @@ mod tests {
 
     #[test]
     fn model_check_rmw_locks_n2() {
-        for alg in rmw_algorithms(2) {
+        for r in rmw_algorithms(2) {
+            let alg = DynRef(r.automaton.as_ref());
             let out = check_mutual_exclusion(
                 &alg,
                 CheckConfig {
@@ -619,7 +626,8 @@ mod tests {
 
     #[test]
     fn model_check_rmw_locks_n3_single_passage() {
-        for alg in rmw_algorithms(3) {
+        for r in rmw_algorithms(3) {
+            let alg = DynRef(r.automaton.as_ref());
             let out = check_mutual_exclusion(
                 &alg,
                 CheckConfig {
@@ -640,7 +648,8 @@ mod tests {
     fn rmw_canonical_cost_is_constant_per_passage() {
         // Queue and TAS locks acquire in O(1) accesses uncontended —
         // contrast with Θ(log n) tournaments and Θ(n) scanners.
-        for alg in rmw_algorithms(16) {
+        for r in rmw_algorithms(16) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(16).collect();
             let exec = run_sequential(&alg, &order, 100_000).unwrap();
             let per_passage = exec.shared_accesses() as f64 / 16.0;

@@ -2,8 +2,7 @@
 //! not known at compile time.
 //!
 //! [`Automaton`] has an associated `State` type, so it cannot be a trait
-//! object — which is why the runtime surface used to be a closed,
-//! macro-generated enum. This module opens it:
+//! object. This module erases it:
 //!
 //! * [`DynState`] — an erased process state. Small states pack into a
 //!   few `u64` words stored **inline** (no allocation, trivially
@@ -39,8 +38,7 @@
 //!    (pinned by `tests/streaming_equivalence.rs`);
 //! 3. a `DynState` belongs to the automaton that created it. Feeding a
 //!    state to a different automaton panics (boxed, on the downcast) or
-//!    produces garbage words (inline) — exactly like mixing `AnyState`s
-//!    across `AnyAlgorithm`s used to. Drivers never do this; the
+//!    produces garbage words (inline). Drivers never do this; the
 //!    contract only binds custom code that juggles several erased
 //!    algorithms at once.
 //!

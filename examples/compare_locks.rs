@@ -7,9 +7,15 @@
 //! ```
 
 use exclusion::cost::all_costs;
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmRegistry, ResolvedAlgorithm};
 use exclusion::shmem::sched::{run_random, run_sequential};
-use exclusion::shmem::{Automaton, ProcessId};
+use exclusion::shmem::{Automaton, DynRef, ProcessId};
+
+/// The paper's register-only locks, then the RMW locks: every registry
+/// entry that completes its runs and is not crash-recoverable.
+fn suite(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().resolve_where(n, |i| i.deadlock_free && !i.recoverable)
+}
 
 fn main() {
     let n: usize = std::env::args()
@@ -23,7 +29,8 @@ fn main() {
         "{:>14} {:>8} {:>8} {:>8} {:>8}",
         "algorithm", "steps", "SC", "CC", "DSM"
     );
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_sequential(&alg, &order, 10_000_000).expect("canonical run");
         let (sc, cc, dsm) = all_costs(&alg, &exec).expect("replay");
         println!(
@@ -41,7 +48,8 @@ fn main() {
         "{:>14} {:>12} {:>12} {:>14}",
         "algorithm", "SC/passage", "CC/passage", "max SC/process"
     );
-    for alg in AnyAlgorithm::full_suite(n) {
+    for r in suite(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let mut sc_sum = 0usize;
         let mut cc_sum = 0usize;
         let mut max_proc = 0usize;

@@ -10,8 +10,8 @@
 //! `filter`, `dijkstra`, `burns-lynch`.
 
 use exclusion::lb::{construct, encode, log2_factorial, ConstructConfig, Permutation};
-use exclusion::mutex::AnyAlgorithm;
-use exclusion::shmem::Automaton;
+use exclusion::mutex::AlgorithmRegistry;
+use exclusion::shmem::DynRef;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -19,21 +19,23 @@ fn main() {
     let wanted = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "dekker-tree".into());
+    let registry = AlgorithmRegistry::global();
+    if !registry.get(&wanted).is_some_and(|e| e.info().paper_lock()) {
+        eprintln!("unknown algorithm `{wanted}`");
+        std::process::exit(2);
+    }
     println!(
         "{:>4} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8}",
         "n", "min C", "avg C", "max C", "log2(n!)", "max bits", "bits/C"
     );
     for n in [2usize, 4, 8, 16, 32, 64] {
-        let Some(alg) = AnyAlgorithm::suite(n)
-            .into_iter()
-            .find(|a| a.name() == wanted)
-        else {
-            eprintln!("unknown algorithm `{wanted}`");
-            std::process::exit(2);
-        };
-        if alg.name() == "filter" && n > 16 {
+        if wanted == "filter" && n > 16 {
             continue; // cubic baseline gets slow beyond this
         }
+        let resolved = registry
+            .resolve_str(&wanted, n)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let alg = DynRef(resolved.automaton.as_ref());
         let mut rng = StdRng::seed_from_u64(7 * n as u64);
         let mut perms = vec![Permutation::identity(n), Permutation::reversed(n)];
         perms.extend((0..8).map(|_| Permutation::random(n, &mut rng)));

@@ -1,9 +1,9 @@
 //! Integration: cost-model relations across the suite.
 
 use exclusion::cost::{all_costs, cc_cost, dsm_cost, sc_cost};
-use exclusion::mutex::{AnyAlgorithm, Bakery, DekkerTournament, Filter};
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament, Filter};
 use exclusion::shmem::sched::{run_random, run_sequential};
-use exclusion::shmem::{Automaton, Execution, ProcessId};
+use exclusion::shmem::{Automaton, DynRef, Execution, ProcessId};
 
 fn canonical<A: Automaton>(alg: &A) -> Execution {
     let order: Vec<_> = ProcessId::all(alg.processes()).collect();
@@ -87,7 +87,8 @@ fn dsm_homes_reduce_cost_for_local_protocols() {
 
 #[test]
 fn per_process_budgets_are_consistent() {
-    for alg in AnyAlgorithm::suite(6) {
+    for r in AlgorithmRegistry::global().resolve_where(6, AlgorithmInfo::paper_lock) {
+        let alg = DynRef(r.automaton.as_ref());
         let exec = canonical(&alg);
         let sc = sc_cost(&alg, &exec).unwrap();
         let total: usize = ProcessId::all(6).map(|p| sc.process(p)).sum();

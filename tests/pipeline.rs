@@ -5,8 +5,8 @@ use exclusion::lb::{
     construct, decode, encode, run_pipeline, verify_counting, ConstructConfig, Encoding,
     Permutation,
 };
-use exclusion::mutex::{AnyAlgorithm, Bakery, DekkerTournament};
-use exclusion::shmem::Automaton;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
+use exclusion::shmem::{Automaton, DynRef};
 
 #[test]
 fn pipeline_dekker_n16() {
@@ -33,7 +33,8 @@ fn pipeline_bakery_n12() {
 
 #[test]
 fn whole_suite_pipeline_n8() {
-    for alg in AnyAlgorithm::suite(8) {
+    for r in AlgorithmRegistry::global().resolve_where(8, AlgorithmInfo::paper_lock) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(8, 4321);
         run_pipeline(&alg, &pi, &ConstructConfig::default(), 2)
             .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
@@ -55,7 +56,8 @@ fn counting_exhaustive_n5_dekker() {
 fn decode_from_bits_only_across_algorithms() {
     // Serialize the encoding, forget everything but the bytes and the
     // algorithm, and reconstruct α_π.
-    for alg in AnyAlgorithm::suite(6) {
+    for r in AlgorithmRegistry::global().resolve_where(6, AlgorithmInfo::paper_lock) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(6, 599);
         let c = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
         let (bytes, bits) = encode(&c).to_bits();

@@ -2,10 +2,28 @@
 //! itself — replay determinism, execution predicates, scheduler
 //! equivalences.
 
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, ResolvedAlgorithm};
 use exclusion::shmem::sched::{run_random, run_sequential, run_with};
-use exclusion::shmem::{replay, replay_collect, Automaton, CritKind, ProcessId, Step};
+use exclusion::shmem::{replay, replay_collect, Automaton, CritKind, DynRef, ProcessId, Step};
 use proptest::prelude::*;
+
+/// The paper's locks (registry entries that are register-only,
+/// deadlock-free and not crash-recoverable) at `n` processes, in
+/// report order.
+fn paper_locks(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().resolve_where(n, AlgorithmInfo::paper_lock)
+}
+
+/// How many locks [`full_suite`] holds; the `alg_idx` strategies span it.
+const FULL_SUITE: usize = 14;
+
+/// The paper's locks, then the RMW locks: every registry entry that
+/// completes its runs and is not crash-recoverable.
+fn full_suite(n: usize) -> Vec<ResolvedAlgorithm> {
+    let suite = AlgorithmRegistry::global().resolve_where(n, |i| i.deadlock_free && !i.recoverable);
+    assert_eq!(suite.len(), FULL_SUITE, "widen FULL_SUITE to the registry");
+    suite
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -15,10 +33,11 @@ proptest! {
     #[test]
     fn replay_is_deterministic(
         n in 1usize..=5,
-        alg_idx in 0usize..11,
+        alg_idx in 0..FULL_SUITE,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::full_suite(n).remove(alg_idx);
+        let r = full_suite(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let a = replay_collect(&alg, exec.steps()).expect("replays");
         let b = replay_collect(&alg, exec.steps()).expect("replays");
@@ -31,10 +50,11 @@ proptest! {
     #[test]
     fn reads_return_last_written_value(
         n in 1usize..=4,
-        alg_idx in 0usize..11,
+        alg_idx in 0..FULL_SUITE,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::full_suite(n).remove(alg_idx);
+        let r = full_suite(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let outcomes = replay_collect(&alg, exec.steps()).expect("replays");
         let mut shadow: Vec<u64> = (0..alg.registers())
@@ -67,7 +87,8 @@ proptest! {
         seed in any::<u64>(),
         cut in 0usize..200,
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let prefix = exec.prefix(cut.min(exec.len()));
         prop_assert!(prefix.well_formed(n));
@@ -89,7 +110,8 @@ proptest! {
         alg_idx in 0usize..6,
         seed in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let schedule: Vec<ProcessId> = exec.iter().map(Step::pid).collect();
         let mut i = 0;
@@ -107,7 +129,8 @@ proptest! {
 fn sequential_runs_compose() {
     // Running [p0], then continuing with [p1] from scratch, equals the
     // canonical sequential run of [p0, p1] — stages do not interfere.
-    for alg in AnyAlgorithm::suite(3) {
+    for r in paper_locks(3) {
+        let alg = DynRef(r.automaton.as_ref());
         let order: Vec<_> = ProcessId::all(3).collect();
         let full = run_sequential(&alg, &order, 100_000).unwrap();
         // Count rem steps: exactly one per process, in order.

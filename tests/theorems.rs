@@ -3,9 +3,16 @@
 
 use exclusion::cost::sc_cost;
 use exclusion::lb::{construct, encode, run_pipeline, ConstructConfig, Permutation};
-use exclusion::mutex::AnyAlgorithm;
-use exclusion::shmem::Automaton;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, ResolvedAlgorithm};
+use exclusion::shmem::{Automaton, DynRef};
 use proptest::prelude::*;
+
+/// The paper's locks (registry entries that are register-only,
+/// deadlock-free and not crash-recoverable) at `n` processes, in
+/// report order.
+fn paper_locks(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().resolve_where(n, AlgorithmInfo::paper_lock)
+}
 
 fn small_perm(n: usize, raw: u64) -> Permutation {
     Permutation::unrank(n, raw % exclusion::lb::factorial(n))
@@ -22,7 +29,8 @@ proptest! {
         alg_idx in 0usize..6,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         run_pipeline(&alg, &pi, &ConstructConfig::default(), 3)
             .map_err(|e| TestCaseError::fail(format!("{} {pi}: {e}", alg.name())))?;
@@ -37,7 +45,8 @@ proptest! {
         raw in any::<u64>(),
         seeds in prop::collection::vec(any::<u64>(), 4),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let expected = c.cost();
@@ -58,7 +67,8 @@ proptest! {
         alg_idx in 0usize..6,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let c = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let bits = encode(&c).bit_len();
@@ -73,7 +83,8 @@ proptest! {
         alg_idx in 0usize..6,
         raw in any::<u64>(),
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         let pi = small_perm(n, raw);
         let a = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
         let b = construct(&alg, &pi, &ConstructConfig::default()).expect("construct");
@@ -90,7 +101,8 @@ proptest! {
 #[test]
 fn stage_prefixes_preserve_projections() {
     use exclusion::lb::construct_stages;
-    for alg in AnyAlgorithm::suite(5) {
+    for r in paper_locks(5) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(5, 101);
         let full = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
         for k in 1..5 {
@@ -129,7 +141,8 @@ fn stage_prefixes_preserve_projections() {
 fn earlier_processes_cannot_see_later_ones() {
     use exclusion::shmem::Step;
     let n = 5;
-    for alg in AnyAlgorithm::suite(n) {
+    for r in paper_locks(n) {
+        let alg = DynRef(r.automaton.as_ref());
         let pi = Permutation::unrank(n, 77);
         let full = construct(&alg, &pi, &ConstructConfig::default()).unwrap();
         let alpha_full = full.linearize();

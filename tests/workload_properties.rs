@@ -4,14 +4,21 @@
 //! deterministic.
 
 use exclusion::cost::sc_cost;
-use exclusion::mutex::AnyAlgorithm;
+use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament, ResolvedAlgorithm};
 use exclusion::shmem::sched::{
     run_random, run_scheduler, run_sequential, Burst, GreedyAdversary, Random, RoundRobin,
     Sequential, Stagger,
 };
-use exclusion::shmem::{Automaton, ProcessId, Scheduler};
+use exclusion::shmem::{Automaton, DynRef, ProcessId, Scheduler};
 use exclusion::workload::{sweep, Scenario, SchedSpec, SweepOptions, JSON_SCHEMA};
 use proptest::prelude::*;
+
+/// The paper's locks (registry entries that are register-only,
+/// deadlock-free and not crash-recoverable) at `n` processes, in
+/// report order.
+fn paper_locks(n: usize) -> Vec<ResolvedAlgorithm> {
+    AlgorithmRegistry::global().resolve_where(n, AlgorithmInfo::paper_lock)
+}
 
 /// One of every scheduler, configured for `n` processes and `passages`
 /// passages (the sequential order is repeated so it, too, reaches the
@@ -45,7 +52,8 @@ proptest! {
         seed in any::<u64>(),
         passages in 1usize..=2,
     ) {
-        let alg = AnyAlgorithm::suite(n).remove(alg_idx);
+        let r = paper_locks(n).remove(alg_idx);
+        let alg = DynRef(r.automaton.as_ref());
         for mut sched in all_schedulers(n, passages, seed) {
             let exec = run_scheduler(&alg, sched.as_mut(), passages, 50_000_000)
                 .map_err(|e| TestCaseError::fail(
@@ -69,7 +77,8 @@ proptest! {
 #[test]
 fn greedy_adversary_never_extracts_less_than_canonical() {
     for n in [2usize, 3, 4, 6, 8] {
-        for alg in AnyAlgorithm::suite(n) {
+        for r in paper_locks(n) {
+            let alg = DynRef(r.automaton.as_ref());
             let order: Vec<_> = ProcessId::all(n).collect();
             let seq = run_sequential(&alg, &order, 1_000_000).expect("canonical run");
             let seq_sc = sc_cost(&alg, &seq).expect("replay").total();
@@ -90,7 +99,7 @@ fn greedy_adversary_never_extracts_less_than_canonical() {
 /// scheduler manages on any of a 16-seed grid, for 1 and 2 passages.
 #[test]
 fn greedy_beats_every_random_schedule_on_dekker_n8() {
-    let alg = AnyAlgorithm::by_name("dekker-tree", 8).expect("known");
+    let alg = DekkerTournament::new(8);
     for passages in [1usize, 2] {
         let adv = run_scheduler(&alg, &mut GreedyAdversary::new(), passages, 50_000_000)
             .expect("adversary run");
