@@ -7,7 +7,7 @@
 //! useful contrast with the tournament algorithms' Θ(n log n).
 //!
 //! Tickets grow without bound across passages; states (and therefore the
-//! model checker's state space) stay finite for bounded-passage runs.
+//! explored state space) stay finite for bounded-passage runs.
 
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
@@ -259,32 +259,7 @@ impl Automaton for Bakery {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
-
-    #[test]
-    fn model_check_two_processes() {
-        let out = check_mutual_exclusion(
-            &Bakery::new(2),
-            CheckConfig {
-                passages: 2,
-                max_states: 10_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
-
-    #[test]
-    fn model_check_three_processes_single_passage() {
-        let out = check_mutual_exclusion(
-            &Bakery::new(3),
-            CheckConfig {
-                passages: 1,
-                max_states: 20_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
 
     #[test]
     fn sequential_cost_grows_linearly_per_process() {

@@ -288,44 +288,7 @@ impl Automaton for DekkerTournament {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
-
-    #[test]
-    fn model_check_two_processes_three_passages() {
-        let out = check_mutual_exclusion(
-            &DekkerTournament::new(2),
-            CheckConfig {
-                passages: 3,
-                max_states: 10_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
-
-    #[test]
-    fn model_check_three_processes_two_passages() {
-        let out = check_mutual_exclusion(
-            &DekkerTournament::new(3),
-            CheckConfig {
-                passages: 2,
-                max_states: 50_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
-
-    #[test]
-    fn model_check_four_processes() {
-        let out = check_mutual_exclusion(
-            &DekkerTournament::new(4),
-            CheckConfig {
-                passages: 1,
-                max_states: 50_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
 
     #[test]
     fn solo_passage_cost_is_logarithmic() {

@@ -32,10 +32,11 @@
 //! critical sections — the planted bug crash-aware certification must
 //! catch.
 //!
-//! Every algorithm is exhaustively model-checked for small `n` in this
-//! crate's tests; the deliberately broken locks in [`broken`] and the
-//! subtly racy [`stale_tournament`] reconstruction verify that the
-//! checker is actually capable of rejecting bad protocols.
+//! Every algorithm is explored exhaustively for small `n` by the
+//! workspace's safety-conformance tests (the `explore` function of the
+//! `exclusion-explore` crate); the deliberately broken locks in
+//! [`broken`] and the subtly racy [`stale_tournament`] reconstruction
+//! verify that the explorer actually rejects bad protocols.
 //!
 //! # Example
 //!

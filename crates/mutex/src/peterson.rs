@@ -253,32 +253,7 @@ impl Automaton for Peterson {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
-
-    #[test]
-    fn two_process_peterson_is_verified() {
-        let out = check_mutual_exclusion(
-            &Peterson::new(2),
-            CheckConfig {
-                passages: 3,
-                max_states: 5_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
-
-    #[test]
-    fn four_process_tournament_is_verified() {
-        let out = check_mutual_exclusion(
-            &Peterson::new(4),
-            CheckConfig {
-                passages: 1,
-                max_states: 20_000_000,
-            },
-        );
-        assert!(out.verified(), "explored {} states", out.states_explored);
-    }
 
     #[test]
     fn sequential_canonical_in_reverse_order() {

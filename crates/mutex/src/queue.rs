@@ -761,7 +761,6 @@ fn unpack(v: Value) -> (Value, Value) {
 mod tests {
     use super::*;
     use crate::rmw::{ClhSim, McsSim, TicketSim};
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
 
     #[test]
@@ -793,29 +792,6 @@ mod tests {
         check(&Mcs::new(3));
         check(&Clh::new(3));
         check(&Ticket::new(3));
-    }
-
-    #[test]
-    fn model_check_composed_locks_n2() {
-        fn check<A: Automaton>(alg: &A) {
-            let out = check_mutual_exclusion(
-                alg,
-                CheckConfig {
-                    passages: 2,
-                    max_states: 10_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states, violation {:?}",
-                alg.name(),
-                out.states_explored,
-                out.violation
-            );
-        }
-        check(&Mcs::new(2));
-        check(&Clh::new(2));
-        check(&Ticket::new(2));
     }
 
     /// The decomposition is conservative: under identical schedules the

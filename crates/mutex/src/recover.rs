@@ -17,8 +17,8 @@
 //! CAS lock, but one crash of a *non-owner* frees an owner's lock, so
 //! only crash-aware certification (the `explore` crate's recoverability
 //! check) can tell it apart from [`RTas`]. It plays the same role for
-//! the crash checker that [`crate::broken`] plays for the crash-free
-//! one.
+//! crash-aware certification that [`crate::broken`] plays for the
+//! crash-free explorer.
 
 use exclusion_shmem::{
     Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, RmwOp, Value,
@@ -380,7 +380,6 @@ impl Automaton for BrokenRecover {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::fault::{run_faulted, FaultPlan};
     use exclusion_shmem::sched::{run_random, run_round_robin, GreedyAdversary, RoundRobin};
     use exclusion_shmem::Step;
@@ -394,35 +393,6 @@ mod tests {
             assert!(exec.mutual_exclusion(n), "rtas n = {n}");
             let exec = run_round_robin(&BrokenRecover::new(n), 2, 1_000_000).unwrap();
             assert!(exec.mutual_exclusion(n), "broken-recover n = {n}");
-        }
-    }
-
-    #[test]
-    fn crash_free_model_check_passes_even_for_the_planted_lock() {
-        for out in [
-            check_mutual_exclusion(
-                &RPeterson::new(2),
-                CheckConfig {
-                    passages: 3,
-                    max_states: 5_000_000,
-                },
-            ),
-            check_mutual_exclusion(
-                &RTas::new(3),
-                CheckConfig {
-                    passages: 2,
-                    max_states: 5_000_000,
-                },
-            ),
-            check_mutual_exclusion(
-                &BrokenRecover::new(3),
-                CheckConfig {
-                    passages: 2,
-                    max_states: 5_000_000,
-                },
-            ),
-        ] {
-            assert!(out.verified(), "explored {} states", out.states_explored);
         }
     }
 

@@ -6,7 +6,7 @@
 //! the paper's register-only model: the lower-bound construction
 //! rejects them with [`ConstructError::UnsupportedStep`] (tested in the
 //! workspace's failure-injection suite), but the simulator, the cost
-//! models and the model checker handle them fully, which lets the
+//! models and exhaustive exploration handle them fully, which lets the
 //! experiments compare register-only and RMW synchronization under
 //! identical accounting.
 //!
@@ -566,7 +566,6 @@ fn unpack(v: Value) -> (Value, Value) {
 mod tests {
     use super::*;
     use crate::registry::{AlgorithmRegistry, ResolvedAlgorithm};
-    use exclusion_shmem::checker::{check_mutual_exclusion, CheckConfig};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
     use exclusion_shmem::DynRef;
 
@@ -600,47 +599,6 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
                 assert!(exec.mutual_exclusion(3), "{} seed {seed}", alg.name());
             }
-        }
-    }
-
-    #[test]
-    fn model_check_rmw_locks_n2() {
-        for r in rmw_algorithms(2) {
-            let alg = DynRef(r.automaton.as_ref());
-            let out = check_mutual_exclusion(
-                &alg,
-                CheckConfig {
-                    passages: 2,
-                    max_states: 10_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states, violation {:?}",
-                alg.name(),
-                out.states_explored,
-                out.violation
-            );
-        }
-    }
-
-    #[test]
-    fn model_check_rmw_locks_n3_single_passage() {
-        for r in rmw_algorithms(3) {
-            let alg = DynRef(r.automaton.as_ref());
-            let out = check_mutual_exclusion(
-                &alg,
-                CheckConfig {
-                    passages: 1,
-                    max_states: 20_000_000,
-                },
-            );
-            assert!(
-                out.verified(),
-                "{}: {} states",
-                alg.name(),
-                out.states_explored
-            );
         }
     }
 

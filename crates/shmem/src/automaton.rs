@@ -101,7 +101,7 @@ pub enum Observation {
 /// [`System`](crate::system::System) enforces it).
 ///
 /// States must implement `Eq` + `Hash`: equality defines the state-change
-/// cost model, hashing enables the model checker.
+/// cost model, hashing lets state-space exploration deduplicate states.
 ///
 /// # Example
 ///

@@ -27,8 +27,6 @@
 //!   model: [`FaultPlan`]s compose with every scheduler through the
 //!   faulted driver, and crashed witnesses reconstruct to replayable
 //!   script/plan pairs;
-//! * [`checker`] — a small explicit-state model checker that exhaustively
-//!   verifies mutual exclusion for bounded instances of an algorithm;
 //! * [`dynamic`] — the erased-state core: the object-safe
 //!   [`DynAutomaton`] mirror of [`Automaton`] (every automaton gets it
 //!   for free), [`DynState`] with inline-word and boxed representations,
@@ -59,7 +57,6 @@
 #![warn(missing_docs)]
 
 pub mod automaton;
-pub mod checker;
 pub mod dynamic;
 pub mod error;
 pub mod execution;

@@ -184,8 +184,9 @@ impl Automaton for Alternator {
 }
 
 /// A "lock" that performs no synchronization at all: every process goes
-/// `try → enter → exit → rem` immediately. Used to verify that the model
-/// checker and the execution predicates actually catch violations.
+/// `try → enter → exit → rem` immediately. Used to verify that
+/// exhaustive exploration and the execution predicates actually catch
+/// violations.
 #[derive(Clone, Copy, Debug)]
 pub struct NoLock {
     n: usize,

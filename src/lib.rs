@@ -4,8 +4,8 @@
 //! This facade crate re-exports the workspace:
 //!
 //! * [`shmem`] — the paper's shared-memory model: deterministic process
-//!   automata over registers, executions, replay, schedulers, and an
-//!   explicit-state model checker;
+//!   automata over registers, executions, replay, schedulers and crash
+//!   injection;
 //! * [`mutex`] — register-only mutual exclusion algorithms as automata
 //!   (tournaments, bakery, filter, Dijkstra, Burns–Lynch, and
 //!   deliberately broken locks);

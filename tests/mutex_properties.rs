@@ -6,8 +6,8 @@
 //! `fixtures::STANDARD_ALGORITHMS` — registering a new lock without
 //! widening these grids is a test failure, not a silent coverage gap.
 
+use exclusion::explore::{explore, ExploreConfig};
 use exclusion::mutex::AlgorithmRegistry;
-use exclusion::shmem::checker::{check_mutual_exclusion, CheckConfig};
 use exclusion::shmem::sched::{run_random, run_round_robin};
 use exclusion::shmem::testing::fixtures;
 use exclusion::shmem::DynRef;
@@ -93,18 +93,18 @@ fn exhaustive_model_check_registry_n2() {
             .resolve_str(&name, 2)
             .expect("standard entries resolve")
             .automaton;
-        let out = check_mutual_exclusion(
-            &DynRef(alg.as_ref()),
-            CheckConfig {
+        let report = explore(
+            alg.as_ref(),
+            &ExploreConfig {
                 passages: 2,
-                max_states: 20_000_000,
+                ..ExploreConfig::default()
             },
         );
         assert!(
-            out.verified(),
+            report.certified_safe(),
             "{name}: {} states, violation: {:?}",
-            out.states_explored,
-            out.violation
+            report.states,
+            report.violation
         );
     }
 }
@@ -116,13 +116,7 @@ fn exhaustive_model_check_registry_n3_single_passage() {
             .resolve_str(&name, 3)
             .expect("standard entries resolve")
             .automaton;
-        let out = check_mutual_exclusion(
-            &DynRef(alg.as_ref()),
-            CheckConfig {
-                passages: 1,
-                max_states: 50_000_000,
-            },
-        );
-        assert!(out.verified(), "{name}: {} states", out.states_explored);
+        let report = explore(alg.as_ref(), &ExploreConfig::default());
+        assert!(report.certified_safe(), "{name}: {} states", report.states);
     }
 }

@@ -6,14 +6,22 @@
 //! contention hazard must then be *found*); the planted `broken` lock
 //! must be caught with a minimal counterexample that replays through
 //! the ordinary replay machinery. The explorer's whole output over that
-//! grid is also pinned by digest.
+//! grid is also pinned by digest, and so is its verdict on each lock's
+//! own bounded instances, at several passages per process.
 
 use exclusion::explore::{
     analyze, conformance_registry, explore, ExploreConfig, Model, WorstCaseReport, WorstCost,
 };
 use exclusion::explore::{ExploreReport, HazardKind};
+use exclusion::mutex::broken::{BrokenPeterson, RacyBool};
+use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
+use exclusion::mutex::stale_tournament::StaleTournament;
+use exclusion::mutex::{
+    Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra, Filter, Mcs, Peterson,
+    RPeterson, RTas, Splitter, Ticket,
+};
 use exclusion::shmem::testing::fixtures;
-use exclusion::shmem::{replay, DynRef, ProcessId};
+use exclusion::shmem::{replay, DynAutomaton, DynRef, ProcessId};
 
 /// Pinned state-space sizes for the register-only suite at the fixture
 /// grid (passages = 1). These are exact reachable-state counts; a
@@ -117,6 +125,130 @@ fn broken_counterexample_is_minimal_and_replays() {
         let dref = DynRef(alg.as_ref());
         let sys = replay(&dref, cex.trace.steps(), |_| {}).expect("witness replays");
         assert_eq!(sys.in_critical().count(), 2, "n={n}");
+    }
+}
+
+/// What `explore` must conclude about one bounded instance.
+#[derive(Clone, Copy, Debug)]
+enum Verdict {
+    /// Certified mutually exclusive, over exactly this many states.
+    Safe(usize),
+    /// Refuted, by a minimal witness of exactly this many steps.
+    Violation(usize),
+}
+
+use Verdict::{Safe, Violation};
+
+/// Each lock's own bounded instances, at their own passage bounds:
+/// `(lock, n, passages, verdict)`. The locks are the concrete automaton
+/// types (see [`concrete`]), so no orbit reduction applies, and every
+/// safe count is also the number of distinct states a depth-first
+/// search over every interleaving visits.
+#[rustfmt::skip]
+const LOCK_INSTANCES: &[(&str, usize, usize, Verdict)] = &[
+    ("dekker-tree", 2, 3, Safe(1_499)),
+    ("dekker-tree", 3, 2, Safe(50_138)),
+    ("dekker-tree", 4, 1, Safe(51_987)),
+    ("peterson", 2, 3, Safe(827)),
+    ("peterson", 4, 1, Safe(27_765)),
+    ("bakery", 2, 2, Safe(1_235)),
+    ("bakery", 3, 1, Safe(7_507)),
+    ("filter", 2, 2, Safe(369)),
+    ("filter", 3, 1, Safe(2_692)),
+    ("dijkstra", 2, 2, Safe(742)),
+    ("dijkstra", 3, 1, Safe(4_159)),
+    ("burns-lynch", 2, 3, Safe(685)),
+    ("burns-lynch", 3, 2, Safe(7_963)),
+    ("splitter", 2, 2, Safe(800)),
+    ("splitter", 3, 2, Safe(21_686)),
+    ("splitter-gate", 2, 2, Safe(728)),
+    ("splitter-gate", 3, 2, Safe(22_016)),
+    ("tas-sim", 2, 2, Safe(133)),
+    ("tas-sim", 3, 1, Safe(208)),
+    ("ttas-sim", 2, 2, Safe(189)),
+    ("ttas-sim", 3, 1, Safe(350)),
+    ("mcs-sim", 2, 2, Safe(887)),
+    ("mcs-sim", 3, 1, Safe(2_100)),
+    ("mcs", 2, 2, Safe(887)),
+    ("clh", 2, 2, Safe(353)),
+    ("clh", 3, 1, Safe(693)),
+    ("ticket", 2, 2, Safe(193)),
+    ("ticket", 3, 1, Safe(376)),
+    // Crash-free, even the planted broken-recover is a correct lock.
+    ("rpeterson", 2, 3, Safe(827)),
+    ("rtas", 3, 2, Safe(1_225)),
+    ("broken-recover", 3, 2, Safe(1_225)),
+    ("racy-bool", 2, 1, Violation(8)),
+    // The inverted tie-break needs a second passage to bite.
+    ("broken-peterson", 2, 2, Violation(11)),
+    // The stale wake-up needs two full passages to set up, so its
+    // witness is no trivial interleaving (over 30 steps); it fits in
+    // two passages per process and cannot happen in one.
+    ("stale-tournament", 2, 3, Violation(39)),
+    ("stale-tournament", 2, 2, Violation(39)),
+    ("stale-tournament", 2, 1, Safe(348)),
+];
+
+/// The concrete automaton type behind each name of [`LOCK_INSTANCES`].
+fn concrete(name: &str, n: usize) -> Box<dyn DynAutomaton + Sync> {
+    match name {
+        "dekker-tree" => Box::new(DekkerTournament::new(n)),
+        "peterson" => Box::new(Peterson::new(n)),
+        "bakery" => Box::new(Bakery::new(n)),
+        "filter" => Box::new(Filter::new(n)),
+        "dijkstra" => Box::new(Dijkstra::new(n)),
+        "burns-lynch" => Box::new(BurnsLynch::new(n)),
+        "splitter" => Box::new(Splitter::new(n)),
+        "splitter-gate" => Box::new(Splitter::gated(n)),
+        "tas-sim" => Box::new(TasSim::new(n)),
+        "ttas-sim" => Box::new(TtasSim::new(n)),
+        "mcs-sim" => Box::new(McsSim::new(n)),
+        "mcs" => Box::new(Mcs::new(n)),
+        "clh" => Box::new(Clh::new(n)),
+        "ticket" => Box::new(Ticket::new(n)),
+        "rpeterson" => Box::new(RPeterson::new(n)),
+        "rtas" => Box::new(RTas::new(n)),
+        "broken-recover" => Box::new(BrokenRecover::new(n)),
+        "racy-bool" => Box::new(RacyBool::new(n)),
+        "broken-peterson" => Box::new(BrokenPeterson),
+        "stale-tournament" => Box::new(StaleTournament::new(n)),
+        other => panic!("no concrete type for {other}"),
+    }
+}
+
+/// Every lock, at several passages per process where its state space
+/// allows: safe locks are certified over their pinned state counts, and
+/// broken ones are refuted by a minimal witness that replays to two
+/// processes in the critical section.
+#[test]
+fn lock_instances_get_their_pinned_verdicts() {
+    for &(name, n, passages, verdict) in LOCK_INSTANCES {
+        let label = format!("{name} n={n} passages={passages}");
+        let alg = concrete(name, n);
+        assert_eq!(alg.processes(), n, "{label}");
+        let cfg = ExploreConfig {
+            passages,
+            ..ExploreConfig::default()
+        };
+        let report = explore(alg.as_ref(), &cfg);
+        assert!(!report.truncated, "{label}: truncated");
+        match verdict {
+            Safe(states) => {
+                assert!(report.certified_safe(), "{label}: {:?}", report.violation);
+                assert_eq!(report.states, states, "{label}: state count");
+            }
+            Violation(steps) => {
+                let cex = report
+                    .violation
+                    .unwrap_or_else(|| panic!("{label}: violation not found"));
+                assert_eq!(cex.trace.len(), steps, "{label}: witness length");
+                assert!(!cex.trace.mutual_exclusion(n), "{label}");
+                let dref = DynRef(alg.as_ref());
+                let sys = replay(&dref, cex.trace.steps(), |_| {})
+                    .unwrap_or_else(|e| panic!("{label}: witness does not replay: {e}"));
+                assert_eq!(sys.in_critical().count(), 2, "{label}");
+            }
+        }
     }
 }
 
