@@ -600,7 +600,7 @@ mod tests {
     #[test]
     fn conformance_registry_adds_broken_without_touching_the_suite() {
         let reg = conformance_registry();
-        assert_eq!(reg.names().len(), 20);
+        assert_eq!(reg.names().len(), 18);
         assert!(reg.get("broken").is_some());
         assert!(reg.get("broken-recover").is_some(), "crash-planted twin");
         assert!(reg.get("racy-bool").is_some(), "alias resolves");

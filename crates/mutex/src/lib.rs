@@ -15,14 +15,16 @@
 //! | [`Splitter`] | unbounded | two registers total; fully symmetric under process permutation (the orbit-reduction showcase) |
 //!
 //! The [`rmw`] module adds locks built on read-modify-write primitives
-//! (TAS, TTAS, ticket, CLH, MCS) — outside the paper's register-only
-//! model, but priced by the same cost models for comparison; the
-//! lower-bound construction rejects them with a diagnostic. The
-//! [`queue`] module re-derives the three queue locks as *composable*
+//! (TAS, TTAS, MCS) — outside the paper's register-only model, but
+//! priced by the same cost models for comparison; the lower-bound
+//! construction rejects them with a diagnostic. The [`queue`] module
+//! builds the three queue locks from *composable*
 //! [`queue::Queue`]/[`queue::Signal`]/[`queue::Handoff`] modules over a
 //! shared phase machine — registered as `mcs`, `clh`, `ticket` — and
 //! is the formal side of the hardware differential harness
-//! (`exclusion_workload::hwbench`).
+//! (`exclusion_workload::hwbench`). Each lock has one implementation,
+//! except MCS: the simulated `mcs-sim` stays beside the composed `mcs`
+//! because it homes only the spin flags, so the two differ in DSM cost.
 //!
 //! The [`recover`] module adds *crash-recoverable* locks for the
 //! fault-injection model ([`exclusion_shmem::fault`]): [`RPeterson`]
@@ -83,5 +85,5 @@ pub use recover::{BrokenRecover, RPeterson, RTas};
 pub use registry::{
     AlgorithmEntry, AlgorithmInfo, AlgorithmRegistry, DynAlgorithm, ResolvedAlgorithm,
 };
-pub use rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
+pub use rmw::{McsSim, TasSim, TtasSim};
 pub use splitter::Splitter;

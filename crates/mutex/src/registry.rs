@@ -54,7 +54,7 @@ use exclusion_shmem::dynamic::{DynAutomaton, Packed};
 use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
 
 use crate::queue::{Clh, Mcs, Ticket};
-use crate::rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
+use crate::rmw::{McsSim, TasSim, TtasSim};
 use crate::{
     Bakery, BrokenRecover, BurnsLynch, DekkerTournament, Dijkstra, Filter, Peterson, RPeterson,
     RTas, Splitter,
@@ -408,22 +408,6 @@ impl AlgorithmRegistry {
                 Ok(Arc::new(Packed(TtasSim::with_backoff(n, backoff))))
             },
         ));
-        reg.register(plain_with(
-            "ticket-sim",
-            "FIFO ticket lock (simulated)",
-            "rmw",
-            true,
-            true,
-            true,
-            |n| Packed(TicketSim::new(n)),
-        ));
-        reg.register(plain(
-            "clh-sim",
-            "CLH queue lock (simulated)",
-            "rmw",
-            true,
-            ClhSim::new,
-        ));
         reg.register(plain(
             "mcs-sim",
             "MCS queue lock (simulated)",
@@ -651,8 +635,6 @@ mod tests {
                 "splitter-gate",
                 "tas-sim",
                 "ttas-sim",
-                "ticket-sim",
-                "clh-sim",
                 "mcs-sim",
                 "mcs",
                 "clh",
@@ -662,9 +644,9 @@ mod tests {
                 "broken-recover"
             ]
         );
-        assert_eq!(reg.entries().filter(|e| e.info().uses_rmw).count(), 10);
+        assert_eq!(reg.entries().filter(|e| e.info().uses_rmw).count(), 8);
         assert_eq!(reg.entries().filter(|e| e.info().recoverable).count(), 3);
-        assert_eq!(reg.entries().filter(|e| e.info().symmetric).count(), 6);
+        assert_eq!(reg.entries().filter(|e| e.info().symmetric).count(), 5);
     }
 
     #[test]
@@ -744,7 +726,7 @@ mod tests {
         else {
             panic!("{err}")
         };
-        assert_eq!(known.len(), 19);
+        assert_eq!(known.len(), 17);
         assert_eq!(suggestion.as_deref(), Some("peterson"));
     }
 
@@ -780,7 +762,7 @@ mod tests {
         assert_eq!(reg.resolve_str("ttas-sim", 3).unwrap().label, "ttas-sim");
         let r = reg.resolve_str("ttas", 3).unwrap();
         assert_eq!(r.automaton.name(), "peterson", "spelling reassigned");
-        assert_eq!(reg.names().len(), 20, "appended, not replaced");
+        assert_eq!(reg.names().len(), 18, "appended, not replaced");
     }
 
     #[test]

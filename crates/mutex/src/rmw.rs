@@ -1,6 +1,10 @@
 //! Simulated locks built on read-modify-write primitives — the
 //! "stronger memory primitives" of the paper's §8 — mirroring the
-//! hardware family in `exclusion-spin`.
+//! hardware family in `exclusion-spin`: test-and-set,
+//! test-and-test-and-set and MCS. The ticket and CLH locks are
+//! simulated by the composed [`crate::queue`] locks (`ticket`, `clh`);
+//! the composed `mcs` keeps this module's MCS as its twin because the
+//! two home their registers differently, so their DSM costs differ.
 //!
 //! These automata use [`NextStep::Rmw`] and therefore live *outside*
 //! the paper's register-only model: the lower-bound construction
@@ -30,8 +34,8 @@ enum Phase {
     Resting,
 }
 
-/// Per-process state: a phase and one auxiliary word (ticket,
-/// predecessor node, successor …).
+/// Per-process state: a phase and one auxiliary word (the MCS
+/// successor, …).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RmwState {
     phase: Phase,
@@ -87,8 +91,8 @@ macro_rules! common_crit {
                 return RmwState::at(Phase::Critical, $state.aux)
             }
             (Phase::Critical, Observation::Crit) => return RmwState::at(Phase::Exit(0), $state.aux),
-            // aux is preserved across the remainder section: CLH carries
-            // its recycled node index from passage to passage.
+            // aux is preserved across the remainder section, so a lock
+            // may carry a word from passage to passage.
             (Phase::Resting, Observation::Crit) => {
                 return RmwState::at(Phase::Remainder, $state.aux)
             }
@@ -275,165 +279,6 @@ impl Automaton for TtasSim {
     }
 }
 
-/// Ticket lock: `fetch_add` draws a ticket; the holder bumps
-/// `serving` on release. FIFO-fair.
-#[derive(Clone, Copy, Debug)]
-pub struct TicketSim {
-    n: usize,
-}
-
-impl TicketSim {
-    /// An `n`-process ticket lock.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        TicketSim { n }
-    }
-
-    fn next_reg(&self) -> RegisterId {
-        RegisterId::new(0)
-    }
-    fn serving(&self) -> RegisterId {
-        RegisterId::new(1)
-    }
-}
-
-impl Automaton for TicketSim {
-    type State = RmwState;
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-    fn registers(&self) -> usize {
-        2
-    }
-    fn initial_state(&self, _p: ProcessId) -> RmwState {
-        RmwState::at(Phase::Remainder, 0)
-    }
-
-    fn next_step(&self, _p: ProcessId, s: &RmwState) -> NextStep {
-        match s.phase {
-            Phase::Remainder => NextStep::Crit(CritKind::Try),
-            Phase::Entry(0) => NextStep::Rmw(self.next_reg(), RmwOp::FetchAdd(1)),
-            Phase::Entry(_) => NextStep::Read(self.serving()),
-            Phase::Entering => NextStep::Crit(CritKind::Enter),
-            Phase::Critical => NextStep::Crit(CritKind::Exit),
-            // aux still holds our ticket; hand off to ticket + 1.
-            Phase::Exit(_) => NextStep::Write(self.serving(), s.aux + 1),
-            Phase::Resting => NextStep::Crit(CritKind::Rem),
-        }
-    }
-
-    fn observe(&self, _p: ProcessId, s: &RmwState, obs: Observation) -> RmwState {
-        common_crit!(self, s, obs, RmwState::at(Phase::Entry(0), 0));
-        match (s.phase, obs) {
-            (Phase::Entry(0), Observation::Rmw(ticket)) => RmwState::at(Phase::Entry(1), ticket),
-            (Phase::Entry(1), Observation::Read(serving)) => {
-                if serving == s.aux {
-                    RmwState::at(Phase::Entering, s.aux)
-                } else {
-                    *s // not our turn yet: single-register spin, SC-free
-                }
-            }
-            (Phase::Exit(0), Observation::Write) => RmwState::at(Phase::Resting, 0),
-            _ => unreachable!("ticket: {s:?} cannot observe {obs:?}"),
-        }
-    }
-
-    fn name(&self) -> String {
-        "ticket-sim".to_string()
-    }
-
-    // Tickets are draw numbers, not pids: states and register values
-    // are pid-free, so the default permutation hooks suffice.
-    fn symmetric(&self) -> bool {
-        true
-    }
-}
-
-/// CLH queue lock: swap into the tail, spin on the predecessor's node
-/// flag; nodes recycle exactly as in the pointer-based original.
-#[derive(Clone, Copy, Debug)]
-pub struct ClhSim {
-    n: usize,
-}
-
-impl ClhSim {
-    /// An `n`-process CLH lock.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        ClhSim { n }
-    }
-
-    fn node(&self, i: Value) -> RegisterId {
-        RegisterId::new(i as usize)
-    }
-    fn tail(&self) -> RegisterId {
-        RegisterId::new(self.n + 1)
-    }
-}
-
-impl Automaton for ClhSim {
-    type State = RmwState;
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-    fn registers(&self) -> usize {
-        // n + 1 node flags (one sentinel) plus the tail.
-        self.n + 2
-    }
-    fn initial_value(&self, reg: RegisterId) -> Value {
-        if reg == self.tail() {
-            self.n as Value // tail starts at the released sentinel node
-        } else {
-            0
-        }
-    }
-    fn initial_state(&self, p: ProcessId) -> RmwState {
-        // aux packs (my_node, pred); initially my_node = own index.
-        RmwState::at(Phase::Remainder, pack(p.index() as Value, 0))
-    }
-
-    fn next_step(&self, _p: ProcessId, s: &RmwState) -> NextStep {
-        let (my_node, pred) = unpack(s.aux);
-        match s.phase {
-            Phase::Remainder => NextStep::Crit(CritKind::Try),
-            Phase::Entry(0) => NextStep::Write(self.node(my_node), 1),
-            Phase::Entry(1) => NextStep::Rmw(self.tail(), RmwOp::Swap(my_node)),
-            Phase::Entry(_) => NextStep::Read(self.node(pred)),
-            Phase::Entering => NextStep::Crit(CritKind::Enter),
-            Phase::Critical => NextStep::Crit(CritKind::Exit),
-            Phase::Exit(_) => NextStep::Write(self.node(my_node), 0),
-            Phase::Resting => NextStep::Crit(CritKind::Rem),
-        }
-    }
-
-    fn observe(&self, _p: ProcessId, s: &RmwState, obs: Observation) -> RmwState {
-        let (my_node, pred) = unpack(s.aux);
-        common_crit!(self, s, obs, RmwState::at(Phase::Entry(0), s.aux));
-        match (s.phase, obs) {
-            (Phase::Entry(0), Observation::Write) => RmwState::at(Phase::Entry(1), s.aux),
-            (Phase::Entry(1), Observation::Rmw(old_tail)) => {
-                RmwState::at(Phase::Entry(2), pack(my_node, old_tail))
-            }
-            (Phase::Entry(2), Observation::Read(flag)) => {
-                if flag == 0 {
-                    RmwState::at(Phase::Entering, s.aux)
-                } else {
-                    *s // predecessor still holds: single-register spin
-                }
-            }
-            // Release our node and recycle the predecessor's.
-            (Phase::Exit(0), Observation::Write) => RmwState::at(Phase::Resting, pack(pred, 0)),
-            _ => unreachable!("clh: {s:?} cannot observe {obs:?}"),
-        }
-    }
-
-    fn name(&self) -> String {
-        "clh-sim".to_string()
-    }
-}
-
 /// MCS queue lock: swap into the tail, link behind the predecessor,
 /// spin on the thread's own flag; exit CASes the tail out or hands off.
 #[derive(Clone, Copy, Debug)]
@@ -554,14 +399,6 @@ impl Automaton for McsSim {
     }
 }
 
-fn pack(hi: Value, lo: Value) -> Value {
-    hi << 32 | lo
-}
-
-fn unpack(v: Value) -> (Value, Value) {
-    (v >> 32, v & 0xFFFF_FFFF)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,29 +453,6 @@ mod tests {
                 "{}: {per_passage} accesses per passage",
                 alg.name()
             );
-        }
-    }
-
-    #[test]
-    fn ticket_lock_is_fifo() {
-        // Under round robin, entry order equals draw order.
-        let alg = TicketSim::new(4);
-        let exec = run_round_robin(&alg, 1, 100_000).unwrap();
-        assert_eq!(exec.critical_order(), ProcessId::all(4).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn clh_nodes_recycle() {
-        let alg = ClhSim::new(2);
-        let exec = run_round_robin(&alg, 4, 1_000_000).unwrap();
-        assert!(exec.mutual_exclusion(2));
-        assert_eq!(exec.critical_order().len(), 8);
-    }
-
-    #[test]
-    fn pack_unpack_roundtrip() {
-        for (hi, lo) in [(0u64, 0u64), (3, 7), (1 << 20, 1 << 30)] {
-            assert_eq!(unpack(pack(hi, lo)), (hi, lo));
         }
     }
 

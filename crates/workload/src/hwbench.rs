@@ -181,16 +181,16 @@ impl std::error::Error for HwError {}
 
 /// The hardware twin of a registry algorithm name, if it has one.
 ///
-/// The composable queue locks map to their atomics implementations;
-/// the `-sim` spellings map to the same twins, and the register-only
-/// tournament entries map to the tree locks.
+/// The queue and spin locks map to their atomics implementations (both
+/// MCS entries to the same one), and the register-only tournament
+/// entries map to the tree locks.
 #[must_use]
 pub fn hardware_twin(alg: &str, threads: usize) -> Option<Box<dyn RawLock>> {
     let canonical = alg.split(':').next().unwrap_or(alg);
     Some(match canonical {
         "mcs" | "mcs-sim" => Box::new(McsLock::new(threads)) as Box<dyn RawLock>,
-        "clh" | "clh-sim" => Box::new(ClhLock::new(threads)),
-        "ticket" | "ticket-sim" => Box::new(TicketLock::new(threads)),
+        "clh" => Box::new(ClhLock::new(threads)),
+        "ticket" => Box::new(TicketLock::new(threads)),
         "tas" | "tas-sim" => Box::new(TasLock::new(threads)),
         "ttas" | "ttas-sim" => Box::new(TtasLock::new(threads)),
         "peterson" => Box::new(PetersonTreeLock::new(threads)),

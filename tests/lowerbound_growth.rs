@@ -321,14 +321,6 @@ const PINNED_FORCED_DIGESTS: &[(&str, usize, u64)] = &[
     ("ttas-sim", 16, 0xb7c304c8289961ef),
     ("ttas-sim", 32, 0x37853169a642563b),
     ("ttas-sim", 64, 0x6b2a3f195ce481af),
-    ("ticket-sim", 8, 0x7191ed1f106eef13),
-    ("ticket-sim", 16, 0x2a4573866cdff85e),
-    ("ticket-sim", 32, 0x25d64d6c3def8a1e),
-    ("ticket-sim", 64, 0x0035323e772b732e),
-    ("clh-sim", 8, 0xdad6797a27a50ceb),
-    ("clh-sim", 16, 0xdedfe60430da652e),
-    ("clh-sim", 32, 0x41e9adf8a4400bae),
-    ("clh-sim", 64, 0xbe55248af95859e1),
     ("mcs-sim", 8, 0xe8a5c96418f58843),
     ("mcs-sim", 16, 0xadbba3480f72f3b7),
     ("mcs-sim", 32, 0x722cf1596b65a4eb),

@@ -395,12 +395,6 @@ const PINNED_EXPLORER_DIGESTS: &[(&str, usize, &str, u64)] = &[
     ("ttas-sim", 2, "sc", 0x8e0dc33409146cc1),
     ("ttas-sim", 2, "cc", 0x02abb0992617a087),
     ("ttas-sim", 2, "dsm", 0xc170842aafdad07f),
-    ("ticket-sim", 2, "sc", 0xb585c6320f2c1c91),
-    ("ticket-sim", 2, "cc", 0x2c58529061817a05),
-    ("ticket-sim", 2, "dsm", 0xc170842aafdad07f),
-    ("clh-sim", 2, "sc", 0x4827b8f5d1166f15),
-    ("clh-sim", 2, "cc", 0xf2b3e86805909cfc),
-    ("clh-sim", 2, "dsm", 0xd49881b11e2c01e8),
     ("mcs-sim", 2, "sc", 0x37d5fc0822431fc9),
     ("mcs-sim", 2, "cc", 0x37d96ec709e94fa7),
     ("mcs-sim", 2, "dsm", 0x4b3eb3621818c27a),
@@ -435,8 +429,6 @@ const PINNED_EXPLORER_DIGESTS: &[(&str, usize, &str, u64)] = &[
     ("splitter-gate", 3, "sc", 0xc3b9002eae046c54),
     ("tas-sim", 3, "sc", 0x6495f8cbb61e69c6),
     ("ttas-sim", 3, "sc", 0xe54e2511e8ff0dd2),
-    ("ticket-sim", 3, "sc", 0xb5eeccd8a318589a),
-    ("clh-sim", 3, "sc", 0xde3b47d406629309),
     ("mcs-sim", 3, "sc", 0x8555afe0ee1b2148),
     ("mcs", 3, "sc", 0x8555afe0ee1b2148),
     ("clh", 3, "sc", 0xde3b47d406629309),

@@ -15,7 +15,7 @@ fn paper_locks(n: usize) -> Vec<ResolvedAlgorithm> {
 }
 
 /// How many locks [`full_suite`] holds; the `alg_idx` strategies span it.
-const FULL_SUITE: usize = 14;
+const FULL_SUITE: usize = 12;
 
 /// The paper's locks, then the RMW locks: every registry entry that
 /// completes its runs and is not crash-recoverable.

@@ -10,7 +10,7 @@
 //! adversarial run driven through the dyn path.
 
 use exclusion::cost::{all_costs, run_priced, run_priced_dyn, CostTracker};
-use exclusion::mutex::rmw::{ClhSim, McsSim, TasSim, TicketSim, TtasSim};
+use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
 use exclusion::mutex::{
     AlgorithmRegistry, Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra,
     DynAlgorithm, Filter, Mcs, Peterson, RPeterson, RTas, Ticket,
@@ -71,8 +71,6 @@ fn typed_grid_leg(name: &str, erased: DynAlgorithm, n: usize) {
         "burns-lynch" => grid_leg(name, &BurnsLynch::new(n), erased, n),
         "tas-sim" => grid_leg(name, &TasSim::new(n), erased, n),
         "ttas-sim" => grid_leg(name, &TtasSim::new(n), erased, n),
-        "ticket-sim" => grid_leg(name, &TicketSim::new(n), erased, n),
-        "clh-sim" => grid_leg(name, &ClhSim::new(n), erased, n),
         "mcs-sim" => grid_leg(name, &McsSim::new(n), erased, n),
         "mcs" => grid_leg(name, &Mcs::new(n), erased, n),
         "clh" => grid_leg(name, &Clh::new(n), erased, n),
