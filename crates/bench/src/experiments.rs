@@ -285,8 +285,8 @@ pub fn e5_counting(quick: bool) -> Table {
     );
     let sizes: &[usize] = if quick { &[2, 3] } else { &[2, 3, 4, 5] };
     for &n in sizes {
-        for r in algorithms(n) {
-            let alg = DynRef(r.automaton.as_ref());
+        for lock in algorithms(n) {
+            let alg = DynRef(lock.automaton.as_ref());
             let r = verify_counting(&alg, &ConstructConfig::default())
                 .unwrap_or_else(|e| panic!("{}: {e}", alg.name()));
             t.push_row(vec![

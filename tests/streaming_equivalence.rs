@@ -5,9 +5,9 @@
 //! path**: the recorded leg drives the concrete automaton type, the
 //! streaming leg drives the registry's `Arc<dyn DynAutomaton>` handle,
 //! so one assertion pins streaming == replay *and* dyn == typed at
-//! once. The incrementally maintained scheduler views must
-//! also equal a from-scratch rebuild after every step of an
-//! adversarial run driven through the dyn path.
+//! once. The incrementally maintained scheduler views must also equal
+//! a from-scratch rebuild after every step of an adversarial run driven
+//! through the dyn path.
 
 use exclusion::cost::{all_costs, run_priced, run_priced_dyn, CostTracker};
 use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
