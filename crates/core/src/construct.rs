@@ -613,8 +613,7 @@ mod tests {
     use super::*;
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
     use exclusion_shmem::testing::Alternator;
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     #[test]
     fn dekker_identity_construction_succeeds() {

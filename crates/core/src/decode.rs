@@ -255,8 +255,7 @@ mod tests {
     use crate::encode::encode;
     use crate::perm::Permutation;
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     #[test]
     fn decode_reproduces_a_linearization_for_the_whole_suite() {

@@ -254,8 +254,7 @@ mod tests {
     use crate::construct::{construct, ConstructConfig};
     use crate::perm::Permutation;
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     fn build_encoding(n: usize, rank: u64) -> (Construction, Encoding) {
         let alg = DekkerTournament::new(n);

@@ -265,8 +265,7 @@ mod tests {
     use crate::construct::{construct, ConstructConfig};
     use crate::perm::Permutation;
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     fn build(n: usize, rank: u64) -> (DekkerTournament, crate::Construction) {
         let alg = DekkerTournament::new(n);

@@ -247,8 +247,7 @@ pub fn verify_counting<A: Automaton>(
 mod tests {
     use super::*;
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, DekkerTournament};
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     #[test]
     fn pipeline_passes_for_the_whole_suite() {

@@ -766,8 +766,7 @@ mod tests {
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament, Peterson};
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
     use exclusion_shmem::testing::Alternator;
-    use exclusion_shmem::Automaton;
-    use exclusion_shmem::DynRef;
+    use exclusion_shmem::{Automaton, DynRef};
 
     fn canonical<A: Automaton>(alg: &A) -> Execution {
         let order: Vec<_> = ProcessId::all(alg.processes()).collect();

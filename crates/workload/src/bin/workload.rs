@@ -329,9 +329,9 @@ The table's `ms` column is each row's wall time (certification plus the
 worst-case search); `states/s` is the certification pass's rate alone.
 Neither is in the JSON report, which stays byte-comparable across runs.
 The `greedy` column is the greedy adversary's cost, the incumbent the
-exact worst case must dominate; for locks that disclaim deadlock-freedom
-(the splitter locks), whose greedy runs never complete, that run stops
-after 100000 steps and reports 0.
+exact worst case must dominate, or 0 when its run does not complete. For
+locks that disclaim deadlock-freedom (the splitter locks, which greedy
+strands) that run is capped at 100000 steps.
 
 Exit status is nonzero when any explored algorithm other than `broken`
 fails certification, or when `broken` is explored and NOT caught.

@@ -203,9 +203,9 @@ impl Fnv {
         self.bytes(s.as_bytes());
     }
 
-    fn costs(&mut self, costs: &[usize]) {
-        for &c in costs {
-            self.u64(c as u64);
+    fn usizes(&mut self, xs: &[usize]) {
+        for &x in xs {
+            self.u64(x as u64);
         }
     }
 
@@ -247,10 +247,10 @@ impl Fnv {
 /// and the strategy errors.
 fn forced_digest(run: &ForcedRun) -> u64 {
     let mut h = Fnv::new();
-    h.costs(&[run.n, run.passages, run.steps]);
-    h.costs(&run.forced);
-    h.costs(&run.adaptive);
-    h.costs(&run.greedy);
+    h.usizes(&[run.n, run.passages, run.steps]);
+    h.usizes(&run.forced);
+    h.usizes(&run.adaptive);
+    h.usizes(&run.greedy);
     for w in run.winner {
         h.str(w);
     }
@@ -268,10 +268,10 @@ fn forced_digest(run: &ForcedRun) -> u64 {
 /// Everything one crash game reports, its witness step by step.
 fn crash_digest(run: &CrashForcedRun) -> u64 {
     let mut h = Fnv::new();
-    h.costs(&[run.n, run.passages, run.budget, run.injected, run.steps]);
-    h.costs(&run.forced);
-    h.costs(&run.adaptive);
-    h.costs(&run.greedy);
+    h.usizes(&[run.n, run.passages, run.budget, run.injected, run.steps]);
+    h.usizes(&run.forced);
+    h.usizes(&run.adaptive);
+    h.usizes(&run.greedy);
     for w in run.winner {
         h.str(w);
     }
