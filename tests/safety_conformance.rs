@@ -141,9 +141,10 @@ use Verdict::{Safe, Violation};
 
 /// Each lock's own bounded instances, at their own passage bounds:
 /// `(lock, n, passages, verdict)`. The locks are the concrete automaton
-/// types (see [`concrete`]), so no orbit reduction applies, and every
-/// safe count is also the number of distinct states a depth-first
-/// search over every interleaving visits.
+/// types (see [`concrete`]), whose erased states are boxed; orbit
+/// reduction canonicalizes only inline word states, so none applies
+/// and every safe count is the number of reachable states under the
+/// passage bound.
 #[rustfmt::skip]
 const LOCK_INSTANCES: &[(&str, usize, usize, Verdict)] = &[
     ("dekker-tree", 2, 3, Safe(1_499)),
