@@ -15,46 +15,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::boundbench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_bound.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_bound: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_bound [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "some games failed to dominate, replay, or stay sound",
+        |quick| {
+            let (cells, exact) = run(quick);
+            BenchRun {
+                text: to_text(&cells, &exact),
+                json: to_json(&cells, &exact, quick),
+                clean: all_clean(&cells, &exact),
             }
-            other => {
-                eprintln!("bench_bound: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (cells, exact) = run(quick);
-    eprint!("{}", to_text(&cells, &exact));
-    let json = to_json(&cells, &exact, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_bound: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&cells, &exact) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("bench_bound: some games failed to dominate, replay, or stay sound");
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

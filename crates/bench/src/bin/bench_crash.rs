@@ -16,46 +16,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::crashbench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_crash.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_crash: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_crash [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "some games failed to dominate, replay, hold baseline, or certify",
+        |quick| {
+            let (cells, checks) = run(quick);
+            BenchRun {
+                text: to_text(&cells, &checks),
+                json: to_json(&cells, &checks, quick),
+                clean: all_clean(&cells, &checks),
             }
-            other => {
-                eprintln!("bench_crash: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (cells, checks) = run(quick);
-    eprint!("{}", to_text(&cells, &checks));
-    let json = to_json(&cells, &checks, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_crash: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&cells, &checks) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("bench_crash: some games failed to dominate, replay, hold baseline, or certify");
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

@@ -14,46 +14,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::explorebench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_explore.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_explore: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_explore [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "some cells failed certification or a cross-check",
+        |quick| {
+            let (cells, broken, reductions) = run(quick);
+            BenchRun {
+                text: to_text(&cells, &broken, &reductions),
+                json: to_json(&cells, &broken, &reductions, quick),
+                clean: all_clean(&cells, &broken, &reductions),
             }
-            other => {
-                eprintln!("bench_explore: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let (cells, broken, reductions) = run(quick);
-    eprint!("{}", to_text(&cells, &broken, &reductions));
-    let json = to_json(&cells, &broken, &reductions, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_explore: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&cells, &broken, &reductions) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!("bench_explore: some cells failed certification or a cross-check");
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

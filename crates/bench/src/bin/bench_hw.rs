@@ -18,48 +18,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::hwbench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_hw.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_hw: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_hw [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "legs disagreed or a queue lock's RMR per passage is not flat across sizes",
+        |quick| {
+            let rows = run(quick);
+            BenchRun {
+                text: to_text(&rows),
+                json: to_json(&rows, quick),
+                clean: all_clean(&rows),
             }
-            other => {
-                eprintln!("bench_hw: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let rows = run(quick);
-    eprint!("{}", to_text(&rows));
-    let json = to_json(&rows, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_hw: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&rows) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench_hw: legs disagreed or a queue lock's RMR per passage is not flat across sizes"
-        );
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

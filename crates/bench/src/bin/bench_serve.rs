@@ -14,48 +14,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::servebench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_serve.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_serve: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_serve [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "a stripe failed, a worker count changed the report, or no cell reached the throughput gate",
+        |quick| {
+            let cells = run(quick);
+            BenchRun {
+                text: to_text(&cells),
+                json: to_json(&cells, quick),
+                clean: all_clean(&cells),
             }
-            other => {
-                eprintln!("bench_serve: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let cells = run(quick);
-    eprint!("{}", to_text(&cells));
-    let json = to_json(&cells, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_serve: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&cells) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench_serve: a stripe failed, a worker count changed the report, or no cell reached the throughput gate"
-        );
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

@@ -14,48 +14,19 @@
 use std::process::ExitCode;
 
 use exclusion_bench::tracebench::{all_clean, run, to_json, to_text};
+use exclusion_bench::{bench_main, BenchRun};
 
 fn main() -> ExitCode {
-    let mut quick = false;
-    let mut out_path = String::from("BENCH_trace.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(flag) = args.next() {
-        match flag.as_str() {
-            "--quick" => quick = true,
-            "--out" => match args.next() {
-                Some(p) => out_path = p,
-                None => {
-                    eprintln!("bench_trace: --out needs a value");
-                    return ExitCode::FAILURE;
-                }
-            },
-            "--help" | "-h" => {
-                eprintln!("usage: bench_trace [--quick] [--out PATH|-]");
-                return ExitCode::SUCCESS;
+    bench_main(
+        env!("CARGO_BIN_NAME"),
+        "a cell failed, engines disagreed, or an overhead gate was exceeded",
+        |quick| {
+            let configs = run(quick);
+            BenchRun {
+                text: to_text(&configs),
+                json: to_json(&configs, quick),
+                clean: all_clean(&configs),
             }
-            other => {
-                eprintln!("bench_trace: unknown flag `{other}` (try --help)");
-                return ExitCode::FAILURE;
-            }
-        }
-    }
-    let configs = run(quick);
-    eprint!("{}", to_text(&configs));
-    let json = to_json(&configs, quick);
-    if out_path == "-" {
-        println!("{json}");
-    } else if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("bench_trace: writing {out_path}: {e}");
-        return ExitCode::FAILURE;
-    } else {
-        eprintln!("wrote {out_path}");
-    }
-    if all_clean(&configs) {
-        ExitCode::SUCCESS
-    } else {
-        eprintln!(
-            "bench_trace: a cell failed, engines disagreed, or an overhead gate was exceeded"
-        );
-        ExitCode::FAILURE
-    }
+        },
+    )
 }

@@ -6,21 +6,41 @@
 //! tables --exp e1        # one experiment
 //! tables --markdown      # emit Markdown instead of aligned text
 //! ```
+//!
+//! An unknown flag, or `--exp` without an id, exits 2 before any
+//! experiment runs.
+
+use std::process::ExitCode;
 
 use exclusion_bench::experiments;
+use exclusion_workload::cli::Flags;
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let exp = args
-        .iter()
-        .position(|a| a == "--exp")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
+/// The command line: `(quick, markdown, experiment id)`.
+fn parse(argv: &[String]) -> Result<(bool, bool, Option<&str>), String> {
+    let (mut quick, mut markdown, mut exp) = (false, false, None);
+    let mut flags = Flags::new(argv, "--quick, --exp ID or --markdown");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--quick" => quick = true,
+            "--markdown" => markdown = true,
+            "--exp" => exp = Some(flags.value()?),
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    Ok((quick, markdown, exp))
+}
 
+fn main() -> ExitCode {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (quick, markdown, exp) = match parse(&argv) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("tables: {e}");
+            return ExitCode::from(2);
+        }
+    };
     match exp {
-        Some(id) => match experiments::run_one(&id, quick) {
+        Some(id) => match experiments::run_one(id, quick) {
             Some(t) => {
                 if markdown {
                     println!("{}", t.to_markdown());
@@ -30,7 +50,7 @@ fn main() {
             }
             None => {
                 eprintln!("unknown experiment `{id}`; use e1..e9, e10a, e10b, e11, e12, e13");
-                std::process::exit(2);
+                return ExitCode::from(2);
             }
         },
         None => {
@@ -42,4 +62,5 @@ fn main() {
             }
         }
     }
+    ExitCode::SUCCESS
 }

@@ -41,3 +41,64 @@ pub mod table;
 pub mod tracebench;
 
 pub use table::Table;
+
+use std::process::ExitCode;
+
+use exclusion_workload::cli::Flags;
+
+/// What one benchmark run hands back to [`bench_main`].
+#[derive(Clone, Debug)]
+pub struct BenchRun {
+    /// The aligned text table, printed to stderr.
+    pub text: String,
+    /// The JSON report, written to `--out`.
+    pub json: String,
+    /// Whether every gate held; a run that is not clean exits nonzero.
+    pub clean: bool,
+}
+
+/// The `main` of every `bench_*` binary. Reads `--quick`, `--out
+/// PATH|-` (default `BENCH_<name>.json` for a binary named
+/// `bench_<name>`; `-` is stdout) and `--help`, runs `bench(quick)`,
+/// prints its text table to stderr, writes its JSON, and exits nonzero
+/// with `failure` when a gate did not hold. A flag error exits nonzero
+/// before anything runs.
+pub fn bench_main(name: &str, failure: &str, bench: impl FnOnce(bool) -> BenchRun) -> ExitCode {
+    let outcome = run_bench(name, bench);
+    let error = match &outcome {
+        Ok(true) => return ExitCode::SUCCESS,
+        Ok(false) => failure,
+        Err(e) => e,
+    };
+    eprintln!("{name}: {error}");
+    ExitCode::FAILURE
+}
+
+/// [`bench_main`] up to the exit status: whether the run was clean
+/// (`--help` runs nothing and is clean), or the flag or write error.
+fn run_bench(name: &str, bench: impl FnOnce(bool) -> BenchRun) -> Result<bool, String> {
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let mut quick = false;
+    let mut out = format!("BENCH_{}.json", name.trim_start_matches("bench_"));
+    let mut flags = Flags::new(&argv, "--help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--quick" => quick = true,
+            "--out" => out = flags.value()?.to_string(),
+            "--help" | "-h" => {
+                eprintln!("usage: {name} [--quick] [--out PATH|-]");
+                return Ok(true);
+            }
+            other => return Err(flags.unknown(other)),
+        }
+    }
+    let run = bench(quick);
+    eprint!("{}", run.text);
+    if out == "-" {
+        println!("{}", run.json);
+    } else {
+        std::fs::write(&out, &run.json).map_err(|e| format!("writing {out}: {e}"))?;
+        eprintln!("wrote {out}");
+    }
+    Ok(run.clean)
+}

@@ -62,3 +62,26 @@ fn bench_binaries_answer_help_and_reject_bad_flags_before_running() {
         }
     }
 }
+
+#[test]
+fn tables_rejects_bad_flags_before_running_any_experiment() {
+    let tables = env!("CARGO_BIN_EXE_tables");
+    let hint = "(try --quick, --exp ID or --markdown)";
+    let rows: [(&[&str], String); 3] = [
+        (
+            &["--quik"],
+            format!("tables: unknown flag `--quik` {hint}\n"),
+        ),
+        (
+            &["--quick", "--help"],
+            format!("tables: unknown flag `--help` {hint}\n"),
+        ),
+        (
+            &["--quick", "--exp"],
+            "tables: --exp needs a value\n".into(),
+        ),
+    ];
+    for (args, stderr) in rows {
+        assert_eq!(run(tables, args), (2, EMPTY, stderr), "tables {args:?}");
+    }
+}

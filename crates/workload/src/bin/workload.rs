@@ -10,7 +10,7 @@
 //! workload --algs dekker-tree,bakery --n 8 --passages 2 \
 //!          --scheds greedy,random,burst,stagger --seeds 8 \
 //!          --threads 4 --json sweep.json --csv sweep.csv
-//! workload --algs filter:levels=6 --scheds burst:wave=2,gap=32
+//! workload --algs filter:levels=6 --n 6 --scheds burst:wave=2,gap=32
 //! workload --list                           # both registries, with metadata
 //! workload explore --n 3 --model sc --json explore.json
 //! workload explore --algs broken --n 2      # catch the planted race
@@ -27,6 +27,7 @@ use std::process::ExitCode;
 use exclusion_explore::{analyze_probed, explore_probed, report as xreport, ExploreConfig, Model};
 use exclusion_mutex::registry::AlgorithmRegistry;
 use exclusion_shmem::probe::{Probe, SpanScope, TraceEvent};
+use exclusion_workload::cli::{self, Flags};
 use exclusion_workload::schedreg::SchedulerRegistry;
 use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions};
 
@@ -101,25 +102,6 @@ struct Args {
     quiet: bool,
 }
 
-/// Splits a comma-separated spec list, keeping multi-parameter specs
-/// whole: a fragment that cannot *start* a spec (its name part
-/// contains `=`) is a continuation of the previous spec's parameter
-/// list, so `greedy,burst:wave=2,gap=32` is two specs, not three.
-fn split_specs(s: &str) -> Vec<String> {
-    let mut out: Vec<String> = Vec::new();
-    for part in s.split(',') {
-        let starts_spec = !part.split(':').next().unwrap_or("").contains('=');
-        match out.last_mut() {
-            Some(last) if !starts_spec => {
-                last.push(',');
-                last.push_str(part);
-            }
-            _ => out.push(part.to_string()),
-        }
-    }
-    out
-}
-
 /// Both registries rendered as aligned text — the CLI's `--list`.
 fn render_registries(algs: &AlgorithmRegistry, scheds: &SchedulerRegistry) -> String {
     let mut out = String::from("algorithms:\n");
@@ -164,15 +146,10 @@ fn render_registries(algs: &AlgorithmRegistry, scheds: &SchedulerRegistry) -> St
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut args = Args {
-        algs: vec!["dekker-tree".into(), "peterson".into()],
+        algs: Vec::new(),
         n: 8,
         passages: 2,
-        scheds: vec![
-            "greedy".into(),
-            "random".into(),
-            "burst".into(),
-            "stagger".into(),
-        ],
+        scheds: Vec::new(),
         seeds: 8,
         seed_base: 1,
         threads: 0,
@@ -183,52 +160,26 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         metrics: None,
         quiet: false,
     };
-    // First --algs/--scheds replaces the default list; repeats append,
-    // so multi-parameter specs (whose commas would collide with the
-    // list separator) can ride in their own flag occurrence.
-    let mut algs_set = false;
-    let mut scheds_set = false;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--algs" => {
-                let mut items = split_specs(&value()?);
-                if !std::mem::replace(&mut algs_set, true) {
-                    args.algs.clear();
-                }
-                args.algs.append(&mut items);
-            }
-            "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--passages" => {
-                args.passages = value()?.parse().map_err(|e| format!("--passages: {e}"))?;
-            }
-            "--scheds" => {
-                let mut items = split_specs(&value()?);
-                if !std::mem::replace(&mut scheds_set, true) {
-                    args.scheds.clear();
-                }
-                args.scheds.append(&mut items);
-            }
-            "--seeds" => args.seeds = value()?.parse().map_err(|e| format!("--seeds: {e}"))?,
-            "--seed-base" => {
-                args.seed_base = value()?.parse().map_err(|e| format!("--seed-base: {e}"))?;
-            }
-            "--threads" => {
-                args.threads = value()?.parse().map_err(|e| format!("--threads: {e}"))?;
-            }
-            "--max-steps" => {
-                args.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
-            }
+    // Repeating --algs/--scheds appends, so multi-parameter specs
+    // (whose commas would collide with the list separator) can ride in
+    // their own flag occurrence; the defaults apply only when a list
+    // was never given.
+    let mut flags = Flags::new(argv, "--help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--algs" => args.algs.extend(flags.specs()?),
+            "--n" => args.n = flags.parse()?,
+            "--passages" => args.passages = flags.parse()?,
+            "--scheds" => args.scheds.extend(flags.specs()?),
+            "--seeds" => args.seeds = flags.parse()?,
+            "--seed-base" => args.seed_base = flags.parse()?,
+            "--threads" => args.threads = flags.parse()?,
+            "--max-steps" => args.max_steps = flags.parse()?,
             "--record" => args.record = true,
             "--no-record" => args.record = false,
-            "--json" => args.json = Some(value()?),
-            "--csv" => args.csv = Some(value()?),
-            "--metrics" => args.metrics = Some(value()?),
+            "--json" => args.json = Some(flags.value()?.into()),
+            "--csv" => args.csv = Some(flags.value()?.into()),
+            "--metrics" => args.metrics = Some(flags.value()?.into()),
             "--quiet" => args.quiet = true,
             "--list" => {
                 print!(
@@ -247,8 +198,16 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                 print!("{USAGE}");
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}` (try --help)")),
+            other => return Err(flags.unknown(other)),
         }
+    }
+    if args.algs.is_empty() {
+        args.algs = ["dekker-tree", "peterson"].map(String::from).to_vec();
+    }
+    if args.scheds.is_empty() {
+        args.scheds = ["greedy", "random", "burst", "stagger"]
+            .map(String::from)
+            .to_vec();
     }
     if args.seeds == 0 {
         return Err("--seeds must be positive".into());
@@ -256,11 +215,28 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     Ok(Some(args))
 }
 
+/// The most seeds one scenario may sweep. Each seed becomes a run
+/// record, so the grid is bounded before anything is allocated.
+const MAX_SEEDS: u64 = 1 << 20;
+
 /// The grid is wired through the registries: scenario construction
 /// parses both specs and resolves them once, so unknown names and bad
 /// parameters fail here — with the registry contents and a
 /// nearest-name suggestion in the message — before anything runs.
 fn build_grid(args: &Args) -> Result<Vec<Scenario>, String> {
+    if args.seeds > MAX_SEEDS {
+        return Err(format!("--seeds: at most {MAX_SEEDS} seeds per scenario"));
+    }
+    if args
+        .seed_base
+        .checked_add(args.seeds.saturating_sub(1))
+        .is_none()
+    {
+        return Err(format!(
+            "--seed-base: {} seeds from {} run past u64::MAX",
+            args.seeds, args.seed_base
+        ));
+    }
     let seeds: Vec<u64> = (0..args.seeds).map(|k| args.seed_base + k).collect();
     let mut scenarios = Vec::new();
     for alg in &args.algs {
@@ -380,45 +356,32 @@ fn parse_explore_args(argv: &[String]) -> Result<Option<ExploreArgs>, String> {
         quiet: false,
         cfg: ExploreConfig::default(),
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--algs" => args.algs.extend(split_specs(&value()?)),
-            "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--passages" => {
-                args.cfg.passages = value()?.parse().map_err(|e| format!("--passages: {e}"))?;
-            }
+    let mut flags = Flags::new(argv, "explore --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--algs" => args.algs.extend(flags.specs()?),
+            "--n" => args.n = flags.parse()?,
+            "--passages" => args.cfg.passages = flags.parse()?,
             "--model" => {
-                let v = value()?;
-                args.model = Model::parse(&v)
-                    .ok_or_else(|| format!("--model: `{v}` is not one of sc|cc|dsm"))?;
+                args.model = flags.value_with(|v| {
+                    Model::parse(v).ok_or_else(|| format!("`{v}` is not one of sc|cc|dsm"))
+                })?;
             }
-            "--depth" => {
-                args.cfg.max_depth = Some(value()?.parse().map_err(|e| format!("--depth: {e}"))?);
-            }
-            "--max-states" => {
-                args.cfg.max_states = value()?.parse().map_err(|e| format!("--max-states: {e}"))?;
-            }
-            "--workers" => {
-                args.cfg.workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?;
-            }
+            "--depth" => args.cfg.max_depth = Some(flags.parse()?),
+            "--max-states" => args.cfg.max_states = flags.parse()?,
+            "--workers" => args.cfg.workers = flags.parse()?,
             "--no-worst" => args.no_worst = true,
             "--no-symmetry" => args.cfg.symmetry = false,
             "--por" => args.cfg.por = true,
             "--compress" => args.cfg.compress = true,
             "--spill" => args.cfg.spill = true,
-            "--json" => args.json = Some(value()?),
+            "--json" => args.json = Some(flags.value()?.into()),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{EXPLORE_USAGE}");
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}` (try explore --help)")),
+            other => return Err(flags.unknown(other)),
         }
     }
     if args.cfg.passages == 0 {
@@ -654,17 +617,13 @@ struct BoundArgs {
 /// Parses the `--n` grid: `LO..HI` (doubling, upper end included) or an
 /// explicit comma list.
 fn parse_grid(s: &str) -> Result<Vec<usize>, String> {
-    let ns = if let Some((lo, hi)) = s.split_once("..") {
-        let lo: usize = lo.parse().map_err(|e| format!("--n: {e}"))?;
-        let hi: usize = hi.parse().map_err(|e| format!("--n: {e}"))?;
-        exclusion_bound::doubling_grid(lo, hi)
-    } else {
-        s.split(',')
-            .map(|part| part.parse().map_err(|e| format!("--n: {e}")))
-            .collect::<Result<Vec<usize>, String>>()?
+    let num = |t: &str| t.parse::<usize>().map_err(|e| e.to_string());
+    let ns = match s.split_once("..") {
+        Some((lo, hi)) => exclusion_bound::doubling_grid(num(lo)?, num(hi)?),
+        None => s.split(',').map(num).collect::<Result<_, _>>()?,
     };
     if ns.is_empty() || ns.contains(&0) {
-        return Err(format!("--n: `{s}` is not a usable grid"));
+        return Err(format!("`{s}` is not a usable grid"));
     }
     Ok(ns)
 }
@@ -677,33 +636,22 @@ fn parse_bound_args(argv: &[String]) -> Result<Option<BoundArgs>, String> {
         quiet: false,
         cfg: exclusion_bound::BoundConfig::default(),
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--algs" => args.algs.extend(split_specs(&value()?)),
-            "--n" => args.ns = parse_grid(&value()?)?,
-            "--passages" => {
-                args.cfg.passages = value()?.parse().map_err(|e| format!("--passages: {e}"))?;
-            }
-            "--seed" => args.cfg.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--patience" => {
-                args.cfg.patience = Some(value()?.parse().map_err(|e| format!("--patience: {e}"))?);
-            }
-            "--max-steps" => {
-                args.cfg.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
-            }
-            "--json" => args.json = Some(value()?),
+    let mut flags = Flags::new(argv, "bound --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--algs" => args.algs.extend(flags.specs()?),
+            "--n" => args.ns = flags.value_with(parse_grid)?,
+            "--passages" => args.cfg.passages = flags.parse()?,
+            "--seed" => args.cfg.seed = flags.parse()?,
+            "--patience" => args.cfg.patience = Some(flags.parse()?),
+            "--max-steps" => args.cfg.max_steps = flags.parse()?,
+            "--json" => args.json = Some(flags.value()?.into()),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{BOUND_USAGE}");
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}` (try bound --help)")),
+            other => return Err(flags.unknown(other)),
         }
     }
     if args.cfg.passages == 0 {
@@ -965,47 +913,31 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
         cfg: exclusion_bound::BoundConfig::default(),
         xcfg: ExploreConfig::default(),
     };
-    let mut sched = String::from("fanlynch");
+    let mut sched = "fanlynch";
     let mut crashes: Option<usize> = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--algs" => args.algs.extend(split_specs(&value()?)),
-            "--n" => args.ns = parse_grid(&value()?)?,
-            "--crashes" => {
-                crashes = Some(value()?.parse().map_err(|e| format!("--crashes: {e}"))?);
-            }
-            "--sched" => sched = value()?,
+    let mut flags = Flags::new(argv, "crash --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--algs" => args.algs.extend(flags.specs()?),
+            "--n" => args.ns = flags.value_with(parse_grid)?,
+            "--crashes" => crashes = Some(flags.parse()?),
+            "--sched" => sched = flags.value()?,
             "--no-certify" => args.certify = false,
             "--no-symmetry" => args.xcfg.symmetry = false,
             "--compress" => args.xcfg.compress = true,
             "--spill" => args.xcfg.spill = true,
-            "--max-states" => {
-                args.xcfg.max_states =
-                    value()?.parse().map_err(|e| format!("--max-states: {e}"))?;
-            }
-            "--passages" => {
-                args.cfg.passages = value()?.parse().map_err(|e| format!("--passages: {e}"))?;
-            }
-            "--seed" => args.cfg.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--patience" => {
-                args.cfg.patience = Some(value()?.parse().map_err(|e| format!("--patience: {e}"))?);
-            }
-            "--max-steps" => {
-                args.cfg.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
-            }
-            "--json" => args.json = Some(value()?),
+            "--max-states" => args.xcfg.max_states = flags.parse()?,
+            "--passages" => args.cfg.passages = flags.parse()?,
+            "--seed" => args.cfg.seed = flags.parse()?,
+            "--patience" => args.cfg.patience = Some(flags.parse()?),
+            "--max-steps" => args.cfg.max_steps = flags.parse()?,
+            "--json" => args.json = Some(flags.value()?.into()),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{CRASH_USAGE}");
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}` (try crash --help)")),
+            other => return Err(flags.unknown(other)),
         }
     }
     if args.cfg.passages == 0 {
@@ -1016,7 +948,7 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     // Resolving through the registry also validates the spelling, so
     // `fanlynch:crashes=-1` fails here with the registry's own error.
     let resolved = SchedulerRegistry::global()
-        .resolve_str(&sched, 2)
+        .resolve_str(sched, 2)
         .map_err(|e| format!("--sched: {e}"))?;
     args.budget = match crashes {
         Some(k) => k,
@@ -1354,9 +1286,9 @@ struct TraceArgs {
     every: u64,
 }
 
-fn parse_progress(v: &str) -> Result<u64, String> {
-    let v = v.strip_prefix("every:").unwrap_or(v);
-    v.parse().map_err(|e| format!("--progress: {e}"))
+/// Parses a `--progress` value: `every:N` or plain `N`.
+fn progress_every(v: &str) -> Result<u64, std::num::ParseIntError> {
+    v.strip_prefix("every:").unwrap_or(v).parse()
 }
 
 fn parse_trace_args(argv: &[String]) -> Result<Option<TraceArgs>, String> {
@@ -1371,34 +1303,25 @@ fn parse_trace_args(argv: &[String]) -> Result<Option<TraceArgs>, String> {
         metrics: None,
         every: 0,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--alg" => args.alg = value()?,
-            "--sched" => args.sched = value()?,
-            "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--passages" => {
-                args.passages = value()?.parse().map_err(|e| format!("--passages: {e}"))?;
-            }
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--max-steps" => {
-                args.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
-            }
-            "--out" => args.out = value()?,
-            "--metrics" => args.metrics = Some(value()?),
-            "--progress" => args.every = parse_progress(&value()?)?,
+    let mut flags = Flags::new(argv, "trace --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--alg" => args.alg = flags.value()?.into(),
+            "--sched" => args.sched = flags.value()?.into(),
+            "--n" => args.n = flags.parse()?,
+            "--passages" => args.passages = flags.parse()?,
+            "--seed" => args.seed = flags.parse()?,
+            "--max-steps" => args.max_steps = flags.parse()?,
+            "--out" => args.out = flags.value()?.into(),
+            "--metrics" => args.metrics = Some(flags.value()?.into()),
+            "--progress" => args.every = flags.value_with(progress_every)?,
             "--help" | "-h" => {
                 print!("{TRACE_USAGE}");
                 return Ok(None);
             }
             other => match other.strip_prefix("--progress=") {
-                Some(v) => args.every = parse_progress(v)?,
-                None => return Err(format!("unknown flag `{other}` (try trace --help)")),
+                Some(v) => args.every = cli::convert("--progress", v, progress_every)?,
+                None => return Err(flags.unknown(other)),
             },
         }
     }
@@ -1587,43 +1510,30 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
         every: 0,
         quiet: false,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--alg" => args.alg = value()?,
-            "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--sched" => args.sched = value()?,
-            "--arrivals" => args.arrivals = value()?,
-            "--requests" => {
-                args.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--deadline" => {
-                args.deadline = Some(value()?.parse().map_err(|e| format!("--deadline: {e}"))?);
-            }
-            "--ring" => args.ring = value()?.parse().map_err(|e| format!("--ring: {e}"))?,
-            "--stripe" => args.stripe = value()?.parse().map_err(|e| format!("--stripe: {e}"))?,
-            "--workers" => {
-                args.workers = value()?.parse().map_err(|e| format!("--workers: {e}"))?;
-            }
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--max-steps" => {
-                args.max_steps = value()?.parse().map_err(|e| format!("--max-steps: {e}"))?;
-            }
-            "--json" => args.json = value()?,
-            "--progress" => args.every = parse_progress(&value()?)?,
+    let mut flags = Flags::new(argv, "serve --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--alg" => args.alg = flags.value()?.into(),
+            "--n" => args.n = flags.parse()?,
+            "--sched" => args.sched = flags.value()?.into(),
+            "--arrivals" => args.arrivals = flags.value()?.into(),
+            "--requests" => args.requests = flags.parse()?,
+            "--deadline" => args.deadline = Some(flags.parse()?),
+            "--ring" => args.ring = flags.parse()?,
+            "--stripe" => args.stripe = flags.parse()?,
+            "--workers" => args.workers = flags.parse()?,
+            "--seed" => args.seed = flags.parse()?,
+            "--max-steps" => args.max_steps = flags.parse()?,
+            "--json" => args.json = flags.value()?.into(),
+            "--progress" => args.every = flags.value_with(progress_every)?,
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{SERVE_USAGE}");
                 return Ok(None);
             }
             other => match other.strip_prefix("--progress=") {
-                Some(v) => args.every = parse_progress(v)?,
-                None => return Err(format!("unknown flag `{other}` (try serve --help)")),
+                Some(v) => args.every = cli::convert("--progress", v, progress_every)?,
+                None => return Err(flags.unknown(other)),
             },
         }
     }
@@ -1761,33 +1671,22 @@ fn parse_hwbench_args(argv: &[String]) -> Result<Option<HwbenchArgs>, String> {
         json: "-".into(),
         quiet: false,
     };
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = || {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{flag} needs a value"))
-        };
-        match flag.as_str() {
-            "--algs" => args.algs = split_specs(&value()?),
-            "--arrivals" => args.arrivals = split_specs(&value()?),
-            "--n" => args.n = value()?.parse().map_err(|e| format!("--n: {e}"))?,
-            "--requests" => {
-                args.requests = value()?.parse().map_err(|e| format!("--requests: {e}"))?;
-            }
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("--seed: {e}"))?,
-            "--ns-per-tick" => {
-                args.ns_per_tick = value()?
-                    .parse()
-                    .map_err(|e| format!("--ns-per-tick: {e}"))?;
-            }
-            "--json" => args.json = value()?,
+    let mut flags = Flags::new(argv, "hwbench --help");
+    while let Some(flag) = flags.next() {
+        match flag {
+            "--algs" => args.algs = flags.specs()?,
+            "--arrivals" => args.arrivals = flags.specs()?,
+            "--n" => args.n = flags.parse()?,
+            "--requests" => args.requests = flags.parse()?,
+            "--seed" => args.seed = flags.parse()?,
+            "--ns-per-tick" => args.ns_per_tick = flags.parse()?,
+            "--json" => args.json = flags.value()?.into(),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
                 print!("{HWBENCH_USAGE}");
                 return Ok(None);
             }
-            other => return Err(format!("unknown flag `{other}` (try hwbench --help)")),
+            other => return Err(flags.unknown(other)),
         }
     }
     if args.n == 0 || args.requests == 0 {
@@ -1852,25 +1751,20 @@ fn run_hwbench(argv: &[String]) -> Result<(), String> {
 
 fn run() -> Result<(), String> {
     let argv: Vec<String> = std::env::args().skip(1).collect();
-    if argv.first().map(String::as_str) == Some("explore") {
-        return run_explore(&argv[1..]);
+    let rest = argv.get(1..).unwrap_or_default();
+    match argv.first().map(String::as_str) {
+        Some("explore") => run_explore(rest),
+        Some("bound") => run_bound(rest),
+        Some("crash") => run_crash(rest),
+        Some("trace") => run_trace(rest),
+        Some("serve") => run_serve(rest),
+        Some("hwbench") => run_hwbench(rest),
+        _ => run_sweep(&argv),
     }
-    if argv.first().map(String::as_str) == Some("bound") {
-        return run_bound(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("crash") {
-        return run_crash(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("trace") {
-        return run_trace(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("serve") {
-        return run_serve(&argv[1..]);
-    }
-    if argv.first().map(String::as_str) == Some("hwbench") {
-        return run_hwbench(&argv[1..]);
-    }
-    let Some(args) = parse_args(&argv)? else {
+}
+
+fn run_sweep(argv: &[String]) -> Result<(), String> {
+    let Some(args) = parse_args(argv)? else {
         return Ok(());
     };
     let scenarios = build_grid(&args)?;
@@ -1934,5 +1828,94 @@ fn main() -> ExitCode {
             eprintln!("workload: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// Every flag some subcommand reads, switches included.
+    #[rustfmt::skip]
+    const FLAGS: &[&str] = &[
+        "--algs", "--alg", "--n", "--passages", "--scheds", "--sched", "--seeds", "--seed-base",
+        "--seed", "--threads", "--workers", "--max-steps", "--max-states", "--depth", "--model",
+        "--patience", "--crashes", "--arrivals", "--requests", "--deadline", "--ring", "--stripe",
+        "--ns-per-tick", "--progress", "--progress=every:x", "--progress=18446744073709551615",
+        "--json", "--csv", "--metrics", "--out", "--record", "--no-record", "--no-worst",
+        "--no-symmetry", "--por", "--compress", "--spill", "--no-certify", "--quiet",
+    ];
+
+    /// The edge values of the grammar, plus one valid value of each kind.
+    #[rustfmt::skip]
+    const VALUES: &[&str] = &[
+        "0", "-1", "18446744073709551615", "", "x", "4..1", "1", "4..64", "every:0", "peterson",
+        "greedy,burst:wave=2,gap=32", "steady",
+    ];
+
+    /// A subcommand's parser, its result dropped.
+    type Parser = fn(&[String]) -> Result<(), String>;
+
+    /// Every subcommand's parser; the sweep's also builds its grid.
+    const PARSERS: [Parser; 7] = [
+        |argv| match parse_args(argv)? {
+            Some(args) => build_grid(&args).map(drop),
+            None => Ok(()),
+        },
+        |argv| parse_explore_args(argv).map(drop),
+        |argv| parse_bound_args(argv).map(drop),
+        |argv| parse_crash_args(argv).map(drop),
+        |argv| parse_trace_args(argv).map(drop),
+        |argv| parse_serve_args(argv).map(drop),
+        |argv| parse_hwbench_args(argv).map(drop),
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        /// Arbitrary argv, drawn from each parser's own flags and the
+        /// edge values, through every subcommand's parser and the
+        /// sweep's grid builder: each returns `Ok` or `Err`, none panics.
+        #[test]
+        fn arbitrary_argv_parses_or_fails_without_panicking(
+            picks in prop::collection::vec((any::<usize>(), 0..VALUES.len(), 0..4u8), 0..6)
+        ) {
+            for parse in PARSERS {
+                let known: Vec<&str> = FLAGS
+                    .iter()
+                    .copied()
+                    .filter(|f| !parse(&[f.to_string()]).is_err_and(|e| e.starts_with("unknown")))
+                    .collect();
+                let mut argv = Vec::new();
+                for &(flag, value, unpaired) in &picks {
+                    argv.push(known[flag % known.len()].to_string());
+                    if unpaired > 0 {
+                        argv.push(VALUES[value].to_string());
+                    }
+                }
+                let _ = parse(&argv);
+            }
+        }
+    }
+
+    /// Builds the sweep grid of a whitespace-separated argv.
+    fn grid(argv: &str) -> Result<Vec<Scenario>, String> {
+        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+        build_grid(&parse_args(&argv)?.expect("a sweep, not --help"))
+    }
+
+    #[test]
+    fn seed_grids_are_bounded_before_allocation() {
+        assert_eq!(
+            grid("--seeds 18446744073709551615").unwrap_err(),
+            "--seeds: at most 1048576 seeds per scenario"
+        );
+        assert_eq!(
+            grid("--seed-base 18446744073709551615 --seeds 2").unwrap_err(),
+            "--seed-base: 2 seeds from 18446744073709551615 run past u64::MAX"
+        );
+        let top = grid("--seed-base 18446744073709551614 --seeds 2 --scheds random").unwrap();
+        assert_eq!(top[0].effective_seeds(), [u64::MAX - 1, u64::MAX]);
     }
 }

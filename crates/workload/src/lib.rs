@@ -57,6 +57,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod cli;
 pub mod hwbench;
 pub mod report;
 pub mod runner;

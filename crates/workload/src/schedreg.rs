@@ -354,7 +354,7 @@ impl SchedulerRegistry {
                     spec.expect_params(&["wave", "gap"], false)?;
                     (
                         spec.usize_param("wave", n.div_ceil(2).max(1))?,
-                        spec.usize_param("gap", 2 * n)?,
+                        spec.usize_param("gap", n.saturating_mul(2))?,
                     )
                 };
                 if wave == 0 {
@@ -395,7 +395,7 @@ impl SchedulerRegistry {
                     })?
                 } else {
                     spec.expect_params(&["stride"], false)?;
-                    spec.usize_param("stride", 2 * n)?
+                    spec.usize_param("stride", n.saturating_mul(2))?
                 };
                 let builder: SchedBuilder = Arc::new(move |_passages, seed| {
                     // Arrival *order* is the seeded part: the i-th

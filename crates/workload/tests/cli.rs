@@ -246,3 +246,17 @@ const MALFORMED_INPUT: &[Row] = &[
 fn malformed_input_is_rejected_with_its_pinned_message() {
     check(MALFORMED_INPUT);
 }
+
+/// A seed grid past its bound, or past `u64::MAX`, is a flag error.
+#[rustfmt::skip]
+const SEED_GRID_BOUNDS: &[Row] = &[
+    ("--seeds 18446744073709551615", 1, 0xcbf29ce484222325, "workload: --seeds: at most 1048576 seeds per scenario"),
+    ("--seeds 1048577 --quiet", 1, 0xcbf29ce484222325, "workload: --seeds: at most 1048576 seeds per scenario"),
+    ("--seed-base 18446744073709551615 --seeds 2", 1, 0xcbf29ce484222325, "workload: --seed-base: 2 seeds from 18446744073709551615 run past u64::MAX"),
+    ("--algs peterson --scheds random --n 2 --seed-base 18446744073709551614 --seeds 2 --json - --quiet", 0, 0x9e96407aaf2a0462, ""),
+];
+
+#[test]
+fn seed_grids_past_their_bound_are_flag_errors() {
+    check(SEED_GRID_BOUNDS);
+}
