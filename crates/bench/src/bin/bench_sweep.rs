@@ -1,6 +1,6 @@
-//! `bench_sweep` — the sweep benchmark: times the record+replay and
-//! streaming pricing engines on the same adversarial grid and writes
-//! `BENCH_sweep.json`.
+//! `bench_sweep` — the sweep benchmark: times a record-and-replay
+//! baseline and the streaming sweep on the same adversarial grid and
+//! writes `BENCH_sweep.json`.
 //!
 //! ```text
 //! bench_sweep                        # full grid (n up to 64), BENCH_sweep.json

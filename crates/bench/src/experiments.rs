@@ -770,13 +770,7 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
             })
         })
         .collect();
-    let report = sweep(
-        &scenarios,
-        &SweepOptions {
-            record: false, // the streaming single-pass pricing engine
-            ..SweepOptions::default()
-        },
-    );
+    let report = sweep(&scenarios, &SweepOptions::default());
     for s in &report.summaries {
         let seq_sc = report
             .summaries

@@ -1,8 +1,8 @@
 //! The experiment harness: every experiment table is generated by a
 //! function in [`experiments`], and `cargo run -p exclusion-bench
 //! --bin tables` prints them all. The `bench_sweep` binary (module
-//! [`sweepbench`]) times the streaming pricing engine against the
-//! record+replay one and emits `BENCH_sweep.json`; the `bench_explore`
+//! [`sweepbench`]) times the streaming sweep against a record-and-replay
+//! baseline and emits `BENCH_sweep.json`; the `bench_explore`
 //! binary (module [`explorebench`]) computes the exact worst-case cost
 //! tables for small `n` and emits `BENCH_explore.json`; the
 //! `bench_bound` binary (module [`boundbench`]) plays the adaptive

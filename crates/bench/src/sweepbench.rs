@@ -1,12 +1,14 @@
 //! The sweep benchmark behind `BENCH_sweep.json`: the same adversarial
-//! scenario grid priced by both engines — record + replay vs the
-//! streaming single pass — with wall-clock timings, so the perf
-//! trajectory of the hot loop has machine-readable data.
+//! scenario grid priced by the streaming sweep and by a record-and-replay
+//! baseline that rebuilds every view each step, with wall-clock
+//! timings, so the perf trajectory of the hot loop has machine-readable
+//! data.
 //!
 //! Run it with `cargo run --release -p exclusion-bench --bin
 //! bench_sweep -- --out BENCH_sweep.json`. CI runs it on every push and
 //! uploads the JSON as an artifact; the binary exits nonzero if any
-//! swept configuration errors or the two engines ever disagree.
+//! swept configuration errors or the baseline and the streaming sweep
+//! ever disagree.
 
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -17,10 +19,11 @@ use exclusion_shmem::{DynRef, Execution, ProcessId, ProcessView, SchedContext, S
 use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions, SweepReport};
 
 /// Schema tag stamped into `BENCH_sweep.json`.
-pub const BENCH_SCHEMA: &str = "exclusion-bench-sweep/v1";
+pub const BENCH_SCHEMA: &str = "exclusion-bench-sweep/v2";
 
 /// One benchmarked configuration: a (n, scheduler) cell of the grid,
-/// swept over the benchmark's algorithms by both pricing engines.
+/// swept over the benchmark's algorithms by the streaming sweep and
+/// the baseline.
 #[derive(Clone, Debug)]
 pub struct BenchConfig {
     /// Processes per run.
@@ -33,7 +36,7 @@ pub struct BenchConfig {
     pub steps: usize,
     /// Failed runs (nonzero fails the benchmark).
     pub failures: usize,
-    /// Whether the two engines produced bit-identical reports.
+    /// Whether the baseline's totals equal the streaming sweep's.
     pub identical: bool,
     /// Wall-clock nanoseconds of the pre-streaming pipeline — scheduler
     /// views rebuilt from scratch every step, the execution recorded in
@@ -42,10 +45,6 @@ pub struct BenchConfig {
     /// engine replaces, preserved here verbatim as the benchmark
     /// baseline.
     pub baseline_ns: u128,
-    /// Wall-clock nanoseconds of today's record + replay engine, which
-    /// already benefits from incremental views (best of [`REPS`],
-    /// single worker thread).
-    pub replay_ns: u128,
     /// Wall-clock nanoseconds of the streaming sweep (best of
     /// [`REPS`], single worker thread).
     pub streaming_ns: u128,
@@ -59,13 +58,6 @@ impl BenchConfig {
     #[must_use]
     pub fn speedup(&self) -> f64 {
         self.baseline_ns as f64 / (self.streaming_ns.max(1)) as f64
-    }
-
-    /// Today's record+replay engine over streaming: what switching off
-    /// `--record` still buys once both share incremental views.
-    #[must_use]
-    pub fn replay_speedup(&self) -> f64 {
-        self.replay_ns as f64 / (self.streaming_ns.max(1)) as f64
     }
 }
 
@@ -155,7 +147,7 @@ fn timed_baseline(scenarios: &[Scenario], streamed: &SweepReport) -> (u128, usiz
     (ns, failures, identical)
 }
 
-/// Timed sweeps per engine and configuration; the minimum is reported.
+/// Timed sweeps per pipeline and configuration; the minimum is reported.
 pub const REPS: usize = 3;
 
 /// Algorithms every configuration sweeps.
@@ -192,12 +184,11 @@ fn scenarios_for(n: usize, sched: &SchedSpec, quick: bool) -> Vec<Scenario> {
         .collect()
 }
 
-fn timed_sweep(scenarios: &[Scenario], record: bool) -> (SweepReport, u128) {
-    // One worker thread: the benchmark measures the engines' compute,
+fn timed_sweep(scenarios: &[Scenario]) -> (SweepReport, u128) {
+    // One worker thread: the benchmark measures the sweep's compute,
     // not the thread pool.
     let opts = SweepOptions {
         threads: 1,
-        record,
         ..SweepOptions::default()
     };
     let mut best: Option<(SweepReport, u128)> = None;
@@ -220,8 +211,7 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
     for &n in sizes(quick) {
         for sched in scheds_for(n) {
             let scenarios = scenarios_for(n, &sched, quick);
-            let (replayed, replay_ns) = timed_sweep(&scenarios, true);
-            let (streamed, streaming_ns) = timed_sweep(&scenarios, false);
+            let (streamed, streaming_ns) = timed_sweep(&scenarios);
             let (baseline_ns, baseline_failures, baseline_identical) =
                 timed_baseline(&scenarios, &streamed);
             out.push(BenchConfig {
@@ -230,11 +220,9 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
                 runs: streamed.records.len(),
                 steps: streamed.records.iter().map(|r| r.steps).sum(),
                 failures: streamed.summaries.iter().map(|s| s.failures).sum::<usize>()
-                    + replayed.summaries.iter().map(|s| s.failures).sum::<usize>()
                     + baseline_failures,
-                identical: streamed == replayed && baseline_identical,
+                identical: baseline_identical,
                 baseline_ns,
-                replay_ns,
                 streaming_ns,
                 sc_max: streamed
                     .summaries
@@ -248,8 +236,8 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
     out
 }
 
-/// Whether every configuration ran clean: no failures and bit-identical
-/// engine results.
+/// Whether every configuration ran clean: no failures, and the
+/// baseline's totals equal the streaming sweep's.
 #[must_use]
 pub fn all_clean(configs: &[BenchConfig]) -> bool {
     configs.iter().all(|c| c.failures == 0 && c.identical)
@@ -273,8 +261,7 @@ pub fn to_json(configs: &[BenchConfig], quick: bool) -> String {
             out,
             "{{\"n\":{},\"scheduler\":\"{}\",\"runs\":{},\"steps\":{},\
              \"failures\":{},\"identical\":{},\"baseline_ns\":{},\
-             \"replay_ns\":{},\"streaming_ns\":{},\"speedup\":{:.3},\
-             \"replay_speedup\":{:.3},\"sc_max\":{}}}",
+             \"streaming_ns\":{},\"speedup\":{:.3},\"sc_max\":{}}}",
             c.n,
             c.scheduler,
             c.runs,
@@ -282,10 +269,8 @@ pub fn to_json(configs: &[BenchConfig], quick: bool) -> String {
             c.failures,
             c.identical,
             c.baseline_ns,
-            c.replay_ns,
             c.streaming_ns,
             c.speedup(),
-            c.replay_speedup(),
             c.sc_max,
         );
     }
@@ -308,18 +293,17 @@ pub fn to_json(configs: &[BenchConfig], quick: bool) -> String {
 #[must_use]
 pub fn to_text(configs: &[BenchConfig]) -> String {
     let mut out = String::from(
-        "   n  scheduler           runs     steps  baseline ms   replay ms   stream ms   speedup\n",
+        "   n  scheduler           runs     steps  baseline ms   stream ms   speedup\n",
     );
     for c in configs {
         let _ = writeln!(
             out,
-            "{:>4}  {:<18}{:>6}{:>10}{:>13.2}{:>12.2}{:>12.2}{:>9.2}x",
+            "{:>4}  {:<18}{:>6}{:>10}{:>13.2}{:>12.2}{:>9.2}x",
             c.n,
             c.scheduler,
             c.runs,
             c.steps,
             c.baseline_ns as f64 / 1e6,
-            c.replay_ns as f64 / 1e6,
             c.streaming_ns as f64 / 1e6,
             c.speedup(),
         );
@@ -340,7 +324,7 @@ mod tests {
             assert!(c.runs > 0);
             assert!(c.steps > 0);
             assert!(c.sc_max > 0);
-            assert!(c.baseline_ns > 0 && c.replay_ns > 0 && c.streaming_ns > 0);
+            assert!(c.baseline_ns > 0 && c.streaming_ns > 0);
         }
         let json = to_json(&configs, true);
         assert!(json.starts_with(&format!("{{\"schema\":\"{BENCH_SCHEMA}\"")));

@@ -70,11 +70,6 @@ OPTIONS:
     --seed-base B        first seed of the grid (default: 1)
     --threads T          worker threads, 0 = one per core (default: 0)
     --max-steps N        step budget per run (default: 50000000)
-    --no-record          stream costs in a single pass without recording
-                         executions (the default engine)
-    --record             record every execution and price it by replay
-                         (the legacy engine; same results, ~4x the work —
-                         kept for A/B measurement)
     --json PATH          write the JSON report (`-` for stdout)
     --csv PATH           write the per-run CSV (`-` for stdout)
     --metrics PATH       aggregate trace metrics over every run and
@@ -95,7 +90,6 @@ struct Args {
     seed_base: u64,
     threads: usize,
     max_steps: usize,
-    record: bool,
     json: Option<String>,
     csv: Option<String>,
     metrics: Option<String>,
@@ -154,7 +148,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
         seed_base: 1,
         threads: 0,
         max_steps: 50_000_000,
-        record: false,
         json: None,
         csv: None,
         metrics: None,
@@ -175,8 +168,6 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--seed-base" => args.seed_base = flags.parse()?,
             "--threads" => args.threads = flags.parse()?,
             "--max-steps" => args.max_steps = flags.parse()?,
-            "--record" => args.record = true,
-            "--no-record" => args.record = false,
             "--json" => args.json = Some(flags.value()?.into()),
             "--csv" => args.csv = Some(flags.value()?.into()),
             "--metrics" => args.metrics = Some(flags.value()?.into()),
@@ -1786,7 +1777,6 @@ fn run_sweep(argv: &[String]) -> Result<(), String> {
         &scenarios,
         &SweepOptions {
             threads: args.threads,
-            record: args.record,
             metrics: args.metrics.is_some(),
         },
     );
@@ -1797,11 +1787,10 @@ fn run_sweep(argv: &[String]) -> Result<(), String> {
         #[allow(clippy::cast_precision_loss)]
         let throughput = report.records.len() as f64 / elapsed.as_secs_f64().max(1e-9);
         eprintln!(
-            "swept {} runs in {:.1} ms wall ({throughput:.0} runs/s, {:.1} ms of worker time, {} pricing)",
+            "swept {} runs in {:.1} ms wall ({throughput:.0} runs/s, {:.1} ms of worker time)",
             report.records.len(),
             elapsed.as_secs_f64() * 1e3,
             busy_ns as f64 / 1e6,
-            if args.record { "replay" } else { "streaming" },
         );
     }
     if let Some(path) = &args.json {
@@ -1843,8 +1832,8 @@ mod tests {
         "--seed", "--threads", "--workers", "--max-steps", "--max-states", "--depth", "--model",
         "--patience", "--crashes", "--arrivals", "--requests", "--deadline", "--ring", "--stripe",
         "--ns-per-tick", "--progress", "--progress=every:x", "--progress=18446744073709551615",
-        "--json", "--csv", "--metrics", "--out", "--record", "--no-record", "--no-worst",
-        "--no-symmetry", "--por", "--compress", "--spill", "--no-certify", "--quiet",
+        "--json", "--csv", "--metrics", "--out", "--no-worst", "--no-symmetry", "--por",
+        "--compress", "--spill", "--no-certify", "--quiet",
     ];
 
     /// The edge values of the grammar, plus one valid value of each kind.

@@ -20,10 +20,8 @@
 //! * [`sweep`] runs a batch of scenarios sharded across worker threads,
 //!   prices every run under the SC, CC and DSM cost models, and
 //!   aggregates min/percentile/max/mean summaries — results are
-//!   bit-identical for any thread count. By default each run is driven
-//!   and priced in a *single streaming pass* (nothing recorded, nothing
-//!   replayed); [`SweepOptions::record`] switches to the legacy
-//!   record-then-replay engine, whose results are identical;
+//!   bit-identical for any thread count. Each run is driven and priced
+//!   in a *single streaming pass* (nothing recorded, nothing replayed);
 //! * [`SweepReport`] serializes to JSON, CSV or an aligned text table.
 //!
 //! The `workload` binary wraps all of this in a CLI.

@@ -2,22 +2,18 @@
 //! worker threads, prices every run under all three cost models, and
 //! aggregates per-scenario summaries.
 //!
-//! Pricing has two engines, selected by [`SweepOptions::record`]:
-//!
-//! * **streaming** (the default): each run is driven and priced in a
-//!   single pass via `exclusion_cost::run_priced` — no execution is
-//!   recorded, nothing is replayed;
-//! * **record + replay** (the legacy path, kept for A/B measurement and
-//!   pinned bit-identical by tests): each run is recorded in full and
-//!   replayed three times, once per cost model.
+//! Each run is driven and priced in a single streaming pass via
+//! `exclusion_cost::run_priced` — no execution is recorded, nothing is
+//! replayed. `tests/streaming_equivalence.rs` pins it against the
+//! record-then-replay reference (`run_scheduler` plus the replay
+//! pricers).
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use exclusion_cost::{all_costs, run_priced_probed};
+use exclusion_cost::run_priced_probed;
 use exclusion_shmem::dynamic::DynRef;
 use exclusion_shmem::probe::{NoProbe, Probe, SpanScope, TraceEvent};
-use exclusion_shmem::sched::run_scheduler;
 use exclusion_trace::Metrics;
 
 use crate::scenario::Scenario;
@@ -27,8 +23,8 @@ use crate::scenario::Scenario;
 ///
 /// Equality deliberately ignores [`wall_ns`](RunRecord::wall_ns): the
 /// wall-clock timing is measurement metadata, not part of the result —
-/// two records of the same run compare equal across machines, thread
-/// counts and pricing engines.
+/// two records of the same run compare equal across machines and
+/// thread counts.
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Scenario name.
@@ -182,16 +178,8 @@ pub struct SweepReport {
 pub struct SweepOptions {
     /// Worker threads; `0` means one per available core.
     pub threads: usize,
-    /// Record each execution in full and price it by replay (the legacy
-    /// path) instead of streaming the costs in a single pass. Default
-    /// `false`: the streaming engine. Results are bit-identical either
-    /// way; `record` costs roughly three extra re-executions per run
-    /// plus the recording allocation.
-    pub record: bool,
     /// Collect a merged [`Metrics`] aggregate over the whole grid into
-    /// [`SweepReport::metrics`]. Only the streaming engine emits
-    /// per-step events, so combine with `record` only for span/step
-    /// counts of interest. Default `false`: the hot path runs with
+    /// [`SweepReport::metrics`]. Default `false`: the hot path runs with
     /// [`NoProbe`] and pays nothing.
     pub metrics: bool,
 }
@@ -215,10 +203,6 @@ impl SweepOptions {
 /// exactly the cell [`sweep`] runs.
 #[must_use]
 pub fn run_probed(sc: &Scenario, seed: u64, probe: &mut dyn Probe) -> RunRecord {
-    run_one(sc, seed, false, probe)
-}
-
-fn run_one(sc: &Scenario, seed: u64, record_executions: bool, probe: &mut dyn Probe) -> RunRecord {
     let mut record = RunRecord {
         scenario: sc.name.clone(),
         algorithm: sc.algorithm.clone(),
@@ -240,31 +224,15 @@ fn run_one(sc: &Scenario, seed: u64, record_executions: bool, probe: &mut dyn Pr
     let alg = DynRef(sc.automaton().as_ref());
     let mut sched = sc.build_scheduler(seed);
     let start = Instant::now();
-    if record_executions {
-        match run_scheduler(&alg, sched.as_mut(), sc.passages, sc.max_steps) {
-            Ok(exec) => match all_costs(&alg, &exec) {
-                Ok((sc_cost, cc_cost, dsm_cost)) => {
-                    record.steps = exec.len();
-                    record.sc = sc_cost.total();
-                    record.cc = cc_cost.total();
-                    record.dsm = dsm_cost.total();
-                    record.sc_max_process = sc_cost.max_process();
-                }
-                Err(e) => record.error = Some(e.to_string()),
-            },
-            Err(e) => record.error = Some(e.to_string()),
+    match run_priced_probed(&alg, sched.as_mut(), sc.passages, sc.max_steps, probe) {
+        Ok(priced) => {
+            record.steps = priced.steps;
+            record.sc = priced.sc.total();
+            record.cc = priced.cc.total();
+            record.dsm = priced.dsm.total();
+            record.sc_max_process = priced.sc.max_process();
         }
-    } else {
-        match run_priced_probed(&alg, sched.as_mut(), sc.passages, sc.max_steps, probe) {
-            Ok(priced) => {
-                record.steps = priced.steps;
-                record.sc = priced.sc.total();
-                record.cc = priced.cc.total();
-                record.dsm = priced.dsm.total();
-                record.sc_max_process = priced.sc.max_process();
-            }
-            Err(e) => record.error = Some(e.to_string()),
-        }
+        Err(e) => record.error = Some(e.to_string()),
     }
     record.wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
     record
@@ -309,7 +277,7 @@ pub fn sweep(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
                         let scope = SpanScope::Run;
                         m.record(&TraceEvent::SpanStart { scope, tag });
                         let start = Instant::now();
-                        let record = run_one(&scenarios[i], seed, opts.record, &mut m);
+                        let record = run_probed(&scenarios[i], seed, &mut m);
                         let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
                         m.record(&TraceEvent::SpanEnd {
                             scope,
@@ -318,11 +286,7 @@ pub fn sweep(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
                         });
                         out.push((k, record, Some(m)));
                     } else {
-                        out.push((
-                            k,
-                            run_one(&scenarios[i], seed, opts.record, &mut NoProbe),
-                            None,
-                        ));
+                        out.push((k, run_probed(&scenarios[i], seed, &mut NoProbe), None));
                     }
                 }
             }));
@@ -447,23 +411,6 @@ mod tests {
     }
 
     #[test]
-    fn streaming_and_replay_engines_agree() {
-        let scenarios = grid();
-        let streaming = sweep(&scenarios, &SweepOptions::default());
-        let replay = sweep(
-            &scenarios,
-            &SweepOptions {
-                record: true,
-                ..SweepOptions::default()
-            },
-        );
-        // RunRecord equality ignores wall_ns, so this pins every cost,
-        // step count and summary of the two pricing engines against
-        // each other.
-        assert_eq!(streaming, replay);
-    }
-
-    #[test]
     fn runs_carry_wall_clock_timings() {
         let sc = Scenario::builder("peterson", 3)
             .sched(SchedSpec::round_robin())
@@ -509,7 +456,6 @@ mod tests {
         let opts = |threads| SweepOptions {
             threads,
             metrics: true,
-            ..SweepOptions::default()
         };
         let one = sweep(&scenarios, &opts(1));
         let four = sweep(&scenarios, &opts(4));
