@@ -15,7 +15,7 @@
 //! workload explore --n 3 --model sc --json explore.json
 //! workload explore --algs broken --n 2      # catch the planted race
 //! workload bound --algs all --n 4..64       # force the Ω(n log n) bound
-//! workload crash --sched fanlynch:crashes=2 # certify + crash the locks
+//! workload crash --crashes 2                # certify + crash the locks
 //! ```
 //!
 //! Algorithms and schedulers are registry specs; unknown names fail
@@ -845,14 +845,7 @@ OPTIONS:
                          broken-recover included)
     --n LO..HI|N,M,...   the n grid for the crash game (default: 2,3)
     --crashes K          the crash budget: games sweep every k in 0..=K
-                         and certification uses K itself (default: from
-                         --sched, else 1)
-    --sched SPEC         a scheduler spec whose `crashes=` parameter
-                         supplies the budget when --crashes is absent
-                         (e.g. fanlynch:crashes=2). The game itself
-                         always plays the full adaptive + greedy
-                         portfolio; the spec is the budget's spelling,
-                         not a strategy override (default: fanlynch)
+                         and certification uses K itself (default: 1)
     --no-certify         skip the exhaustive certification pass
     --no-symmetry        disable orbit reduction in the certification
                          pass (partial-order reduction is never applied
@@ -897,22 +890,19 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     let mut args = CrashArgs {
         algs: Vec::new(),
         ns: vec![2, 3],
-        budget: 0,
+        budget: 1,
         certify: true,
         json: None,
         quiet: false,
         cfg: exclusion_bound::BoundConfig::default(),
         xcfg: ExploreConfig::default(),
     };
-    let mut sched = "fanlynch";
-    let mut crashes: Option<usize> = None;
     let mut flags = Flags::new(argv, "crash --help");
     while let Some(flag) = flags.next() {
         match flag {
             "--algs" => args.algs.extend(flags.specs()?),
             "--n" => args.ns = flags.value_with(parse_grid)?,
-            "--crashes" => crashes = Some(flags.parse()?),
-            "--sched" => sched = flags.value()?,
+            "--crashes" => args.budget = flags.parse()?,
             "--no-certify" => args.certify = false,
             "--no-symmetry" => args.xcfg.symmetry = false,
             "--compress" => args.xcfg.compress = true,
@@ -934,18 +924,6 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     if args.cfg.passages == 0 {
         return Err("--passages must be positive".into());
     }
-    // The budget comes from --crashes, else from the scheduler spec's
-    // `crashes=` parameter (`fanlynch:crashes=2`), else defaults to 1.
-    // Resolving through the registry also validates the spelling, so
-    // `fanlynch:crashes=-1` fails here with the registry's own error.
-    let resolved = SchedulerRegistry::global()
-        .resolve_str(sched, 2)
-        .map_err(|e| format!("--sched: {e}"))?;
-    args.budget = match crashes {
-        Some(k) => k,
-        None if resolved.crashes > 0 => resolved.crashes,
-        None => 1,
-    };
     // Same structured validation as the explore subcommand: an
     // oversized --max-states is a flag error, not a mid-run assert.
     if let Err(e) = args.xcfg.validated() {

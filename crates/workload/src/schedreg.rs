@@ -130,12 +130,6 @@ pub struct ResolvedSched {
     pub label: String,
     /// Whether runs depend on the seed.
     pub seeded: bool,
-    /// Crash budget requested by the spec (`fanlynch:crashes=2`),
-    /// zero for crash-free policies. Schedulers only *order* steps and
-    /// cannot inject crashes themselves; fault-aware drivers read this
-    /// to size the [`FaultPlan`](exclusion_shmem::FaultPlan) they pair
-    /// the policy with.
-    pub crashes: usize,
     builder: SchedBuilder,
 }
 
@@ -154,7 +148,6 @@ impl std::fmt::Debug for ResolvedSched {
         f.debug_struct("ResolvedSched")
             .field("label", &self.label)
             .field("seeded", &self.seeded)
-            .field("crashes", &self.crashes)
             .finish_non_exhaustive()
     }
 }
@@ -284,11 +277,6 @@ impl SchedulerRegistry {
                         key: "seed",
                         help: "tie-break seed (default 0); the sweep's seed grid is NOT used",
                     },
-                    ParamInfo {
-                        key: "crashes",
-                        help: "crash budget for fault-aware drivers (default 0); \
-                               the policy orders steps, the driver injects the faults",
-                    },
                 ],
             },
             |spec, _n| {
@@ -296,22 +284,18 @@ impl SchedulerRegistry {
                 // read the per-run sweep seed (`effective_seeds()` runs
                 // it exactly once). Tie-break perturbation is therefore
                 // an explicit spec parameter, canonical in the label.
-                spec.expect_params(&["patience", "seed", "crashes"], false)?;
+                spec.expect_params(&["patience", "seed"], false)?;
                 let seed = spec.usize_param("seed", 0)? as u64;
                 let patience = spec
                     .get("patience")
                     .map(|_| spec.usize_param_at_least("patience", 1, 1))
                     .transpose()?;
-                let crashes = spec.usize_param("crashes", 0)?;
                 let mut canonical = Spec::new("fanlynch");
                 if let Some(p) = patience {
                     canonical = canonical.with("patience", p);
                 }
                 if spec.get("seed").is_some() {
                     canonical = canonical.with("seed", seed);
-                }
-                if spec.get("crashes").is_some() {
-                    canonical = canonical.with("crashes", crashes);
                 }
                 let builder: SchedBuilder = Arc::new(move |_passages, _seed| {
                     Box::new(match patience {
@@ -499,14 +483,9 @@ impl SchedulerRegistry {
             });
         };
         let (canonical, builder) = (entry.resolver)(spec, n)?;
-        // Any policy whose canonical spec carries a `crashes` parameter
-        // surfaces it here; the value is already validated (the
-        // resolver re-emitted it), so the re-parse cannot fail.
-        let crashes = canonical.usize_param("crashes", 0)?;
         Ok(ResolvedSched {
             label: canonical.label(),
             seeded: entry.info.seeded,
-            crashes,
             builder,
         })
     }
@@ -691,42 +670,17 @@ mod tests {
         assert_eq!(r.label, "fanlynch:patience=9,seed=3");
     }
 
-    /// `fanlynch:crashes=K` carries a crash budget for fault-aware
-    /// drivers: it canonicalizes into the label, surfaces on the
-    /// resolved handle, and leaves the built (crash-free) policy alone.
-    #[test]
-    fn fanlynch_crash_budgets_resolve_and_surface() {
-        let reg = SchedulerRegistry::global();
-        let r = reg.resolve_str("fanlynch:crashes=2", 4).unwrap();
-        assert_eq!(r.label, "fanlynch:crashes=2");
-        assert_eq!(r.crashes, 2);
-        assert_eq!(r.build(1, 0).name(), "fanlynch");
-        let r = reg.resolve_str("fanlynch:patience=9,crashes=1", 4).unwrap();
-        assert_eq!(r.label, "fanlynch:patience=9,crashes=1");
-        assert_eq!(r.crashes, 1);
-        // Crash-free spellings report a zero budget everywhere.
-        for s in ["fanlynch", "greedy", "rr", "random", "burst"] {
-            assert_eq!(reg.resolve_str(s, 4).unwrap().crashes, 0, "{s}");
-        }
-        // Labels carrying a budget reparse to themselves.
-        let label = reg
-            .resolve_str("adaptive:crashes=3,seed=1", 4)
-            .unwrap()
-            .label;
-        assert_eq!(reg.resolve_str(&label, 4).unwrap().label, label);
-    }
-
     /// Out-of-range parameter *values* fail as loudly as unknown keys:
-    /// negative budgets don't wrap, zero patience doesn't disable the
+    /// negative seeds don't wrap, zero patience doesn't disable the
     /// starvation valve, and the error names the expected range.
     #[test]
     fn out_of_range_param_values_are_rejected_with_the_expected_range() {
         let reg = SchedulerRegistry::global();
-        let err = reg.resolve_str("fanlynch:crashes=-1", 4).unwrap_err();
+        let err = reg.resolve_str("fanlynch:seed=-1", 4).unwrap_err();
         let SpecError::InvalidParam { key, expected, .. } = &err else {
             panic!("{err}")
         };
-        assert_eq!(key, "crashes");
+        assert_eq!(key, "seed");
         assert!(expected.contains("non-negative integer"), "{err}");
 
         for spec in ["fanlynch:patience=0", "greedy-adversary:patience=0"] {

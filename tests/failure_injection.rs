@@ -109,12 +109,12 @@ fn budget_exhaustion_is_reported_not_truncated() {
 #[test]
 fn registries_reject_out_of_range_parameter_values() {
     // Values outside a parameter's range fail as loudly as unknown
-    // keys: a negative crash budget does not wrap, zero patience does
-    // not silently disable the starvation valve.
+    // keys: a negative seed does not wrap, zero patience does not
+    // silently disable the starvation valve.
     let scheds = exclusion::workload::schedreg::SchedulerRegistry::global();
-    let err = scheds.resolve_str("fanlynch:crashes=-1", 4).unwrap_err();
+    let err = scheds.resolve_str("fanlynch:seed=-1", 4).unwrap_err();
     assert!(
-        matches!(&err, SpecError::InvalidParam { key, .. } if key == "crashes"),
+        matches!(&err, SpecError::InvalidParam { key, .. } if key == "seed"),
         "{err}"
     );
     assert!(err.to_string().contains("non-negative integer"), "{err}");
@@ -127,8 +127,11 @@ fn registries_reject_out_of_range_parameter_values() {
     assert!(err.to_string().contains(">= 1"), "{err}");
 
     // Typo'd keys still get the nearest-key suggestion alongside.
-    let err = scheds.resolve_str("fanlynch:crashs=1", 4).unwrap_err();
-    assert!(err.to_string().contains("did you mean `crashes`?"), "{err}");
+    let err = scheds.resolve_str("fanlynch:patince=9", 4).unwrap_err();
+    assert!(
+        err.to_string().contains("did you mean `patience`?"),
+        "{err}"
+    );
 }
 
 #[test]
