@@ -25,7 +25,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use exclusion_explore::{analyze_probed, explore_probed, report as xreport, ExploreConfig, Model};
-use exclusion_mutex::registry::AlgorithmRegistry;
+use exclusion_mutex::registry::{AlgorithmInfo, AlgorithmRegistry};
 use exclusion_shmem::probe::{Probe, SpanScope, TraceEvent};
 use exclusion_workload::cli::{self, Flags};
 use exclusion_workload::schedreg::SchedulerRegistry;
@@ -246,6 +246,32 @@ fn build_grid(args: &Args) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
+/// A text table holding only its header row.
+fn header(cols: &[&str]) -> Vec<Vec<String>> {
+    vec![cols.iter().map(ToString::to_string).collect()]
+}
+
+/// `Ok` when nothing failed, else every failure on one line.
+fn verdict(failures: &[String]) -> Result<(), String> {
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
+}
+
+/// Replaces an empty `--algs` list, or one naming `all`, with every
+/// registry entry whose metadata passes `keep`.
+fn all_where(algs: &mut Vec<String>, keep: impl Fn(&AlgorithmInfo) -> bool) {
+    if algs.is_empty() || algs.iter().any(|a| a == "all") {
+        *algs = AlgorithmRegistry::global()
+            .entries()
+            .filter(|e| keep(e.info()))
+            .map(|e| e.info().name.clone())
+            .collect();
+    }
+}
+
 fn emit(path: &str, what: &str, content: &str) -> Result<(), String> {
     if path == "-" {
         print!("{content}");
@@ -411,7 +437,7 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         args.algs.clone()
     };
 
-    let mut rows: Vec<Vec<String>> = vec![[
+    let mut rows = header(&[
         "algorithm",
         "states",
         "edges",
@@ -423,10 +449,7 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         "ms",
         "states/s",
         "note",
-    ]
-    .iter()
-    .map(ToString::to_string)
-    .collect()];
+    ]);
     let mut json_items: Vec<String> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for spec in &specs {
@@ -560,11 +583,7 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         );
         emit(path, "JSON report", &json)?;
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    verdict(&failures)
 }
 
 const BOUND_USAGE: &str = "\
@@ -648,17 +667,11 @@ fn parse_bound_args(argv: &[String]) -> Result<Option<BoundArgs>, String> {
     if args.cfg.passages == 0 {
         return Err("--passages must be positive".into());
     }
-    if args.algs.is_empty() || args.algs.iter().any(|a| a == "all") {
-        // A forced-passage game only terminates against locks that
-        // guarantee progress; entries disclaiming deadlock-freedom
-        // (the splitter locks) are excluded from `all`, though naming
-        // one explicitly still plays it (and reports its stall).
-        args.algs = AlgorithmRegistry::global()
-            .entries()
-            .filter(|e| e.info().deadlock_free)
-            .map(|e| e.info().name.clone())
-            .collect();
-    }
+    // A forced-passage game only terminates against locks that
+    // guarantee progress; entries disclaiming deadlock-freedom (the
+    // splitter locks) are excluded from `all`, though naming one
+    // explicitly still plays it (and reports its stall).
+    all_where(&mut args.algs, |info| info.deadlock_free);
     Ok(Some(args))
 }
 
@@ -708,7 +721,7 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
     }
 
     if !args.quiet {
-        let mut rows: Vec<Vec<String>> = vec![[
+        let mut rows = header(&[
             "algorithm",
             "n",
             "steps",
@@ -719,10 +732,7 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
             "dsm",
             "winner",
             "note",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect()];
+        ]);
         for curve in &curves {
             for cell in &curve.cells {
                 rows.push(vec![
@@ -764,11 +774,7 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
     if let Some(path) = &args.json {
         emit(path, "JSON report", &bound_json(&args, &curves))?;
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    verdict(&failures)
 }
 
 /// Hand-rolled JSON for the bound report, matching the house style of
@@ -929,13 +935,7 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     if let Err(e) = args.xcfg.validated() {
         return Err(e.to_string());
     }
-    if args.algs.is_empty() || args.algs.iter().any(|a| a == "all") {
-        args.algs = AlgorithmRegistry::global()
-            .entries()
-            .filter(|e| e.info().recoverable)
-            .map(|e| e.info().name.clone())
-            .collect();
-    }
+    all_where(&mut args.algs, |info| info.recoverable);
     Ok(Some(args))
 }
 
@@ -1021,7 +1021,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
 
     if !args.quiet {
         if !certs.is_empty() {
-            let mut rows: Vec<Vec<String>> = vec![[
+            let mut rows = header(&[
                 "algorithm",
                 "n",
                 "budget",
@@ -1029,10 +1029,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
                 "depth",
                 "recoverable",
                 "witness",
-            ]
-            .iter()
-            .map(ToString::to_string)
-            .collect()];
+            ]);
             for (label, n, report) in &certs {
                 rows.push(vec![
                     label.clone(),
@@ -1059,7 +1056,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
                 exclusion_workload::report::text_table(&rows, &[0, cols - 1])
             );
         }
-        let mut rows: Vec<Vec<String>> = vec![[
+        let mut rows = header(&[
             "algorithm",
             "n",
             "k",
@@ -1071,10 +1068,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
             "rmr-dsm",
             "winner",
             "note",
-        ]
-        .iter()
-        .map(ToString::to_string)
-        .collect()];
+        ]);
         for curve in &curves {
             for row in &curve.rows {
                 for cell in &row.cells {
@@ -1112,11 +1106,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
     if let Some(path) = &args.json {
         emit(path, "JSON report", &crash_json(&args, &certs, &curves))?;
     }
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
+    verdict(&failures)
 }
 
 /// Hand-rolled JSON for the crash report, matching the house style.
