@@ -22,6 +22,10 @@
 //! gates the O(1)-RMR flatness of the queue locks, and emits
 //! `BENCH_hw.json`.
 //!
+//! Every `bench_*` binary's `main` is [`bench_main`]: it reads
+//! `--quick`, `--out` and `--help`, writes the JSON and maps the
+//! benchmark's verdict to the exit status.
+//!
 //! The paper (a theory paper) has no numbered tables or figures; the
 //! experiments here are the executable counterparts of its theorems.
 //! Each function returns a [`table::Table`] so the binary and the tests

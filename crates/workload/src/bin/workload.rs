@@ -1,9 +1,10 @@
 //! The `workload` CLI: build a scenario grid, run a sharded sweep,
 //! print a summary table, and optionally write JSON/CSV reports — plus
 //! the `explore` subcommand for exhaustive small-`n` certification, the
-//! `bound` subcommand for adaptive forced-cost curves, and the `crash`
+//! `bound` subcommand for adaptive forced-cost curves, the `crash`
 //! subcommand for crash-recoverable certification and forced-RMR
-//! curves under a crash-budget adversary.
+//! curves under a crash-budget adversary, and the `trace`, `serve` and
+//! `hwbench` subcommands.
 //!
 //! ```text
 //! workload                                  # default grid, all cores
@@ -19,7 +20,11 @@
 //! ```
 //!
 //! Algorithms and schedulers are registry specs; unknown names fail
-//! with the registry contents and a nearest-name suggestion.
+//! with the registry contents and a nearest-name suggestion. Every
+//! subcommand reads its flags through [`exclusion_workload::cli::Flags`],
+//! so a bad flag or value exits 1 with one `workload: …` line, the same
+//! way everywhere. A sweep's seed grid holds at most 2^20 seeds per
+//! scenario and must end at or below `u64::MAX`.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;

@@ -24,7 +24,8 @@
 //!   in a *single streaming pass* (nothing recorded, nothing replayed);
 //! * [`SweepReport`] serializes to JSON, CSV or an aligned text table.
 //!
-//! The `workload` binary wraps all of this in a CLI.
+//! The `workload` binary wraps all of this in a CLI; [`cli`] is the
+//! flag reader it shares with the `exclusion-bench` binaries.
 //!
 //! # Example
 //!
