@@ -51,7 +51,7 @@ use std::process::ExitCode;
 use exclusion_workload::cli::Flags;
 
 /// What one benchmark run hands back to [`bench_main`].
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct BenchRun {
     /// The aligned text table, printed to stderr.
     pub text: String,

@@ -251,20 +251,6 @@ fn build_grid(args: &Args) -> Result<Vec<Scenario>, String> {
     Ok(scenarios)
 }
 
-/// A text table holding only its header row.
-fn header(cols: &[&str]) -> Vec<Vec<String>> {
-    vec![cols.iter().map(ToString::to_string).collect()]
-}
-
-/// `Ok` when nothing failed, else every failure on one line.
-fn verdict(failures: &[String]) -> Result<(), String> {
-    if failures.is_empty() {
-        Ok(())
-    } else {
-        Err(failures.join("; "))
-    }
-}
-
 /// Replaces an empty `--algs` list, or one naming `all`, with every
 /// registry entry whose metadata passes `keep`.
 fn all_where(algs: &mut Vec<String>, keep: impl Fn(&AlgorithmInfo) -> bool) {
@@ -442,7 +428,7 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         args.algs.clone()
     };
 
-    let mut rows = header(&[
+    let mut rows: Vec<Vec<String>> = vec![[
         "algorithm",
         "states",
         "edges",
@@ -454,7 +440,10 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         "ms",
         "states/s",
         "note",
-    ]);
+    ]
+    .iter()
+    .map(ToString::to_string)
+    .collect()];
     let mut json_items: Vec<String> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     for spec in &specs {
@@ -588,7 +577,11 @@ fn run_explore(argv: &[String]) -> Result<(), String> {
         );
         emit(path, "JSON report", &json)?;
     }
-    verdict(&failures)
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 const BOUND_USAGE: &str = "\
@@ -726,7 +719,7 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
     }
 
     if !args.quiet {
-        let mut rows = header(&[
+        let mut rows: Vec<Vec<String>> = vec![[
             "algorithm",
             "n",
             "steps",
@@ -737,7 +730,10 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
             "dsm",
             "winner",
             "note",
-        ]);
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect()];
         for curve in &curves {
             for cell in &curve.cells {
                 rows.push(vec![
@@ -779,7 +775,11 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
     if let Some(path) = &args.json {
         emit(path, "JSON report", &bound_json(&args, &curves))?;
     }
-    verdict(&failures)
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// Hand-rolled JSON for the bound report, matching the house style of
@@ -1026,7 +1026,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
 
     if !args.quiet {
         if !certs.is_empty() {
-            let mut rows = header(&[
+            let mut rows: Vec<Vec<String>> = vec![[
                 "algorithm",
                 "n",
                 "budget",
@@ -1034,7 +1034,10 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
                 "depth",
                 "recoverable",
                 "witness",
-            ]);
+            ]
+            .iter()
+            .map(ToString::to_string)
+            .collect()];
             for (label, n, report) in &certs {
                 rows.push(vec![
                     label.clone(),
@@ -1061,7 +1064,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
                 exclusion_workload::report::text_table(&rows, &[0, cols - 1])
             );
         }
-        let mut rows = header(&[
+        let mut rows: Vec<Vec<String>> = vec![[
             "algorithm",
             "n",
             "k",
@@ -1073,7 +1076,10 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
             "rmr-dsm",
             "winner",
             "note",
-        ]);
+        ]
+        .iter()
+        .map(ToString::to_string)
+        .collect()];
         for curve in &curves {
             for row in &curve.rows {
                 for cell in &row.cells {
@@ -1111,7 +1117,11 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
     if let Some(path) = &args.json {
         emit(path, "JSON report", &crash_json(&args, &certs, &curves))?;
     }
-    verdict(&failures)
+    if failures.is_empty() {
+        Ok(())
+    } else {
+        Err(failures.join("; "))
+    }
 }
 
 /// Hand-rolled JSON for the crash report, matching the house style.
@@ -1849,35 +1859,17 @@ mod tests {
                     .copied()
                     .filter(|f| !parse(&[f.to_string()]).is_err_and(|e| e.starts_with("unknown")))
                     .collect();
+                // Three flags in four carry a value; the rest run into
+                // the next flag or off the end.
                 let mut argv = Vec::new();
-                for &(flag, value, unpaired) in &picks {
+                for &(flag, value, odds) in &picks {
                     argv.push(known[flag % known.len()].to_string());
-                    if unpaired > 0 {
+                    if odds > 0 {
                         argv.push(VALUES[value].to_string());
                     }
                 }
                 let _ = parse(&argv);
             }
         }
-    }
-
-    /// Builds the sweep grid of a whitespace-separated argv.
-    fn grid(argv: &str) -> Result<Vec<Scenario>, String> {
-        let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
-        build_grid(&parse_args(&argv)?.expect("a sweep, not --help"))
-    }
-
-    #[test]
-    fn seed_grids_are_bounded_before_allocation() {
-        assert_eq!(
-            grid("--seeds 18446744073709551615").unwrap_err(),
-            "--seeds: at most 1048576 seeds per scenario"
-        );
-        assert_eq!(
-            grid("--seed-base 18446744073709551615 --seeds 2").unwrap_err(),
-            "--seed-base: 2 seeds from 18446744073709551615 run past u64::MAX"
-        );
-        let top = grid("--seed-base 18446744073709551614 --seeds 2 --scheds random").unwrap();
-        assert_eq!(top[0].effective_seeds(), [u64::MAX - 1, u64::MAX]);
     }
 }
