@@ -34,6 +34,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use std::process::ExitCode;
+
+use exclusion_workload::cli::Flags;
+
 pub mod boundbench;
 pub mod crashbench;
 pub mod experiments;
@@ -45,10 +49,6 @@ pub mod table;
 pub mod tracebench;
 
 pub use table::Table;
-
-use std::process::ExitCode;
-
-use exclusion_workload::cli::Flags;
 
 /// What one benchmark run hands back to [`bench_main`].
 #[derive(Debug)]
