@@ -37,7 +37,7 @@ use std::str::FromStr;
 
 /// A cursor over a binary's arguments. Iterating yields each flag; the
 /// value methods consume the argument after the flag last yielded.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub struct Flags<'a> {
     rest: std::slice::Iter<'a, String>,
     flag: &'a str,
