@@ -1363,3 +1363,102 @@ pub(crate) fn decanonicalize_unbounded(
         );
     }
 }
+
+#[cfg(all(test, unix))]
+mod tests {
+    use std::collections::{HashMap, HashSet, VecDeque};
+    use std::fmt::Debug;
+
+    use exclusion_mutex::{Peterson, RPeterson};
+    use exclusion_shmem::dynamic::Packed;
+
+    use super::*;
+    use crate::conformance_registry;
+
+    /// Every key `(snapshot, digest)` reachable under `lens` with one
+    /// passage per process, crash steps included while the lens allows
+    /// them, in breadth-first order.
+    fn keys<L: CostLens>(alg: &(dyn DynAutomaton + Sync), lens: &L) -> Vec<(Snap, L::Digest)> {
+        let dref = DynRef(alg);
+        let root = (System::new(&dref).snapshot(), lens.initial(alg.registers()));
+        let mut seen = HashSet::from([root.clone()]);
+        let mut queue = VecDeque::from([root]);
+        let mut out = Vec::new();
+        while let Some((snap, digest)) = queue.pop_front() {
+            for crashed in [false, true] {
+                if crashed && lens.crash_allowance(&digest) == 0 {
+                    break;
+                }
+                for p in ProcessId::all(alg.processes()) {
+                    if snap.passages()[p.index()] >= 1 {
+                        continue;
+                    }
+                    let mut sys = System::from_snapshot(&dref, &snap);
+                    let done = if crashed { sys.crash(p) } else { sys.step(p) };
+                    let mut d = digest.clone();
+                    lens.price(&mut d, &done);
+                    let key = (sys.snapshot(), d);
+                    if seen.insert(key.clone()) {
+                        queue.push_back(key);
+                    }
+                }
+            }
+            out.push((snap, digest));
+        }
+        out
+    }
+
+    /// Decoding an encoded key restores an equal key, and two records
+    /// are equal exactly when their keys are: the keys are distinct, so
+    /// their records must be, and encoding a key twice gives one record.
+    fn assert_records_mirror_keys<L>(label: &str, alg: &(dyn DynAutomaton + Sync), lens: &L)
+    where
+        L: CostLens,
+        L::Digest: Debug,
+    {
+        let keys = keys(alg, lens);
+        assert!(keys.len() > 4, "{label}: {} keys", keys.len());
+        let codec = SpillCodec::plan(lens, &keys[0].0, alg.registers())
+            .unwrap_or_else(|| panic!("{label}: no record codec"));
+        let mut records: HashMap<Vec<u64>, usize> = HashMap::new();
+        for (i, (snap, digest)) in keys.iter().enumerate() {
+            let mut rec = Vec::new();
+            codec
+                .encode(lens, 7, snap, digest, &mut rec)
+                .expect("encodes");
+            assert_eq!(rec.len(), codec.rec_words(), "{label}: fixed width");
+            let (id, back, d) = codec.decode(lens, &rec);
+            assert_eq!((id, &back, &d), (7, snap, digest), "{label}: round trip");
+            let mut again = Vec::new();
+            codec
+                .encode(lens, 7, &back, &d, &mut again)
+                .expect("encodes");
+            assert_eq!(again, rec, "{label}: one key, one record");
+            if let Some(j) = records.insert(rec, i) {
+                panic!("{label}: keys {j} and {i} share a record");
+            }
+        }
+    }
+
+    #[test]
+    fn packed_states_roundtrip_through_records() {
+        let reg = conformance_registry();
+        for (name, n) in [("splitter-gate", 3), ("ticket", 3), ("tas-sim", 2)] {
+            let alg = reg.resolve_str(name, n).expect("resolves").automaton;
+            assert_records_mirror_keys(name, alg.as_ref(), &ScLens);
+        }
+        assert_records_mirror_keys("peterson", &Packed(Peterson::new(3)), &ScLens);
+    }
+
+    #[test]
+    fn cc_and_crash_digests_roundtrip_through_records() {
+        assert_records_mirror_keys("peterson cc", &Packed(Peterson::new(3)), &CcLens);
+        let ticket = conformance_registry()
+            .resolve_str("ticket", 2)
+            .expect("resolves")
+            .automaton;
+        assert_records_mirror_keys("ticket cc", ticket.as_ref(), &CcLens);
+        let crash = CrashLens { budget: 2 };
+        assert_records_mirror_keys("rpeterson crash", &Packed(RPeterson::new(2)), &crash);
+    }
+}

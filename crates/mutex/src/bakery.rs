@@ -9,6 +9,7 @@
 //! Tickets grow without bound across passages; states (and therefore the
 //! explored state space) stay finite for bounded-passage runs.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -33,6 +34,23 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 11] = [
+        Phase::Remainder,
+        Phase::SetChoosing,
+        Phase::ScanMax,
+        Phase::WriteNumber,
+        Phase::ClearChoosing,
+        Phase::WaitChoosing,
+        Phase::WaitNumber,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::ClearNumber,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: phase, scan index, and the running max / drawn
 /// ticket.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -43,6 +61,25 @@ pub struct BakeryState {
     /// Running maximum during the doorway scan; the drawn ticket
     /// afterwards.
     ticket: Value,
+}
+
+/// Two words: the phase in the low byte of the first with the scan
+/// index above it, then the ticket.
+impl WordState for BakeryState {
+    const WORDS: usize = 2;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.j) << 8;
+        out[1] = self.ticket;
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        BakeryState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            j: (words[0] >> 8) as u32,
+            ticket: words[1],
+        }
+    }
 }
 
 /// Lamport's bakery algorithm for `n` processes.

@@ -6,6 +6,7 @@
 //! defers to lower-indexed flag holders (restarting its doorway), then
 //! waits out higher-indexed ones. Deadlock-free but not lockout-free.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -28,11 +29,43 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 10] = [
+        Phase::Remainder,
+        Phase::Lower,
+        Phase::ScanLowFirst,
+        Phase::Raise,
+        Phase::ScanLowSecond,
+        Phase::WaitHigh,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::Clear,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: phase plus scan index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct BurnsLynchState {
     phase: Phase,
     j: u32,
+}
+
+/// One word: the phase in the low byte, the scan index above it.
+impl WordState for BurnsLynchState {
+    const WORDS: usize = 1;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.j) << 8;
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        BurnsLynchState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            j: (words[0] >> 8) as u32,
+        }
+    }
 }
 
 /// The Burns–Lynch one-bit `n`-process algorithm.

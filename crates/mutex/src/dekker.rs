@@ -19,6 +19,7 @@
 //! even under contention, a passage costs O(log n), and a canonical
 //! execution costs O(n log n) — matching the paper's lower bound.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 use crate::tree::Tree;
@@ -54,12 +55,47 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 13] = [
+        Phase::Remainder,
+        Phase::Raise,
+        Phase::ReadRival,
+        Phase::ReadTurn,
+        Phase::HoldSpin,
+        Phase::Backoff,
+        Phase::WaitTurn,
+        Phase::ReRaise,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::ExitTurn,
+        Phase::ExitLower,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: the phase and the climb/release level it applies
 /// to (level 0 is the node just above the leaves).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct DekkerState {
     phase: Phase,
     level: u8,
+}
+
+/// One word: the phase in the low byte, the level in the next.
+impl WordState for DekkerState {
+    const WORDS: usize = 1;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.level) << 8;
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        DekkerState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            level: (words[0] >> 8) as u8,
+        }
+    }
 }
 
 /// The `n`-process Dekker tournament.

@@ -8,6 +8,7 @@
 //! retries. Deadlock-free but not lockout-free. A solo passage scans all
 //! flags once: Θ(n), so canonical executions cost Θ(n²).
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -32,6 +33,23 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 11] = [
+        Phase::Remainder,
+        Phase::SetInterested,
+        Phase::ReadTurn,
+        Phase::ReadHolder,
+        Phase::StealTurn,
+        Phase::Commit,
+        Phase::Check,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::ClearFlag,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: phase, the last observed turn-holder, and the
 /// verification scan index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -41,6 +59,25 @@ pub struct DijkstraState {
     holder: u32,
     /// Scan index for the verification loop.
     j: u32,
+}
+
+/// Two words: the phase in the low byte of the first with the
+/// observed holder above it, then the scan index.
+impl WordState for DijkstraState {
+    const WORDS: usize = 2;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.holder) << 8;
+        out[1] = u64::from(self.j);
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        DijkstraState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            holder: (words[0] >> 8) as u32,
+            j: words[1] as u32,
+        }
+    }
 }
 
 /// Dijkstra's `n`-process algorithm.

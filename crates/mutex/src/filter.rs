@@ -6,6 +6,7 @@
 //! processes, so a solo passage costs Θ(n²) — the most expensive baseline
 //! in the suite, bracketing the others from above.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -26,6 +27,21 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 9] = [
+        Phase::Remainder,
+        Phase::SetLevel,
+        Phase::SetVictim,
+        Phase::ScanLevel,
+        Phase::CheckVictim,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::ClearLevel,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: phase, current filter level, and scan index.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct FilterState {
@@ -34,6 +50,25 @@ pub struct FilterState {
     level: u32,
     /// Scan index over processes.
     j: u32,
+}
+
+/// Two words: the phase in the low byte of the first with the level
+/// above it, then the scan index.
+impl WordState for FilterState {
+    const WORDS: usize = 2;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.level) << 8;
+        out[1] = u64::from(self.j);
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        FilterState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            level: (words[0] >> 8) as u32,
+            j: words[1] as u32,
+        }
+    }
 }
 
 /// The `n`-process filter lock.

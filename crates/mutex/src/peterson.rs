@@ -10,6 +10,7 @@
 //! is no contention and each node costs O(1), giving the same O(n log n)
 //! canonical shape as Yang–Anderson.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, Value};
 
 use crate::tree::Tree;
@@ -37,11 +38,42 @@ enum Phase {
     Resting,
 }
 
+impl Phase {
+    /// Every phase in declaration order, so `ALL[p as usize] == p`.
+    const ALL: [Phase; 9] = [
+        Phase::Remainder,
+        Phase::SetFlag,
+        Phase::SetTurn,
+        Phase::CheckRival,
+        Phase::CheckTurn,
+        Phase::Entering,
+        Phase::Critical,
+        Phase::Release,
+        Phase::Resting,
+    ];
+}
+
 /// Per-process state: phase plus the level it applies to.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct PetersonState {
     phase: Phase,
     level: u8,
+}
+
+/// One word: the phase in the low byte, the level in the next.
+impl WordState for PetersonState {
+    const WORDS: usize = 1;
+
+    fn pack(&self, out: &mut [u64]) {
+        out[0] = self.phase as u64 | u64::from(self.level) << 8;
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        PetersonState {
+            phase: Phase::ALL[(words[0] & 0xFF) as usize],
+            level: (words[0] >> 8) as u8,
+        }
+    }
 }
 
 /// Peterson's tournament algorithm for `n` processes (`n = 2` is exactly

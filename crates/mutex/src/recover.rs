@@ -20,6 +20,7 @@
 //! crash-aware certification that [`crate::broken`] plays for the
 //! crash-free explorer.
 
+use exclusion_shmem::dynamic::WordState;
 use exclusion_shmem::{
     Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, RmwOp, Value,
 };
@@ -37,6 +38,30 @@ pub enum RPetersonState {
     /// node-sides) until none remain, then restart with a fresh `Run`.
     Heal(u8),
 }
+
+/// One word: a `Run` state is its [`PetersonState`] word (16 bits); a
+/// `Heal` level sets bit 16 above it.
+impl WordState for RPetersonState {
+    const WORDS: usize = 1;
+
+    fn pack(&self, out: &mut [u64]) {
+        match self {
+            RPetersonState::Run(s) => s.pack(out),
+            RPetersonState::Heal(level) => out[0] = HEAL | u64::from(*level),
+        }
+    }
+
+    fn unpack(words: &[u64]) -> Self {
+        if words[0] & HEAL == 0 {
+            RPetersonState::Run(PetersonState::unpack(words))
+        } else {
+            RPetersonState::Heal(words[0] as u8)
+        }
+    }
+}
+
+/// The tag bit of a packed [`RPetersonState::Heal`].
+const HEAL: u64 = 1 << 16;
 
 /// Peterson's tournament with a Golab–Ramaraju-style recovery section.
 ///

@@ -1,17 +1,21 @@
 //! Property coverage for the erased-state contract the explorer's
 //! transposition table leans on: `DynState` hashing and equality agree
 //! with the concrete states under both representations (inline words
-//! and boxed), and `System` snapshots round-trip bit-identically, also
-//! through the buffer-reusing `restore` and `snapshot_into`.
+//! and boxed), `System` snapshots round-trip bit-identically, also
+//! through the buffer-reusing `restore` and `snapshot_into`, and the
+//! paper's locks pack their states losslessly and injectively.
 
 use std::collections::hash_map::DefaultHasher;
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
-use exclusion::mutex::AlgorithmRegistry;
+use exclusion::mutex::{
+    AlgorithmRegistry, Bakery, BurnsLynch, DekkerTournament, Dijkstra, Filter, Peterson, RPeterson,
+};
 use exclusion::shmem::dynamic::{DynState, WordState};
 use exclusion::shmem::sched::{Scheduler, Script};
-use exclusion::shmem::{DynRef, ProcessId, SchedContext, System, ViewTable};
+use exclusion::shmem::{Automaton, DynRef, ProcessId, SchedContext, Snapshot, System, ViewTable};
 use proptest::prelude::*;
 
 fn hash_of<T: Hash>(value: &T) -> u64 {
@@ -144,4 +148,126 @@ proptest! {
             prop_assert_eq!(replayed.snapshot(), snap, "{}: replay must land on the snapshot", name);
         }
     }
+}
+
+/// Every process state of `alg` reachable with at most `passages`
+/// passages per process, by breadth-first search over whole snapshots;
+/// with `crashes`, a crash of any incomplete process is a step too.
+fn reachable_states<A>(alg: &A, passages: usize, crashes: bool) -> HashSet<A::State>
+where
+    A: Automaton,
+    A::State: Hash,
+{
+    let n = alg.processes();
+    let root = System::new(alg).snapshot();
+    let mut seen: HashSet<Snapshot<A::State>> = HashSet::from([root.clone()]);
+    let mut queue = VecDeque::from([root]);
+    let mut states = HashSet::new();
+    while let Some(snap) = queue.pop_front() {
+        states.extend(snap.states().iter().cloned());
+        for p in ProcessId::all(n).filter(|p| snap.passages()[p.index()] < passages) {
+            for crash in [false, true].into_iter().take(1 + usize::from(crashes)) {
+                let mut sys = System::from_snapshot(alg, &snap);
+                if crash {
+                    sys.crash(p);
+                } else {
+                    sys.step(p);
+                }
+                let next = sys.snapshot();
+                if seen.insert(next.clone()) {
+                    queue.push_back(next);
+                }
+            }
+        }
+    }
+    states
+}
+
+/// The process states of seeded random walks on `alg`: each walk picks
+/// an incomplete process by an xorshift stream (crashing it instead one
+/// pick in eight under `crashes`) and restarts once every process has
+/// completed `passages` passages.
+fn walked_states<A>(alg: &A, passages: usize, crashes: bool, seed: u64) -> HashSet<A::State>
+where
+    A: Automaton,
+    A::State: Hash,
+{
+    let n = alg.processes();
+    let mut x = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+    let mut next = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        x
+    };
+    let mut sys = System::new(alg);
+    let mut states = HashSet::new();
+    for _ in 0..20_000 {
+        let live: Vec<ProcessId> = ProcessId::all(n)
+            .filter(|&p| sys.passages(p) < passages)
+            .collect();
+        if live.is_empty() {
+            sys = System::new(alg);
+            continue;
+        }
+        let p = live[(next() % live.len() as u64) as usize];
+        if crashes && next() % 8 == 0 {
+            sys.crash(p);
+        } else {
+            sys.step(p);
+        }
+        states.insert(sys.state(p).clone());
+    }
+    states
+}
+
+/// `unpack(pack(s)) == s` for every state in `states`, and `pack` is
+/// injective on them: no two distinct states share their words.
+fn assert_packs_losslessly<S: WordState>(label: &str, states: &HashSet<S>) {
+    let mut by_words: HashMap<Vec<u64>, S> = HashMap::new();
+    for &s in states {
+        let mut words = vec![0u64; S::WORDS];
+        s.pack(&mut words);
+        assert_eq!(S::unpack(&words), s, "{label}: {s:?} does not round-trip");
+        let inline = DynState::from_words(&s);
+        assert_eq!(inline.words(), Some(&words[..]), "{label}: {s:?}");
+        if let Some(other) = by_words.insert(words.clone(), s) {
+            assert_eq!(other, s, "{label}: {other:?} and {s:?} pack to {words:?}");
+        }
+    }
+}
+
+/// The states of `make(n)` reachable by exploration at n = 2 and 3 and
+/// by seeded random walks at n = 8, packed and checked.
+fn check_lock<A, F>(name: &str, make: F, crashes: bool)
+where
+    A: Automaton,
+    A::State: WordState,
+    F: Fn(usize) -> A,
+{
+    for (n, passages) in [(2, 2), (3, 1)] {
+        let states = reachable_states(&make(n), passages, crashes);
+        assert!(states.len() > 4, "{name} n={n}: {} states", states.len());
+        assert_packs_losslessly(&format!("{name} n={n}"), &states);
+    }
+    let big = make(8);
+    for seed in 0..4 {
+        let states = walked_states(&big, 2, crashes, seed);
+        assert_packs_losslessly(&format!("{name} n=8 seed={seed}"), &states);
+    }
+}
+
+/// The seven register-only locks the registry hands out as inline word
+/// states: every state they reach packs losslessly and injectively
+/// (the SC model charges on state inequality, so a collision would drop
+/// charges). rpeterson's healing states are reached through crashes.
+#[test]
+fn paper_lock_states_pack_losslessly_and_injectively() {
+    check_lock("dekker-tree", DekkerTournament::new, false);
+    check_lock("peterson", Peterson::new, false);
+    check_lock("bakery", Bakery::new, false);
+    check_lock("filter", Filter::new, false);
+    check_lock("dijkstra", Dijkstra::new, false);
+    check_lock("burns-lynch", BurnsLynch::new, false);
+    check_lock("rpeterson", RPeterson::new, true);
 }
