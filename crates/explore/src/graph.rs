@@ -1,6 +1,7 @@
 //! The parallel bounded-exploration core: a transposition table over
-//! canonical [`Snapshot`]s, expanded breadth-first by a work-stealing
-//! frontier sharded across `thread::scope` workers.
+//! fixed-width word records of canonical [`Snapshot`]s, expanded
+//! breadth-first by a work-stealing frontier sharded across
+//! `thread::scope` workers.
 //!
 //! Exploration is generic over a [`CostLens`]: a pricing rule that
 //! carries whatever extra per-node state its cost model needs (the CC
@@ -9,37 +10,64 @@
 //! search space is exactly the reachable snapshot graph; the CC lens
 //! explores the product of snapshots and cache states.
 //!
+//! # One record layout
+//!
+//! A key — a snapshot and its digest — is stored, hashed, compared,
+//! queued and spilled as one record of `u64` words ([`RecordCodec`]):
+//!
+//! ```text
+//! [ states (n·w) | registers | sections (n) | passages (n) | digest ]
+//! ```
+//!
+//! A process state takes `w` words. An automaton that packs its states
+//! inline (a [`Packed`](exclusion_shmem::dynamic::Packed) adapter) gives
+//! its packed words, so `w` is the packed width. Any other automaton's
+//! states are boxed; each takes one word, its index in an *intern list*
+//! local to the build, which numbers the distinct boxed states in
+//! first-seen order. A section is one word (0–3), a passage count one
+//! word, and the digest [`CostLens::digest_width`] words. Records of one
+//! build all have one width, and two keys are equal exactly when their
+//! records are.
+//!
 //! The table is sharded: each shard owns an index from key hash to
-//! node and the node storage for the keys whose hash picks it, behind
-//! its own mutex, so concurrent inserts from different workers rarely
-//! contend. Each key is hashed once ([`key_hash`]): bits 32 and up of
-//! the hash pick the shard, and the shard's index is keyed by the hash
+//! node, a word arena holding its nodes' records back to back and the
+//! nodes' metadata, behind its own mutex, so concurrent inserts from
+//! different workers rarely contend. Each record is hashed once
+//! ([`key_hash`]) and compared as a word slice: bits 32 and up of the
+//! hash pick the shard, and the shard's index is keyed by the hash
 //! itself. The index's `HashMap` takes its slot from the hash's low bits
 //! and its SIMD tag from the top seven, so the shard bits stay clear of
-//! both and every key in a shard keeps its full tag entropy.
-//! Workers pull chunks of the current BFS layer from a shared cursor
-//! (dynamic partitioning — a fast worker steals the work a slow one
-//! never claimed) and accumulate the next layer locally; layers are
-//! merged at a barrier, which is what makes node *depths* — and
-//! therefore every verdict derived from the graph — independent of the
-//! worker count.
+//! both and every key in a shard keeps its full tag entropy. Under
+//! [`ExploreConfig::compress`] the arena holds each record's 128-bit
+//! [`fingerprint`] instead.
+//!
+//! A BFS layer is one `Vec<u64>` of `[id, record]` entries, which the
+//! spill option writes to disk verbatim. Workers pull chunks of the
+//! current layer from a shared cursor (dynamic partitioning — a fast
+//! worker steals the work a slow one never claimed) and accumulate the
+//! next layer locally; layers are merged at a barrier, which is what
+//! makes node *depths* — and therefore every verdict derived from the
+//! graph — independent of the worker count.
 //!
 //! Expanding an edge allocates nothing unless its target is new: each
-//! worker keeps one scratch [`System`], snapshot and digest, restores
-//! the parent into them for every successor, and copies a successor
-//! into the table and the next layer only when it is fresh. A layer
-//! gets one worker per [`GRAIN`] states (at most the configured
-//! count). The calling thread is always one of them, so a layer with
-//! one worker spawns no thread: a thread spawn costs more than
-//! expanding a small layer.
+//! worker decodes an entry's record into one scratch snapshot and
+//! digest, restores a scratch [`System`] from them for every successor,
+//! encodes the successor into a scratch record, and copies the record
+//! into the table and the next layer only when it is fresh. Each worker
+//! logs the edges it expands; [`Table::flatten`] gathers the logs into
+//! one compressed-sparse-row successor array ([`BuiltGraph::succs`])
+//! after dropping the records. A layer gets one worker per [`GRAIN`]
+//! states (at most the configured count). The calling thread is always
+//! one of them, so a layer with one worker spawns no thread: a thread
+//! spawn costs more than expanding a small layer.
 //!
 //! # Orbit reduction
 //!
 //! For algorithms declaring process-permutation symmetry
 //! ([`DynAutomaton::dyn_symmetric`]), every discovered snapshot is
 //! replaced by the canonical representative of its orbit
-//! ([`canonical_perm`]) before interning, so the table holds one
-//! node per orbit — up to `n!` fewer states — and every stored schedule
+//! ([`canonical_perm`]) before interning — encoded straight into its
+//! relabelled record — so the table holds one node per orbit — up to `n!` fewer states — and every stored schedule
 //! lives in *canonical frames*: the pid recorded on an edge is the pid
 //! in the canonical relabelling of its source node, not in the original
 //! run. [`Decanon`] folds the recorded permutations back together to
@@ -52,19 +80,18 @@ use std::collections::hash_map::{DefaultHasher, Entry};
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, RwLock};
 
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef, DynState};
 use exclusion_shmem::probe::{Probe, TraceEvent};
 use exclusion_shmem::{
-    canonical_perm, permute_snapshot, CritKind, Executed, NextStep, Perm, ProcessId, Section,
-    Snapshot, System,
+    canonical_perm, permute_snapshot, CritKind, Executed, NextStep, Perm, ProcessId, RegisterId,
+    Section, Snapshot, System,
 };
 
 use crate::ExploreConfig;
 
-/// A canonical system snapshot over erased states — the transposition
-/// key of the explorer.
+/// A system snapshot over erased states: what a record decodes to.
 pub(crate) type Snap = Snapshot<DynState>;
 
 /// Sentinel parent id of the root node.
@@ -126,24 +153,18 @@ pub(crate) trait CostLens: Sync {
     }
 
     /// How many `u64` words [`digest_to_words`](CostLens::digest_to_words)
-    /// writes for an algorithm with `registers` registers, or `None`
-    /// when the digest has no fixed-width encoding — which disables the
-    /// spill-to-disk frontier for this lens.
-    fn digest_width(&self, _registers: usize) -> Option<usize> {
-        None
-    }
+    /// writes for an algorithm with `registers` registers: the digest's
+    /// share of every key record.
+    fn digest_width(&self, registers: usize) -> usize;
 
     /// Encodes the digest into exactly
     /// [`digest_width`](CostLens::digest_width) words.
-    fn digest_to_words(&self, _digest: &Self::Digest, _out: &mut [u64]) {
-        unreachable!("lens reports no digest width")
-    }
+    fn digest_to_words(&self, digest: &Self::Digest, out: &mut [u64]);
 
     /// Decodes a digest previously written by
-    /// [`digest_to_words`](CostLens::digest_to_words).
-    fn digest_from_words(&self, _words: &[u64]) -> Self::Digest {
-        unreachable!("lens reports no digest width")
-    }
+    /// [`digest_to_words`](CostLens::digest_to_words) into `out`,
+    /// reusing its buffers.
+    fn digest_from_words(&self, words: &[u64], out: &mut Self::Digest);
 }
 
 /// The state-change model of Definition 3.1: one unit per shared step
@@ -159,11 +180,11 @@ impl CostLens for ScLens {
         u32::from(done.state_changed && done.step.register().is_some())
     }
 
-    fn digest_width(&self, _registers: usize) -> Option<usize> {
-        Some(0)
+    fn digest_width(&self, _registers: usize) -> usize {
+        0
     }
     fn digest_to_words(&self, (): &Self::Digest, _out: &mut [u64]) {}
-    fn digest_from_words(&self, _words: &[u64]) -> Self::Digest {}
+    fn digest_from_words(&self, _words: &[u64], (): &mut Self::Digest) {}
 }
 
 /// The distributed-shared-memory model: one unit per access to a
@@ -202,11 +223,11 @@ impl CostLens for DsmLens {
         self.home.iter().all(Option::is_none)
     }
 
-    fn digest_width(&self, _registers: usize) -> Option<usize> {
-        Some(0)
+    fn digest_width(&self, _registers: usize) -> usize {
+        0
     }
     fn digest_to_words(&self, (): &Self::Digest, _out: &mut [u64]) {}
-    fn digest_from_words(&self, _words: &[u64]) -> Self::Digest {}
+    fn digest_from_words(&self, _words: &[u64], (): &mut Self::Digest) {}
 }
 
 /// The cache-coherent model: the digest holds, per register, the set of
@@ -270,14 +291,15 @@ impl CostLens for CcLens {
             .collect()
     }
 
-    fn digest_width(&self, registers: usize) -> Option<usize> {
-        Some(registers)
+    fn digest_width(&self, registers: usize) -> usize {
+        registers
     }
     fn digest_to_words(&self, digest: &Self::Digest, out: &mut [u64]) {
         out.copy_from_slice(digest);
     }
-    fn digest_from_words(&self, words: &[u64]) -> Self::Digest {
-        words.to_vec()
+    fn digest_from_words(&self, words: &[u64], out: &mut Self::Digest) {
+        out.clear();
+        out.extend_from_slice(words);
     }
 }
 
@@ -310,20 +332,20 @@ impl CostLens for CrashLens {
         self.budget.saturating_sub(*digest as usize)
     }
 
-    fn digest_width(&self, _registers: usize) -> Option<usize> {
-        Some(1)
+    fn digest_width(&self, _registers: usize) -> usize {
+        1
     }
     fn digest_to_words(&self, digest: &Self::Digest, out: &mut [u64]) {
         out[0] = u64::from(*digest);
     }
-    fn digest_from_words(&self, words: &[u64]) -> Self::Digest {
-        words[0] as u8
+    fn digest_from_words(&self, words: &[u64], out: &mut Self::Digest) {
+        *out = words[0] as u8;
     }
 }
 
-/// One explored state after the graph is flattened: snapshots and
-/// digests are dropped (they are only needed while expanding), leaving
-/// the structure every verdict is computed from.
+/// One explored state after the graph is flattened: records are dropped
+/// (they are only needed while expanding), leaving the structure every
+/// verdict is computed from.
 pub(crate) struct FlatNode {
     /// BFS distance from the initial state (deterministic: layers are
     /// barrier-synchronized).
@@ -341,17 +363,19 @@ pub(crate) struct FlatNode {
     pub goal: bool,
     /// Whether two processes are simultaneously in the critical section.
     pub violating: bool,
-    /// Outgoing edges `(pid, target, cost)`, one per live process, in
-    /// pid order. Empty for goal nodes — and for frontier nodes left
-    /// unexpanded by a truncation or an early violation stop, which is
-    /// why the progress analyses only run on untruncated graphs.
-    pub succs: Vec<(ProcessId, u32, u32)>,
 }
+
+/// An outgoing edge `(pid, target, cost)`.
+pub(crate) type Succ = (ProcessId, u32, u32);
 
 /// The flattened bounded reachability graph (product graph, for lenses
 /// with a non-trivial digest).
 pub(crate) struct BuiltGraph {
     pub nodes: Vec<FlatNode>,
+    /// Node `u`'s successors are `succ_list[succ_start[u]..succ_start[u + 1]]`
+    /// (compressed sparse rows, see [`BuiltGraph::succs`]).
+    succ_start: Vec<usize>,
+    succ_list: Vec<Succ>,
     pub root: u32,
     pub edges: usize,
     /// Deepest BFS layer that holds a node.
@@ -382,19 +406,17 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
     // Predecessor lists in one CSR array: node `t`'s predecessors are
     // `preds[start[t]..start[t + 1]]`.
     let mut start = vec![0usize; n + 1];
-    for node in &graph.nodes {
-        for &(_, t, _) in &node.succs {
-            start[t as usize + 1] += 1;
-        }
+    for &(_, t, _) in &graph.succ_list {
+        start[t as usize + 1] += 1;
     }
     for t in 0..n {
         start[t + 1] += start[t];
     }
     let mut fill = start.clone();
     let mut preds = vec![0u32; start[n]];
-    for (u, node) in graph.nodes.iter().enumerate() {
-        for &(_, t, _) in &node.succs {
-            preds[fill[t as usize]] = u as u32;
+    for u in 0..n as u32 {
+        for &(_, t, _) in graph.succs(u) {
+            preds[fill[t as usize]] = u;
             fill[t as usize] += 1;
         }
     }
@@ -417,6 +439,17 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
 }
 
 impl BuiltGraph {
+    /// Outgoing edges of node `u`, one per live process in pid order
+    /// (then one crash edge per incomplete process, for a lens with a
+    /// crash allowance). Empty for goal nodes — and for frontier nodes
+    /// left unexpanded by a truncation or an early violation stop,
+    /// which is why the progress analyses only run on untruncated
+    /// graphs.
+    pub(crate) fn succs(&self, u: u32) -> &[Succ] {
+        let u = u as usize;
+        &self.succ_list[self.succ_start[u]..self.succ_start[u + 1]]
+    }
+
     /// The schedule (pid sequence) of the parent chain from the root to
     /// `id` — always a valid executable schedule.
     pub(crate) fn schedule_to(&self, id: u32) -> Vec<ProcessId> {
@@ -442,56 +475,230 @@ impl BuiltGraph {
     }
 }
 
-struct Shard<D> {
+/// Boxed process states numbered in first-seen order: a record holds
+/// such a state as its index here. Local to one build, so the numbers
+/// mean nothing outside it.
+#[derive(Default)]
+struct Interner {
+    ids: HashMap<DynState, u64>,
+    states: Vec<DynState>,
+}
+
+/// The fixed-width `u64` record codec — the explorer's one key
+/// encoding. A key `(snapshot, digest)` is the record
+/// `[states (n·w words), registers, sections, passages, digest]`: each
+/// process state takes `w` words, its inline words when the automaton
+/// packs its states (`w` is then the packed width) or else one word
+/// holding its index in the build's intern list; a section is one word
+/// (0–3) and a passage count one word. Two keys are equal exactly when
+/// their records are, so the table hashes and compares records as word
+/// slices, the frontier stores them, and the spill file holds them
+/// verbatim.
+struct RecordCodec {
+    n: usize,
+    regs: usize,
+    /// Words per process state.
+    state_words: usize,
+    digest_words: usize,
+    /// The intern list, for an automaton whose states are not inline.
+    interner: Option<RwLock<Interner>>,
+}
+
+impl RecordCodec {
+    /// Lays records out for the automaton whose initial snapshot is
+    /// `root`: inline when every initial state is inline and of one
+    /// width, interned otherwise.
+    fn plan<L: CostLens>(lens: &L, root: &Snap) -> RecordCodec {
+        let width = root
+            .states()
+            .first()
+            .and_then(DynState::words)
+            .map(<[u64]>::len);
+        let inline = width.filter(|&w| {
+            root.states()
+                .iter()
+                .all(|s| s.words().map(<[u64]>::len) == Some(w))
+        });
+        RecordCodec {
+            n: root.states().len(),
+            regs: root.registers().len(),
+            state_words: inline.unwrap_or(1),
+            digest_words: lens.digest_width(root.registers().len()),
+            interner: inline.is_none().then(RwLock::default),
+        }
+    }
+
+    /// Words per record.
+    fn rec_words(&self) -> usize {
+        self.n * self.state_words + self.regs + 2 * self.n + self.digest_words
+    }
+
+    /// The passage counts of a record.
+    fn passages<'r>(&self, rec: &'r [u64]) -> &'r [u64] {
+        let at = self.n * self.state_words + self.regs + self.n;
+        &rec[at..at + self.n]
+    }
+
+    /// Whether every process of a record has completed `passages`.
+    fn complete(&self, rec: &[u64], passages: usize) -> bool {
+        self.passages(rec).iter().all(|&p| p >= passages as u64)
+    }
+
+    /// Writes the record of `(snap, digest)` into `out`
+    /// (`out.len() == self.rec_words()`).
+    fn encode<L: CostLens>(&self, lens: &L, snap: &Snap, digest: &L::Digest, out: &mut [u64]) {
+        let (n, w, regs) = (self.n, self.state_words, self.regs);
+        for (i, s) in snap.states().iter().enumerate() {
+            self.put_state(s, &mut out[i * w..(i + 1) * w]);
+        }
+        out[n * w..n * w + regs].copy_from_slice(snap.registers());
+        for (i, (&s, &p)) in snap.sections().iter().zip(snap.passages()).enumerate() {
+            out[n * w + regs + i] = section_word(s);
+            out[n * w + regs + n + i] = p as u64;
+        }
+        lens.digest_to_words(digest, &mut out[n * w + regs + 2 * n..]);
+    }
+
+    /// [`encode`](Self::encode) of `permute_snapshot(alg, snap, perm)`,
+    /// written straight into `out`: process `i`'s relabelled state,
+    /// section and passage count go to slot `perm(i)` and every
+    /// register value is relabelled, with no permuted snapshot built.
+    fn encode_permuted<L: CostLens>(
+        &self,
+        alg: &dyn DynAutomaton,
+        lens: &L,
+        snap: &Snap,
+        perm: &Perm,
+        digest: &L::Digest,
+        out: &mut [u64],
+    ) {
+        let (n, w, regs) = (self.n, self.state_words, self.regs);
+        for (i, s) in snap.states().iter().enumerate() {
+            let t = perm.apply_index(i);
+            self.put_state(
+                &alg.dyn_permute_state(s, perm),
+                &mut out[t * w..(t + 1) * w],
+            );
+            out[n * w + regs + t] = section_word(snap.sections()[i]);
+            out[n * w + regs + n + t] = snap.passages()[i] as u64;
+        }
+        for (j, &v) in snap.registers().iter().enumerate() {
+            out[n * w + j] = alg.dyn_permute_register_value(RegisterId::new(j), v, perm);
+        }
+        lens.digest_to_words(digest, &mut out[n * w + regs + 2 * n..]);
+    }
+
+    /// Writes one process state into its `state_words` slot.
+    ///
+    /// # Panics
+    ///
+    /// When a state of an inline automaton is boxed or of another
+    /// width: one automaton keeps one representation.
+    fn put_state(&self, s: &DynState, slot: &mut [u64]) {
+        match &self.interner {
+            None => slot.copy_from_slice(
+                s.words()
+                    .filter(|x| x.len() == slot.len())
+                    .expect("an inline automaton's states share one width"),
+            ),
+            Some(interner) => slot[0] = intern(interner, s),
+        }
+    }
+
+    /// Refills `snap` and `digest` with the key `rec` encodes; `snap`
+    /// must have this codec's dimensions.
+    fn decode<L: CostLens>(&self, lens: &L, rec: &[u64], snap: &mut Snap, digest: &mut L::Digest) {
+        let (n, w, regs) = (self.n, self.state_words, self.regs);
+        let (states, registers, sections, passages) = snap.parts_mut();
+        match &self.interner {
+            None => {
+                for (i, s) in states.iter_mut().enumerate() {
+                    *s = DynState::from_raw_words(&rec[i * w..(i + 1) * w]);
+                }
+            }
+            Some(interner) => {
+                let list = interner.read().expect("interner poisoned");
+                for (s, &i) in states.iter_mut().zip(&rec[..n]) {
+                    s.clone_from(&list.states[i as usize]);
+                }
+            }
+        }
+        registers.copy_from_slice(&rec[n * w..n * w + regs]);
+        for i in 0..n {
+            sections[i] = word_section(rec[n * w + regs + i]);
+            passages[i] = rec[n * w + regs + n + i] as usize;
+        }
+        lens.digest_from_words(&rec[n * w + regs + 2 * n..], digest);
+    }
+}
+
+/// The intern-list index of `state`, numbering it if it is new.
+fn intern(interner: &RwLock<Interner>, state: &DynState) -> u64 {
+    if let Some(&i) = interner.read().expect("interner poisoned").ids.get(state) {
+        return i;
+    }
+    let mut list = interner.write().expect("interner poisoned");
+    let Interner { ids, states } = &mut *list;
+    *ids.entry(state.clone()).or_insert_with(|| {
+        states.push(state.clone());
+        states.len() as u64 - 1
+    })
+}
+
+fn section_word(s: Section) -> u64 {
+    match s {
+        Section::Remainder => 0,
+        Section::Trying => 1,
+        Section::Critical => 2,
+        Section::Exit => 3,
+    }
+}
+
+fn word_section(w: u64) -> Section {
+    match w {
+        0 => Section::Remainder,
+        1 => Section::Trying,
+        2 => Section::Critical,
+        3 => Section::Exit,
+        _ => unreachable!("invalid section word {w}"),
+    }
+}
+
+struct Shard {
     /// Key hash → the newest node *within this shard* that carries it;
     /// older ones chain through [`BuildNode::next`] (collisions resolved
     /// by full key equality).
     index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
-    nodes: Vec<BuildNode<D>>,
+    /// Node `i`'s stored key is `keys[i * key_words..][..key_words]`.
+    keys: Vec<u64>,
+    nodes: Vec<BuildNode>,
 }
 
-/// What a table node stores to recognize revisits.
-enum StoredKey<D> {
-    /// The full transposition key: exact, the default.
-    Full(Snap, D),
-    /// A 128-bit [`fingerprint`] of the key: an order of magnitude
-    /// smaller, exact only modulo fingerprint collisions — reports
-    /// built this way say so via `fingerprinted`.
-    Fingerprint(u128),
-}
-
-impl<D: Eq> StoredKey<D> {
-    fn matches(&self, snap: &Snap, digest: &D, fp: u128) -> bool {
-        match self {
-            StoredKey::Full(s, d) => s == snap && d == digest,
-            StoredKey::Fingerprint(f) => *f == fp,
-        }
-    }
-}
-
-struct BuildNode<D> {
-    key: StoredKey<D>,
+struct BuildNode {
     /// The next older node of this shard with the same key hash, or
     /// [`NO_NODE`].
     next: u32,
     flat: FlatNode,
 }
 
-struct Table<D> {
-    shards: Vec<Mutex<Shard<D>>>,
+struct Table {
+    shards: Vec<Mutex<Shard>>,
     shard_bits: u32,
     count: AtomicUsize,
-    /// Store fingerprints instead of full keys (`ExploreConfig::compress`).
+    /// Words per stored key: the whole record, or the two words of its
+    /// 128-bit [`fingerprint`] under `ExploreConfig::compress`.
+    key_words: usize,
     compress: bool,
 }
 
-/// The table's key hash: one multiply–rotate pass over the key's words
-/// ([`WordHasher`]). A pure function of the key — identical across
-/// workers and runs.
-fn key_hash<D: Hash>(snap: &Snap, digest: &D) -> u64 {
+/// The table's key hash: one multiply–rotate pass over the record's
+/// words ([`WordHasher`]). A pure function of the record — identical
+/// across workers and runs of one build.
+fn key_hash(rec: &[u64]) -> u64 {
     let mut h = WordHasher(0);
-    snap.hash(&mut h);
-    digest.hash(&mut h);
+    for &w in rec {
+        h.word(w);
+    }
     h.finish()
 }
 
@@ -504,41 +711,6 @@ struct WordHasher(u64);
 impl WordHasher {
     fn word(&mut self, w: u64) {
         self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
-    }
-}
-
-impl Hasher for WordHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        let mut words = bytes.chunks_exact(8);
-        for w in &mut words {
-            self.word(u64::from_le_bytes(w.try_into().expect("8-byte chunk")));
-        }
-        let rest = words.remainder();
-        if !rest.is_empty() {
-            let mut last = [0u8; 8];
-            last[..rest.len()].copy_from_slice(rest);
-            self.word(u64::from_le_bytes(last));
-        }
-    }
-
-    fn write_u8(&mut self, x: u8) {
-        self.word(u64::from(x));
-    }
-
-    fn write_u16(&mut self, x: u16) {
-        self.word(u64::from(x));
-    }
-
-    fn write_u32(&mut self, x: u32) {
-        self.word(u64::from(x));
-    }
-
-    fn write_u64(&mut self, x: u64) {
-        self.word(x);
-    }
-
-    fn write_usize(&mut self, x: usize) {
-        self.word(x as u64);
     }
 
     fn finish(&self) -> u64 {
@@ -571,33 +743,44 @@ impl Hasher for PassThrough {
 }
 
 /// The 128-bit key fingerprint [`ExploreConfig::compress`] stores in
-/// place of the key: two [`DefaultHasher`] (SipHash) passes, the second
-/// seeded with a fixed prefix so the halves are independent. A pure
-/// function of the key — identical across workers and runs.
-fn fingerprint<D: Hash>(snap: &Snap, digest: &D) -> u128 {
+/// place of the record: two [`DefaultHasher`] (SipHash) passes over the
+/// record's words, the second seeded with a fixed prefix so the halves
+/// are independent. A pure function of the record.
+fn fingerprint(rec: &[u64]) -> [u64; 2] {
     let mut h1 = DefaultHasher::new();
-    snap.hash(&mut h1);
-    digest.hash(&mut h1);
     let mut h2 = DefaultHasher::new();
-    0x9e37_79b9_7f4a_7c15u64.hash(&mut h2);
-    snap.hash(&mut h2);
-    digest.hash(&mut h2);
-    (u128::from(h1.finish()) << 64) | u128::from(h2.finish())
+    h2.write_u64(0x9e37_79b9_7f4a_7c15);
+    for &w in rec {
+        h1.write_u64(w);
+        h2.write_u64(w);
+    }
+    [h1.finish(), h2.finish()]
 }
 
-impl<D: Eq> Table<D> {
-    fn new(shard_count: usize, compress: bool) -> Self {
+/// One worker's successor edges over one layer: `runs` holds
+/// `(source, count)` per expanded node, whose `count` edges follow in
+/// `edges` in expansion order.
+#[derive(Default)]
+struct EdgeLog {
+    runs: Vec<(u32, u32)>,
+    edges: Vec<Succ>,
+}
+
+impl Table {
+    fn new(shard_count: usize, key_words: usize, compress: bool) -> Self {
         Table {
             shards: (0..shard_count)
                 .map(|_| {
                     Mutex::new(Shard {
                         index: HashMap::default(),
+                        keys: Vec::new(),
                         nodes: Vec::new(),
                     })
                 })
                 .collect(),
             shard_bits: shard_count.trailing_zeros(),
             count: AtomicUsize::new(0),
+            key_words,
             compress,
         }
     }
@@ -606,37 +789,37 @@ impl<D: Eq> Table<D> {
         (self.shards.len() - 1) as u64
     }
 
-    /// Interns `(snap, digest)`, returning its id and whether it was
-    /// new. Ids pack the shard into the low bits so they can be decoded
-    /// without a lookup. The key is only cloned into the table when it
-    /// is actually new — revisits (the common case: every state is
-    /// rediscovered once per predecessor) allocate nothing — and under
-    /// `compress` only its fingerprint is kept.
-    fn insert(&self, snap: &Snap, digest: &D, meta: FlatNode) -> (u32, bool)
-    where
-        D: Hash + Clone,
-    {
-        let hv = key_hash(snap, digest);
-        let fp = if self.compress {
-            fingerprint(snap, digest)
+    /// Interns the key whose record is `rec`, returning its id and
+    /// whether it was new. Ids pack the shard into the low bits so they
+    /// can be decoded without a lookup. Revisits (the common case: every
+    /// state is rediscovered once per predecessor) copy nothing; a new
+    /// key appends its record — or under `compress` only its
+    /// fingerprint — to the shard's word arena.
+    fn insert(&self, rec: &[u64], meta: FlatNode) -> (u32, bool) {
+        let hv = key_hash(rec);
+        let fp;
+        let key = if self.compress {
+            fp = fingerprint(rec);
+            &fp[..]
         } else {
-            0
+            rec
         };
+        let kw = self.key_words;
         // Bits 32.. are neither the index's slot (low bits) nor its tag
         // (top seven); at most 1,024 shards keeps them below bit 57.
         let s = ((hv >> 32) & self.mask()) as usize;
         let mut guard = self.shards[s].lock().expect("shard poisoned");
-        let Shard { index, nodes } = &mut *guard;
+        let Shard { index, keys, nodes } = &mut *guard;
         let idx = nodes.len() as u32;
         let next = match index.entry(hv) {
             Entry::Occupied(mut head) => {
                 let mut at = *head.get();
                 while at != NO_NODE {
-                    let node = &nodes[at as usize];
-                    if node.key.matches(snap, digest, fp) {
+                    let i = at as usize;
+                    if &keys[i * kw..(i + 1) * kw] == key {
                         return ((at << self.shard_bits) | s as u32, false);
                     }
-                    at = node.next;
+                    at = nodes[i].next;
                 }
                 head.insert(idx)
             }
@@ -645,65 +828,82 @@ impl<D: Eq> Table<D> {
                 NO_NODE
             }
         };
-        nodes.push(BuildNode {
-            key: if self.compress {
-                StoredKey::Fingerprint(fp)
-            } else {
-                StoredKey::Full(snap.clone(), digest.clone())
-            },
-            next,
-            flat: meta,
-        });
+        keys.extend_from_slice(key);
+        nodes.push(BuildNode { next, flat: meta });
         self.count.fetch_add(1, Ordering::Relaxed);
         ((idx << self.shard_bits) | s as u32, true)
     }
 
-    fn set_succs(&self, id: u32, succs: Vec<(ProcessId, u32, u32)>) {
-        let s = (id & self.mask() as u32) as usize;
-        let idx = (id >> self.shard_bits) as usize;
-        let mut guard = self.shards[s].lock().expect("shard poisoned");
-        guard.nodes[idx].flat.succs = succs;
-    }
-
     /// Flattens the sharded storage into one dense node vector,
-    /// remapping every id (shard-packed → dense) arithmetically.
-    fn flatten(self, root: u32, violations: Vec<u32>) -> (Vec<FlatNode>, u32, Vec<u32>, usize) {
+    /// remapping every id (shard-packed → dense) arithmetically, and
+    /// gathers the edge logs into compressed sparse rows. The key arenas
+    /// and indices are dropped first.
+    fn flatten(self, root: u32, violations: Vec<u32>, logs: Vec<EdgeLog>) -> Flat {
         let bits = self.shard_bits;
         let mask = self.mask() as u32;
         let mut offsets = Vec::with_capacity(self.shards.len());
         let mut total = 0u32;
-        let inners: Vec<Shard<D>> = self
+        let shard_nodes: Vec<Vec<BuildNode>> = self
             .shards
             .into_iter()
-            .map(|m| m.into_inner().expect("shard poisoned"))
+            .map(|m| m.into_inner().expect("shard poisoned").nodes)
             .collect();
-        for shard in &inners {
+        for nodes in &shard_nodes {
             offsets.push(total);
-            total += shard.nodes.len() as u32;
+            total += nodes.len() as u32;
         }
         let remap = |id: u32| offsets[(id & mask) as usize] + (id >> bits);
         let mut nodes = Vec::with_capacity(total as usize);
-        let mut edges = 0usize;
-        for shard in inners {
-            for node in shard.nodes {
+        for shard in shard_nodes {
+            for node in shard {
                 let mut flat = node.flat;
                 if flat.parent != NO_PARENT {
                     flat.parent = remap(flat.parent);
                 }
-                for (_, target, _) in &mut flat.succs {
-                    *target = remap(*target);
-                }
-                edges += flat.succs.len();
                 nodes.push(flat);
             }
         }
-        (
+        // Each node is expanded at most once, so it owns at most one
+        // run; its row starts where the rows before it end.
+        let mut succ_start = vec![0usize; nodes.len() + 1];
+        for log in &logs {
+            for &(src, count) in &log.runs {
+                succ_start[remap(src) as usize + 1] = count as usize;
+            }
+        }
+        for u in 0..nodes.len() {
+            succ_start[u + 1] += succ_start[u];
+        }
+        let mut succ_list = vec![(ProcessId::new(0), 0u32, 0u32); succ_start[nodes.len()]];
+        for log in logs {
+            let mut edges = log.edges.into_iter();
+            for (src, count) in log.runs {
+                let at = succ_start[remap(src) as usize];
+                for (slot, (p, t, c)) in succ_list[at..at + count as usize]
+                    .iter_mut()
+                    .zip(edges.by_ref())
+                {
+                    *slot = (p, remap(t), c);
+                }
+            }
+        }
+        Flat {
             nodes,
-            remap(root),
-            violations.into_iter().map(remap).collect(),
-            edges,
-        )
+            succ_start,
+            succ_list,
+            root: remap(root),
+            violations: violations.into_iter().map(remap).collect(),
+        }
     }
+}
+
+/// [`Table::flatten`]'s output.
+struct Flat {
+    nodes: Vec<FlatNode>,
+    succ_start: Vec<usize>,
+    succ_list: Vec<Succ>,
+    root: u32,
+    violations: Vec<u32>,
 }
 
 fn resolved_workers(cfg: &ExploreConfig) -> usize {
@@ -714,227 +914,81 @@ fn resolved_workers(cfg: &ExploreConfig) -> usize {
     }
 }
 
-#[cfg(unix)]
-fn section_word(s: Section) -> u64 {
-    match s {
-        Section::Remainder => 0,
-        Section::Trying => 1,
-        Section::Critical => 2,
-        Section::Exit => 3,
-    }
-}
-
-#[cfg(unix)]
-fn word_section(w: u64) -> Section {
-    match w {
-        0 => Section::Remainder,
-        1 => Section::Trying,
-        2 => Section::Critical,
-        3 => Section::Exit,
-        _ => unreachable!("invalid section word {w}"),
-    }
-}
-
-#[cfg(unix)]
-fn write_words(sink: &mut impl std::io::Write, words: &[u64]) -> std::io::Result<()> {
-    for &w in words {
-        sink.write_all(&w.to_le_bytes())?;
-    }
-    Ok(())
-}
-
-/// Fixed-width `u64` record codec for spilled frontier layers — one
-/// record per entry: `[id, states (n·w words), registers, sections,
-/// passages, digest]`. Only constructible when every process state uses
-/// the inline-word representation and the lens has a fixed-width digest
-/// encoding; anything else keeps the in-memory frontier.
-#[cfg(unix)]
-#[derive(Clone, Copy)]
-struct SpillCodec {
-    n: usize,
-    regs: usize,
-    state_words: usize,
-    digest_words: usize,
-}
-
 /// A completed BFS layer parked on disk: an *unlinked* temp file (the
-/// data lives through the handle, so nothing leaks even on panic) of
-/// fixed-size records, streamed back chunk-at-a-time during expansion.
+/// data lives through the handle, so nothing leaks even on panic)
+/// holding the layer's words verbatim, streamed back chunk-at-a-time
+/// during expansion.
 #[cfg(unix)]
 struct SpilledLayer {
     file: std::fs::File,
-    /// Number of records in the file.
+    /// Number of entries in the file.
     len: usize,
-    /// Whether any spilled snapshot still has an incomplete process —
+    /// Whether any spilled record still has an incomplete process —
     /// precomputed at write time so the `max_depth` truncation check
     /// needs no read-back.
     incomplete: bool,
 }
 
+/// Writes a merged layer (`[id, record]` entries of `stride` words) to
+/// a fresh anonymous temp file, verbatim.
 #[cfg(unix)]
-impl SpillCodec {
-    fn plan<L: CostLens>(lens: &L, root: &Snap, regs: usize) -> Option<SpillCodec> {
-        let digest_words = lens.digest_width(regs)?;
-        let state_words = root.states().first()?.words()?.len();
-        Some(SpillCodec {
-            n: root.states().len(),
-            regs,
-            state_words,
-            digest_words,
-        })
+fn spill(words: &[u64], stride: usize, incomplete: bool) -> std::io::Result<SpilledLayer> {
+    use std::io::Write;
+    static SEQ: AtomicUsize = AtomicUsize::new(0);
+    let path = std::env::temp_dir().join(format!(
+        "exclusion-spill-{}-{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let file = std::fs::OpenOptions::new()
+        .read(true)
+        .write(true)
+        .create_new(true)
+        .open(&path)?;
+    let _ = std::fs::remove_file(&path);
+    let mut sink = std::io::BufWriter::new(&file);
+    for &w in words {
+        sink.write_all(&w.to_le_bytes())?;
     }
-
-    fn rec_words(&self) -> usize {
-        1 + self.n * self.state_words + self.regs + 2 * self.n + self.digest_words
-    }
-
-    fn encode<L: CostLens>(
-        &self,
-        lens: &L,
-        id: u32,
-        snap: &Snap,
-        digest: &L::Digest,
-        out: &mut Vec<u64>,
-    ) -> Option<()> {
-        out.push(u64::from(id));
-        for s in snap.states() {
-            out.extend_from_slice(s.words()?);
-        }
-        out.extend_from_slice(snap.registers());
-        out.extend(snap.sections().iter().map(|&s| section_word(s)));
-        out.extend(snap.passages().iter().map(|&p| p as u64));
-        let at = out.len();
-        out.resize(at + self.digest_words, 0);
-        lens.digest_to_words(digest, &mut out[at..]);
-        Some(())
-    }
-
-    fn decode<L: CostLens>(&self, lens: &L, rec: &[u64]) -> (u32, Snap, L::Digest) {
-        let mut at = 0usize;
-        let id = rec[at] as u32;
-        at += 1;
-        let mut states = Vec::with_capacity(self.n);
-        for _ in 0..self.n {
-            states.push(DynState::from_raw_words(&rec[at..at + self.state_words]));
-            at += self.state_words;
-        }
-        let regs = rec[at..at + self.regs].to_vec();
-        at += self.regs;
-        let sections = rec[at..at + self.n]
-            .iter()
-            .map(|&w| word_section(w))
-            .collect();
-        at += self.n;
-        let passages = rec[at..at + self.n].iter().map(|&w| w as usize).collect();
-        at += self.n;
-        let digest = lens.digest_from_words(&rec[at..at + self.digest_words]);
-        (
-            id,
-            Snapshot::from_parts(states, regs, sections, passages),
-            digest,
-        )
-    }
-
-    /// Writes a merged layer to a fresh anonymous temp file.
-    fn spill<L: CostLens>(
-        &self,
-        lens: &L,
-        layer: &[(u32, Snap, L::Digest)],
-        passages: usize,
-    ) -> std::io::Result<SpilledLayer> {
-        use std::io::Write;
-        static SEQ: AtomicUsize = AtomicUsize::new(0);
-        let path = std::env::temp_dir().join(format!(
-            "exclusion-spill-{}-{}",
-            std::process::id(),
-            SEQ.fetch_add(1, Ordering::Relaxed)
-        ));
-        let file = std::fs::OpenOptions::new()
-            .read(true)
-            .write(true)
-            .create_new(true)
-            .open(&path)?;
-        let _ = std::fs::remove_file(&path);
-        let flush_at = self.rec_words() * 1024;
-        let mut incomplete = false;
-        let mut words: Vec<u64> = Vec::with_capacity(flush_at + self.rec_words());
-        let mut sink = std::io::BufWriter::new(&file);
-        for (id, snap, digest) in layer {
-            if self.encode(lens, *id, snap, digest, &mut words).is_none() {
-                return Err(std::io::Error::other("non-inline state in spill layer"));
-            }
-            incomplete |= snap.passages().iter().any(|&p| p < passages);
-            if words.len() >= flush_at {
-                write_words(&mut sink, &words)?;
-                words.clear();
-            }
-        }
-        write_words(&mut sink, &words)?;
-        sink.flush()?;
-        drop(sink);
-        Ok(SpilledLayer {
-            file,
-            len: layer.len(),
-            incomplete,
-        })
-    }
-
-    /// Reads records `[start, start + count)` back into `buf`.
-    fn read_into<L: CostLens>(
-        &self,
-        lens: &L,
-        sp: &SpilledLayer,
-        start: usize,
-        count: usize,
-        buf: &mut Vec<(u32, Snap, L::Digest)>,
-    ) {
-        use std::os::unix::fs::FileExt;
-        let rw = self.rec_words();
-        let mut bytes = vec![0u8; count * rw * 8];
-        sp.file
-            .read_exact_at(&mut bytes, (start * rw * 8) as u64)
-            .expect("spilled frontier read failed");
-        buf.clear();
-        let mut words = vec![0u64; rw];
-        for rec in bytes.chunks_exact(rw * 8) {
-            for (w, b) in words.iter_mut().zip(rec.chunks_exact(8)) {
-                *w = u64::from_le_bytes(b.try_into().expect("8-byte chunk"));
-            }
-            buf.push(self.decode(lens, &words));
-        }
-    }
+    sink.flush()?;
+    drop(sink);
+    Ok(SpilledLayer {
+        file,
+        len: words.len() / stride,
+        incomplete,
+    })
 }
 
-/// The current BFS layer: in memory, or parked on disk behind the
-/// `spill` flag.
-enum Layer<D> {
-    Mem(Vec<(u32, Snap, D)>),
+/// Reads entries `[start, start + count)` of `stride` words back into
+/// `buf`, through the byte buffer `bytes`.
+#[cfg(unix)]
+fn read_back(
+    sp: &SpilledLayer,
+    stride: usize,
+    start: usize,
+    count: usize,
+    bytes: &mut Vec<u8>,
+    buf: &mut Vec<u64>,
+) {
+    use std::os::unix::fs::FileExt;
+    bytes.resize(count * stride * 8, 0);
+    sp.file
+        .read_exact_at(bytes, (start * stride * 8) as u64)
+        .expect("spilled frontier read failed");
+    buf.clear();
+    buf.extend(
+        bytes
+            .chunks_exact(8)
+            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
+    );
+}
+
+/// The current BFS layer, `[id, record]` entries: in memory, or parked
+/// on disk behind the `spill` flag.
+enum Layer {
+    Mem(Vec<u64>),
     #[cfg(unix)]
-    Disk(SpillCodec, SpilledLayer),
-}
-
-impl<D> Layer<D> {
-    fn len(&self) -> usize {
-        match self {
-            Layer::Mem(v) => v.len(),
-            #[cfg(unix)]
-            Layer::Disk(_, sp) => sp.len,
-        }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn any_incomplete(&self, passages: usize) -> bool {
-        match self {
-            Layer::Mem(v) => v
-                .iter()
-                .any(|(_, snap, _)| snap.passages().iter().any(|&p| p < passages)),
-            #[cfg(unix)]
-            Layer::Disk(_, sp) => sp.incomplete,
-        }
-    }
+    Disk(SpilledLayer),
 }
 
 /// Explores the bounded state space of `alg` under `lens` and returns
@@ -977,7 +1031,6 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         shard_count /= 2;
     }
     debug_assert!(cfg.max_states < (u32::MAX as usize) >> shard_count.trailing_zeros());
-    let table: Table<L::Digest> = Table::new(shard_count, cfg.compress);
     let truncated = AtomicBool::new(false);
     let stop = AtomicBool::new(false);
     let violations: Mutex<Vec<u32>> = Mutex::new(Vec::new());
@@ -997,89 +1050,112 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         root_snap = permute_snapshot(alg, &root_snap, &perm);
         root_digest = lens.permute_digest(&root_digest, &perm);
     }
-    let root_goal = root_snap.passages().iter().all(|&p| p >= cfg.passages);
+    let codec = RecordCodec::plan(lens, &root_snap);
+    let rw = codec.rec_words();
+    // A frontier entry is the node id followed by its record.
+    let stride = 1 + rw;
+    let table = Table::new(shard_count, if cfg.compress { 2 } else { rw }, cfg.compress);
+    let mut frontier_words = vec![0u64; stride];
+    codec.encode(lens, &root_snap, &root_digest, &mut frontier_words[1..]);
     let (root, _) = table.insert(
-        &root_snap,
-        &root_digest,
+        &frontier_words[1..],
         FlatNode {
             depth: 0,
             parent: NO_PARENT,
             via: ProcessId::new(0),
             via_crash: false,
-            goal: root_goal,
+            goal: codec.complete(&frontier_words[1..], cfg.passages),
             violating: false,
-            succs: Vec::new(),
         },
     );
-
-    #[cfg(unix)]
-    let spill_codec = if cfg.spill {
-        SpillCodec::plan(lens, &root_snap, alg.registers())
-    } else {
-        None
+    frontier_words[0] = u64::from(root);
+    // Whether a layer holds an entry with an incomplete process.
+    let incomplete = |words: &[u64]| {
+        words
+            .chunks_exact(stride)
+            .any(|e| !codec.complete(&e[1..], cfg.passages))
     };
-    let mut frontier: Layer<L::Digest> = Layer::Mem(vec![(root, root_snap, root_digest)]);
+    let mut frontier = Layer::Mem(frontier_words);
+    let mut logs: Vec<EdgeLog> = Vec::new();
     let mut depth = 0u32;
     let mut dedup_hits = 0usize;
     let mut peak_frontier = 0usize;
     loop {
-        if frontier.is_empty() || stop.load(Ordering::Relaxed) {
+        let layer_len = match &frontier {
+            Layer::Mem(v) => v.len() / stride,
+            #[cfg(unix)]
+            Layer::Disk(sp) => sp.len,
+        };
+        if layer_len == 0 || stop.load(Ordering::Relaxed) {
             break;
         }
-        peak_frontier = peak_frontier.max(frontier.len());
+        peak_frontier = peak_frontier.max(layer_len);
         if cfg.max_depth.is_some_and(|d| depth as usize >= d) {
-            if frontier.any_incomplete(cfg.passages) {
+            let any_incomplete = match &frontier {
+                Layer::Mem(v) => incomplete(v),
+                #[cfg(unix)]
+                Layer::Disk(sp) => sp.incomplete,
+            };
+            if any_incomplete {
                 truncated.store(true, Ordering::Relaxed);
             }
             break;
         }
         let cursor = AtomicUsize::new(0);
         let layer = &frontier;
+        let codec = &codec;
         let states_before = table.count.load(Ordering::Relaxed);
         // One worker's pass over the layer: pull chunks until none are
-        // left, returning the fresh states it interned (the worker's
-        // share of the next layer) and its insert count.
+        // left, returning the fresh entries it interned (the worker's
+        // share of the next layer), its edges and its insert count.
         let expand = || {
             let dref = DynRef(alg);
-            // Scratch state, reused for every successor: the parent is
-            // restored into `sys` and the successor read back into
-            // `snap2`/`d2`, so only fresh states are ever copied.
+            // Scratch state, reused for every entry and successor: the
+            // entry's record is decoded into `parent`/`digest`, restored
+            // into `sys` per successor, and the successor read back into
+            // `snap2`/`d2` and encoded into `rec`; only fresh records
+            // are copied, into the next layer.
             let mut sys = System::new(&dref);
+            let mut parent = sys.snapshot();
             let mut snap2 = sys.snapshot();
+            let mut digest = lens.initial(alg.registers());
             let mut d2 = lens.initial(alg.registers());
-            let mut succs: Vec<(ProcessId, u32, u32)> = Vec::new();
-            let mut local = Vec::new();
+            let mut rec = vec![0u64; rw];
+            let mut local: Vec<u64> = Vec::new();
+            let mut log = EdgeLog::default();
             let mut inserts = 0usize;
             #[cfg(unix)]
-            let mut chunk_buf: Vec<(u32, Snap, L::Digest)> = Vec::new();
+            let (mut chunk_buf, mut bytes) = (Vec::new(), Vec::new());
             'pull: loop {
                 let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
-                if start >= layer.len() || stop.load(Ordering::Relaxed) {
+                if start >= layer_len || stop.load(Ordering::Relaxed) {
                     break;
                 }
-                let end = (start + CHUNK).min(layer.len());
-                let items = match layer {
-                    Layer::Mem(v) => &v[start..end],
+                let end = (start + CHUNK).min(layer_len);
+                let items: &[u64] = match layer {
+                    Layer::Mem(v) => &v[start * stride..end * stride],
                     #[cfg(unix)]
-                    Layer::Disk(codec, sp) => {
-                        codec.read_into(lens, sp, start, end - start, &mut chunk_buf);
-                        chunk_buf.as_slice()
+                    Layer::Disk(sp) => {
+                        read_back(sp, stride, start, end - start, &mut bytes, &mut chunk_buf);
+                        &chunk_buf
                     }
                 };
-                for (id, snap, digest) in items {
+                for entry in items.chunks_exact(stride) {
                     if stop.load(Ordering::Relaxed) {
                         break 'pull;
                     }
-                    if snap.passages().iter().all(|&p| p >= cfg.passages) {
+                    let (id, prec) = (entry[0] as u32, &entry[1..]);
+                    if codec.complete(prec, cfg.passages) {
                         continue; // goal: nothing to expand
                     }
-                    succs.clear();
+                    codec.decode(lens, prec, &mut parent, &mut digest);
+                    let first_edge = log.edges.len();
                     // Ordinary steps first, then (budget permitting) one
                     // crash injection per incomplete process — both in
                     // pid order, so parent races resolve to the same
                     // lexicographic witness order crash-free builds have
                     // always had.
-                    let crashes = lens.crash_allowance(digest) > 0;
+                    let crashes = lens.crash_allowance(&digest) > 0;
                     // Ample-set reduction: a `try`/`rem` step is local
                     // (no register access), cannot enter the critical
                     // section, and is the only enabled step of its
@@ -1092,9 +1168,9 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
                     // step.
                     let ample = if cfg.por && !crashes {
                         ProcessId::all(n).find(|&p| {
-                            snap.passages()[p.index()] < cfg.passages
+                            parent.passages()[p.index()] < cfg.passages
                                 && matches!(
-                                    alg.dyn_next_step(p, &snap.states()[p.index()]),
+                                    alg.dyn_next_step(p, &parent.states()[p.index()]),
                                     NextStep::Crit(CritKind::Try | CritKind::Rem)
                                 )
                         })
@@ -1106,40 +1182,39 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
                             break;
                         }
                         for p in ProcessId::all(n) {
-                            if snap.passages()[p.index()] >= cfg.passages {
+                            if parent.passages()[p.index()] >= cfg.passages {
                                 continue;
                             }
                             if ample.is_some_and(|a| a != p) {
                                 continue;
                             }
-                            sys.restore(snap);
+                            sys.restore(&parent);
                             let done = if crashed { sys.crash(p) } else { sys.step(p) };
-                            d2.clone_from(digest);
+                            d2.clone_from(&digest);
                             let cost = lens.price(&mut d2, &done);
                             sys.snapshot_into(&mut snap2);
-                            if let Some(sigma) =
-                                symmetric.then(|| canonical_perm(alg, &snap2)).flatten()
-                            {
-                                snap2 = permute_snapshot(alg, &snap2, &sigma);
-                                d2 = lens.permute_digest(&d2, &sigma);
+                            match symmetric.then(|| canonical_perm(alg, &snap2)).flatten() {
+                                Some(sigma) => {
+                                    d2 = lens.permute_digest(&d2, &sigma);
+                                    codec.encode_permuted(alg, lens, &snap2, &sigma, &d2, &mut rec);
+                                }
+                                None => codec.encode(lens, &snap2, &d2, &mut rec),
                             }
-                            let goal = snap2.passages().iter().all(|&q| q >= cfg.passages);
+                            let goal = codec.complete(&rec, cfg.passages);
                             let violating = snap2.in_critical().nth(1).is_some();
                             let (tid, fresh) = table.insert(
-                                &snap2,
-                                &d2,
+                                &rec,
                                 FlatNode {
                                     depth: depth + 1,
-                                    parent: *id,
+                                    parent: id,
                                     via: p,
                                     via_crash: crashed,
                                     goal,
                                     violating,
-                                    succs: Vec::new(),
                                 },
                             );
                             inserts += 1;
-                            succs.push((p, tid, cost));
+                            log.edges.push((p, tid, cost));
                             if fresh {
                                 if violating {
                                     // Record it but *complete the layer*:
@@ -1154,24 +1229,30 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
                                     truncated.store(true, Ordering::Relaxed);
                                     stop.store(true, Ordering::Relaxed);
                                 }
-                                local.push((tid, snap2.clone(), d2.clone()));
+                                local.push(u64::from(tid));
+                                local.extend_from_slice(&rec);
                             }
                         }
                     }
-                    table.set_succs(*id, succs.clone());
+                    let count = log.edges.len() - first_edge;
+                    if count > 0 {
+                        log.runs.push((id, count as u32));
+                    }
                 }
             }
-            (local, inserts)
+            (local, log, inserts)
         };
         // The calling thread is always one of the layer's workers, so a
         // one-worker layer spawns nothing.
-        let fan = workers.min(layer.len() / GRAIN).max(1);
+        let fan = workers.min(layer_len / GRAIN).max(1);
         let (next, inserts) = std::thread::scope(|scope| {
             let handles: Vec<_> = (1..fan).map(|_| scope.spawn(expand)).collect();
-            let (mut next, mut inserts) = expand();
+            let (mut next, log, mut inserts) = expand();
+            logs.push(log);
             for h in handles {
-                let (mut local, k) = h.join().expect("explorer worker panicked");
-                next.append(&mut local);
+                let (local, log, k) = h.join().expect("explorer worker panicked");
+                next.extend_from_slice(&local);
+                logs.push(log);
                 inserts += k;
             }
             (next, inserts)
@@ -1185,7 +1266,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             // for untruncated builds.
             probe.record(&TraceEvent::Layer {
                 depth: depth + 1,
-                expanded: layer.len(),
+                expanded: layer_len,
                 fresh,
                 dedup: inserts - fresh,
                 states: states_after,
@@ -1203,34 +1284,30 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             break;
         }
         #[cfg(unix)]
-        {
-            frontier = match spill_codec {
-                // An io failure falls back to the in-memory layer: the
-                // spill is an optimization, never a correctness gate.
-                Some(codec) => match codec.spill(lens, &next, cfg.passages) {
-                    Ok(sp) => Layer::Disk(codec, sp),
-                    Err(_) => Layer::Mem(next),
-                },
-                None => Layer::Mem(next),
-            };
+        if cfg.spill {
+            // An io failure keeps the in-memory layer: the spill is an
+            // optimization, never a correctness gate.
+            if let Ok(sp) = spill(&next, stride, incomplete(&next)) {
+                frontier = Layer::Disk(sp);
+                continue;
+            }
         }
-        #[cfg(not(unix))]
-        {
-            frontier = Layer::Mem(next);
-        }
+        frontier = Layer::Mem(next);
     }
 
     let states = table.count.load(Ordering::Relaxed);
     let violations = violations.into_inner().expect("violations poisoned");
-    let (nodes, root, violations, edges) = table.flatten(root, violations);
-    debug_assert_eq!(nodes.len(), states);
+    let flat = table.flatten(root, violations, logs);
+    debug_assert_eq!(flat.nodes.len(), states);
     BuiltGraph {
-        nodes,
-        root,
-        edges,
+        nodes: flat.nodes,
+        edges: flat.succ_list.len(),
+        succ_start: flat.succ_start,
+        succ_list: flat.succ_list,
+        root: flat.root,
         depth,
         truncated: truncated.into_inner(),
-        violations,
+        violations: flat.violations,
         dedup_hits,
         peak_frontier,
         symmetric,
@@ -1364,7 +1441,7 @@ pub(crate) fn decanonicalize_unbounded(
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use std::collections::{HashMap, HashSet, VecDeque};
     use std::fmt::Debug;
@@ -1411,54 +1488,97 @@ mod tests {
     /// Decoding an encoded key restores an equal key, and two records
     /// are equal exactly when their keys are: the keys are distinct, so
     /// their records must be, and encoding a key twice gives one record.
-    fn assert_records_mirror_keys<L>(label: &str, alg: &(dyn DynAutomaton + Sync), lens: &L)
+    /// Returns whether the codec interned the states.
+    fn assert_records_mirror_keys<L>(label: &str, alg: &(dyn DynAutomaton + Sync), lens: &L) -> bool
     where
         L: CostLens,
         L::Digest: Debug,
     {
         let keys = keys(alg, lens);
         assert!(keys.len() > 4, "{label}: {} keys", keys.len());
-        let codec = SpillCodec::plan(lens, &keys[0].0, alg.registers())
-            .unwrap_or_else(|| panic!("{label}: no record codec"));
+        let codec = RecordCodec::plan(lens, &keys[0].0);
+        let (mut back, mut d) = keys[0].clone();
         let mut records: HashMap<Vec<u64>, usize> = HashMap::new();
         for (i, (snap, digest)) in keys.iter().enumerate() {
-            let mut rec = Vec::new();
-            codec
-                .encode(lens, 7, snap, digest, &mut rec)
-                .expect("encodes");
-            assert_eq!(rec.len(), codec.rec_words(), "{label}: fixed width");
-            let (id, back, d) = codec.decode(lens, &rec);
-            assert_eq!((id, &back, &d), (7, snap, digest), "{label}: round trip");
-            let mut again = Vec::new();
-            codec
-                .encode(lens, 7, &back, &d, &mut again)
-                .expect("encodes");
+            let mut rec = vec![0; codec.rec_words()];
+            codec.encode(lens, snap, digest, &mut rec);
+            codec.decode(lens, &rec, &mut back, &mut d);
+            assert_eq!((&back, &d), (snap, digest), "{label}: round trip");
+            let mut again = vec![0; codec.rec_words()];
+            codec.encode(lens, &back, &d, &mut again);
             assert_eq!(again, rec, "{label}: one key, one record");
             if let Some(j) = records.insert(rec, i) {
                 panic!("{label}: keys {j} and {i} share a record");
             }
+            if let Some(perm) = canonical_perm(alg, snap) {
+                let mut moved = vec![0; codec.rec_words()];
+                codec.encode_permuted(alg, lens, snap, &perm, digest, &mut moved);
+                codec.encode(
+                    lens,
+                    &permute_snapshot(alg, snap, &perm),
+                    digest,
+                    &mut again,
+                );
+                assert_eq!(moved, again, "{label}: relabelled in place");
+            }
         }
+        codec.interner.is_some()
     }
 
     #[test]
     fn packed_states_roundtrip_through_records() {
         let reg = conformance_registry();
-        for (name, n) in [("splitter-gate", 3), ("ticket", 3), ("tas-sim", 2)] {
+        for (name, n) in [
+            ("peterson", 3),
+            ("dekker-tree", 3),
+            ("bakery", 2),
+            ("splitter-gate", 3),
+            ("ticket", 3),
+        ] {
             let alg = reg.resolve_str(name, n).expect("resolves").automaton;
-            assert_records_mirror_keys(name, alg.as_ref(), &ScLens);
+            assert!(
+                !assert_records_mirror_keys(name, alg.as_ref(), &ScLens),
+                "{name} packs"
+            );
         }
-        assert_records_mirror_keys("peterson", &Packed(Peterson::new(3)), &ScLens);
+    }
+
+    #[test]
+    fn interned_states_roundtrip_through_records() {
+        let reg = conformance_registry();
+        for (name, n) in [
+            ("mcs-sim", 2),
+            ("rtas", 3),
+            ("broken-recover", 2),
+            ("broken", 3),
+        ] {
+            let alg = reg.resolve_str(name, n).expect("resolves").automaton;
+            assert!(
+                assert_records_mirror_keys(name, alg.as_ref(), &ScLens),
+                "{name} interns"
+            );
+        }
+        // The concrete types behind the registry's packed entries take
+        // the boxed path when erased directly.
+        assert!(assert_records_mirror_keys(
+            "boxed peterson",
+            &Peterson::new(3),
+            &ScLens
+        ));
     }
 
     #[test]
     fn cc_and_crash_digests_roundtrip_through_records() {
-        assert_records_mirror_keys("peterson cc", &Packed(Peterson::new(3)), &CcLens);
-        let ticket = conformance_registry()
-            .resolve_str("ticket", 2)
-            .expect("resolves")
-            .automaton;
-        assert_records_mirror_keys("ticket cc", ticket.as_ref(), &CcLens);
+        let reg = conformance_registry();
+        for (name, n) in [("peterson", 3), ("ticket", 2), ("mcs-sim", 2)] {
+            let alg = reg.resolve_str(name, n).expect("resolves").automaton;
+            assert_records_mirror_keys(&format!("{name} cc"), alg.as_ref(), &CcLens);
+        }
         let crash = CrashLens { budget: 2 };
         assert_records_mirror_keys("rpeterson crash", &Packed(RPeterson::new(2)), &crash);
+        for name in ["rtas", "broken-recover"] {
+            let alg = reg.resolve_str(name, 2).expect("resolves").automaton;
+            assert_records_mirror_keys(&format!("{name} crash"), alg.as_ref(), &crash);
+        }
     }
 }

@@ -27,12 +27,14 @@
 //!
 //! Exploration itself is a parallel breadth-first search over canonical
 //! [`Snapshot`](exclusion_shmem::Snapshot)s of the erased
-//! [`DynAutomaton`](exclusion_shmem::DynAutomaton) core, deduplicated
-//! in a sharded transposition table
-//! and fanned out across `thread::scope` workers pulling from a shared
-//! work-stealing frontier. For registry entries that declare themselves
-//! `symmetric`, states are stored as one representative per orbit of
-//! the process-permutation group (on by default;
+//! [`DynAutomaton`](exclusion_shmem::DynAutomaton) core, each stored as
+//! one fixed-width record of `u64` words (packed process states, or
+//! their indices in an intern list for boxed states; registers;
+//! sections; passage counts; cost digest), deduplicated in a sharded
+//! transposition table and fanned out across `thread::scope` workers
+//! pulling from a shared work-stealing frontier. For registry entries
+//! that declare themselves `symmetric`, states are stored as one
+//! representative per orbit of the process-permutation group (on by default;
 //! [`ExploreConfig::symmetry`]) — the quotient is a strong
 //! bisimulation, so every verdict, depth, witness length and exact
 //! cost is preserved, and witnesses are de-canonicalized back to real
@@ -40,16 +42,16 @@
 //! [`ExploreConfig::por`] prunes commuting local interleavings but
 //! preserves only existence verdicts (it is forced off for worst-case
 //! searches), and [`ExploreConfig::compress`]/[`ExploreConfig::spill`]
-//! shrink the visited set to 128-bit fingerprints and spill frontier
-//! overflow to disk, flagged in the report as `fingerprinted`. For every exploration that is not truncated
-//! by `max_states`, the verdicts, state counts, depths and exact costs
-//! are independent of the worker count (the layer barrier makes BFS
-//! depths deterministic, and a violation halt still completes its
-//! layer); truncated runs stop mid-layer at a racy point, so only
-//! their `truncated` flag is meaningful. The *spelling* of a witness
-//! schedule may differ between parallel runs — first-discoverer races
-//! pick among equally short parent chains — but every witness it
-//! returns replays.
+//! shrink the visited set to 128-bit fingerprints (flagged in the
+//! report as `fingerprinted`) and park frontier layers on disk. For
+//! every exploration that is not truncated by `max_states`, the
+//! verdicts, state counts, depths and exact costs are independent of
+//! the worker count (the layer barrier makes BFS depths deterministic,
+//! and a violation halt still completes its layer); truncated runs
+//! stop mid-layer at a racy point, so only their `truncated` flag is
+//! meaningful. The *spelling* of a witness schedule may differ between
+//! parallel runs — first-discoverer races pick among equally short
+//! parent chains — but every witness it returns replays.
 //!
 //! # Example
 //!
@@ -213,19 +215,22 @@ pub struct ExploreConfig {
     /// (pruning interleavings would change longest-path costs); off by
     /// default.
     pub por: bool,
-    /// Store 128-bit fingerprints instead of full snapshots in the
-    /// transposition table. Cuts table memory by an order of magnitude
-    /// for big runs; a report produced this way is certified only
-    /// modulo fingerprint collisions (probability ≈ `states²/2^129`)
-    /// and says so via [`ExploreReport::fingerprinted`]; off by
-    /// default. The fingerprint costs two SipHash passes per key on top
-    /// of the table's own one-pass hash, so a compressed build trades
-    /// time for its memory.
+    /// Store 128-bit fingerprints instead of whole key records in the
+    /// transposition table. The fingerprint hashes every word of the
+    /// key's record — the process states (packed words, or intern-list
+    /// indices for boxed states), registers, sections, passage counts
+    /// and cost digest — so a stored key shrinks from the record's
+    /// `n·w + registers + 2n + digest` words to two. A report produced
+    /// this way is certified only modulo fingerprint collisions
+    /// (probability ≈ `states²/2^129`) and says so via
+    /// [`ExploreReport::fingerprinted`]; off by default. The fingerprint
+    /// costs two SipHash passes per key on top of the table's own
+    /// one-pass hash, so a compressed build trades time for its memory.
     pub compress: bool,
     /// Spill each completed BFS frontier layer to a temporary disk
-    /// shard and stream it back during expansion, so peak RAM holds
-    /// one layer of snapshots instead of two. Only takes effect for
-    /// inline word-packed states; off by default.
+    /// shard and stream it back during expansion, so peak RAM holds one
+    /// layer of key records instead of two. The file holds the layer's
+    /// records verbatim, for every automaton; off by default.
     pub spill: bool,
 }
 

@@ -216,6 +216,11 @@ impl AlgorithmRegistry {
     /// `ticket` of [`crate::queue`]), and the three crash-recoverable
     /// locks of [`crate::recover`] — including the deliberately planted
     /// `broken-recover`.
+    ///
+    /// Every entry but `mcs-sim`, `rtas` and `broken-recover` registers
+    /// through [`Packed`], so its process states are inline words (one
+    /// word for dekker-tree, peterson, burns-lynch, rpeterson and the
+    /// splitter locks, two for the rest) rather than boxes.
     #[must_use]
     pub fn standard() -> Self {
         fn plain<A>(
@@ -299,21 +304,21 @@ impl AlgorithmRegistry {
             "local-spin tournament; the tight upper bound",
             "Θ(n log n)",
             false,
-            DekkerTournament::new,
+            |n| Packed(DekkerTournament::new(n)),
         ));
         reg.register(plain(
             "peterson",
             "Peterson tournament; remote spins under contention",
             "Θ(n log n)",
             false,
-            Peterson::new,
+            |n| Packed(Peterson::new(n)),
         ));
         reg.register(plain(
             "bakery",
             "Lamport's first-come-first-served lock",
             "Θ(n²)",
             false,
-            Bakery::new,
+            |n| Packed(Bakery::new(n)),
         ));
         reg.register(AlgorithmEntry::new(
             AlgorithmInfo {
@@ -342,7 +347,7 @@ impl AlgorithmRegistry {
                         expected: format!("at least n-1 = {} levels", n - 1),
                     });
                 }
-                Ok(Arc::new(Filter::with_levels(n, levels)))
+                Ok(Arc::new(Packed(Filter::with_levels(n, levels))))
             },
         ));
         reg.register(plain(
@@ -350,14 +355,14 @@ impl AlgorithmRegistry {
             "the original 1965 algorithm",
             "Θ(n²)",
             false,
-            Dijkstra::new,
+            |n| Packed(Dijkstra::new(n)),
         ));
         reg.register(plain(
             "burns-lynch",
             "one shared bit per process (space-optimal)",
             "Θ(n²)",
             false,
-            BurnsLynch::new,
+            |n| Packed(BurnsLynch::new(n)),
         ));
         reg.register(plain_with(
             "splitter",
@@ -445,7 +450,7 @@ impl AlgorithmRegistry {
             "recoverable Peterson tournament (healing recovery pass)",
             "Θ(n log n)",
             false,
-            RPeterson::new,
+            |n| Packed(RPeterson::new(n)),
         ));
         reg.register(recoverable(
             "rtas",

@@ -81,6 +81,15 @@ pub const INLINE_WORDS: usize = 3;
 /// their words, and the SC cost model charges on state *inequality*, so
 /// a collision would silently drop charges. `unpack(pack(s)) == s` is
 /// pinned by property tests for the provided implementations.
+///
+/// The standard registry of `exclusion-mutex` packs every entry but
+/// three: the paper's register-only locks (dekker-tree, peterson,
+/// bakery, filter, dijkstra, burns-lynch), rpeterson, the splitter
+/// locks, tas-sim, ttas-sim and the composed mcs, clh and ticket locks
+/// register through [`Packed`] in one or two words per process; mcs-sim,
+/// rtas and broken-recover keep boxed states. The explorer stores an
+/// inline state as its words and a boxed one as an index into an
+/// intern list, so both take its one record layout.
 pub trait WordState: Copy + Eq + Hash + fmt::Debug + Send + Sync + 'static {
     /// How many of the [`INLINE_WORDS`] this type uses (≤ `INLINE_WORDS`).
     const WORDS: usize;
@@ -194,7 +203,8 @@ enum Repr {
 /// Produced only by a [`DynAutomaton`]; which representation it uses is
 /// that automaton's choice (inline words for [`Packed`] adapters, a
 /// boxed erased object for the blanket adapter) and is stable for the
-/// automaton's lifetime. See the module docs for the equality contract.
+/// automaton's lifetime, as is the width of its inline states. See the
+/// module docs for the equality contract.
 pub struct DynState {
     repr: Repr,
 }

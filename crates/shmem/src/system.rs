@@ -114,6 +114,19 @@ impl<S> Snapshot<S> {
         }
     }
 
+    /// The four components as mutable slices (states, registers,
+    /// sections, passages), for decoders that refill a snapshot of the
+    /// right dimensions in place instead of assembling a new one with
+    /// [`Snapshot::from_parts`]. The lengths cannot change.
+    pub fn parts_mut(&mut self) -> (&mut [S], &mut [Value], &mut [Section], &mut [usize]) {
+        (
+            &mut self.states,
+            &mut self.regs,
+            &mut self.sections,
+            &mut self.passages,
+        )
+    }
+
     /// Per-process states, indexed by process.
     #[must_use]
     pub fn states(&self) -> &[S] {
