@@ -532,16 +532,26 @@ impl AlgorithmRegistry {
         self.entries.iter().map(|e| e.info.name.clone()).collect()
     }
 
+    /// The largest process count any entry resolves at. Every engine
+    /// sizes its tables by `n` (register banks, cost matrices, one OS
+    /// thread per process in the hardware leg), so a runaway `--n`
+    /// must stop here, before anything is built; the cap sits well
+    /// above the sizes in use (the paper's E1/E2 tables reach
+    /// `n = 256`).
+    pub const MAX_PROCESSES: usize = 1024;
+
     /// Resolves a parsed spec at process count `n`: checks the name,
-    /// the `min_n` floor and the parameters, then runs the entry's
-    /// constructor. This is a single hash lookup plus one construction —
-    /// nothing else is instantiated.
+    /// the `min_n` floor, the [`MAX_PROCESSES`](Self::MAX_PROCESSES)
+    /// cap and the parameters, then runs the entry's constructor. This
+    /// is a single hash lookup plus one construction — nothing else is
+    /// instantiated.
     ///
     /// # Errors
     ///
     /// [`SpecError::UnknownName`] (listing the registry contents and the
-    /// nearest valid name), [`SpecError::TooFewProcesses`], or whatever
-    /// parameter validation error the entry reports.
+    /// nearest valid name), [`SpecError::TooFewProcesses`],
+    /// [`SpecError::TooManyProcesses`], or whatever parameter
+    /// validation error the entry reports.
     pub fn resolve(&self, spec: &Spec, n: usize) -> Result<ResolvedAlgorithm, SpecError> {
         let Some(entry) = self.get(&spec.name) else {
             return Err(SpecError::UnknownName {
@@ -559,6 +569,13 @@ impl AlgorithmRegistry {
                 name: entry.info.name.clone(),
                 n,
                 min_n: entry.info.min_n,
+            });
+        }
+        if n > Self::MAX_PROCESSES {
+            return Err(SpecError::TooManyProcesses {
+                name: entry.info.name.clone(),
+                n,
+                max_n: Self::MAX_PROCESSES,
             });
         }
         let automaton = (entry.resolver)(spec, n)?;
@@ -794,6 +811,36 @@ mod tests {
             matches!(err, SpecError::TooFewProcesses { min_n: 2, n: 1, .. }),
             "{err}"
         );
+    }
+
+    #[test]
+    fn process_counts_past_the_cap_are_refused_before_construction() {
+        let mut reg = AlgorithmRegistry::standard();
+        reg.register(AlgorithmEntry::new(
+            AlgorithmInfo {
+                name: "never-built".into(),
+                aliases: vec![],
+                summary: "panics if constructed".into(),
+                min_n: 1,
+                uses_rmw: false,
+                recoverable: false,
+                symmetric: false,
+                deadlock_free: true,
+                cost_class: "test".into(),
+                params: vec![],
+            },
+            |_, n| panic!("constructed at n = {n}"),
+        ));
+        let cap = AlgorithmRegistry::MAX_PROCESSES;
+        for n in [cap + 1, 1 << 32, usize::MAX] {
+            let err = reg.resolve_str("never-built", n).unwrap_err();
+            assert!(
+                matches!(err, SpecError::TooManyProcesses { max_n, .. } if max_n == cap),
+                "{err}"
+            );
+            assert!(err.to_string().contains("at most 1024 processes"), "{err}");
+        }
+        assert!(reg.resolve_str("peterson", cap).is_ok());
     }
 
     #[test]

@@ -310,6 +310,15 @@ pub enum SpecError {
         /// The entry's floor.
         min_n: usize,
     },
+    /// The requested process count exceeds the registry's cap.
+    TooManyProcesses {
+        /// The entry name.
+        name: String,
+        /// The requested process count.
+        n: usize,
+        /// The cap.
+        max_n: usize,
+    },
     /// A parameter value that does not parse or is out of range.
     InvalidParam {
         /// The full spec.
@@ -359,6 +368,12 @@ impl fmt::Display for SpecError {
             }
             SpecError::TooFewProcesses { name, n, min_n } => {
                 write!(f, "`{name}` needs at least {min_n} processes (got n = {n})")
+            }
+            SpecError::TooManyProcesses { name, n, max_n } => {
+                write!(
+                    f,
+                    "`{name}` supports at most {max_n} processes (got n = {n})"
+                )
             }
             SpecError::InvalidParam {
                 spec,

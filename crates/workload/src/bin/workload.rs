@@ -1819,36 +1819,70 @@ mod tests {
         "--compress", "--spill", "--no-certify", "--quiet",
     ];
 
-    /// The edge values of the grammar, plus one valid value of each kind.
+    /// The edge values of the grammar, plus one valid value of each
+    /// kind; `1024` and `1025` are the registry's process cap and one
+    /// past it.
     #[rustfmt::skip]
     const VALUES: &[&str] = &[
         "0", "-1", "18446744073709551615", "", "x", "4..1", "1", "4..64", "every:0", "peterson",
-        "greedy,burst:wave=2,gap=32", "steady",
+        "greedy,burst:wave=2,gap=32", "steady", "1024", "1025",
     ];
+
+    /// Resolves every parsed lock spec (every registry entry for none
+    /// or `all`) at every parsed process count, as the subcommands do
+    /// before they size anything by `n`, stopping at the first error as
+    /// they do: past the registry's cap, resolution must fail. Nothing
+    /// is run.
+    fn resolve(algs: &[String], ns: &[usize]) -> Result<(), String> {
+        let registry = exclusion_explore::conformance_registry();
+        let names = if algs.is_empty() || algs.iter().any(|a| a == "all") {
+            registry.names()
+        } else {
+            algs.to_vec()
+        };
+        for name in &names {
+            for &n in ns {
+                let resolved = registry.resolve_str(name, n);
+                assert!(
+                    n <= AlgorithmRegistry::MAX_PROCESSES || resolved.is_err(),
+                    "{name} resolved at n = {n}"
+                );
+                resolved.map_err(|e| e.to_string())?;
+            }
+        }
+        Ok(())
+    }
 
     /// A subcommand's parser, its result dropped.
     type Parser = fn(&[String]) -> Result<(), String>;
 
-    /// Every subcommand's parser; the sweep's also builds its grid.
+    /// Every subcommand's parser, each followed by resolution of the
+    /// locks it names at the process counts it parsed; the sweep's
+    /// grid builder resolves its scenarios itself.
     const PARSERS: [Parser; 7] = [
         |argv| match parse_args(argv)? {
-            Some(args) => build_grid(&args).map(drop),
+            Some(args) => {
+                let grid = build_grid(&args);
+                assert!(args.n <= AlgorithmRegistry::MAX_PROCESSES || grid.is_err());
+                grid.map(drop)
+            }
             None => Ok(()),
         },
-        |argv| parse_explore_args(argv).map(drop),
-        |argv| parse_bound_args(argv).map(drop),
-        |argv| parse_crash_args(argv).map(drop),
-        |argv| parse_trace_args(argv).map(drop),
-        |argv| parse_serve_args(argv).map(drop),
-        |argv| parse_hwbench_args(argv).map(drop),
+        |argv| parse_explore_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &[a.n])),
+        |argv| parse_bound_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
+        |argv| parse_crash_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
+        |argv| parse_trace_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
+        |argv| parse_serve_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
+        |argv| parse_hwbench_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &[a.n])),
     ];
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(1024))]
 
         /// Arbitrary argv, drawn from each parser's own flags and the
-        /// edge values, through every subcommand's parser and the
-        /// sweep's grid builder: each returns `Ok` or `Err`, none panics.
+        /// edge values, through every subcommand's parser and then
+        /// through lock resolution: each returns `Ok` or `Err`, none
+        /// panics, and no lock resolves past the process cap.
         #[test]
         fn arbitrary_argv_parses_or_fails_without_panicking(
             picks in prop::collection::vec((any::<usize>(), 0..VALUES.len(), 0..4u8), 0..6)

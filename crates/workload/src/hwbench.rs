@@ -349,6 +349,11 @@ pub fn passage_counts(order: &[usize], n: usize) -> Vec<usize> {
 ///
 /// As [`arrival_lanes`], [`run_sim`] and [`run_hw`].
 pub fn run_scenario(sc: &HwScenario) -> Result<HwRow, HwError> {
+    // Resolve the lock first: the registry refuses a process count past
+    // its cap before any lane (or hardware thread) is sized by it.
+    AlgorithmRegistry::global()
+        .resolve_str(&sc.alg, sc.n)
+        .map_err(|e| HwError::Spec(e.to_string()))?;
     let (label, lanes) = arrival_lanes(&sc.arrivals, sc.n, sc.requests_per_process, sc.seed)?;
     let sim = run_sim(&sc.alg, sc.n, &lanes)?;
     let hw = run_hw(&sc.alg, sc.n, &lanes, sc.ns_per_tick)?;

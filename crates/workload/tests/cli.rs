@@ -253,3 +253,22 @@ const SEED_GRID_BOUNDS: &[Row] = &[
 fn seed_grids_past_their_bound_are_flag_errors() {
     check(SEED_GRID_BOUNDS);
 }
+
+/// A process count past the registry's cap is an error (exit 1) in
+/// every subcommand that builds a lock, before anything is sized by it.
+#[rustfmt::skip]
+const PROCESS_CAP: &[Row] = &[
+    ("--n 18446744073709551615 --seeds 1", 1, 0xcbf29ce484222325, "workload: `dekker-tree` supports at most 1024 processes (got n = 18446744073709551615)"),
+    ("--n 4294967297 --seeds 1", 1, 0xcbf29ce484222325, "workload: `dekker-tree` supports at most 1024 processes (got n = 4294967297)"),
+    ("--algs peterson --n 1025", 1, 0xcbf29ce484222325, "workload: `peterson` supports at most 1024 processes (got n = 1025)"),
+    ("bound --algs peterson --n 1025", 1, 0xcbf29ce484222325, "workload: `peterson` supports at most 1024 processes (got n = 1025)"),
+    ("crash --algs rpeterson --n 18446744073709551615", 1, 0xcbf29ce484222325, "workload: `rpeterson` supports at most 1024 processes (got n = 18446744073709551615)"),
+    ("trace --n 4294967297 --out -", 1, 0xcbf29ce484222325, "workload: `peterson` supports at most 1024 processes (got n = 4294967297)"),
+    ("serve --n 1025 --requests 10", 1, 0xcbf29ce484222325, "workload: `peterson` supports at most 1024 processes (got n = 1025)"),
+    ("hwbench --algs mcs --n 18446744073709551615 --requests 1", 1, 0xcbf29ce484222325, "workload: mcs under steady:gap=64: `mcs` supports at most 1024 processes (got n = 18446744073709551615)"),
+];
+
+#[test]
+fn process_counts_past_the_cap_are_errors() {
+    check(PROCESS_CAP);
+}
