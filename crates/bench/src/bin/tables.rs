@@ -31,6 +31,7 @@ fn parse(argv: &[String]) -> Result<(bool, bool, Option<&str>), String> {
 }
 
 fn main() -> ExitCode {
+    exclusion_workload::cli::quiet_broken_pipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
     let (quick, markdown, exp) = match parse(&argv) {
         Ok(parsed) => parsed,

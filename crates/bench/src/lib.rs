@@ -68,6 +68,7 @@ pub struct BenchRun {
 /// with `failure` when a gate did not hold. A flag error exits nonzero
 /// before anything runs.
 pub fn bench_main(name: &str, failure: &str, bench: impl FnOnce(bool) -> BenchRun) -> ExitCode {
+    exclusion_workload::cli::quiet_broken_pipe();
     let outcome = run_bench(name, bench);
     let error = match &outcome {
         Ok(true) => return ExitCode::SUCCESS,

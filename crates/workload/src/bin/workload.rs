@@ -1794,6 +1794,7 @@ fn run_sweep(argv: &[String]) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
+    exclusion_workload::cli::quiet_broken_pipe();
     match run() {
         Ok(()) => ExitCode::SUCCESS,
         Err(msg) => {

@@ -162,3 +162,53 @@ pub fn split_specs(s: &str) -> Vec<String> {
     }
     out
 }
+
+/// Makes a closed stdout a quiet end of output for this process: once
+/// the reader has gone (`tables | head -1`), the `print!` that finds
+/// the pipe closed ends the process without a message instead of
+/// panicking with `failed printing to stdout: Broken pipe`. The exit
+/// status is [`CLOSED_STDOUT`], what a shell reports for a tool that
+/// SIGPIPE stopped, so a run whose output was cut off never reads as a
+/// completed one. Every other panic reaches the previous hook
+/// unchanged. Every workspace binary calls this first, so no print
+/// site handles the error itself.
+pub fn quiet_broken_pipe() {
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if info.payload_as_str().is_some_and(is_closed_stdout) {
+            std::process::exit(CLOSED_STDOUT);
+        }
+        previous(info);
+    }));
+}
+
+/// The exit status after [`quiet_broken_pipe`] ends a process: 128 +
+/// SIGPIPE (13).
+pub const CLOSED_STDOUT: i32 = 141;
+
+/// Whether a panic message is the one `print!` raises on a closed
+/// stdout.
+fn is_closed_stdout(msg: &str) -> bool {
+    msg.strip_prefix("failed printing to stdout: ")
+        .is_some_and(|why| why.to_ascii_lowercase().starts_with("broken pipe"))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::is_closed_stdout;
+
+    #[test]
+    fn only_a_closed_stdout_ends_output_quietly() {
+        assert!(is_closed_stdout(
+            "failed printing to stdout: Broken pipe (os error 32)"
+        ));
+        assert!(is_closed_stdout("failed printing to stdout: broken pipe"));
+        assert!(!is_closed_stdout(
+            "failed printing to stderr: Broken pipe (os error 32)"
+        ));
+        assert!(!is_closed_stdout(
+            "failed printing to stdout: No space left on device (os error 28)"
+        ));
+        assert!(!is_closed_stdout("index out of bounds"));
+    }
+}

@@ -14,7 +14,8 @@
 //! zeroed before digesting. On drift the test prints the whole table
 //! with the values the binary now produces.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Command, Stdio};
 
 /// `(argv, exit status, stdout digest, stderr error line)`; argv is
 /// split on whitespace.
@@ -271,4 +272,43 @@ const PROCESS_CAP: &[Row] = &[
 #[test]
 fn process_counts_past_the_cap_are_errors() {
     check(PROCESS_CAP);
+}
+
+/// Runs the binary, reads the first line of its stdout and closes the
+/// pipe: `(exit status, digest of the first line, whole stderr)`.
+fn run_closing_stdout_after_one_line(argv: &str) -> (i32, u64, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_workload"))
+        .args(argv.split_whitespace())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the workload binary runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("stdout is readable");
+    let mut stderr = String::new();
+    child
+        .stderr
+        .take()
+        .expect("piped stderr")
+        .read_to_string(&mut stderr)
+        .expect("stderr is UTF-8");
+    let status = child.wait().expect("the binary exits");
+    (status.code().unwrap_or(-1), fnv1a(first.as_bytes()), stderr)
+}
+
+/// A reader that goes away after the first line ends the output
+/// quietly: the sweep's CSV (about 180 KiB, more than a pipe holds)
+/// stops at the closed pipe with status 141 (128 + SIGPIPE) and nothing
+/// on stderr, where it used to panic with `failed printing to stdout`.
+#[test]
+fn a_closed_stdout_ends_output_quietly() {
+    let argv = "--algs peterson --n 2 --scheds random --seeds 3000 --csv - --quiet";
+    let (status, first, stderr) = run_closing_stdout_after_one_line(argv);
+    assert_eq!(
+        (status, first, stderr.as_str()),
+        (141, 0xc372687e7e75eafb, ""),
+        "{argv}"
+    );
 }
