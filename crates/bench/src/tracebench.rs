@@ -1,7 +1,11 @@
 //! The trace-overhead benchmark behind `BENCH_trace.json`: the same
 //! priced run timed three ways — the plain hot path, the probed entry
 //! point with [`NoProbe`] (which must compile away), and a live
-//! [`Metrics`] probe — with hard overhead gates.
+//! [`Metrics`] probe — with hard overhead gates. The three engines take
+//! turns within each rep, in an order that rotates from rep to rep, and
+//! an overhead is the median over reps of an engine's time over the
+//! plain time of the same rep, so the gates compare engines timed side
+//! by side rather than in separate blocks seconds of host drift apart.
 //!
 //! Run it with `cargo run --release -p exclusion-bench --bin
 //! bench_trace -- --out BENCH_trace.json`. CI runs it on every push and
@@ -22,8 +26,10 @@ use exclusion_workload::{Scenario, SchedSpec};
 /// Schema tag stamped into `BENCH_trace.json`.
 pub const BENCH_SCHEMA: &str = "exclusion-bench-trace/v1";
 
-/// Timed runs per (cell, engine); the minimum is reported.
-pub const REPS: usize = 5;
+/// Timed runs per (cell, engine), interleaved across the three
+/// engines: the minimum time is reported, and the gates read the median
+/// of the per-rep ratios.
+pub const REPS: usize = 21;
 
 /// The algorithm every cell prices.
 pub const ALGORITHM: &str = "peterson";
@@ -53,23 +59,33 @@ pub struct BenchConfig {
     pub identical: bool,
     /// Wall-clock of the plain `run_priced` path (best of [`REPS`]).
     pub base_ns: u128,
-    /// Wall-clock of `run_priced_probed` with [`NoProbe`].
+    /// Wall-clock of `run_priced_probed` with [`NoProbe`] (best of
+    /// [`REPS`]).
     pub off_ns: u128,
-    /// Wall-clock of `run_priced_probed` with a live [`Metrics`] probe.
+    /// Wall-clock of `run_priced_probed` with a live [`Metrics`] probe
+    /// (best of [`REPS`]).
     pub on_ns: u128,
+    /// Median over reps of probe-off time over plain time in the same
+    /// rep.
+    pub off_ratio: f64,
+    /// Median over reps of probe-on time over plain time in the same
+    /// rep.
+    pub on_ratio: f64,
 }
 
 impl BenchConfig {
-    /// Probe-off over plain: the zero-overhead claim, measured.
+    /// Probe-off over plain: the zero-overhead claim, measured as the
+    /// median of the per-rep ratios.
     #[must_use]
     pub fn off_overhead(&self) -> f64 {
-        self.off_ns as f64 / (self.base_ns.max(1)) as f64
+        self.off_ratio
     }
 
-    /// Probe-on over plain: what a live metrics probe costs.
+    /// Probe-on over plain: what a live metrics probe costs, measured
+    /// as the median of the per-rep ratios.
     #[must_use]
     pub fn on_overhead(&self) -> f64 {
-        self.on_ns as f64 / (self.base_ns.max(1)) as f64
+        self.on_ratio
     }
 
     /// Whether both overhead gates hold for this cell.
@@ -107,20 +123,26 @@ fn totals(priced: &PricedRun) -> Totals {
     )
 }
 
-/// Best-of-[`REPS`] timing of one engine over the scenario; scheduler
-/// construction is inside the timed region for all three engines, so
-/// the comparison is apples-to-apples.
-fn timed<T>(mut f: impl FnMut() -> T) -> (T, u128) {
-    let mut best: Option<(T, u128)> = None;
-    for _ in 0..REPS {
-        let start = Instant::now();
-        let out = f();
-        let ns = start.elapsed().as_nanos();
-        if best.as_ref().is_none_or(|(_, b)| ns < *b) {
-            best = Some((out, ns));
-        }
+/// Times one run of `f`, keeps its output in `best` if it is the
+/// fastest so far, and returns its time.
+fn keep_fastest<T>(best: &mut Option<(T, u128)>, f: &mut impl FnMut() -> T) -> u128 {
+    let start = Instant::now();
+    let out = f();
+    let ns = start.elapsed().as_nanos();
+    if best.as_ref().is_none_or(|(_, b)| ns < *b) {
+        *best = Some((out, ns));
     }
-    best.expect("REPS > 0")
+    ns
+}
+
+/// The median of `engine`'s time over the plain engine's, rep by rep.
+fn median_ratio(times: &[[u128; 3]], engine: usize) -> f64 {
+    let mut ratios: Vec<f64> = times
+        .iter()
+        .map(|t| t[engine] as f64 / t[0].max(1) as f64)
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    ratios[ratios.len() / 2]
 }
 
 /// Runs the benchmark grid (shrunk when `quick`): [`ALGORITHM`] ×
@@ -133,11 +155,13 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
             let scenario = scenario_for(n, sched);
             let alg = DynRef(scenario.automaton().as_ref());
             let seed = 1;
-            let (base, base_ns) = timed(|| {
+            // Scheduler construction is inside the timed region for all
+            // three engines, so the comparison is apples-to-apples.
+            let mut run_base = || {
                 let mut s = scenario.build_scheduler(seed);
                 run_priced(&alg, s.as_mut(), scenario.passages, scenario.max_steps)
-            });
-            let (off, off_ns) = timed(|| {
+            };
+            let mut run_off = || {
                 let mut s = scenario.build_scheduler(seed);
                 run_priced_probed(
                     &alg,
@@ -146,8 +170,8 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
                     scenario.max_steps,
                     NoProbe,
                 )
-            });
-            let (on, on_ns) = timed(|| {
+            };
+            let mut run_on = || {
                 let mut s = scenario.build_scheduler(seed);
                 let mut metrics = Metrics::new();
                 let priced = run_priced_probed(
@@ -158,8 +182,28 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
                     &mut metrics,
                 );
                 (priced, metrics)
-            });
-            let (on, metrics) = on;
+            };
+            // Every rep runs each engine once, the order rotating by
+            // one per rep, so a drift in the host's speed falls on all
+            // three alike instead of on whichever engine's block of
+            // reps it hit. The gates read the median of the per-rep
+            // ratios, so one rep that a burst of load slowed (or one
+            // lucky plain rep) moves no verdict.
+            let (mut base, mut off, mut on) = (None, None, None);
+            let mut times = [[0u128; 3]; REPS];
+            for (rep, t) in times.iter_mut().enumerate() {
+                for turn in 0..3 {
+                    let engine = (rep + turn) % 3;
+                    t[engine] = match engine {
+                        0 => keep_fastest(&mut base, &mut run_base),
+                        1 => keep_fastest(&mut off, &mut run_off),
+                        _ => keep_fastest(&mut on, &mut run_on),
+                    };
+                }
+            }
+            let (base, base_ns) = base.expect("REPS > 0");
+            let (off, off_ns) = off.expect("REPS > 0");
+            let ((on, metrics), on_ns) = on.expect("REPS > 0");
             let failures = [base.is_err(), off.is_err(), on.is_err()]
                 .iter()
                 .filter(|&&e| e)
@@ -178,6 +222,8 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
                 base_ns,
                 off_ns,
                 on_ns,
+                off_ratio: median_ratio(&times, 1),
+                on_ratio: median_ratio(&times, 2),
             });
         }
     }
