@@ -34,10 +34,9 @@
 //! nodes' metadata, behind its own mutex, so concurrent inserts from
 //! different workers rarely contend. Each record is hashed once
 //! ([`key_hash`]) and compared as a word slice: bits 32 and up of the
-//! hash pick the shard, and the shard's index is keyed by the hash
-//! itself. The index's `HashMap` takes its slot from the hash's low bits
-//! and its SIMD tag from the top seven, so the shard bits stay clear of
-//! both and every key in a shard keeps its full tag entropy. Under
+//! hash pick the shard, and the shard's index is keyed by the low 32
+//! bits, so every key in a shard keeps its full slot and tag entropy
+//! ([`PassThrough`]). Under
 //! [`ExploreConfig::compress`] the arena holds each record's 128-bit
 //! [`fingerprint`] instead.
 //!
@@ -365,8 +364,34 @@ pub(crate) struct FlatNode {
     pub violating: bool,
 }
 
-/// An outgoing edge `(pid, target, cost)`.
-pub(crate) type Succ = (ProcessId, u32, u32);
+/// An outgoing edge in eight bytes: its target node, the step's charge
+/// and the acting process ([`Succ::parts`] spells it out).
+#[derive(Clone, Copy)]
+struct Succ {
+    target: u32,
+    cost: u16,
+    pid: u8,
+}
+
+impl Succ {
+    fn new(pid: ProcessId, target: u32, cost: u32) -> Self {
+        Succ {
+            target,
+            cost: u16::try_from(cost).expect("a step charges less than 2^16"),
+            // The explorer runs at most 64 processes.
+            pid: pid.index() as u8,
+        }
+    }
+
+    /// `(pid, target, cost)`.
+    fn parts(self) -> (ProcessId, u32, u32) {
+        (
+            ProcessId::new(usize::from(self.pid)),
+            self.target,
+            u32::from(self.cost),
+        )
+    }
+}
 
 /// The flattened bounded reachability graph (product graph, for lenses
 /// with a non-trivial digest).
@@ -406,8 +431,8 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
     // Predecessor lists in one CSR array: node `t`'s predecessors are
     // `preds[start[t]..start[t + 1]]`.
     let mut start = vec![0usize; n + 1];
-    for &(_, t, _) in &graph.succ_list {
-        start[t as usize + 1] += 1;
+    for e in &graph.succ_list {
+        start[e.target as usize + 1] += 1;
     }
     for t in 0..n {
         start[t + 1] += start[t];
@@ -415,7 +440,7 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
     let mut fill = start.clone();
     let mut preds = vec![0u32; start[n]];
     for u in 0..n as u32 {
-        for &(_, t, _) in graph.succs(u) {
+        for (_, t, _) in graph.succs(u) {
             preds[fill[t as usize]] = u;
             fill[t as usize] += 1;
         }
@@ -439,15 +464,17 @@ pub(crate) fn live_set(graph: &BuiltGraph) -> Vec<bool> {
 }
 
 impl BuiltGraph {
-    /// Outgoing edges of node `u`, one per live process in pid order
-    /// (then one crash edge per incomplete process, for a lens with a
-    /// crash allowance). Empty for goal nodes — and for frontier nodes
-    /// left unexpanded by a truncation or an early violation stop,
-    /// which is why the progress analyses only run on untruncated
-    /// graphs.
-    pub(crate) fn succs(&self, u: u32) -> &[Succ] {
+    /// Outgoing edges `(pid, target, cost)` of node `u`, one per live
+    /// process in pid order (then one crash edge per incomplete
+    /// process, for a lens with a crash allowance). Empty for goal
+    /// nodes — and for frontier nodes left unexpanded by a truncation
+    /// or an early violation stop, which is why the progress analyses
+    /// only run on untruncated graphs.
+    pub(crate) fn succs(&self, u: u32) -> impl Iterator<Item = (ProcessId, u32, u32)> + '_ {
         let u = u as usize;
-        &self.succ_list[self.succ_start[u]..self.succ_start[u + 1]]
+        self.succ_list[self.succ_start[u]..self.succ_start[u + 1]]
+            .iter()
+            .map(|&e| e.parts())
     }
 
     /// The schedule (pid sequence) of the parent chain from the root to
@@ -665,10 +692,10 @@ fn word_section(w: u64) -> Section {
 }
 
 struct Shard {
-    /// Key hash → the newest node *within this shard* that carries it;
-    /// older ones chain through [`BuildNode::next`] (collisions resolved
-    /// by full key equality).
-    index: HashMap<u64, u32, BuildHasherDefault<PassThrough>>,
+    /// Low 32 bits of the key hash → the newest node *within this
+    /// shard* that carries them; older ones chain through
+    /// [`BuildNode::next`] (collisions resolved by full key equality).
+    index: HashMap<u32, u32, BuildHasherDefault<PassThrough>>,
     /// Node `i`'s stored key is `keys[i * key_words..][..key_words]`.
     keys: Vec<u64>,
     nodes: Vec<BuildNode>,
@@ -723,18 +750,20 @@ impl WordHasher {
     }
 }
 
-/// The shard index's hasher: its keys already are [`key_hash`]es, so it
-/// passes the one `u64` it is given through.
+/// The shard index's hasher: its keys already are (the low halves of)
+/// [`key_hash`]es, so it copies the one `u32` it is given into both
+/// halves of its output — the index's `HashMap` takes its slot from the
+/// low bits and its SIMD tag from the top seven, both the key's own.
 #[derive(Default)]
 struct PassThrough(u64);
 
 impl Hasher for PassThrough {
     fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("the shard index hashes only u64 keys")
+        unreachable!("the shard index hashes only u32 keys")
     }
 
-    fn write_u64(&mut self, x: u64) {
-        self.0 = x;
+    fn write_u32(&mut self, x: u32) {
+        self.0 = u64::from(x) << 32 | u64::from(x);
     }
 
     fn finish(&self) -> u64 {
@@ -805,13 +834,12 @@ impl Table {
             rec
         };
         let kw = self.key_words;
-        // Bits 32.. are neither the index's slot (low bits) nor its tag
-        // (top seven); at most 1,024 shards keeps them below bit 57.
+        // Bits 32.. pick the shard, the low 32 bits key its index.
         let s = ((hv >> 32) & self.mask()) as usize;
         let mut guard = self.shards[s].lock().expect("shard poisoned");
         let Shard { index, keys, nodes } = &mut *guard;
         let idx = nodes.len() as u32;
-        let next = match index.entry(hv) {
+        let next = match index.entry(hv as u32) {
             Entry::Occupied(mut head) => {
                 let mut at = *head.get();
                 while at != NO_NODE {
@@ -874,16 +902,24 @@ impl Table {
         for u in 0..nodes.len() {
             succ_start[u + 1] += succ_start[u];
         }
-        let mut succ_list = vec![(ProcessId::new(0), 0u32, 0u32); succ_start[nodes.len()]];
+        let blank = Succ {
+            target: 0,
+            cost: 0,
+            pid: 0,
+        };
+        let mut succ_list = vec![blank; succ_start[nodes.len()]];
         for log in logs {
             let mut edges = log.edges.into_iter();
             for (src, count) in log.runs {
                 let at = succ_start[remap(src) as usize];
-                for (slot, (p, t, c)) in succ_list[at..at + count as usize]
+                for (slot, e) in succ_list[at..at + count as usize]
                     .iter_mut()
                     .zip(edges.by_ref())
                 {
-                    *slot = (p, remap(t), c);
+                    *slot = Succ {
+                        target: remap(e.target),
+                        ..e
+                    };
                 }
             }
         }
@@ -991,6 +1027,14 @@ enum Layer {
     Disk(SpilledLayer),
 }
 
+/// Hands a finished layer's buffer back for reuse.
+fn recycle(spare: &mut Vec<Vec<u64>>, layer: Layer) {
+    if let Layer::Mem(mut words) = layer {
+        words.clear();
+        spare.push(words);
+    }
+}
+
 /// Explores the bounded state space of `alg` under `lens` and returns
 /// the flattened graph. When `stop_on_violation` is set, exploration
 /// halts after the first BFS layer containing a mutual exclusion
@@ -1076,6 +1120,10 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             .any(|e| !codec.complete(&e[1..], cfg.passages))
     };
     let mut frontier = Layer::Mem(frontier_words);
+    // Layer buffers, cleared and handed back to the workers for the
+    // next layer: large buffers are not freed and reallocated layer
+    // after layer, which fragments the heap.
+    let mut spare: Vec<Vec<u64>> = Vec::new();
     let mut logs: Vec<EdgeLog> = Vec::new();
     let mut depth = 0u32;
     let mut dedup_hits = 0usize;
@@ -1108,7 +1156,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         // One worker's pass over the layer: pull chunks until none are
         // left, returning the fresh entries it interned (the worker's
         // share of the next layer), its edges and its insert count.
-        let expand = || {
+        let expand = |mut local: Vec<u64>| {
             let dref = DynRef(alg);
             // Scratch state, reused for every entry and successor: the
             // entry's record is decoded into `parent`/`digest`, restored
@@ -1121,7 +1169,6 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             let mut digest = lens.initial(alg.registers());
             let mut d2 = lens.initial(alg.registers());
             let mut rec = vec![0u64; rw];
-            let mut local: Vec<u64> = Vec::new();
             let mut log = EdgeLog::default();
             let mut inserts = 0usize;
             #[cfg(unix)]
@@ -1214,7 +1261,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
                                 },
                             );
                             inserts += 1;
-                            log.edges.push((p, tid, cost));
+                            log.edges.push(Succ::new(p, tid, cost));
                             if fresh {
                                 if violating {
                                     // Record it but *complete the layer*:
@@ -1246,12 +1293,19 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         // one-worker layer spawns nothing.
         let fan = workers.min(layer_len / GRAIN).max(1);
         let (next, inserts) = std::thread::scope(|scope| {
-            let handles: Vec<_> = (1..fan).map(|_| scope.spawn(expand)).collect();
-            let (mut next, log, mut inserts) = expand();
+            let handles: Vec<_> = (1..fan)
+                .map(|_| {
+                    let buf = spare.pop().unwrap_or_default();
+                    scope.spawn(move || expand(buf))
+                })
+                .collect();
+            let (mut next, log, mut inserts) = expand(spare.pop().unwrap_or_default());
             logs.push(log);
             for h in handles {
-                let (local, log, k) = h.join().expect("explorer worker panicked");
+                let (mut local, log, k) = h.join().expect("explorer worker panicked");
                 next.extend_from_slice(&local);
+                local.clear();
+                spare.push(local);
                 logs.push(log);
                 inserts += k;
             }
@@ -1283,16 +1337,18 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         if next.is_empty() {
             break;
         }
+        let mut next = Layer::Mem(next);
         #[cfg(unix)]
         if cfg.spill {
-            // An io failure keeps the in-memory layer: the spill is an
-            // optimization, never a correctness gate.
-            if let Ok(sp) = spill(&next, stride, incomplete(&next)) {
-                frontier = Layer::Disk(sp);
-                continue;
+            if let Layer::Mem(words) = &next {
+                // An io failure keeps the in-memory layer: the spill is
+                // an optimization, never a correctness gate.
+                if let Ok(sp) = spill(words, stride, incomplete(words)) {
+                    recycle(&mut spare, std::mem::replace(&mut next, Layer::Disk(sp)));
+                }
             }
         }
-        frontier = Layer::Mem(next);
+        recycle(&mut spare, std::mem::replace(&mut frontier, next));
     }
 
     let states = table.count.load(Ordering::Relaxed);

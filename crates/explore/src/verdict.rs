@@ -282,12 +282,7 @@ fn find_hazard(
     }
     // A doomed node is stuck when every live process's step maps the
     // system to itself — the whole system spins in place.
-    let stuck = |u: usize| {
-        graph
-            .succs(u as u32)
-            .iter()
-            .all(|&(_, t, _)| t as usize == u)
-    };
+    let stuck = |u: usize| graph.succs(u as u32).all(|(_, t, _)| t as usize == u);
     let witness = (0..nodes.len())
         .filter(|&u| !live[u] && stuck(u))
         .min_by_key(|&u| nodes[u].depth);

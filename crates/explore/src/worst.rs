@@ -256,7 +256,7 @@ pub(crate) fn worst_from_graph(
             NONE
         };
         for &u in &scc.members[comp] {
-            for &(_, t, c) in graph.succs(u) {
+            for (_, t, c) in graph.succs(u) {
                 let tc = scc.comp[t as usize];
                 if tc != comp && value[tc] != NONE {
                     v = v.max(i64::from(c) + value[tc]);
@@ -347,7 +347,7 @@ impl Condensation {
             if !live[u] {
                 continue;
             }
-            for &(p, t, c) in graph.succs(u as u32) {
+            for (p, t, c) in graph.succs(u as u32) {
                 if c > 0 && self.comp[t as usize] == self.comp[u] {
                     let better = best.is_none_or(|(bu, bp, _)| {
                         let (du, dp) = (graph.nodes[bu as usize].depth, bp);
@@ -387,7 +387,7 @@ fn condense(graph: &BuiltGraph) -> Condensation {
         stack.push(start);
         on_stack[start as usize] = true;
         while let Some(&mut (u, ref mut pos)) = frames.last_mut() {
-            if let Some(&(_, t, _)) = graph.succs(u).get(*pos) {
+            if let Some((_, t, _)) = graph.succs(u).nth(*pos) {
                 *pos += 1;
                 let ti = t as usize;
                 if index[ti] == UNVISITED {
@@ -469,7 +469,7 @@ fn bfs_path(
     let mut back: HashMap<u32, (u32, ProcessId)> = HashMap::new();
     let mut queue = VecDeque::from([start]);
     while let Some(w) = queue.pop_front() {
-        for &(p, t, c) in graph.succs(w) {
+        for (p, t, c) in graph.succs(w) {
             if !admit(t, c) || t == start || back.contains_key(&t) {
                 continue;
             }
@@ -503,7 +503,7 @@ fn witness(graph: &BuiltGraph, scc: &Condensation, value: &[i64], total: i64) ->
     let mut remaining = total;
     // An optimal positive edge out of `w` given the remaining optimum.
     let positive = |w: u32, remaining: i64| {
-        graph.succs(w).iter().copied().find(|&(_, t, c)| {
+        graph.succs(w).find(|&(_, t, c)| {
             let tv = value[scc.comp[t as usize]];
             c > 0 && tv != NONE && i64::from(c) + tv == remaining
         })
@@ -531,10 +531,9 @@ fn witness(graph: &BuiltGraph, scc: &Condensation, value: &[i64], total: i64) ->
         );
         // Advance along the path.
         for &p in &path {
-            let &(_, t, _) = graph
+            let (_, t, _) = graph
                 .succs(u)
-                .iter()
-                .find(|&&(q, _, _)| q == p)
+                .find(|&(q, _, _)| q == p)
                 .expect("BFS path follows existing edges");
             u = t;
         }
