@@ -238,10 +238,10 @@ impl DynState {
     }
 
     /// Rebuilds an inline state from words previously observed through
-    /// [`words`](DynState::words) — the round-trip explorers use to
-    /// persist inline states (spilled frontier layers) without knowing
-    /// the typed `WordState` behind them. Equality is word-for-word, so
-    /// the reconstruction compares equal to the original.
+    /// [`words`](DynState::words) — the round-trip the explorer's key
+    /// records use to store inline states without knowing the typed
+    /// `WordState` behind them. Equality is word-for-word, so the
+    /// reconstruction compares equal to the original.
     ///
     /// # Panics
     ///

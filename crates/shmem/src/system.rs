@@ -95,9 +95,8 @@ pub struct Snapshot<S> {
 impl<S> Snapshot<S> {
     /// Assembles a snapshot from raw components. Callers that build
     /// snapshots that did not come from a live [`System`] — the
-    /// symmetry canonicalizer, the explorer's spilled-frontier decoder
-    /// — must preserve the invariant that all per-process vectors share
-    /// one length (debug-asserted here).
+    /// symmetry canonicalizer — must preserve the invariant that all
+    /// per-process vectors share one length (debug-asserted here).
     pub fn from_parts(
         states: Vec<S>,
         regs: Vec<Value>,

@@ -167,7 +167,7 @@ pub fn split_specs(s: &str) -> Vec<String> {
 /// the reader has gone (`tables | head -1`), the `print!` that finds
 /// the pipe closed ends the process without a message instead of
 /// panicking with `failed printing to stdout: Broken pipe`. The exit
-/// status is [`CLOSED_STDOUT`], what a shell reports for a tool that
+/// status is 141 (128 + SIGPIPE), what a shell reports for a tool that
 /// SIGPIPE stopped, so a run whose output was cut off never reads as a
 /// completed one. Every other panic reaches the previous hook
 /// unchanged. Every workspace binary calls this first, so no print
@@ -184,7 +184,7 @@ pub fn quiet_broken_pipe() {
 
 /// The exit status after [`quiet_broken_pipe`] ends a process: 128 +
 /// SIGPIPE (13).
-pub const CLOSED_STDOUT: i32 = 141;
+const CLOSED_STDOUT: i32 = 141;
 
 /// Whether a panic message is the one `print!` raises on a closed
 /// stdout.
