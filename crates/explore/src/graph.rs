@@ -65,14 +65,15 @@
 //! For algorithms declaring process-permutation symmetry
 //! ([`DynAutomaton::dyn_symmetric`]), every discovered snapshot is
 //! replaced by the canonical representative of its orbit
-//! ([`canonical_perm`]) before interning — encoded straight into its
-//! relabelled record — so the table holds one node per orbit — up to `n!` fewer states — and every stored schedule
-//! lives in *canonical frames*: the pid recorded on an edge is the pid
-//! in the canonical relabelling of its source node, not in the original
-//! run. [`Decanon`] folds the recorded permutations back together to
-//! turn such a schedule into a bit-identically replayable one. Cost
-//! digests ride along through [`CostLens::permute_digest`], and a lens
-//! whose prices are *not* permutation-invariant opts out via
+//! ([`canonical_perm`]) before it is stored, encoded straight into its
+//! relabelled record, so the table holds one node per orbit — up to
+//! `n!` fewer states — and every stored schedule lives in *canonical
+//! frames*: the pid recorded on an edge is the pid in the canonical
+//! relabelling of its source node, not in the original run.
+//! [`Decanon`] folds the recorded permutations back together to turn
+//! such a schedule into a bit-identically replayable one. Cost digests
+//! ride along through [`CostLens::permute_digest`], and a lens whose
+//! prices are *not* permutation-invariant opts out via
 //! [`CostLens::symmetry_compatible`].
 
 use std::collections::hash_map::{DefaultHasher, Entry};
@@ -411,7 +412,7 @@ pub(crate) struct BuiltGraph {
     /// Violating nodes discovered in the first layer that has any.
     pub violations: Vec<u32>,
     /// Transposition-table hits over the whole build: insert calls that
-    /// found an already interned state. Worker-count independent for
+    /// found an already stored state. Worker-count independent for
     /// untruncated builds (a truncation aborts workers mid-layer).
     pub dedup_hits: usize,
     /// Largest BFS frontier over the whole build.
@@ -1154,7 +1155,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         let codec = &codec;
         let states_before = table.count.load(Ordering::Relaxed);
         // One worker's pass over the layer: pull chunks until none are
-        // left, returning the fresh entries it interned (the worker's
+        // left, returning the fresh entries it stored (the worker's
         // share of the next layer), its edges and its insert count.
         let expand = |mut local: Vec<u64>| {
             let dref = DynRef(alg);
@@ -1265,7 +1266,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
                             if fresh {
                                 if violating {
                                     // Record it but *complete the layer*:
-                                    // the set of interned states stays
+                                    // the set of stored states stays
                                     // worker-count independent, and every
                                     // violation in the layer is at the
                                     // same (minimal) depth. The layer loop
