@@ -30,7 +30,9 @@ const PINNED: &[(&str, Model, usize, Option<usize>)] = &[
     ("filter", Model::Sc, 2, None),
     ("filter", Model::Sc, 3, None),
     ("dijkstra", Model::Sc, 2, None),
+    ("dijkstra", Model::Sc, 3, None),
     ("burns-lynch", Model::Sc, 2, None),
+    ("burns-lynch", Model::Sc, 3, None),
     ("dekker-tree", Model::Cc, 2, Some(15)),
     ("dekker-tree", Model::Cc, 3, Some(44)),
     ("peterson", Model::Cc, 2, Some(10)),
@@ -40,7 +42,9 @@ const PINNED: &[(&str, Model, usize, Option<usize>)] = &[
     ("filter", Model::Cc, 2, Some(10)),
     ("filter", Model::Cc, 3, Some(32)),
     ("dijkstra", Model::Cc, 2, None),
+    ("dijkstra", Model::Cc, 3, None),
     ("burns-lynch", Model::Cc, 2, None),
+    ("burns-lynch", Model::Cc, 3, None),
 ];
 
 /// The best cost any sampled scheduler of the fixture grid extracts.

@@ -94,6 +94,51 @@ fn crash_certification_rejects_lying_recovery_claims() {
     assert!(!replayed.mutual_exclusion(2));
 }
 
+/// Every registry entry that claims `recoverable`, at n ∈ {2, 3} under
+/// a budget of two crashes: the honest locks certify, and the planted
+/// `broken-recover` is refuted with a fault witness that replays
+/// bit-identically into a mutual-exclusion violation.
+#[test]
+fn recoverable_entries_certify_or_are_refuted_under_two_crashes() {
+    let reg = conformance_registry();
+    let recoverable: Vec<String> = reg
+        .entries()
+        .filter(|e| e.info().recoverable)
+        .map(|e| e.info().name.clone())
+        .collect();
+    assert_eq!(recoverable, ["rpeterson", "rtas", "broken-recover"]);
+    for name in &recoverable {
+        let honest = name != "broken-recover";
+        for n in [2usize, 3] {
+            let alg = reg.resolve_str(name, n).unwrap().automaton;
+            let report = certify_recoverable(alg.as_ref(), 2, &cfg(1));
+            assert!(!report.truncated, "{name} n={n}");
+            assert_eq!(
+                report.certified_recoverable(),
+                honest,
+                "{name} n={n}: honest locks certify, the planted one is refuted"
+            );
+            let Some(witness) = report.violation else {
+                continue;
+            };
+            let (mut script, mut plan) = witness.replay_artifacts();
+            let replayed = run_faulted(
+                &DynRef(alg.as_ref()),
+                &mut script,
+                &mut plan,
+                1,
+                witness.trace.len() + 1,
+            )
+            .unwrap_or_else(|e| panic!("{name} n={n}: witness replay failed: {e}"));
+            assert_eq!(
+                replayed, witness.trace,
+                "{name} n={n}: bit-identical replay"
+            );
+            assert!(!replayed.mutual_exclusion(n), "{name} n={n}");
+        }
+    }
+}
+
 #[test]
 fn budget_exhaustion_is_reported_not_truncated() {
     // The fault driver reports an exhausted step budget as an error —

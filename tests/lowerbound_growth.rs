@@ -16,16 +16,19 @@
 //! adversary must never report less than its own greedy member.
 //!
 //! The whole output of every game on the grid, and of the crash games
-//! of the recoverable locks, is also pinned by digest.
+//! of the recoverable locks, is also pinned by digest. Every witness
+//! replays: the register-only games' through the streaming pricer, the
+//! crash games' through the fault driver.
 
 use std::sync::OnceLock;
 
 use exclusion::bound::{
-    force_crash_curve, force_curve, register_only, BoundConfig, BoundCurve, CrashForcedRun,
-    ForcedRun, MODELS, SC,
+    force_crash_curve, force_curve, register_only, BoundConfig, BoundCurve, CrashCurve,
+    CrashForcedRun, ForcedRun, MODELS, RMR_CC, RMR_MODELS, SC,
 };
+use exclusion::cost::{rmr_cc_cost, run_priced};
 use exclusion::mutex::registry::AlgorithmRegistry;
-use exclusion::shmem::{RmwOp, Step};
+use exclusion::shmem::{run_faulted, CritKind, DynRef, ProcessId, RmwOp, Step};
 
 /// The growth grid the satellite pins.
 const GRID: [usize; 4] = [8, 16, 32, 64];
@@ -130,6 +133,36 @@ fn register_only_sc_curves_are_superlinear_per_process() {
                 a.forced[SC],
                 b.n,
                 b.forced[SC]
+            );
+        }
+    }
+}
+
+/// Every register-only game at n ∈ {4, 8, 16} completes, and its
+/// witness replays through the streaming pricer to the game's step
+/// count and forced SC cost.
+#[test]
+fn register_only_witnesses_replay_to_their_forced_sc_cost() {
+    let registry = AlgorithmRegistry::global();
+    let cfg = BoundConfig::default();
+    for name in register_only(registry) {
+        let curve = force_curve(registry, &name, &[4, 8, 16], &cfg)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for run in &curve.cells {
+            assert!(run.completed(), "{name} n={}: {:?}", run.n, run.errors);
+            let alg = registry.resolve_str(&name, run.n).unwrap().automaton;
+            let priced = run_priced(
+                &DynRef(alg.as_ref()),
+                &mut run.script(),
+                cfg.passages,
+                run.steps + 1,
+            )
+            .unwrap_or_else(|e| panic!("{name} n={}: witness replay failed: {e}", run.n));
+            assert_eq!(
+                (priced.steps, priced.sc.total()),
+                (run.steps, run.forced[SC]),
+                "{name} n={}: the witness must replay to the game's steps and SC cost",
+                run.n
             );
         }
     }
@@ -414,39 +447,148 @@ const PINNED_CRASH_DIGESTS: &[(&str, usize, usize, u64)] = &[
     ("broken-recover", 16, 2, 0xa09a623183850a14),
 ];
 
+/// The recoverable locks of the crash grid (the planted
+/// `broken-recover` included), its process counts and its crash
+/// budgets.
+const CRASH_LOCKS: [&str; 3] = ["rpeterson", "rtas", "broken-recover"];
+const CRASH_GRID: [usize; 4] = [2, 4, 8, 16];
+const BUDGETS: [usize; 3] = [0, 1, 2];
+
+/// One crash curve per recoverable lock over the crash grid, computed
+/// once and shared by the tests below, as [`curves`] is.
+fn crash_curves() -> &'static Vec<CrashCurve> {
+    static CURVES: OnceLock<Vec<CrashCurve>> = OnceLock::new();
+    CURVES.get_or_init(|| {
+        CRASH_LOCKS
+            .iter()
+            .map(|name| {
+                force_crash_curve(
+                    AlgorithmRegistry::global(),
+                    name,
+                    &CRASH_GRID,
+                    &BUDGETS,
+                    &BoundConfig::default(),
+                )
+                .unwrap_or_else(|e| panic!("{name}: {e}"))
+            })
+            .collect()
+    })
+}
+
 /// The crash games of the recoverable locks (the planted
 /// `broken-recover` included) over n ∈ {2, 4, 8, 16} and budgets
 /// k ∈ {0, 1, 2}: injected crashes, both RMR columns, winners and the
 /// witness, step by step, are pinned.
 #[test]
 fn crash_forced_outputs_match_their_pinned_digests() {
-    let registry = AlgorithmRegistry::global();
-    let mut got: Vec<(String, usize, usize, u64)> = Vec::new();
-    for name in ["rpeterson", "rtas", "broken-recover"] {
-        let curve = force_crash_curve(
-            registry,
-            name,
-            &[2, 4, 8, 16],
-            &[0, 1, 2],
-            &BoundConfig::default(),
-        )
-        .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for row in &curve.rows {
-            for cell in &row.cells {
-                got.push((name.to_string(), cell.n, row.budget, crash_digest(cell)));
-            }
-        }
-    }
+    let got: Vec<(&str, usize, usize, u64)> = crash_curves()
+        .iter()
+        .flat_map(|curve| {
+            curve.rows.iter().flat_map(move |row| {
+                row.cells.iter().map(move |cell| {
+                    (
+                        curve.algorithm.as_str(),
+                        cell.n,
+                        row.budget,
+                        crash_digest(cell),
+                    )
+                })
+            })
+        })
+        .collect();
     let table: String = got
         .iter()
         .map(|(alg, n, k, d)| format!("    (\"{alg}\", {n}, {k}, {d:#018x}),\n"))
         .collect();
     assert!(
-        got.len() == PINNED_CRASH_DIGESTS.len()
-            && got
-                .iter()
-                .zip(PINNED_CRASH_DIGESTS)
-                .all(|(a, b)| a.0 == b.0 && a.1 == b.1 && a.2 == b.2 && a.3 == b.3),
+        got == PINNED_CRASH_DIGESTS,
         "crash-game output changed; digests now:\n{table}"
     );
+}
+
+/// The same crash games, checked cell by cell: every game completes,
+/// the portfolio is the per-model maximum of its members under both
+/// RMR models, the witness replays bit-identically through the fault
+/// driver, completes every passage and re-prices to the winner's RMR-CC
+/// cost, and the k = 0 row injects nothing and equals the crash-free
+/// game's CC/DSM columns.
+#[test]
+fn crash_games_dominate_replay_and_reduce_to_the_crash_free_game() {
+    let registry = AlgorithmRegistry::global();
+    let cfg = BoundConfig::default();
+    // The crash-free game's CC and DSM columns (MODELS indices 1 and 2).
+    let cc_dsm = |costs: [usize; 3]| [costs[1], costs[2]];
+    for curve in crash_curves() {
+        let name = curve.algorithm.as_str();
+        let plain = force_curve(registry, name, &CRASH_GRID, &cfg)
+            .unwrap_or_else(|e| panic!("{name}: {e}"));
+        for row in &curve.rows {
+            for (cell, free) in row.cells.iter().zip(&plain.cells) {
+                let at = format!("{name} n={} k={}", cell.n, row.budget);
+                assert!(
+                    cell.completed() && cell.errors.is_empty(),
+                    "{at}: {:?}",
+                    cell.errors
+                );
+                for (m, model) in RMR_MODELS.iter().enumerate() {
+                    assert!(
+                        cell.forced[m] >= cell.greedy[m],
+                        "{at} {model}: forced {} < greedy {}",
+                        cell.forced[m],
+                        cell.greedy[m]
+                    );
+                    assert_eq!(
+                        cell.forced[m],
+                        cell.adaptive[m].max(cell.greedy[m]),
+                        "{at} {model}: forced must be the portfolio max"
+                    );
+                }
+                let alg = registry.resolve_str(name, cell.n).unwrap().automaton;
+                let dref = DynRef(alg.as_ref());
+                let (mut script, mut plan) = cell.replay_artifacts();
+                let replayed =
+                    run_faulted(&dref, &mut script, &mut plan, cfg.passages, cell.steps + 1)
+                        .unwrap_or_else(|e| panic!("{at}: witness replay failed: {e}"));
+                assert_eq!(
+                    replayed.steps(),
+                    cell.witness.as_slice(),
+                    "{at}: witness replay"
+                );
+                // The witness is a whole game: every process ends its
+                // passages with `rem`.
+                let rems = |p: usize| {
+                    replayed
+                        .projection(ProcessId::new(p))
+                        .filter(|s| s.crit_kind() == Some(CritKind::Rem))
+                        .count()
+                };
+                assert!(
+                    (0..cell.n).all(|p| rems(p) == cfg.passages),
+                    "{at}: the witness must complete every passage"
+                );
+                let winner = if cell.winner[RMR_CC] == "fanlynch" {
+                    cell.adaptive[RMR_CC]
+                } else {
+                    cell.greedy[RMR_CC]
+                };
+                assert_eq!(
+                    rmr_cc_cost(&dref, &replayed).map(|r| r.total()),
+                    Ok(winner),
+                    "{at}: the witness must re-price to the winner's RMR-CC cost"
+                );
+                if row.budget == 0 {
+                    assert_eq!(cell.injected, 0, "{at}");
+                    assert_eq!(
+                        [cell.forced, cell.adaptive, cell.greedy],
+                        [
+                            cc_dsm(free.forced),
+                            cc_dsm(free.adaptive),
+                            cc_dsm(free.greedy)
+                        ],
+                        "{at}: the k = 0 row must be the crash-free game"
+                    );
+                }
+            }
+        }
+    }
 }

@@ -117,6 +117,32 @@ fn reduction_strictly_shrinks_symmetric_state_spaces() {
     }
 }
 
+/// At n = 4 the splitter's orbits are big enough for a tenfold
+/// quotient: the raw space is at least ten times the reduced one, and
+/// the two runs agree on safety, BFS depth and hazard kind.
+#[test]
+fn reduction_shrinks_the_splitter_tenfold_at_four_processes() {
+    let alg = conformance_registry()
+        .resolve_str("splitter", 4)
+        .expect("resolves")
+        .automaton;
+    let reduced = explore(alg.as_ref(), &ExploreConfig::default());
+    let plain = explore(alg.as_ref(), &cfg_with(|c| c.symmetry = false));
+    assert!(!reduced.truncated && !plain.truncated);
+    assert!(
+        plain.states >= 10 * reduced.states,
+        "expected ≥10x shrink at n=4, got {} vs {}",
+        reduced.states,
+        plain.states
+    );
+    assert_eq!(reduced.certified_safe(), plain.certified_safe());
+    assert_eq!(reduced.depth, plain.depth);
+    assert_eq!(
+        reduced.hazard.as_ref().map(|h| h.kind),
+        plain.hazard.as_ref().map(|h| h.kind)
+    );
+}
+
 /// Hazard schedules of the reduced exploration replay verbatim: the
 /// de-canonicalized pids drive a fresh system into the doomed region —
 /// for a deadlock, all the way to a fully stuck state.
