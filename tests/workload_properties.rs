@@ -156,3 +156,85 @@ fn sweeps_are_deterministic_and_reportable() {
     assert_eq!(serial.records.len(), 18);
     assert!(serial.records.iter().all(|r| r.error.is_none()));
 }
+
+/// One pinned digest per (algorithm, n, scheduler) of the sweep grid.
+#[rustfmt::skip]
+const PINNED_SWEEP_DIGESTS: &[(&str, usize, &str, u64)] = &[
+    ("dekker-tree", 8, "greedy-adversary", 0xf41cb9c85be71670),
+    ("dekker-tree", 8, "random", 0x200e2a5821ee22d9),
+    ("dekker-tree", 8, "burst:wave=4,gap=16", 0x55cf30868d2c44ed),
+    ("dekker-tree", 16, "greedy-adversary", 0x10e394e67a152c16),
+    ("dekker-tree", 16, "random", 0x908153bc030c4568),
+    ("dekker-tree", 16, "burst:wave=8,gap=32", 0xb13d0d13f4e38b5a),
+    ("dekker-tree", 32, "greedy-adversary", 0x501556c2e57a5112),
+    ("dekker-tree", 32, "random", 0x27dcac0e656c30cd),
+    ("dekker-tree", 32, "burst:wave=16,gap=64", 0xaf2e8d9ed54c271a),
+    ("dekker-tree", 64, "greedy-adversary", 0x627f94bf2b5cbde7),
+    ("dekker-tree", 64, "random", 0x155c06c685f93040),
+    ("dekker-tree", 64, "burst:wave=32,gap=128", 0x720b69c38157522f),
+    ("peterson", 8, "greedy-adversary", 0x4b69c60f932f2ea7),
+    ("peterson", 8, "random", 0xb6865a6912b82585),
+    ("peterson", 8, "burst:wave=4,gap=16", 0x3f663148bdaa8fd0),
+    ("peterson", 16, "greedy-adversary", 0x977c03d45ccdfc6e),
+    ("peterson", 16, "random", 0x6038b4acaa00b82c),
+    ("peterson", 16, "burst:wave=8,gap=32", 0x9e566fd9001f2604),
+    ("peterson", 32, "greedy-adversary", 0xed546ba32ce8f85d),
+    ("peterson", 32, "random", 0x1cb1edd72733b0b0),
+    ("peterson", 32, "burst:wave=16,gap=64", 0xbc29b3363a2ac271),
+    ("peterson", 64, "greedy-adversary", 0x44ac876003c47c92),
+    ("peterson", 64, "random", 0x1b9d175f5113ed84),
+    ("peterson", 64, "burst:wave=32,gap=128", 0x070a94b97f20a865),
+];
+
+/// The sweep's rows over dekker-tree and peterson at n ∈ {8, 16, 32,
+/// 64}, under greedy, random and burst (wave ⌈n/2⌉, gap 2n), seeds 1–4,
+/// two passages: no run fails, and every record's steps, SC/CC/DSM
+/// totals and failure flag are pinned by an FNV-1a digest per scenario.
+#[test]
+fn sweep_outputs_match_their_pinned_digests() {
+    let mut scenarios = Vec::new();
+    for alg in ["dekker-tree", "peterson"] {
+        for n in [8usize, 16, 32, 64] {
+            for sched in [
+                SchedSpec::greedy(),
+                SchedSpec::random(),
+                SchedSpec::burst(n.div_ceil(2), 2 * n),
+            ] {
+                scenarios.push(
+                    Scenario::builder(alg, n)
+                        .passages(2)
+                        .sched(sched)
+                        .seeds(1..=4)
+                        .build()
+                        .expect("valid"),
+                );
+            }
+        }
+    }
+    let report = sweep(&scenarios, &SweepOptions::default());
+    // Records come in grid order: each scenario's effective seeds in turn.
+    let mut records = report.records.iter();
+    let mut got: Vec<(&str, usize, String, u64)> = Vec::new();
+    for (scenario, summary) in scenarios.iter().zip(&report.summaries) {
+        assert_eq!(summary.failures, 0, "{}", summary.scenario);
+        let mut h = 0xcbf2_9ce4_8422_2325_u64;
+        for r in records.by_ref().take(scenario.effective_seeds().len()) {
+            for x in [r.steps, r.sc, r.cc, r.dsm, usize::from(r.error.is_some())] {
+                for b in (x as u64).to_le_bytes() {
+                    h = (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
+                }
+            }
+        }
+        got.push((&summary.algorithm, summary.n, summary.scheduler.clone(), h));
+    }
+    let table: String = got
+        .iter()
+        .map(|(alg, n, sched, d)| format!("    (\"{alg}\", {n}, \"{sched}\", {d:#018x}),\n"))
+        .collect();
+    assert!(
+        got.iter()
+            .map(|(alg, n, sched, d)| (*alg, *n, sched.as_str(), *d))
+            .eq(PINNED_SWEEP_DIGESTS.iter().copied()),
+        "sweep output changed; digests now:\n{table}"
+    );
+}
