@@ -5,7 +5,7 @@
 
 use std::cell::RefCell;
 
-use exclusion_cost::{rmr_cc_cost, rmr_dsm_cost, run_priced_probed, PricedRun};
+use exclusion_cost::{rmr_cc_cost, rmr_dsm_cost, run_priced_probed};
 use exclusion_mutex::registry::AlgorithmRegistry;
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef};
 use exclusion_shmem::probe::{NoProbe, Probe, SharedProbe, SpanScope, TraceEvent};
@@ -160,16 +160,18 @@ pub struct BoundCurve {
     pub fits: [Fit; 3],
 }
 
-fn costs_of(priced: &PricedRun) -> [usize; 3] {
-    [priced.sc.total(), priced.cc.total(), priced.dsm.total()]
-}
+/// One strategy's outcome: its cost per model and its witness, or why
+/// it failed.
+type Outcome<const M: usize, W> = Result<([usize; M], W), String>;
 
+/// Runs one strategy through the streaming pricer: its cost per model
+/// and its witness, the schedule and its length.
 fn play<P: Probe>(
     alg: &dyn DynAutomaton,
     sched: impl Scheduler,
     cfg: &BoundConfig,
     probe: P,
-) -> Result<(PricedRun, Vec<ProcessId>), String> {
+) -> Outcome<3, (Vec<ProcessId>, usize)> {
     let mut traced = Traced::new(sched);
     let priced = run_priced_probed(
         &DynRef(alg),
@@ -179,7 +181,8 @@ fn play<P: Probe>(
         probe,
     )
     .map_err(|e| e.to_string())?;
-    Ok((priced, traced.into_picks()))
+    let costs = [priced.sc.total(), priced.cc.total(), priced.dsm.total()];
+    Ok((costs, (traced.into_picks(), priced.steps)))
 }
 
 /// Brackets one strategy run with a [`SpanScope::Game`] span (wall
@@ -227,70 +230,89 @@ pub fn force_probed(alg: &dyn DynAutomaton, cfg: &BoundConfig, probe: &mut dyn P
 }
 
 fn force_impl<P: Probe + Copy>(alg: &dyn DynAutomaton, cfg: &BoundConfig, probe: P) -> ForcedRun {
-    let n = alg.processes();
-    let adaptive = match cfg.patience {
-        None => AdaptiveAdversary::new(cfg.seed),
-        Some(p) => AdaptiveAdversary::with_patience(cfg.seed, p),
-    }
-    .with_probe(probe);
-    let greedy = match cfg.patience {
-        None => GreedyAdversary::new(),
-        Some(p) => GreedyAdversary::with_patience(p),
-    };
-    let mut run = ForcedRun {
+    let (adaptive, greedy) = strategies(cfg);
+    let adaptive = adaptive.with_probe(probe);
+    let game = portfolio(
+        timed(probe, 0, || play(alg, adaptive, cfg, probe)),
+        timed(probe, 1, || play(alg, greedy, cfg, probe)),
+    );
+    let (schedule, steps) = game.witness.unwrap_or_default();
+    ForcedRun {
         algorithm: alg.name(),
-        n,
+        n: alg.processes(),
         passages: cfg.passages,
-        steps: 0,
-        schedule: Vec::new(),
-        forced: [0; 3],
-        winner: ["none"; 3],
-        adaptive: [0; 3],
-        greedy: [0; 3],
+        steps,
+        schedule,
+        forced: game.forced,
+        winner: game.winner,
+        adaptive: game.adaptive,
+        greedy: game.greedy,
+        errors: game.errors,
+    }
+}
+
+/// The two strategies of the portfolio, as `cfg` configures them.
+fn strategies(cfg: &BoundConfig) -> (AdaptiveAdversary, GreedyAdversary) {
+    match cfg.patience {
+        None => (AdaptiveAdversary::new(cfg.seed), GreedyAdversary::new()),
+        Some(p) => (
+            AdaptiveAdversary::with_patience(cfg.seed, p),
+            GreedyAdversary::with_patience(p),
+        ),
+    }
+}
+
+/// What one portfolio game keeps of its two strategies, per cost model
+/// (`M` models, in the order of [`MODELS`] or [`RMR_MODELS`]).
+struct Portfolio<const M: usize, W> {
+    forced: [usize; M],
+    winner: [&'static str; M],
+    adaptive: [usize; M],
+    greedy: [usize; M],
+    /// The witness of the strategy that won on the first model.
+    witness: Option<W>,
+    errors: Vec<String>,
+}
+
+/// The portfolio step of [`force`] and [`force_crash`]: given the
+/// adaptive strategy's outcome, then the greedy baseline's (each its
+/// cost per model and its witness), keeps each strategy's costs, takes
+/// the per-model maximum with ties going to adaptive, keeps the witness
+/// that wins on the first model, and labels each error with its
+/// strategy. A failed strategy contributes zero cost.
+fn portfolio<const M: usize, W>(adaptive: Outcome<M, W>, greedy: Outcome<M, W>) -> Portfolio<M, W> {
+    let mut game = Portfolio {
+        forced: [0; M],
+        winner: ["none"; M],
+        adaptive: [0; M],
+        greedy: [0; M],
+        witness: None,
         errors: Vec::new(),
     };
-    let mut sc_best: Option<(usize, Vec<ProcessId>, usize)> = None;
-    for (name, outcome) in [
-        (
-            "fanlynch",
-            timed(probe, 0, || play(alg, adaptive, cfg, probe)),
-        ),
-        (
-            "greedy-adversary",
-            timed(probe, 1, || play(alg, greedy, cfg, probe)),
-        ),
-    ] {
+    for (name, outcome) in [("fanlynch", adaptive), ("greedy-adversary", greedy)] {
         match outcome {
-            Ok((priced, picks)) => {
-                let costs = costs_of(&priced);
+            Ok((costs, witness)) => {
                 if name == "fanlynch" {
-                    run.adaptive = costs;
+                    game.adaptive = costs;
                 } else {
-                    run.greedy = costs;
+                    game.greedy = costs;
                 }
                 for (m, &c) in costs.iter().enumerate() {
                     // Strictly-greater keeps the adaptive strategy (run
                     // first) as the winner on ties.
-                    if run.winner[m] == "none" || c > run.forced[m] {
-                        run.forced[m] = c;
-                        run.winner[m] = name;
+                    if game.winner[m] == "none" || c > game.forced[m] {
+                        game.forced[m] = c;
+                        game.winner[m] = name;
                     }
                 }
-                if sc_best
-                    .as_ref()
-                    .is_none_or(|&(best, _, _)| costs[SC] > best)
-                {
-                    sc_best = Some((costs[SC], picks, priced.steps));
+                if game.winner[0] == name {
+                    game.witness = Some(witness);
                 }
             }
-            Err(e) => run.errors.push(format!("{name}: {e}")),
+            Err(e) => game.errors.push(format!("{name}: {e}")),
         }
     }
-    if let Some((_, picks, steps)) = sc_best {
-        run.schedule = picks;
-        run.steps = steps;
-    }
-    run
+    game
 }
 
 /// The names of `registry`'s register-only deadlock-free entries, in
@@ -324,28 +346,51 @@ pub fn force_curve(
     ns: &[usize],
     cfg: &BoundConfig,
 ) -> Result<BoundCurve, SpecError> {
-    let mut cells = Vec::with_capacity(ns.len());
+    let (algorithm, cells, fits) = play_grid(
+        registry,
+        spec,
+        ns,
+        |alg, algorithm| ForcedRun {
+            algorithm,
+            ..force(alg, cfg)
+        },
+        |cell| cell.completed().then_some((cell.n, cell.forced)),
+    )?;
+    Ok(BoundCurve {
+        algorithm,
+        cells,
+        fits,
+    })
+}
+
+/// The grid step of [`force_curve`] and [`force_crash_curve`]: resolves
+/// `spec` at each grid point, plays `game` on it (handing over the
+/// resolved label), and fits each model's forced cost, as `point`
+/// reports it for a completed game, against `c·n·log₂n`. Returns the
+/// last resolved label, the games in grid order and the fits.
+fn play_grid<C, const M: usize>(
+    registry: &AlgorithmRegistry,
+    spec: &str,
+    ns: &[usize],
+    mut game: impl FnMut(&dyn DynAutomaton, String) -> C,
+    point: impl Fn(&C) -> Option<(usize, [usize; M])>,
+) -> Result<(String, Vec<C>, [Fit; M]), SpecError> {
     let mut label = String::new();
+    let mut cells = Vec::with_capacity(ns.len());
     for &n in ns {
         let resolved = registry.resolve_str(spec, n)?;
-        label = resolved.label.clone();
-        let mut cell = force(resolved.automaton.as_ref(), cfg);
-        cell.algorithm = resolved.label;
-        cells.push(cell);
+        label.clone_from(&resolved.label);
+        cells.push(game(resolved.automaton.as_ref(), resolved.label));
     }
     let fits = std::array::from_fn(|m| {
         let (grid, costs): (Vec<usize>, Vec<usize>) = cells
             .iter()
-            .filter(|c| c.completed())
-            .map(|c| (c.n, c.forced[m]))
+            .filter_map(&point)
+            .map(|(n, forced)| (n, forced[m]))
             .unzip();
         fit_nlogn(&grid, &costs)
     });
-    Ok(BoundCurve {
-        algorithm: label,
-        cells,
-        fits,
-    })
+    Ok((label, cells, fits))
 }
 
 /// The outcome of one *crash* adversary game: one algorithm at one `n`
@@ -418,7 +463,7 @@ fn play_faulted(
     alg: &dyn DynAutomaton,
     sched: impl Scheduler,
     cfg: &BoundConfig,
-) -> Result<(Vec<Step>, [usize; 2]), String> {
+) -> Outcome<2, Vec<Step>> {
     let dref = DynRef(alg);
     let mut sched = sched;
     let mut plan = if cfg.crashes == 0 {
@@ -430,7 +475,7 @@ fn play_faulted(
         .map_err(|e| e.to_string())?;
     let cc = rmr_cc_cost(&dref, &exec).map_err(|e| e.to_string())?;
     let dsm = rmr_dsm_cost(&dref, &exec).map_err(|e| e.to_string())?;
-    Ok((exec.into_steps(), [cc.total(), dsm.total()]))
+    Ok(([cc.total(), dsm.total()], exec.into_steps()))
 }
 
 /// Plays the crash adversary game for one algorithm instance: every
@@ -439,64 +484,29 @@ fn play_faulted(
 /// models, and the per-model best is kept (see [`CrashForcedRun`]).
 #[must_use]
 pub fn force_crash(alg: &dyn DynAutomaton, cfg: &BoundConfig) -> CrashForcedRun {
-    let adaptive = match cfg.patience {
-        None => AdaptiveAdversary::new(cfg.seed),
-        Some(p) => AdaptiveAdversary::with_patience(cfg.seed, p),
-    };
-    let greedy = match cfg.patience {
-        None => GreedyAdversary::new(),
-        Some(p) => GreedyAdversary::with_patience(p),
-    };
-    let mut run = CrashForcedRun {
+    let (adaptive, greedy) = strategies(cfg);
+    let game = portfolio(
+        play_faulted(alg, adaptive, cfg),
+        play_faulted(alg, greedy, cfg),
+    );
+    let witness = game.witness.unwrap_or_default();
+    CrashForcedRun {
         algorithm: alg.name(),
         n: alg.processes(),
         passages: cfg.passages,
         budget: cfg.crashes,
-        injected: 0,
-        steps: 0,
-        witness: Vec::new(),
-        forced: [0; 2],
-        winner: ["none"; 2],
-        adaptive: [0; 2],
-        greedy: [0; 2],
-        errors: Vec::new(),
-    };
-    let mut best: Option<(usize, Vec<Step>)> = None;
-    for (name, outcome) in [
-        ("fanlynch", play_faulted(alg, adaptive, cfg)),
-        ("greedy-adversary", play_faulted(alg, greedy, cfg)),
-    ] {
-        match outcome {
-            Ok((steps, costs)) => {
-                if name == "fanlynch" {
-                    run.adaptive = costs;
-                } else {
-                    run.greedy = costs;
-                }
-                for (m, &c) in costs.iter().enumerate() {
-                    // Strictly-greater keeps the adaptive strategy (run
-                    // first) as the winner on ties, as in `force`.
-                    if run.winner[m] == "none" || c > run.forced[m] {
-                        run.forced[m] = c;
-                        run.winner[m] = name;
-                    }
-                }
-                if best.as_ref().is_none_or(|&(b, _)| costs[RMR_CC] > b) {
-                    best = Some((costs[RMR_CC], steps));
-                }
-            }
-            Err(e) => run.errors.push(format!("{name}: {e}")),
-        }
-    }
-    if let Some((_, steps)) = best {
-        run.injected = steps
+        injected: witness
             .iter()
             .filter(|s| matches!(s, Step::Crash { .. }))
-            .count();
-        run.steps = steps.len();
-        run.witness = steps;
+            .count(),
+        steps: witness.len(),
+        witness,
+        forced: game.forced,
+        winner: game.winner,
+        adaptive: game.adaptive,
+        greedy: game.greedy,
+        errors: game.errors,
     }
-    run
 }
 
 /// One row of a crash-forced grid: a crash budget swept over the `n`
@@ -538,36 +548,28 @@ pub fn force_crash_curve(
     ks: &[usize],
     cfg: &BoundConfig,
 ) -> Result<CrashCurve, SpecError> {
+    let mut algorithm = String::new();
     let mut rows = Vec::with_capacity(ks.len());
-    let mut label = String::new();
     for &k in ks {
         let row_cfg = BoundConfig { crashes: k, ..*cfg };
-        let mut cells = Vec::with_capacity(ns.len());
-        for &n in ns {
-            let resolved = registry.resolve_str(spec, n)?;
-            label = resolved.label.clone();
-            let mut cell = force_crash(resolved.automaton.as_ref(), &row_cfg);
-            cell.algorithm = resolved.label;
-            cells.push(cell);
-        }
-        let fits = std::array::from_fn(|m| {
-            let (grid, costs): (Vec<usize>, Vec<usize>) = cells
-                .iter()
-                .filter(|c| c.completed())
-                .map(|c| (c.n, c.forced[m]))
-                .unzip();
-            fit_nlogn(&grid, &costs)
-        });
+        let (label, cells, fits) = play_grid(
+            registry,
+            spec,
+            ns,
+            |alg, algorithm| CrashForcedRun {
+                algorithm,
+                ..force_crash(alg, &row_cfg)
+            },
+            |cell| cell.completed().then_some((cell.n, cell.forced)),
+        )?;
+        algorithm = label;
         rows.push(CrashRow {
             budget: k,
             cells,
             fits,
         });
     }
-    Ok(CrashCurve {
-        algorithm: label,
-        rows,
-    })
+    Ok(CrashCurve { algorithm, rows })
 }
 
 #[cfg(test)]
