@@ -1666,8 +1666,27 @@ fn parse_hwbench_args(argv: &[String]) -> Result<Option<HwbenchArgs>, String> {
     if args.n == 0 || args.requests == 0 {
         return Err("--n and --requests must be positive".into());
     }
+    // A process count past the registry's cap is refused when the lock
+    // resolves, which also comes before any lane is sized.
+    if args.n <= AlgorithmRegistry::MAX_PROCESSES
+        && args
+            .n
+            .checked_mul(args.requests)
+            .is_none_or(|total| total > MAX_HW_REQUESTS)
+    {
+        return Err(format!(
+            "--requests: at most {MAX_HW_REQUESTS} requests in all (got --n {} × --requests {})",
+            args.n, args.requests
+        ));
+    }
     Ok(Some(args))
 }
+
+/// The most requests one hwbench scenario may serve in all, `--n` ×
+/// `--requests`. Each request is an arrival tick in its process's lane
+/// and an entry in both legs' acquisition orders, so the total is
+/// bounded before any lane is sized.
+const MAX_HW_REQUESTS: usize = 1 << 20;
 
 fn run_hwbench(argv: &[String]) -> Result<(), String> {
     use exclusion_workload::hwbench::{run_scenario, HwScenario};
@@ -1822,11 +1841,12 @@ mod tests {
 
     /// The edge values of the grammar, plus one valid value of each
     /// kind; `1024` and `1025` are the registry's process cap and one
+    /// past it, `1048576` and `1048577` hwbench's request cap and one
     /// past it.
     #[rustfmt::skip]
     const VALUES: &[&str] = &[
         "0", "-1", "18446744073709551615", "", "x", "4..1", "1", "4..64", "every:0", "peterson",
-        "greedy,burst:wave=2,gap=32", "steady", "1024", "1025",
+        "greedy,burst:wave=2,gap=32", "steady", "1024", "1025", "1048576", "1048577",
     ];
 
     /// Resolves every parsed lock spec (every registry entry for none
@@ -1874,7 +1894,18 @@ mod tests {
         |argv| parse_crash_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
         |argv| parse_trace_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
         |argv| parse_serve_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
-        |argv| parse_hwbench_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &[a.n])),
+        |argv| match parse_hwbench_args(argv)? {
+            Some(a) => {
+                assert!(
+                    a.n > AlgorithmRegistry::MAX_PROCESSES || a.n * a.requests <= MAX_HW_REQUESTS,
+                    "{} × {} requests parsed",
+                    a.n,
+                    a.requests
+                );
+                resolve(&a.algs, &[a.n])
+            }
+            None => Ok(()),
+        },
     ];
 
     proptest! {

@@ -255,6 +255,20 @@ fn seed_grids_past_their_bound_are_flag_errors() {
     check(SEED_GRID_BOUNDS);
 }
 
+/// An hwbench run past its total request cap (`--n` × `--requests`,
+/// 2^20), or past `usize::MAX`, is a flag error: nothing is sized.
+#[rustfmt::skip]
+const HWBENCH_REQUEST_CAP: &[Row] = &[
+    ("hwbench --n 2 --requests 18446744073709551615", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 requests in all (got --n 2 × --requests 18446744073709551615)"),
+    ("hwbench --requests 4294967296", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 requests in all (got --n 4 × --requests 4294967296)"),
+    ("hwbench --n 1 --requests 1048577", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 requests in all (got --n 1 × --requests 1048577)"),
+];
+
+#[test]
+fn hwbench_request_totals_past_the_cap_are_flag_errors() {
+    check(HWBENCH_REQUEST_CAP);
+}
+
 /// A process count past the registry's cap is an error (exit 1) in
 /// every subcommand that builds a lock, before anything is sized by it.
 #[rustfmt::skip]
