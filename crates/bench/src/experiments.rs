@@ -728,8 +728,7 @@ fn passage_spans(exec: &exclusion_shmem::Execution) -> Vec<(usize, usize)> {
 /// extract from each register-only algorithm, against the canonical
 /// sequential baseline. The sweep runs sharded across all cores on the
 /// streaming pricing path: each run is driven and priced in one pass,
-/// with no recorded executions and no replays (see `bench_sweep` for
-/// the streaming-vs-replay wall-clock numbers).
+/// with no recorded executions and no replays.
 #[must_use]
 pub fn e13_adversary_pressure(quick: bool) -> Table {
     use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions};

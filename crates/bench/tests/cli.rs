@@ -7,14 +7,10 @@
 
 use std::process::Command;
 
-/// The seven bench binaries, by name and built path.
-const BINS: [(&str, &str); 7] = [
-    ("bench_bound", env!("CARGO_BIN_EXE_bench_bound")),
-    ("bench_crash", env!("CARGO_BIN_EXE_bench_crash")),
-    ("bench_explore", env!("CARGO_BIN_EXE_bench_explore")),
+/// The three bench binaries, by name and built path.
+const BINS: [(&str, &str); 3] = [
     ("bench_hw", env!("CARGO_BIN_EXE_bench_hw")),
     ("bench_serve", env!("CARGO_BIN_EXE_bench_serve")),
-    ("bench_sweep", env!("CARGO_BIN_EXE_bench_sweep")),
     ("bench_trace", env!("CARGO_BIN_EXE_bench_trace")),
 ];
 

@@ -25,8 +25,7 @@ pub const MODELS: [&str; 3] = ["sc", "cc", "dsm"];
 pub const SC: usize = 0;
 
 /// A [`MODELS`]-ordered cost array as the members of a JSON object
-/// (`"sc":1,"cc":2,"dsm":3`) — the one formatter the bound reports
-/// (`workload bound`, `bench_bound`) share.
+/// (`"sc":1,"cc":2,"dsm":3`), as `workload bound` reports it.
 #[must_use]
 pub fn models_json(costs: &[usize; 3]) -> String {
     MODELS
@@ -48,8 +47,7 @@ pub const RMR_MODELS: [&str; 2] = ["rmr-cc", "rmr-dsm"];
 pub const RMR_CC: usize = 0;
 
 /// An [`RMR_MODELS`]-ordered cost array as the members of a JSON object
-/// (`"rmr-cc":1,"rmr-dsm":2`) — the formatter the crash-bound reports
-/// (`workload crash`, `bench_crash`) share.
+/// (`"rmr-cc":1,"rmr-dsm":2`), as `workload crash` reports it.
 #[must_use]
 pub fn rmr_models_json(costs: &[usize; 2]) -> String {
     RMR_MODELS

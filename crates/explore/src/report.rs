@@ -1,6 +1,6 @@
-//! Report rendering shared by the `workload explore` CLI subcommand
-//! and the `bench_explore` table generator: hand-rolled JSON (the build
-//! environment cannot vendor serde) and compact text labels.
+//! Report rendering for the `workload` CLI (its explore report and
+//! the JSON escaping of every report it writes): hand-rolled JSON (the
+//! build environment cannot vendor serde) and compact text labels.
 
 use std::fmt::Write as _;
 

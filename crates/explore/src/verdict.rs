@@ -96,7 +96,7 @@ pub struct ExploreReport {
     /// the counts are worker-count independent (untruncated builds).
     pub dedup_hits: usize,
     /// Largest BFS frontier the build held at a barrier — the
-    /// explorer's peak working set, the capacity number BENCH_explore
+    /// explorer's peak working set, the capacity number exploration
     /// runs are sized by.
     pub peak_frontier: usize,
     /// Whether the transposition table stored 128-bit fingerprints
