@@ -93,15 +93,17 @@ fn forced_cost_equals_the_exact_optimum_where_pinned() {
 
 /// The witness `Script` trace replays bit-identically through the
 /// streaming pricer: two replays agree with each other and with the
-/// costs the game recorded, under every cost model.
+/// costs the game recorded, under every cost model — at the
+/// exhaustively searchable sizes and on past them to n = 16.
 #[test]
 fn witness_scripts_replay_bit_identically_through_run_priced() {
     let registry = AlgorithmRegistry::global();
     let cfg = BoundConfig::default();
     for name in register_only(AlgorithmRegistry::global()) {
-        for n in [2usize, 3] {
+        for n in [2usize, 3, 4, 8, 16] {
             let alg = registry.resolve_str(&name, n).unwrap().automaton;
             let run = force(alg.as_ref(), &cfg);
+            assert!(run.completed(), "{name} n={n}: {:?}", run.errors);
             let dyn_ref = DynRef(alg.as_ref());
             let once = run_priced(&dyn_ref, &mut run.script(), cfg.passages, run.steps + 1)
                 .unwrap_or_else(|e| panic!("{name} n={n}: witness replay failed: {e}"));

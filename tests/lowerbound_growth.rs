@@ -16,9 +16,8 @@
 //! adversary must never report less than its own greedy member.
 //!
 //! The whole output of every game on the grid, and of the crash games
-//! of the recoverable locks, is also pinned by digest. Every witness
-//! replays: the register-only games' through the streaming pricer, the
-//! crash games' through the fault driver.
+//! of the recoverable locks, is also pinned by digest, and every crash
+//! game's witness replays through the fault driver.
 
 use std::sync::OnceLock;
 
@@ -26,7 +25,7 @@ use exclusion::bound::{
     force_crash_curve, force_curve, register_only, BoundConfig, BoundCurve, CrashCurve,
     CrashForcedRun, ForcedRun, MODELS, RMR_CC, RMR_MODELS, SC,
 };
-use exclusion::cost::{rmr_cc_cost, run_priced};
+use exclusion::cost::rmr_cc_cost;
 use exclusion::mutex::registry::AlgorithmRegistry;
 use exclusion::shmem::{run_faulted, CritKind, DynRef, ProcessId, RmwOp, Step};
 
@@ -133,36 +132,6 @@ fn register_only_sc_curves_are_superlinear_per_process() {
                 a.forced[SC],
                 b.n,
                 b.forced[SC]
-            );
-        }
-    }
-}
-
-/// Every register-only game at n ∈ {4, 8, 16} completes, and its
-/// witness replays through the streaming pricer to the game's step
-/// count and forced SC cost.
-#[test]
-fn register_only_witnesses_replay_to_their_forced_sc_cost() {
-    let registry = AlgorithmRegistry::global();
-    let cfg = BoundConfig::default();
-    for name in register_only(registry) {
-        let curve = force_curve(registry, &name, &[4, 8, 16], &cfg)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        for run in &curve.cells {
-            assert!(run.completed(), "{name} n={}: {:?}", run.n, run.errors);
-            let alg = registry.resolve_str(&name, run.n).unwrap().automaton;
-            let priced = run_priced(
-                &DynRef(alg.as_ref()),
-                &mut run.script(),
-                cfg.passages,
-                run.steps + 1,
-            )
-            .unwrap_or_else(|e| panic!("{name} n={}: witness replay failed: {e}", run.n));
-            assert_eq!(
-                (priced.steps, priced.sc.total()),
-                (run.steps, run.forced[SC]),
-                "{name} n={}: the witness must replay to the game's steps and SC cost",
-                run.n
             );
         }
     }

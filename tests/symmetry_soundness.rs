@@ -100,47 +100,39 @@ fn reduced_and_unreduced_verdicts_agree_for_every_entry() {
 
 /// For genuinely symmetric entries the quotient must actually shrink
 /// the state space — at n = 3 every orbit of a contended configuration
-/// has up to 3! members, so the reduction is strict and substantial.
+/// has up to 3! members, so the reduction is strict and substantial,
+/// and at n = 4 the splitter's orbits are big enough for a tenfold
+/// quotient — while safety, BFS depth and hazard kind stay the same.
 #[test]
 fn reduction_strictly_shrinks_symmetric_state_spaces() {
     let registry = conformance_registry();
-    for name in SYMMETRIC {
-        let alg = registry.resolve_str(name, 3).expect("resolves").automaton;
+    let rows = SYMMETRIC
+        .iter()
+        .map(|&name| (name, 3, 2))
+        .chain([("splitter", 4, 10)]);
+    for (name, n, factor) in rows {
+        let alg = registry.resolve_str(name, n).expect("resolves").automaton;
         let reduced = explore(alg.as_ref(), &ExploreConfig::default());
         let plain = explore(alg.as_ref(), &cfg_with(|c| c.symmetry = false));
+        assert!(!reduced.truncated && !plain.truncated, "{name} n={n}");
         assert!(
-            2 * reduced.states <= plain.states,
-            "{name}: expected ≥2x shrink at n=3, got {} vs {}",
+            factor * reduced.states <= plain.states,
+            "{name}: expected ≥{factor}x shrink at n={n}, got {} vs {}",
             reduced.states,
             plain.states
         );
+        assert_eq!(
+            reduced.certified_safe(),
+            plain.certified_safe(),
+            "{name} n={n}"
+        );
+        assert_eq!(reduced.depth, plain.depth, "{name} n={n}");
+        assert_eq!(
+            reduced.hazard.as_ref().map(|h| h.kind),
+            plain.hazard.as_ref().map(|h| h.kind),
+            "{name} n={n}"
+        );
     }
-}
-
-/// At n = 4 the splitter's orbits are big enough for a tenfold
-/// quotient: the raw space is at least ten times the reduced one, and
-/// the two runs agree on safety, BFS depth and hazard kind.
-#[test]
-fn reduction_shrinks_the_splitter_tenfold_at_four_processes() {
-    let alg = conformance_registry()
-        .resolve_str("splitter", 4)
-        .expect("resolves")
-        .automaton;
-    let reduced = explore(alg.as_ref(), &ExploreConfig::default());
-    let plain = explore(alg.as_ref(), &cfg_with(|c| c.symmetry = false));
-    assert!(!reduced.truncated && !plain.truncated);
-    assert!(
-        plain.states >= 10 * reduced.states,
-        "expected ≥10x shrink at n=4, got {} vs {}",
-        reduced.states,
-        plain.states
-    );
-    assert_eq!(reduced.certified_safe(), plain.certified_safe());
-    assert_eq!(reduced.depth, plain.depth);
-    assert_eq!(
-        reduced.hazard.as_ref().map(|h| h.kind),
-        plain.hazard.as_ref().map(|h| h.kind)
-    );
 }
 
 /// Hazard schedules of the reduced exploration replay verbatim: the
