@@ -241,9 +241,27 @@ fn pipeline_digest<A: Automaton>(alg: &A, pi: &Permutation) -> u64 {
     h.0
 }
 
+/// One registry entry at `n`: the digests of [`pipeline_digest`] over
+/// the identity, the reversal and two seeded permutations, folded.
+fn four_pi_digest(name: &str, n: usize) -> u64 {
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let resolved = AlgorithmRegistry::global()
+        .resolve_str(name, n)
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+    let alg = DynRef(resolved.automaton.as_ref());
+    let mut perms = vec![Permutation::identity(n), Permutation::reversed(n)];
+    perms.extend([1u64, 2].map(|seed| Permutation::random(n, &mut StdRng::seed_from_u64(seed))));
+    let mut h = Fnv::new();
+    for pi in &perms {
+        h.u64(pipeline_digest(&alg, pi));
+    }
+    h.0
+}
+
 /// The nine registry entries the construction accepts, with one pinned
-/// digest per size in [`DIGEST_SIZES`]. Each digest folds the identity,
-/// the reversal and two seeded permutations.
+/// [`four_pi_digest`] per size in [`DIGEST_SIZES`].
 #[rustfmt::skip]
 const PINNED_DIGESTS: [(&str, [u64; 4]); 9] = [
     ("dekker-tree", [0xb78935a92eabbca5, 0xc8123f652dca1495, 0x6ecd92bd9e9cffe7, 0x5f49d91a04b63c59]),
@@ -261,31 +279,10 @@ const DIGEST_SIZES: [usize; 4] = [2, 3, 5, 8];
 
 #[test]
 fn pipeline_outputs_match_their_pinned_digests() {
-    use exclusion::mutex::registry::AlgorithmRegistry;
-    use exclusion::shmem::dynamic::DynRef;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
-
-    let reg = AlgorithmRegistry::global();
-    let mut got = Vec::new();
-    for (name, _) in PINNED_DIGESTS {
-        let digests = DIGEST_SIZES.map(|n| {
-            let resolved = reg
-                .resolve_str(name, n)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            let alg = DynRef(resolved.automaton.as_ref());
-            let mut perms = vec![Permutation::identity(n), Permutation::reversed(n)];
-            perms.extend(
-                [1u64, 2].map(|seed| Permutation::random(n, &mut StdRng::seed_from_u64(seed))),
-            );
-            let mut h = Fnv::new();
-            for pi in &perms {
-                h.u64(pipeline_digest(&alg, pi));
-            }
-            h.0
-        });
-        got.push((name, digests));
-    }
+    let got: Vec<_> = PINNED_DIGESTS
+        .iter()
+        .map(|&(name, _)| (name, DIGEST_SIZES.map(|n| four_pi_digest(name, n))))
+        .collect();
     let table: String = got
         .iter()
         .map(|(name, d)| {
@@ -299,6 +296,34 @@ fn pipeline_outputs_match_their_pinned_digests() {
         got.iter()
             .zip(&PINNED_DIGESTS)
             .all(|(a, b)| a.0 == b.0 && a.1 == b.1),
+        "pipeline output changed; digests now:\n{table}"
+    );
+}
+
+/// The sizes the benchmark's pipeline workload runs, where chains are
+/// long and metasteps with several owners or prereads are many: one
+/// [`four_pi_digest`] per row.
+#[rustfmt::skip]
+const PINNED_LARGE_DIGESTS: [(&str, usize, u64); 5] = [
+    ("bakery", 64, 0x3840545e22dea81d),
+    ("burns-lynch", 64, 0xb27dd2e545e672c7),
+    ("dijkstra", 64, 0xb054e31f492e3817),
+    ("dekker-tree", 256, 0x4136a940cb931660),
+    ("peterson", 256, 0xf9bb356693459c72),
+];
+
+#[test]
+fn pipeline_outputs_at_benchmark_sizes_match_their_pinned_digests() {
+    let got: Vec<_> = PINNED_LARGE_DIGESTS
+        .iter()
+        .map(|&(name, n, _)| (name, n, four_pi_digest(name, n)))
+        .collect();
+    let table: String = got
+        .iter()
+        .map(|(name, n, d)| format!("    (\"{name}\", {n}, {d:#018x}),\n"))
+        .collect();
+    assert!(
+        got == PINNED_LARGE_DIGESTS,
         "pipeline output changed; digests now:\n{table}"
     );
 }
