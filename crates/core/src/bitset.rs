@@ -1,5 +1,9 @@
-//! A minimal growable bitset, used for the construction frontier and the
-//! linearization bookkeeping.
+//! A minimal growable bitset: the visited set of [`Dag::le`]'s
+//! reachability search. The construction's frontier does not use it;
+//! that is one prefix length per process chain (see the module notes of
+//! [`construct`](mod@crate::construct)).
+//!
+//! [`Dag::le`]: crate::Dag::le
 
 /// A growable set of small integers backed by `u64` words.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]

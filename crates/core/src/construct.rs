@@ -29,12 +29,22 @@
 //!    unexecuted write metastep on its register (becoming its preread),
 //!    which pins down the value it reads in *every* linearization (see
 //!    [`ConstructConfig::sr_preread_remedy`]).
-//! 3. `µ ≼ m′` is answered from the frontier's ancestor bitset, and the
-//!    maximal unexecuted reads of line 21 come from one backward sweep
-//!    over the DAG. The sweep may stop at the frontier: the frontier is
-//!    the down-closed set of ancestors of `m′`, so anything at or below
-//!    a frontier member is itself a frontier member, and a path between
-//!    two candidates outside it never passes through it.
+//! 3. A down-closed set of metasteps is one prefix length per process
+//!    chain. Every metastep lies on the chain of each process with a step
+//!    in it, and edges are added at three sites only: `extend_chain`
+//!    joins consecutive entries of a chain, the prereads of lines 21–24
+//!    point into a fresh write metastep, and the SR-read completion
+//!    points into an unexecuted one. So `µ ≼ m′` is one comparison
+//!    against the prefix of µ's creator. A *cross* metastep, one with a
+//!    second owner or a non-chain predecessor, records the prefixes its
+//!    membership implies (a join adds the joiner's chain through it, a
+//!    preread or the completion its source's), and each chain lists its
+//!    cross positions. Closing a set therefore visits only the cross
+//!    metasteps among the chain entries it newly covers. The maximal
+//!    unexecuted reads of line 21 come from the same closure on a scratch
+//!    copy of the prefixes: a read metastep has one owner and no
+//!    predecessor but its chain's, so its strict ancestors are its chain
+//!    prefix, exclusive of itself.
 
 use exclusion_shmem::{Automaton, NextStep, Observation, ProcessId, RegisterId, Step, Value};
 
@@ -45,47 +55,81 @@ use crate::perm::Permutation;
 
 /// Direct-edge adjacency of the partial order `≼` (edges are the
 /// relations the construction adds; `≼` is their reflexive-transitive
-/// closure).
+/// closure), in compressed rows. Each row keeps the order in which the
+/// construction added its edges.
 #[derive(Clone, Debug, Default)]
 pub struct Dag {
-    preds: Vec<Vec<MetastepId>>,
-    succs: Vec<Vec<MetastepId>>,
+    preds: Rows,
+    succs: Rows,
+}
+
+/// One adjacency in compressed rows: row `i` is
+/// `items[ends[i - 1]..ends[i]]`, and row 0 starts at 0.
+#[derive(Clone, Debug, Default)]
+struct Rows {
+    ends: Vec<u32>,
+    items: Vec<MetastepId>,
+}
+
+impl Rows {
+    /// Groups `(row, item)` pairs by row, keeping their order within a
+    /// row.
+    fn group(rows: usize, pairs: impl Iterator<Item = (usize, MetastepId)> + Clone) -> Rows {
+        let mut ends = vec![0u32; rows];
+        for (row, _) in pairs.clone() {
+            ends[row] += 1;
+        }
+        // Each row's start; filling a row advances its entry to its end.
+        let mut start = 0;
+        for e in &mut ends {
+            (*e, start) = (start, start + *e);
+        }
+        let mut items = vec![MetastepId(0); start as usize];
+        for (row, item) in pairs {
+            items[ends[row] as usize] = item;
+            ends[row] += 1;
+        }
+        Rows { ends, items }
+    }
+
+    fn row(&self, i: usize) -> &[MetastepId] {
+        let start = if i == 0 { 0 } else { self.ends[i - 1] };
+        &self.items[start as usize..self.ends[i] as usize]
+    }
 }
 
 impl Dag {
-    fn add_node(&mut self) {
-        self.preds.push(Vec::new());
-        self.succs.push(Vec::new());
-    }
-
-    fn add_edge(&mut self, a: MetastepId, b: MetastepId) {
-        debug_assert_ne!(a, b, "no self edges");
-        self.preds[b.index()].push(a);
-        self.succs[a.index()].push(b);
+    /// The DAG on `nodes` metasteps with the generating `edges`, each an
+    /// `(a, b)` pair for `a ≼ b`.
+    fn from_edges(nodes: usize, edges: &[(MetastepId, MetastepId)]) -> Dag {
+        Dag {
+            preds: Rows::group(nodes, edges.iter().map(|&(a, b)| (b.index(), a))),
+            succs: Rows::group(nodes, edges.iter().map(|&(a, b)| (a.index(), b))),
+        }
     }
 
     /// Direct predecessors of `m`.
     #[must_use]
     pub fn preds(&self, m: MetastepId) -> &[MetastepId] {
-        &self.preds[m.index()]
+        self.preds.row(m.index())
     }
 
     /// Direct successors of `m`.
     #[must_use]
     pub fn succs(&self, m: MetastepId) -> &[MetastepId] {
-        &self.succs[m.index()]
+        self.succs.row(m.index())
     }
 
     /// Number of nodes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.preds.len()
+        self.preds.ends.len()
     }
 
     /// Whether the DAG has no nodes.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
+        self.preds.ends.is_empty()
     }
 
     /// Whether `a ≼ b` (reflexive, transitive reachability). Each call
@@ -99,7 +143,7 @@ impl Dag {
         let mut seen = BitSet::with_capacity(self.len());
         let mut stack = vec![b];
         while let Some(x) = stack.pop() {
-            for &p in &self.preds[x.index()] {
+            for &p in self.preds(x) {
                 if p == a {
                     return true;
                 }
@@ -112,41 +156,136 @@ impl Dag {
     }
 }
 
-/// The monotone ancestor set of the current stage's frontier metastep
-/// `m′`: `contains(µ)` answers `µ ≼ m′` in O(1), and advancing the
-/// frontier costs amortized O(edges) per stage. The DFS stack is kept
-/// for the whole stage, so neither `advance` nor
-/// [`maximal_unexecuted`] allocates one per call.
-struct Frontier {
-    in_anc: BitSet,
-    stack: Vec<MetastepId>,
+/// The first `len` entries of process `pid`'s chain.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+struct Prefix {
+    pid: u32,
+    len: u32,
 }
 
-impl Frontier {
-    fn new() -> Self {
-        Frontier {
-            in_anc: BitSet::new(),
-            stack: Vec::new(),
+/// `Weave::cross` of a metastep on one chain whose only predecessor is
+/// its chain's.
+const NOT_CROSS: u32 = u32::MAX;
+
+/// What the construction knows of `≼` while it builds it (module
+/// note 3), and the current stage's frontier.
+struct Weave {
+    /// The generating edges, in the order they were added.
+    edges: Vec<(MetastepId, MetastepId)>,
+    /// Per metastep: the prefix of its creator's chain that ends with
+    /// it.
+    cover: Vec<Prefix>,
+    /// Per metastep: its row of `needs`, or [`NOT_CROSS`].
+    cross: Vec<u32>,
+    /// Per cross metastep: the prefixes its membership in a down-closed
+    /// set implies — its own cover, each joiner's chain through it, and
+    /// each non-chain predecessor's cover.
+    needs: Vec<Vec<Prefix>>,
+    /// Per process: the positions of its chain that hold a cross
+    /// metastep, ascending, each with that metastep's row of `needs`.
+    crossings: Vec<Vec<(u32, u32)>>,
+    /// Read metasteps per register that are not yet prereads and may
+    /// still be overtaken by a future write metastep (cleared at each
+    /// write metastep creation).
+    pending_reads: Vec<Vec<MetastepId>>,
+    /// The ancestors of the current stage's `m′`: per process, how many
+    /// entries of its chain are `≼ m′`.
+    frontier: Vec<u32>,
+    /// [`maximal_unexecuted`]'s copy of `frontier`.
+    scratch: Vec<u32>,
+    /// Prefixes a closure has yet to cover.
+    work: Vec<Prefix>,
+}
+
+impl Weave {
+    fn new(n: usize, registers: usize) -> Self {
+        Weave {
+            edges: Vec::new(),
+            cover: Vec::new(),
+            cross: Vec::new(),
+            needs: Vec::new(),
+            crossings: vec![Vec::new(); n],
+            pending_reads: vec![Vec::new(); registers],
+            frontier: vec![0; n],
+            scratch: vec![0; n],
+            work: Vec::new(),
         }
     }
 
-    fn contains(&self, m: MetastepId) -> bool {
-        self.in_anc.contains(m.index())
+    fn add_edge(&mut self, a: MetastepId, b: MetastepId) {
+        debug_assert_ne!(a, b, "no self edges");
+        self.edges.push((a, b));
     }
 
-    /// Moves the frontier to `to` (which must be ≽ the previous
-    /// frontier), pulling every new ancestor into the set.
-    fn advance(&mut self, dag: &Dag, to: MetastepId) {
-        self.stack.push(to);
-        while let Some(x) = self.stack.pop() {
-            if !self.in_anc.insert(x.index()) {
-                continue;
-            }
-            for &p in &dag.preds[x.index()] {
-                if !self.in_anc.contains(p.index()) {
-                    self.stack.push(p);
-                }
-            }
+    /// Records that `m`'s membership in a down-closed set implies
+    /// `prefix`; returns `m`'s row of `needs`. The first need makes `m`
+    /// cross on its creator's chain.
+    fn add_need(&mut self, m: MetastepId, prefix: Prefix) -> u32 {
+        let mut row = self.cross[m.index()];
+        if row == NOT_CROSS {
+            row = self.needs.len() as u32;
+            self.cross[m.index()] = row;
+            let cover = self.cover[m.index()];
+            self.needs.push(vec![cover]);
+            self.mark(cover, row);
+        }
+        self.needs[row as usize].push(prefix);
+        row
+    }
+
+    /// Lists the last entry of `prefix`, a cross metastep with `row`,
+    /// among its chain's crossings.
+    fn mark(&mut self, prefix: Prefix, row: u32) {
+        let list = &mut self.crossings[prefix.pid as usize];
+        let at = list.partition_point(|&(pos, _)| pos < prefix.len - 1);
+        list.insert(at, (prefix.len - 1, row));
+    }
+
+    /// Whether `m ≼ m′`.
+    fn executed(&self, m: MetastepId) -> bool {
+        let Prefix { pid, len } = self.cover[m.index()];
+        self.frontier[pid as usize] >= len
+    }
+
+    /// Moves the frontier to the last entry of `pid`'s chain, which must
+    /// be ≽ the previous frontier.
+    fn advance(&mut self, chains: &[Vec<MetastepId>], pid: ProcessId) {
+        self.work.push(Prefix {
+            pid: pid.index() as u32,
+            len: chains[pid.index()].len() as u32,
+        });
+        close(
+            &mut self.frontier,
+            &mut self.work,
+            &self.crossings,
+            &self.needs,
+        );
+    }
+}
+
+/// Raises the down-closed set `lens` (one prefix length per chain) to
+/// also cover the prefixes on `work`, emptying it. Of the newly covered
+/// chain entries, only the cross ones are visited.
+fn close(
+    lens: &mut [u32],
+    work: &mut Vec<Prefix>,
+    crossings: &[Vec<(u32, u32)>],
+    needs: &[Vec<Prefix>],
+) {
+    while let Some(Prefix { pid, len }) = work.pop() {
+        let have = lens[pid as usize];
+        if len <= have {
+            continue;
+        }
+        lens[pid as usize] = len;
+        let list = &crossings[pid as usize];
+        let from = list.partition_point(|&(pos, _)| pos < have);
+        for &(_, row) in list[from..].iter().take_while(|&&(pos, _)| pos < len) {
+            work.extend(
+                needs[row as usize]
+                    .iter()
+                    .filter(|p| lens[p.pid as usize] < p.len),
+            );
         }
     }
 }
@@ -356,14 +495,11 @@ pub fn construct_stages<A: Automaton>(
         stages: stages.to_vec(),
         sr_remedy_edges: 0,
     };
-    // Read metasteps per register that are not yet prereads and may still
-    // be overtaken by a future write metastep (cleared at each write
-    // metastep creation).
-    let mut pending_reads: Vec<Vec<MetastepId>> = vec![Vec::new(); registers];
-
+    let mut weave = Weave::new(n, registers);
     for (stage, &pid) in stages.iter().enumerate() {
-        generate(alg, &mut c, &mut pending_reads, stage, pid, cfg)?;
+        generate(alg, &mut c, &mut weave, stage, pid, cfg)?;
     }
+    c.dag = Dag::from_edges(c.metasteps.len(), &weave.edges);
     Ok(c)
 }
 
@@ -371,25 +507,24 @@ pub fn construct_stages<A: Automaton>(
 fn generate<A: Automaton>(
     alg: &A,
     c: &mut Construction,
-    pending_reads: &mut [Vec<MetastepId>],
+    w: &mut Weave,
     stage: usize,
     pid: ProcessId,
     cfg: &ConstructConfig,
 ) -> Result<(), ConstructError> {
     let mut state = alg.initial_state(pid);
-    let mut frontier = Frontier::new();
+    w.frontier.fill(0);
 
     // Line 8: the stage opens with p's `try` metastep.
-    let mut m_prev = new_crit(c, Step::crit(pid, exclusion_shmem::CritKind::Try));
-    c.chains[pid.index()].push(m_prev);
-    frontier.advance(&c.dag, m_prev);
+    let m = new_crit(c, w, pid, Step::crit(pid, exclusion_shmem::CritKind::Try));
+    extend_chain(c, w, pid, m);
     state = alg.observe(pid, &state, Observation::Crit);
 
     for _ in 0..cfg.max_steps_per_stage {
         match alg.next_step(pid, &state) {
             NextStep::Write(reg, value) => {
                 let e = Step::write(pid, reg, value);
-                let mw = first_unexecuted_write(c, &frontier, reg, |_| true);
+                let mw = first_unexecuted_write(c, w, reg, |_| true);
                 let target = if let Some(mw) = mw {
                     // Line 16: hide the write under mw's winner.
                     c.metasteps[mw.index()].writes.push(e);
@@ -397,20 +532,18 @@ fn generate<A: Automaton>(
                 } else {
                     // Lines 19–26: fresh write metastep, overtaking all
                     // pending reads on the register.
-                    let m = new_write(c, reg, e);
-                    let cands = std::mem::take(&mut pending_reads[reg.index()]);
-                    for r in maximal_unexecuted(c, &mut frontier, cands) {
-                        c.dag.add_edge(r, m);
+                    let m = new_write(c, w, pid, reg, e);
+                    let cands = std::mem::take(&mut w.pending_reads[reg.index()]);
+                    for r in maximal_unexecuted(w, cands) {
+                        w.add_edge(r, m);
+                        w.add_need(m, w.cover[r.index()]);
                         c.metasteps[m.index()].pread.push(r);
                         c.metasteps[r.index()].preread_of = Some(m);
                     }
                     c.reg_writes[reg.index()].push(m);
                     m
                 };
-                c.chains[pid.index()].push(target);
-                c.dag.add_edge(m_prev, target);
-                m_prev = target;
-                frontier.advance(&c.dag, m_prev);
+                extend_chain(c, w, pid, target);
                 let next = alg.observe(pid, &state, Observation::Write);
                 if next == state {
                     return Err(ConstructError::WriteLoop { stage, pid, reg });
@@ -421,45 +554,40 @@ fn generate<A: Automaton>(
                 let e = Step::read(pid, reg);
                 // Lines 28–31: minimal unexecuted write metastep whose
                 // value changes the reader's state.
-                let msw = first_unexecuted_write(c, &frontier, reg, |m| {
+                let msw = first_unexecuted_write(c, w, reg, |m| {
                     let v = c.metasteps[m.index()].value().expect("write value");
                     alg.observe(pid, &state, Observation::Read(v)) != state
                 });
                 if let Some(msw) = msw {
                     let v = c.metasteps[msw.index()].value().expect("write value");
                     c.metasteps[msw.index()].reads.push(e);
-                    c.chains[pid.index()].push(msw);
-                    c.dag.add_edge(m_prev, msw);
-                    m_prev = msw;
-                    frontier.advance(&c.dag, m_prev);
+                    extend_chain(c, w, pid, msw);
                     state = alg.observe(pid, &state, Observation::Read(v));
                 } else {
                     // Lines 33–35 (+ the SR-read completion): fresh
                     // read metastep, reading the current value.
-                    let cur = current_value(alg, c, &frontier, reg);
+                    let cur = current_value(alg, c, w, reg);
                     let next = alg.observe(pid, &state, Observation::Read(cur));
                     if next == state {
                         return Err(ConstructError::Stuck { stage, pid, reg });
                     }
-                    let m = new_read(c, reg, e);
+                    let m = new_read(c, w, pid, reg, e);
                     let wmin = cfg
                         .sr_preread_remedy
-                        .then(|| first_unexecuted_write(c, &frontier, reg, |_| true))
+                        .then(|| first_unexecuted_write(c, w, reg, |_| true))
                         .flatten();
                     if let Some(wmin) = wmin {
                         // Completion: pin the read before every
                         // unexecuted write on the register.
-                        c.dag.add_edge(m, wmin);
+                        w.add_edge(m, wmin);
+                        w.add_need(wmin, w.cover[m.index()]);
                         c.metasteps[wmin.index()].pread.push(m);
                         c.metasteps[m.index()].preread_of = Some(wmin);
                         c.sr_remedy_edges += 1;
                     } else {
-                        pending_reads[reg.index()].push(m);
+                        w.pending_reads[reg.index()].push(m);
                     }
-                    c.chains[pid.index()].push(m);
-                    c.dag.add_edge(m_prev, m);
-                    m_prev = m;
-                    frontier.advance(&c.dag, m_prev);
+                    extend_chain(c, w, pid, m);
                     state = next;
                 }
             }
@@ -470,11 +598,8 @@ fn generate<A: Automaton>(
             }
             NextStep::Crit(kind) => {
                 // Lines 37–39.
-                let m = new_crit(c, Step::crit(pid, kind));
-                c.chains[pid.index()].push(m);
-                c.dag.add_edge(m_prev, m);
-                m_prev = m;
-                frontier.advance(&c.dag, m_prev);
+                let m = new_crit(c, w, pid, Step::crit(pid, kind));
+                extend_chain(c, w, pid, m);
                 state = alg.observe(pid, &state, Observation::Crit);
                 if kind == exclusion_shmem::CritKind::Rem {
                     return Ok(());
@@ -489,32 +614,47 @@ fn generate<A: Automaton>(
     })
 }
 
+/// Appends `m` to `pid`'s chain, ordered after the chain's previous
+/// entry, and moves the frontier to it. If another process created `m`,
+/// `pid` joins it: covering `m` now needs `pid`'s chain through it.
+fn extend_chain(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: MetastepId) {
+    let chain = &mut c.chains[pid.index()];
+    if let Some(&prev) = chain.last() {
+        w.add_edge(prev, m);
+    }
+    chain.push(m);
+    let through = Prefix {
+        pid: pid.index() as u32,
+        len: chain.len() as u32,
+    };
+    if w.cover[m.index()] != through {
+        let row = w.add_need(m, through);
+        w.mark(through, row);
+    }
+    w.advance(&c.chains, pid);
+}
+
 /// The first (minimal, by Lemma 5.3's total order) write metastep on
 /// `reg` that is not ≼ the frontier and satisfies `accept`.
 fn first_unexecuted_write(
     c: &Construction,
-    frontier: &Frontier,
+    w: &Weave,
     reg: RegisterId,
     accept: impl Fn(MetastepId) -> bool,
 ) -> Option<MetastepId> {
     c.reg_writes[reg.index()]
         .iter()
         .copied()
-        .filter(|&m| !frontier.contains(m))
+        .filter(|&m| !w.executed(m))
         .find(|&m| accept(m))
 }
 
 /// The value of `reg` at the frontier: the value of the last write
 /// metastep ≼ m′, or the initial value.
-fn current_value<A: Automaton>(
-    alg: &A,
-    c: &Construction,
-    frontier: &Frontier,
-    reg: RegisterId,
-) -> Value {
+fn current_value<A: Automaton>(alg: &A, c: &Construction, w: &Weave, reg: RegisterId) -> Value {
     c.reg_writes[reg.index()]
         .iter()
-        .take_while(|&&m| frontier.contains(m))
+        .take_while(|&&m| w.executed(m))
         .last()
         .and_then(|&m| c.metasteps[m.index()].value())
         .unwrap_or_else(|| alg.initial_value(reg))
@@ -523,41 +663,46 @@ fn current_value<A: Automaton>(
 /// The maximal (w.r.t. ≼) elements among the candidates not ≼ the
 /// frontier — the set `Mr` of Figure 1 line 21 — in candidate order.
 ///
-/// One backward sweep from the live candidates marks every strict
-/// ancestor of one; the unmarked live candidates are the maximal ones.
-/// The sweep never enters the frontier (see the module notes), so it
-/// visits only unexecuted metasteps.
-fn maximal_unexecuted(
-    c: &Construction,
-    frontier: &mut Frontier,
-    mut cands: Vec<MetastepId>,
-) -> Vec<MetastepId> {
-    let Frontier { in_anc, stack } = frontier;
-    cands.retain(|m| !in_anc.contains(m.index()));
-    let mut below = BitSet::with_capacity(c.dag.len());
-    stack.extend_from_slice(&cands);
-    while let Some(x) = stack.pop() {
-        for &p in c.dag.preds(x) {
-            if !in_anc.contains(p.index()) && below.insert(p.index()) {
-                stack.push(p);
-            }
+/// The candidates are read metasteps, so a candidate's strict ancestors
+/// are its chain prefix, exclusive of itself (module note 3). Closing
+/// the frontier with every live candidate's such prefix covers exactly
+/// the live candidates below another one; the rest are maximal.
+fn maximal_unexecuted(w: &mut Weave, mut cands: Vec<MetastepId>) -> Vec<MetastepId> {
+    cands.retain(|&m| !w.executed(m));
+    w.scratch.clone_from(&w.frontier);
+    w.work.extend(cands.iter().map(|r| {
+        let cover = w.cover[r.index()];
+        Prefix {
+            len: cover.len - 1,
+            ..cover
         }
-    }
-    cands.retain(|m| !below.contains(m.index()));
+    }));
+    close(&mut w.scratch, &mut w.work, &w.crossings, &w.needs);
+    cands.retain(|r| {
+        let Prefix { pid, len } = w.cover[r.index()];
+        w.scratch[pid as usize] < len
+    });
     cands
 }
 
-fn new_metastep(c: &mut Construction, m: Metastep) -> MetastepId {
+/// Adds `m`, which `pid` creates as the next entry of its chain.
+fn new_metastep(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep) -> MetastepId {
     let id = m.id;
     c.metasteps.push(m);
-    c.dag.add_node();
+    w.cover.push(Prefix {
+        pid: pid.index() as u32,
+        len: c.chains[pid.index()].len() as u32 + 1,
+    });
+    w.cross.push(NOT_CROSS);
     id
 }
 
-fn new_crit(c: &mut Construction, step: Step) -> MetastepId {
+fn new_crit(c: &mut Construction, w: &mut Weave, pid: ProcessId, step: Step) -> MetastepId {
     let id = MetastepId(c.metasteps.len() as u32);
     new_metastep(
         c,
+        w,
+        pid,
         Metastep {
             id,
             kind: MetastepKind::Crit,
@@ -572,10 +717,18 @@ fn new_crit(c: &mut Construction, step: Step) -> MetastepId {
     )
 }
 
-fn new_write(c: &mut Construction, reg: RegisterId, winner: Step) -> MetastepId {
+fn new_write(
+    c: &mut Construction,
+    w: &mut Weave,
+    pid: ProcessId,
+    reg: RegisterId,
+    winner: Step,
+) -> MetastepId {
     let id = MetastepId(c.metasteps.len() as u32);
     new_metastep(
         c,
+        w,
+        pid,
         Metastep {
             id,
             kind: MetastepKind::Write,
@@ -590,10 +743,18 @@ fn new_write(c: &mut Construction, reg: RegisterId, winner: Step) -> MetastepId 
     )
 }
 
-fn new_read(c: &mut Construction, reg: RegisterId, read: Step) -> MetastepId {
+fn new_read(
+    c: &mut Construction,
+    w: &mut Weave,
+    pid: ProcessId,
+    reg: RegisterId,
+    read: Step,
+) -> MetastepId {
     let id = MetastepId(c.metasteps.len() as u32);
     new_metastep(
         c,
+        w,
+        pid,
         Metastep {
             id,
             kind: MetastepKind::Read,
@@ -801,6 +962,74 @@ mod tests {
             let lin = c.linearize_random(seed);
             exclusion_shmem::replay(&GateToy, lin.steps(), |_| {})
                 .unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        }
+    }
+
+    /// A three-process automaton whose last stage must see through the
+    /// SR-read completion. `p0` writes `ℓ := 1`. `p1` writes `x := 1`,
+    /// then busy-waits until `ℓ == 0`: as in [`GateToy`], its read
+    /// becomes a fresh read metastep, ordered before `p0`'s write by the
+    /// completion. `p2` reads `ℓ`, joining `p0`'s write, then reads `x`.
+    #[derive(Clone, Copy, Debug)]
+    struct CompletionToy;
+
+    impl exclusion_shmem::Automaton for CompletionToy {
+        type State = u8;
+
+        fn processes(&self) -> usize {
+            3
+        }
+        fn registers(&self) -> usize {
+            2
+        }
+        fn initial_state(&self, _p: ProcessId) -> u8 {
+            0
+        }
+        fn next_step(&self, p: ProcessId, s: &u8) -> exclusion_shmem::NextStep {
+            use exclusion_shmem::{CritKind, NextStep};
+            let (l, x) = (RegisterId::new(0), RegisterId::new(1));
+            match (p.index(), s) {
+                (_, 0) => NextStep::Crit(CritKind::Try),
+                (0, 1) => NextStep::Write(l, 1),
+                (0, 2) => NextStep::Crit(CritKind::Enter),
+                (0, 3) => NextStep::Crit(CritKind::Exit),
+                (0, _) => NextStep::Crit(CritKind::Rem),
+                (1, 1) => NextStep::Write(x, 1),
+                (1, 2) | (2, 1) => NextStep::Read(l),
+                (2, 2) => NextStep::Read(x),
+                (_, 3) => NextStep::Crit(CritKind::Enter),
+                (_, 4) => NextStep::Crit(CritKind::Exit),
+                _ => NextStep::Crit(CritKind::Rem),
+            }
+        }
+        fn observe(&self, p: ProcessId, s: &u8, obs: exclusion_shmem::Observation) -> u8 {
+            use exclusion_shmem::Observation;
+            match (p.index(), s, obs) {
+                (1, 2, Observation::Read(v)) if v != 0 => 2, // keep spinning
+                (0, 4, _) | (_, 5, _) => 0,
+                _ => s + 1,
+            }
+        }
+    }
+
+    #[test]
+    fn later_stages_see_through_the_completion() {
+        let pi = Permutation::identity(3);
+        let c = construct(&CompletionToy, &pi, &ConstructConfig::default()).unwrap();
+        assert_eq!(c.sr_remedy_edges(), 1, "the completion must fire once");
+        // Once p2 has joined p0's write, the completion puts p1's read,
+        // and so p1's write to x, below p2's frontier: p2 reads x = 1
+        // from a fresh read metastep. A frontier that stopped at the
+        // completion edge would offer p1's write to p2 as unexecuted,
+        // and p2 joining it behind p0's write would close a cycle.
+        let p2 = c.chain(ProcessId::new(2));
+        assert_eq!(c.metastep(p2[2]).kind(), MetastepKind::Read);
+        let mut lins = vec![c.linearize()];
+        lins.extend((0..20).map(|s| c.linearize_random(s)));
+        for lin in lins {
+            assert!(c.is_linearization(&lin));
+            exclusion_shmem::replay(&CompletionToy, lin.steps(), |_| {})
+                .unwrap_or_else(|e| panic!("{e}"));
         }
     }
 
