@@ -1,7 +1,8 @@
 //! Cross-engine bounds: the exhaustive worst-case search dominates
-//! every sampled adversary, its exact values are pinned at small `n`,
-//! and its witnesses are executable — finite witnesses replay to
-//! exactly the exact cost via `run_priced`, unbounded verdicts pump.
+//! every sampled adversary and every canonical execution of the paper's
+//! construction, its exact values are pinned at small `n`, and its
+//! witnesses are executable — finite witnesses replay to exactly the
+//! exact cost via `run_priced`, unbounded verdicts pump.
 //!
 //! The sampled side sweeps the shared small-`n` fixture grid
 //! (`shmem::testing::fixtures`): the same scheduler specs and seeds the
@@ -11,6 +12,7 @@ use exclusion::cost::{run_priced, run_priced_dyn};
 use exclusion::explore::{
     conformance_registry, price_schedule, worst_case, ExploreConfig, Model, WorstCost,
 };
+use exclusion::lb::{construct, ConstructConfig, Permutation};
 use exclusion::shmem::sched::Script;
 use exclusion::shmem::testing::fixtures;
 use exclusion::shmem::{DynRef, ProcessId, System};
@@ -181,5 +183,66 @@ fn exact_witnesses_complete_every_passage() {
         for p in ProcessId::all(n) {
             assert_eq!(sys.passages(p), 1, "{name}: {p} did not complete");
         }
+    }
+}
+
+/// The paper's own executions join the chain. For every π at n = 2 and
+/// 3, the deterministic linearization α_π of `construct(π)` replays
+/// step for step through `Script` and `run_priced` (one passage),
+/// completes every passage and costs exactly C(α_π) under SC. No α_π
+/// costs more than the explorer's exact SC worst case, where that is
+/// finite. The largest C(α_π) per row is pinned; bakery's equals its
+/// exact worst case.
+#[test]
+fn canonical_executions_replay_and_stay_below_the_exact_worst_case() {
+    const MAX_CANONICAL: &[(&str, usize, usize)] = &[
+        ("dekker-tree", 2, 8),
+        ("dekker-tree", 3, 24),
+        ("bakery", 2, 16),
+        ("bakery", 3, 33),
+        ("peterson", 2, 8),
+        ("peterson", 3, 24),
+        ("burns-lynch", 2, 9),
+        ("burns-lynch", 3, 18),
+    ];
+    let registry = conformance_registry();
+    let cfg = ExploreConfig::default();
+    for &(name, n, pinned) in MAX_CANONICAL {
+        let alg = registry.resolve_str(name, n).expect("resolves").automaton;
+        let dref = DynRef(alg.as_ref());
+        let report = worst_case(alg.as_ref(), Model::Sc, &cfg);
+        assert!(!report.truncated, "{name} n={n}");
+        let exact = report.cost.exact();
+        assert!(
+            exact.is_some() || report.cost.is_unbounded(),
+            "{name} n={n}"
+        );
+        let mut max = 0;
+        for pi in Permutation::all(n) {
+            let c = construct(&dref, &pi, &ConstructConfig::default())
+                .unwrap_or_else(|e| panic!("{name} {pi}: {e}"));
+            let alpha = c.linearize();
+            let picks: Vec<ProcessId> = alpha.iter().map(|s| s.pid()).collect();
+            let priced = run_priced(&dref, &mut Script::new(picks.clone()), 1, picks.len() + 1)
+                .expect("α_π runs");
+            assert_eq!(priced.steps, picks.len(), "{name} {pi}");
+            assert_eq!(Model::Sc.total_of(&priced), c.cost(), "{name} {pi}");
+            let mut sys = System::new(&dref);
+            for (t, &p) in picks.iter().enumerate() {
+                assert_eq!(sys.step(p).step, alpha.steps()[t], "{name} {pi}: step {t}");
+            }
+            for p in ProcessId::all(n) {
+                assert_eq!(sys.passages(p), 1, "{name} {pi}: {p} did not complete");
+            }
+            if let Some(exact) = exact {
+                assert!(
+                    c.cost() <= exact,
+                    "{name} {pi}: C = {} > exact {exact}",
+                    c.cost()
+                );
+            }
+            max = max.max(c.cost());
+        }
+        assert_eq!(max, pinned, "{name} n={n}: largest C(α_π) drifted");
     }
 }
