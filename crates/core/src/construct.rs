@@ -163,10 +163,6 @@ struct Prefix {
     len: u32,
 }
 
-/// `Weave::cross` of a metastep on one chain whose only predecessor is
-/// its chain's.
-const NOT_CROSS: u32 = u32::MAX;
-
 /// What the construction knows of `≼` while it builds it (module
 /// note 3), and the current stage's frontier.
 struct Weave {
@@ -175,15 +171,13 @@ struct Weave {
     /// Per metastep: the prefix of its creator's chain that ends with
     /// it.
     cover: Vec<Prefix>,
-    /// Per metastep: its row of `needs`, or [`NOT_CROSS`].
-    cross: Vec<u32>,
-    /// Per cross metastep: the prefixes its membership in a down-closed
-    /// set implies — its own cover, each joiner's chain through it, and
-    /// each non-chain predecessor's cover.
+    /// Per metastep: empty unless it is cross; else the prefixes its
+    /// membership in a down-closed set implies — its cover, each
+    /// joiner's chain through it and each non-chain predecessor's cover.
     needs: Vec<Vec<Prefix>>,
     /// Per process: the positions of its chain that hold a cross
-    /// metastep, ascending, each with that metastep's row of `needs`.
-    crossings: Vec<Vec<(u32, u32)>>,
+    /// metastep, ascending, with the metastep.
+    crossings: Vec<Vec<(u32, MetastepId)>>,
     /// Read metasteps per register that are not yet prereads and may
     /// still be overtaken by a future write metastep (cleared at each
     /// write metastep creation).
@@ -202,7 +196,6 @@ impl Weave {
         Weave {
             edges: Vec::new(),
             cover: Vec::new(),
-            cross: Vec::new(),
             needs: Vec::new(),
             crossings: vec![Vec::new(); n],
             pending_reads: vec![Vec::new(); registers],
@@ -218,27 +211,22 @@ impl Weave {
     }
 
     /// Records that `m`'s membership in a down-closed set implies
-    /// `prefix`; returns `m`'s row of `needs`. The first need makes `m`
-    /// cross on its creator's chain.
-    fn add_need(&mut self, m: MetastepId, prefix: Prefix) -> u32 {
-        let mut row = self.cross[m.index()];
-        if row == NOT_CROSS {
-            row = self.needs.len() as u32;
-            self.cross[m.index()] = row;
+    /// `prefix`. The first need makes `m` cross on its creator's chain.
+    fn add_need(&mut self, m: MetastepId, prefix: Prefix) {
+        if self.needs[m.index()].is_empty() {
             let cover = self.cover[m.index()];
-            self.needs.push(vec![cover]);
-            self.mark(cover, row);
+            self.needs[m.index()].push(cover);
+            self.mark(cover, m);
         }
-        self.needs[row as usize].push(prefix);
-        row
+        self.needs[m.index()].push(prefix);
     }
 
-    /// Lists the last entry of `prefix`, a cross metastep with `row`,
-    /// among its chain's crossings.
-    fn mark(&mut self, prefix: Prefix, row: u32) {
+    /// Lists `m`, the last entry of `prefix`, among its chain's
+    /// crossings.
+    fn mark(&mut self, prefix: Prefix, m: MetastepId) {
         let list = &mut self.crossings[prefix.pid as usize];
         let at = list.partition_point(|&(pos, _)| pos < prefix.len - 1);
-        list.insert(at, (prefix.len - 1, row));
+        list.insert(at, (prefix.len - 1, m));
     }
 
     /// Whether `m ≼ m′`.
@@ -269,7 +257,7 @@ impl Weave {
 fn close(
     lens: &mut [u32],
     work: &mut Vec<Prefix>,
-    crossings: &[Vec<(u32, u32)>],
+    crossings: &[Vec<(u32, MetastepId)>],
     needs: &[Vec<Prefix>],
 ) {
     while let Some(Prefix { pid, len }) = work.pop() {
@@ -280,9 +268,9 @@ fn close(
         lens[pid as usize] = len;
         let list = &crossings[pid as usize];
         let from = list.partition_point(|&(pos, _)| pos < have);
-        for &(_, row) in list[from..].iter().take_while(|&&(pos, _)| pos < len) {
+        for &(_, m) in list[from..].iter().take_while(|&&(pos, _)| pos < len) {
             work.extend(
-                needs[row as usize]
+                needs[m.index()]
                     .iter()
                     .filter(|p| lens[p.pid as usize] < p.len),
             );
@@ -628,8 +616,8 @@ fn extend_chain(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep
         len: chain.len() as u32,
     };
     if w.cover[m.index()] != through {
-        let row = w.add_need(m, through);
-        w.mark(through, row);
+        w.add_need(m, through);
+        w.mark(through, m);
     }
     w.advance(&c.chains, pid);
 }
@@ -693,7 +681,7 @@ fn new_metastep(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep
         pid: pid.index() as u32,
         len: c.chains[pid.index()].len() as u32 + 1,
     });
-    w.cross.push(NOT_CROSS);
+    w.needs.push(Vec::new());
     id
 }
 
