@@ -235,13 +235,10 @@ impl Weave {
         self.frontier[pid as usize] >= len
     }
 
-    /// Moves the frontier to the last entry of `pid`'s chain, which must
-    /// be ≽ the previous frontier.
-    fn advance(&mut self, chains: &[Vec<MetastepId>], pid: ProcessId) {
-        self.work.push(Prefix {
-            pid: pid.index() as u32,
-            len: chains[pid.index()].len() as u32,
-        });
+    /// Moves the frontier to the last entry of `to`, which must be ≽ the
+    /// previous frontier.
+    fn advance(&mut self, to: Prefix) {
+        self.work.push(to);
         close(
             &mut self.frontier,
             &mut self.work,
@@ -504,7 +501,8 @@ fn generate<A: Automaton>(
     w.frontier.fill(0);
 
     // Line 8: the stage opens with p's `try` metastep.
-    let m = new_crit(c, w, pid, Step::crit(pid, exclusion_shmem::CritKind::Try));
+    let try_step = Step::crit(pid, exclusion_shmem::CritKind::Try);
+    let m = new_metastep(c, w, MetastepKind::Crit, try_step);
     extend_chain(c, w, pid, m);
     state = alg.observe(pid, &state, Observation::Crit);
 
@@ -520,7 +518,7 @@ fn generate<A: Automaton>(
                 } else {
                     // Lines 19–26: fresh write metastep, overtaking all
                     // pending reads on the register.
-                    let m = new_write(c, w, pid, reg, e);
+                    let m = new_metastep(c, w, MetastepKind::Write, e);
                     let cands = std::mem::take(&mut w.pending_reads[reg.index()]);
                     for r in maximal_unexecuted(w, cands) {
                         w.add_edge(r, m);
@@ -559,7 +557,7 @@ fn generate<A: Automaton>(
                     if next == state {
                         return Err(ConstructError::Stuck { stage, pid, reg });
                     }
-                    let m = new_read(c, w, pid, reg, e);
+                    let m = new_metastep(c, w, MetastepKind::Read, e);
                     let wmin = cfg
                         .sr_preread_remedy
                         .then(|| first_unexecuted_write(c, w, reg, |_| true))
@@ -586,7 +584,7 @@ fn generate<A: Automaton>(
             }
             NextStep::Crit(kind) => {
                 // Lines 37–39.
-                let m = new_crit(c, w, pid, Step::crit(pid, kind));
+                let m = new_metastep(c, w, MetastepKind::Crit, Step::crit(pid, kind));
                 extend_chain(c, w, pid, m);
                 state = alg.observe(pid, &state, Observation::Crit);
                 if kind == exclusion_shmem::CritKind::Rem {
@@ -619,7 +617,7 @@ fn extend_chain(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep
         w.add_need(m, through);
         w.mark(through, m);
     }
-    w.advance(&c.chains, pid);
+    w.advance(through);
 }
 
 /// The first (minimal, by Lemma 5.3's total order) write metastep on
@@ -673,88 +671,33 @@ fn maximal_unexecuted(w: &mut Weave, mut cands: Vec<MetastepId>) -> Vec<Metastep
     cands
 }
 
-/// Adds `m`, which `pid` creates as the next entry of its chain.
-fn new_metastep(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep) -> MetastepId {
-    let id = m.id;
-    c.metasteps.push(m);
+/// Adds a metastep holding only `step`, which becomes the next entry of
+/// its process's chain: a write as the winner, a read as the one read,
+/// a critical step as the critical step.
+fn new_metastep(c: &mut Construction, w: &mut Weave, kind: MetastepKind, step: Step) -> MetastepId {
+    let id = MetastepId(c.metasteps.len() as u32);
+    c.metasteps.push(Metastep {
+        id,
+        kind,
+        reg: step.register(),
+        writes: Vec::new(),
+        winner: (kind == MetastepKind::Write).then_some(step),
+        reads: if kind == MetastepKind::Read {
+            vec![step]
+        } else {
+            Vec::new()
+        },
+        crit: (kind == MetastepKind::Crit).then_some(step),
+        pread: Vec::new(),
+        preread_of: None,
+    });
+    let pid = step.pid().index();
     w.cover.push(Prefix {
-        pid: pid.index() as u32,
-        len: c.chains[pid.index()].len() as u32 + 1,
+        pid: pid as u32,
+        len: c.chains[pid].len() as u32 + 1,
     });
     w.needs.push(Vec::new());
     id
-}
-
-fn new_crit(c: &mut Construction, w: &mut Weave, pid: ProcessId, step: Step) -> MetastepId {
-    let id = MetastepId(c.metasteps.len() as u32);
-    new_metastep(
-        c,
-        w,
-        pid,
-        Metastep {
-            id,
-            kind: MetastepKind::Crit,
-            reg: None,
-            writes: Vec::new(),
-            winner: None,
-            reads: Vec::new(),
-            crit: Some(step),
-            pread: Vec::new(),
-            preread_of: None,
-        },
-    )
-}
-
-fn new_write(
-    c: &mut Construction,
-    w: &mut Weave,
-    pid: ProcessId,
-    reg: RegisterId,
-    winner: Step,
-) -> MetastepId {
-    let id = MetastepId(c.metasteps.len() as u32);
-    new_metastep(
-        c,
-        w,
-        pid,
-        Metastep {
-            id,
-            kind: MetastepKind::Write,
-            reg: Some(reg),
-            writes: Vec::new(),
-            winner: Some(winner),
-            reads: Vec::new(),
-            crit: None,
-            pread: Vec::new(),
-            preread_of: None,
-        },
-    )
-}
-
-fn new_read(
-    c: &mut Construction,
-    w: &mut Weave,
-    pid: ProcessId,
-    reg: RegisterId,
-    read: Step,
-) -> MetastepId {
-    let id = MetastepId(c.metasteps.len() as u32);
-    new_metastep(
-        c,
-        w,
-        pid,
-        Metastep {
-            id,
-            kind: MetastepKind::Read,
-            reg: Some(reg),
-            writes: Vec::new(),
-            winner: None,
-            reads: vec![read],
-            crit: None,
-            pread: Vec::new(),
-            preread_of: None,
-        },
-    )
 }
 
 #[cfg(test)]
