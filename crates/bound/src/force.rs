@@ -5,13 +5,13 @@
 
 use std::cell::RefCell;
 
-use exclusion_cost::{rmr_cc_cost, rmr_dsm_cost, run_priced_probed};
+use exclusion_cost::{run_priced_probed, RmrTracker};
 use exclusion_mutex::registry::AlgorithmRegistry;
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef};
 use exclusion_shmem::probe::{NoProbe, Probe, SharedProbe, SpanScope, TraceEvent};
 use exclusion_shmem::sched::{GreedyAdversary, Script, Traced};
 use exclusion_shmem::spec::SpecError;
-use exclusion_shmem::{faulted_script, run_faulted, FaultPlan, ProcessId, Scheduler, Step};
+use exclusion_shmem::{faulted_script, run_faulted_with, FaultPlan, ProcessId, Scheduler, Step};
 
 use crate::adversary::AdaptiveAdversary;
 use crate::fit::{fit_nlogn, Fit};
@@ -163,7 +163,8 @@ pub struct BoundCurve {
 type Outcome<const M: usize, W> = Result<([usize; M], W), String>;
 
 /// Runs one strategy through the streaming pricer: its cost per model
-/// and its witness, the schedule and its length.
+/// and its witness, the schedule and its length. A strategy that stops
+/// before every process has completed its passages played no game.
 fn play<P: Probe>(
     alg: &dyn DynAutomaton,
     sched: impl Scheduler,
@@ -179,8 +180,20 @@ fn play<P: Probe>(
         probe,
     )
     .map_err(|e| e.to_string())?;
+    complete(priced.steps, priced.completed, alg.processes())?;
     let costs = [priced.sc.total(), priced.cc.total(), priced.dsm.total()];
     Ok((costs, (traced.into_picks(), priced.steps)))
+}
+
+/// Refuses a strategy run that stopped with fewer than `n` processes
+/// done: its cost is not the cost of a whole game.
+fn complete(steps: usize, completed: usize, n: usize) -> Result<(), String> {
+    if completed < n {
+        return Err(format!(
+            "strategy stopped after {steps} steps with {completed}/{n} processes finished"
+        ));
+    }
+    Ok(())
 }
 
 /// Brackets one strategy run with a [`SpanScope::Game`] span (wall
@@ -453,27 +466,33 @@ impl CrashForcedRun {
     }
 }
 
-/// Runs one strategy through the fault driver and prices the recorded
-/// execution with the replay pricers (bit-identical to the streaming
-/// [`RmrTracker`](exclusion_cost::RmrTracker) by the cost crate's own
-/// pinning tests).
+/// Runs one strategy through the fault driver, recording each step and
+/// pricing it under both RMR models with a streaming [`RmrTracker`] in
+/// the same pass. Like [`play`], it refuses a run that stops short.
 fn play_faulted(
     alg: &dyn DynAutomaton,
-    sched: impl Scheduler,
+    mut sched: impl Scheduler,
     cfg: &BoundConfig,
 ) -> Outcome<2, Vec<Step>> {
     let dref = DynRef(alg);
-    let mut sched = sched;
-    let mut plan = if cfg.crashes == 0 {
-        FaultPlan::none()
-    } else {
-        FaultPlan::in_critical(cfg.crashes)
-    };
-    let exec = run_faulted(&dref, &mut sched, &mut plan, cfg.passages, cfg.max_steps)
-        .map_err(|e| e.to_string())?;
-    let cc = rmr_cc_cost(&dref, &exec).map_err(|e| e.to_string())?;
-    let dsm = rmr_dsm_cost(&dref, &exec).map_err(|e| e.to_string())?;
-    Ok(([cc.total(), dsm.total()], exec.into_steps()))
+    let mut plan = FaultPlan::in_critical(cfg.crashes);
+    let mut rmr = RmrTracker::new(&dref);
+    let mut witness = Vec::new();
+    let run = run_faulted_with(
+        &dref,
+        &mut sched,
+        &mut plan,
+        cfg.passages,
+        cfg.max_steps,
+        &mut NoProbe,
+        |done| {
+            rmr.observe(done);
+            witness.push(done.step);
+        },
+    )
+    .map_err(|e| e.to_string())?;
+    complete(run.steps, run.completed, alg.processes())?;
+    Ok(([rmr.rmr_cc().total(), rmr.rmr_dsm().total()], witness))
 }
 
 /// Plays the crash adversary game for one algorithm instance: every
@@ -603,6 +622,7 @@ mod tests {
                 run.steps + 1,
             )
             .unwrap();
+            assert_eq!(priced.completed, 4, "{spec}: the witness is a whole game");
             assert_eq!(priced.steps, run.steps, "{spec}");
             assert_eq!(priced.sc.total(), run.forced[SC], "{spec}");
         }
@@ -711,23 +731,32 @@ mod tests {
                 );
             }
             // The recorded witness replays bit-identically through the
-            // fault driver and re-prices to the forced RMR-CC cost.
+            // fault driver, completes every passage and re-prices to the
+            // forced RMR-CC cost.
             let (mut script, mut plan) = run.replay_artifacts();
-            let replayed = run_faulted(
+            let mut replayed = Vec::new();
+            let replay = run_faulted_with(
                 &DynRef(alg.as_ref()),
                 &mut script,
                 &mut plan,
                 cfg.passages,
                 run.steps + 1,
+                &mut NoProbe,
+                |d| replayed.push(d.step),
             )
             .unwrap();
-            assert_eq!(replayed.steps(), run.witness.as_slice(), "{spec}");
+            assert_eq!(replay.completed, 3, "{spec}: the witness is a whole game");
+            assert_eq!(replayed, run.witness, "{spec}");
             let winner = if run.winner[RMR_CC] == "fanlynch" {
                 run.adaptive[RMR_CC]
             } else {
                 run.greedy[RMR_CC]
             };
-            let cc = rmr_cc_cost(&DynRef(alg.as_ref()), &replayed).unwrap();
+            let cc = exclusion_cost::rmr_cc_cost(
+                &DynRef(alg.as_ref()),
+                &exclusion_shmem::Execution::from_steps(replayed),
+            )
+            .unwrap();
             assert_eq!(cc.total(), winner, "{spec}");
         }
     }

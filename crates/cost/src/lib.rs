@@ -24,8 +24,9 @@
 //!   (three separate re-executions for `all_costs`);
 //! * **streaming** — [`CostTracker`] prices SC, CC and DSM *online* from
 //!   [`Executed`] outcomes as a run produces them, and [`run_priced`]
-//!   drives any scheduler through `run_scheduler_with` without recording
-//!   anything — one pass, O(1) pricing per step.
+//!   drives any scheduler through the one run loop, `run_faulted_with`,
+//!   without recording anything — one pass, O(1) pricing per step, and
+//!   the run's completion count in [`PricedRun::completed`].
 //!
 //! # Example
 //!
@@ -62,13 +63,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-// `DynAutomaton` is deliberately referenced by path, not imported:
-// importing the trait alongside `Automaton` would make method calls on
-// types implementing both (i.e. every automaton) ambiguous.
-use exclusion_shmem::dynamic::{self, DynRef};
 use exclusion_shmem::fault::{run_faulted_with, FaultPlan};
-use exclusion_shmem::probe::{NoProbe, Probe, SharedProbe, TraceEvent};
-use exclusion_shmem::sched::run_scheduler_with;
+use exclusion_shmem::probe::{NoProbe, Probe, TraceEvent};
 use exclusion_shmem::{
     replay, Automaton, Executed, Execution, ProcessId, RegisterId, ReplayError, RunError,
     Scheduler, Step,
@@ -579,12 +575,17 @@ impl RmrTracker {
     }
 }
 
-/// All three costs of one streamed run, plus its length — what
-/// [`run_priced`] returns instead of a recorded execution.
+/// All three costs of one streamed run, plus its length and how many
+/// processes finished — what [`run_priced`] returns instead of a
+/// recorded execution.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct PricedRun {
     /// Steps the run took.
     pub steps: usize,
+    /// Processes that had completed their passages when the scheduler
+    /// stopped ([`Run::completed`](exclusion_shmem::Run::completed));
+    /// fewer than `n` means the run stopped short.
+    pub completed: usize,
     /// State-change (SC) cost.
     pub sc: CostReport,
     /// Cache-coherent (CC) cost.
@@ -640,124 +641,23 @@ where
     P: Probe,
 {
     let mut tracker = CostTracker::new(alg);
-    let steps = run_scheduler_with(alg, sched, passages, max_steps, |done| {
-        tracker.observe_probed(done, &mut probe);
-    })?;
-    let (sc, cc, dsm) = tracker.into_reports();
-    Ok(PricedRun { steps, sc, cc, dsm })
-}
-
-/// All five costs of one streamed *faulted* run — the three
-/// failure-free models plus both RMR flavors — and its crash count.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub struct FaultedRun {
-    /// Steps the run took (crash steps included).
-    pub steps: usize,
-    /// Crashes the fault plan injected.
-    pub crashes: usize,
-    /// State-change (SC) cost; crash steps are free.
-    pub sc: CostReport,
-    /// Cache-coherent (CC) cost, crash-oblivious.
-    pub cc: CostReport,
-    /// Distributed-shared-memory (DSM) cost, crash-oblivious.
-    pub dsm: CostReport,
-    /// RMR cost, CC flavor: a crash wipes the victim's cache.
-    pub rmr_cc: CostReport,
-    /// RMR cost, DSM flavor (identical to `dsm` by construction).
-    pub rmr_dsm: CostReport,
-}
-
-/// Drives `sched` with crashes injected by `plan` and prices the run
-/// under all five models in one streaming pass — the faulted twin of
-/// [`run_priced_probed`]. With [`FaultPlan::none`] the run itself and
-/// the `sc`/`cc`/`dsm` columns are bit-identical to [`run_priced`]'s,
-/// and `rmr_cc`/`rmr_dsm` coincide with `cc`/`dsm` (pinned by tests) —
-/// which is what keeps no-crash baselines comparable across the two
-/// pipelines.
-///
-/// # Errors
-///
-/// Returns [`RunError`] if the run does not complete within `max_steps`.
-pub fn run_priced_faulted<A, S, P>(
-    alg: &A,
-    sched: &mut S,
-    plan: &mut FaultPlan,
-    passages: usize,
-    max_steps: usize,
-    mut probe: P,
-) -> Result<FaultedRun, RunError>
-where
-    A: Automaton,
-    S: Scheduler + ?Sized,
-    P: Probe,
-{
-    let mut tracker = CostTracker::new(alg);
-    let mut rmr = RmrTracker::new(alg);
-    // The driver emits Crash/Recover while the pricer emits
-    // Executed/Charged from the sink: both observe the same run through
-    // a shared handle (runs are single-threaded).
-    let cell = std::cell::RefCell::new(&mut probe);
-    let mut driver_probe = SharedProbe::new(&cell);
-    let mut sink_probe = driver_probe;
-    let steps = run_faulted_with(
+    let run = run_faulted_with(
         alg,
         sched,
-        plan,
+        &mut FaultPlan::none(),
         passages,
         max_steps,
-        &mut driver_probe,
-        |done| {
-            tracker.observe_probed(done, &mut sink_probe);
-            rmr.observe(done);
-        },
+        &mut NoProbe,
+        |done| tracker.observe_probed(done, &mut probe),
     )?;
-    let crashes = rmr.crashes();
     let (sc, cc, dsm) = tracker.into_reports();
-    let (rmr_cc, rmr_dsm) = rmr.into_reports();
-    Ok(FaultedRun {
-        steps,
-        crashes,
+    Ok(PricedRun {
+        steps: run.steps,
+        completed: run.completed,
         sc,
         cc,
         dsm,
-        rmr_cc,
-        rmr_dsm,
     })
-}
-
-/// [`run_priced`] for an erased algorithm handle — the streaming
-/// pricing path registry-driven scenarios use. The run is driven
-/// through [`DynRef`], whose in-place observe hooks keep the per-step
-/// cost allocation-free; results are bit-identical to pricing the typed
-/// algorithm (pinned by `tests/streaming_equivalence.rs`).
-///
-/// # Example
-///
-/// ```
-/// use exclusion_cost::run_priced_dyn;
-/// use exclusion_mutex::registry::AlgorithmRegistry;
-/// use exclusion_shmem::sched::GreedyAdversary;
-///
-/// let alg = AlgorithmRegistry::global()
-///     .resolve_str("dekker-tree", 8)
-///     .unwrap()
-///     .automaton;
-/// let priced =
-///     run_priced_dyn(alg.as_ref(), &mut GreedyAdversary::new(), 1, 100_000).unwrap();
-/// assert!(priced.sc.total() > 0);
-/// ```
-///
-/// # Errors
-///
-/// Returns [`RunError`] if the scheduler keeps picking processes past
-/// `max_steps`.
-pub fn run_priced_dyn(
-    alg: &dyn dynamic::DynAutomaton,
-    sched: &mut dyn Scheduler,
-    passages: usize,
-    max_steps: usize,
-) -> Result<PricedRun, RunError> {
-    run_priced(&DynRef(alg), sched, passages, max_steps)
 }
 
 #[cfg(test)]
@@ -1021,73 +921,6 @@ mod tests {
         }
         assert_eq!(rmr.rmr_cc(), &rmr_cc);
         assert_eq!(rmr.crashes(), 2);
-    }
-
-    #[test]
-    fn faulted_pricing_with_no_plan_matches_run_priced() {
-        use exclusion_shmem::sched::GreedyAdversary;
-        let alg = Peterson::new(3);
-        let unfaulted = run_priced(&alg, &mut GreedyAdversary::new(), 2, 100_000).unwrap();
-        let mut plan = FaultPlan::none();
-        let faulted = run_priced_faulted(
-            &alg,
-            &mut GreedyAdversary::new(),
-            &mut plan,
-            2,
-            100_000,
-            NoProbe,
-        )
-        .unwrap();
-        assert_eq!(faulted.steps, unfaulted.steps);
-        assert_eq!(faulted.crashes, 0);
-        assert_eq!(faulted.sc, unfaulted.sc);
-        assert_eq!(faulted.cc, unfaulted.cc);
-        assert_eq!(faulted.dsm, unfaulted.dsm);
-        assert_eq!(faulted.rmr_cc, unfaulted.cc);
-        assert_eq!(faulted.rmr_dsm, unfaulted.dsm);
-    }
-
-    #[test]
-    fn faulted_pricing_emits_crash_events_and_counts() {
-        use exclusion_shmem::sched::RoundRobin;
-        struct Collect(Vec<TraceEvent>);
-        impl Probe for Collect {
-            fn record(&mut self, ev: &TraceEvent) {
-                self.0.push(*ev);
-            }
-        }
-        let alg = Peterson::new(2);
-        let mut plan = FaultPlan::in_critical(1);
-        let mut collect = Collect(Vec::new());
-        let run = run_priced_faulted(
-            &alg,
-            &mut RoundRobin::new(),
-            &mut plan,
-            1,
-            100_000,
-            &mut collect,
-        )
-        .unwrap();
-        assert_eq!(run.crashes, 1);
-        let crash_events = collect
-            .0
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Crash { .. }))
-            .count();
-        let recover_events = collect
-            .0
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Recover { .. }))
-            .count();
-        assert_eq!(crash_events, 1);
-        assert_eq!(recover_events, 1);
-        // Executed events cover every step, crash step included.
-        let executed = collect
-            .0
-            .iter()
-            .filter(|e| matches!(e, TraceEvent::Executed { .. }))
-            .count();
-        assert_eq!(executed, run.steps);
     }
 
     #[test]

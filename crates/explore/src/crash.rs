@@ -304,9 +304,9 @@ mod tests {
         assert_ne!(witness.culprits.0, witness.culprits.1);
         assert!(!witness.trace.mutual_exclusion(2));
 
-        let (script, plan) = witness.replay_artifacts();
-        let mut script = script;
-        let mut plan = plan;
+        // The witness ends at the violation, so its replay stops short
+        // of completion on purpose.
+        let (mut script, mut plan) = witness.replay_artifacts();
         let replayed = run_faulted(
             &DynRef(alg.as_ref()),
             &mut script,

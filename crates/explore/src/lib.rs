@@ -93,7 +93,7 @@ pub use crash::{
 };
 pub use graph::GRAIN;
 pub use verdict::{explore, explore_probed, Counterexample, ExploreReport, Hazard, HazardKind};
-pub use worst::{price_schedule, worst_case, worst_case_probed, WorstCaseReport, WorstCost};
+pub use worst::{worst_case, worst_case_probed, WorstCaseReport, WorstCost};
 
 /// Runs `f` inside a probe span: `SpanStart { scope, tag }` before,
 /// `SpanEnd { scope, tag, wall_ns }` after, with the wall clock read
@@ -165,16 +165,6 @@ impl Model {
             Model::Sc => priced.sc.total(),
             Model::Cc => priced.cc.total(),
             Model::Dsm => priced.dsm.total(),
-        }
-    }
-
-    /// This model's running total from a streaming tracker.
-    #[must_use]
-    pub fn tracker_total(self, tracker: &exclusion_cost::CostTracker) -> usize {
-        match self {
-            Model::Sc => tracker.sc().total(),
-            Model::Cc => tracker.cc().total(),
-            Model::Dsm => tracker.dsm().total(),
         }
     }
 }
@@ -550,6 +540,7 @@ mod tests {
             schedule.len() + 1,
         )
         .expect("witness schedule runs");
+        assert_eq!(priced.completed, 3, "the witness completes every passage");
         assert_eq!(priced.sc.total(), cost);
         assert_eq!(priced.steps, schedule.len());
     }
@@ -570,13 +561,18 @@ mod tests {
             panic!("peterson's remote spin must be pumpable: {:?}", report.cost);
         };
         assert!(!cycle.is_empty());
-        // Pump it: k extra laps cost strictly more than k-1.
+        // Pump it: k extra laps cost strictly more than k-1. A pumped
+        // prefix stops short of completion on purpose.
         let price = |laps: usize| {
             let mut picks = prefix.clone();
             for _ in 0..laps {
                 picks.extend_from_slice(cycle);
             }
-            price_schedule(&alg, Model::Sc, &picks)
+            let len = picks.len();
+            exclusion_cost::run_priced(&DynRef(&alg), &mut Script::new(picks), 1, len)
+                .expect("pump runs")
+                .sc
+                .total()
         };
         let (one, two, three) = (price(1), price(2), price(3));
         assert!(two > one && three > two, "{one} {two} {three}");

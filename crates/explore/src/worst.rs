@@ -40,11 +40,11 @@
 //! spin) can be charged forever, while a local-spin algorithm
 //! (dekker-tree) has a finite supremum.
 
-use exclusion_cost::CostTracker;
+use exclusion_cost::run_priced;
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef};
 use exclusion_shmem::probe::{NoProbe, Probe, SpanScope, TraceEvent};
-use exclusion_shmem::sched::GreedyAdversary;
-use exclusion_shmem::{ProcessId, System};
+use exclusion_shmem::sched::{GreedyAdversary, Script};
+use exclusion_shmem::ProcessId;
 
 use crate::graph::{
     build, decanonicalize_schedule, decanonicalize_unbounded, live_set, BuiltGraph, CcLens,
@@ -278,56 +278,39 @@ pub(crate) fn worst_from_graph(
     // permutations back out so the replay below prices the real run.
     let schedule =
         decanonicalize_schedule(alg, graph.symmetric, &witness(graph, &scc, &value, total));
-    let replayed = price_schedule(alg, model, &schedule);
+    let replayed = run_priced(
+        &DynRef(alg),
+        &mut Script::new(schedule.clone()),
+        cfg.passages,
+        schedule.len(),
+    )
+    .expect("worst-case witness runs within its own length");
     assert_eq!(
-        replayed as i64, total,
+        replayed.completed,
+        alg.processes(),
+        "worst-case witness must complete every passage"
+    );
+    let cost = model.total_of(&replayed);
+    assert_eq!(
+        cost as i64, total,
         "worst-case witness must replay to the DP optimum"
     );
-    report.cost = WorstCost::Exact {
-        cost: replayed,
-        schedule,
-    };
+    report.cost = WorstCost::Exact { cost, schedule };
     report
 }
 
 /// The greedy adversary's cost under `model` — the sampled incumbent.
+/// A greedy run that fails or stops short gives no incumbent.
 fn greedy_incumbent(alg: &(dyn DynAutomaton + Sync), model: Model, cfg: &ExploreConfig) -> usize {
-    let dref = DynRef(alg);
-    match exclusion_cost::run_priced(
-        &dref,
+    match run_priced(
+        &DynRef(alg),
         &mut GreedyAdversary::new(),
         cfg.passages,
         cfg.max_steps,
     ) {
-        Ok(priced) => model.total_of(&priced),
-        Err(_) => 0,
+        Ok(priced) if priced.completed == alg.processes() => model.total_of(&priced),
+        _ => 0,
     }
-}
-
-/// Prices an explicit schedule under one cost model by streaming
-/// replay (a [`CostTracker`] fed step by step) — the canonical way to
-/// re-price a worst-case witness or pump a cycle.
-///
-/// # Example
-///
-/// ```
-/// use exclusion_explore::{price_schedule, worst_case, ExploreConfig, Model, WorstCost};
-/// use exclusion_shmem::testing::Alternator;
-///
-/// let alg = Alternator::new(2);
-/// let report = worst_case(&alg, Model::Sc, &ExploreConfig::default());
-/// let WorstCost::Exact { cost, schedule } = report.cost else { panic!() };
-/// assert_eq!(price_schedule(&alg, Model::Sc, &schedule), cost);
-/// ```
-#[must_use]
-pub fn price_schedule(alg: &dyn DynAutomaton, model: Model, schedule: &[ProcessId]) -> usize {
-    let dref = DynRef(alg);
-    let mut sys = System::new(&dref);
-    let mut tracker = CostTracker::new(&dref);
-    for &p in schedule {
-        tracker.observe(&sys.step(p));
-    }
-    model.tracker_total(&tracker)
 }
 
 struct Condensation {

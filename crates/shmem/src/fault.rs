@@ -13,12 +13,14 @@
 //!   its critical section (the adversarially interesting case), or
 //!   pseudo-randomly from a seed — each limited by a total crash budget
 //!   and an optional per-process cap;
-//! * [`run_faulted_with`] / [`run_faulted`] — the faulted twin of
-//!   [`run_scheduler_with`](crate::sched::run_scheduler_with): the plan
-//!   is polled *before* the scheduler at every step index, so **every
-//!   existing scheduler composes with faults unchanged** — a crash
-//!   consumes a step index and the scheduler is simply never consulted
-//!   at it;
+//! * [`run_faulted_with`] / [`run_faulted`] — the one scheduler-driven
+//!   run loop; every other driver (`run_scheduler_with`, the cost
+//!   crate's pricers) runs through it with [`FaultPlan::none`]. The
+//!   plan is polled *before* the scheduler at every step index, so
+//!   **every existing scheduler composes with faults unchanged** — a
+//!   crash consumes a step index and the scheduler is simply never
+//!   consulted at it. A run reports, as a [`Run`], how many processes
+//!   reached their target, so a replay that stops short says so;
 //! * [`faulted_script`] — the bridge back to replayability: from a
 //!   recorded step sequence (which includes [`Step::Crash`] entries),
 //!   reconstruct the [`Script`] + [`FaultPlan`] pair that reproduces
@@ -241,20 +243,46 @@ impl FaultPlan {
     }
 }
 
+/// What a scheduler-driven run did: how many steps it executed and how
+/// many processes had reached their target passage count when the
+/// scheduler stopped.
+///
+/// A scheduler may stop before every process is done — a [`Script`]
+/// that runs out, a custom policy that gives up — and the run still
+/// ends without error; `completed < n` is how such a run says it
+/// stopped short. The paper's executions, and every witness an engine
+/// replays, have `completed == n`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Run {
+    /// Steps executed, crash steps included.
+    pub steps: usize,
+    /// Processes at their target when the scheduler returned `None` —
+    /// the count [`RunError::completed`] reports for a run that ran out
+    /// of budget instead.
+    pub completed: usize,
+}
+
 /// Drives `sched` over a fresh system of `alg` with crashes injected by
 /// `plan`, invoking `sink` with every [`Executed`](crate::Executed)
 /// outcome (crash steps included) and emitting
-/// [`TraceEvent::Crash`]/[`TraceEvent::Recover`] into `probe`. Returns
-/// the number of steps executed (crashes count as steps).
+/// [`TraceEvent::Crash`]/[`TraceEvent::Recover`] into `probe`. This is
+/// the one loop that asks a [`Scheduler`] for picks until it stops:
+/// `run_scheduler_with`, [`run_faulted`] and the cost crate's streaming
+/// pricers all run through it.
 ///
 /// The plan is polled before the scheduler at every step index; when it
 /// names a victim, the crash consumes that index and the scheduler is
-/// not consulted. With [`FaultPlan::none`] this is bit-identical to
-/// [`run_scheduler_with`](crate::sched::run_scheduler_with).
+/// not consulted. A plan whose budget is 0 can crash nothing and is
+/// never polled, so [`FaultPlan::none`] costs the crash-free run
+/// nothing.
+///
+/// Views are maintained incrementally via [`ViewTable`], so the
+/// per-step bookkeeping is O(1 + affected), not Θ(n).
 ///
 /// # Errors
 ///
-/// Returns [`RunError`] if the run does not complete within `max_steps`.
+/// Returns [`RunError`] if the scheduler keeps picking processes past
+/// `max_steps`.
 pub fn run_faulted_with<A, S, P, F>(
     alg: &A,
     sched: &mut S,
@@ -263,7 +291,7 @@ pub fn run_faulted_with<A, S, P, F>(
     max_steps: usize,
     probe: &mut P,
     mut sink: F,
-) -> Result<usize, RunError>
+) -> Result<Run, RunError>
 where
     A: Automaton,
     S: Scheduler + ?Sized,
@@ -273,25 +301,29 @@ where
     let n = alg.processes();
     let mut sys = System::new(alg);
     let mut table = ViewTable::new(&sys, passages, sched.wants_step_previews());
-    let mut executed = 0usize;
-    let mut crashed = vec![false; n];
+    let faults = plan.budget() > 0;
+    let mut crashed = vec![false; if faults { n } else { 0 }];
+    let completed = |table: &ViewTable| table.views().iter().filter(|v| v.done).count();
+    // Every pass through the loop executes one step or leaves it, so
+    // `step` is also the number of steps executed so far.
     for step in 0..=max_steps {
-        if let Some(victim) = plan.next_fault(step, table.views()) {
-            if step == max_steps {
-                break;
+        if faults {
+            if let Some(victim) = plan.next_fault(step, table.views()) {
+                if step == max_steps {
+                    break;
+                }
+                let done = sys.crash(victim);
+                table.apply(&sys, &done);
+                crashed[victim.index()] = true;
+                if probe.enabled() {
+                    probe.record(&TraceEvent::Crash {
+                        index: step,
+                        pid: victim,
+                    });
+                }
+                sink(&done);
+                continue;
             }
-            let done = sys.crash(victim);
-            table.apply(&sys, &done);
-            crashed[victim.index()] = true;
-            if probe.enabled() {
-                probe.record(&TraceEvent::Crash {
-                    index: step,
-                    pid: victim,
-                });
-            }
-            sink(&done);
-            executed += 1;
-            continue;
         }
         let ctx = SchedContext {
             step,
@@ -299,14 +331,19 @@ where
             views: table.views(),
         };
         match sched.pick(&ctx) {
-            None => return Ok(executed),
+            None => {
+                return Ok(Run {
+                    steps: step,
+                    completed: completed(&table),
+                })
+            }
             Some(p) if step < max_steps => {
                 debug_assert!(
                     !table.views()[p.index()].done,
                     "{} picked finished process {p}",
                     sched.name()
                 );
-                if crashed[p.index()] {
+                if faults && crashed[p.index()] {
                     crashed[p.index()] = false;
                     if probe.enabled() {
                         probe.record(&TraceEvent::Recover {
@@ -316,15 +353,13 @@ where
                     }
                 }
                 sink(&table.step(&mut sys, p));
-                executed += 1;
             }
             Some(_) => break,
         }
     }
-    let completed = table.views().iter().filter(|v| v.done).count();
     Err(RunError {
         limit: max_steps,
-        completed,
+        completed: completed(&table),
         processes: n,
     })
 }
@@ -378,7 +413,7 @@ pub fn faulted_script(steps: &[Step]) -> (Script, FaultPlan) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sched::{run_scheduler, GreedyAdversary, RoundRobin, Traced};
+    use crate::sched::{run_scheduler, run_scheduler_with, GreedyAdversary, RoundRobin, Traced};
     use crate::testing::Alternator;
 
     #[test]
@@ -389,6 +424,112 @@ mod tests {
         let faulted = run_faulted(&alg, &mut RoundRobin::new(), &mut plan, 2, 100_000).unwrap();
         assert_eq!(unfaulted, faulted);
         assert_eq!(plan.crashes(), 0);
+    }
+
+    /// A run reports how many processes reached their target, so a
+    /// script cut one pick short of a complete run ends without error
+    /// but with one process short.
+    #[test]
+    fn a_script_one_pick_short_reports_one_process_short() {
+        let alg = Alternator::new(3);
+        let mut traced = Traced::new(RoundRobin::new());
+        let whole = run_faulted_with(
+            &alg,
+            &mut traced,
+            &mut FaultPlan::none(),
+            1,
+            100_000,
+            &mut NoProbe,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(whole.completed, 3);
+        let mut picks = traced.into_picks();
+        assert_eq!(picks.len(), whole.steps);
+        picks.pop();
+        let cut = run_faulted_with(
+            &alg,
+            &mut Script::new(picks),
+            &mut FaultPlan::none(),
+            1,
+            100_000,
+            &mut NoProbe,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(
+            cut,
+            Run {
+                steps: whole.steps - 1,
+                completed: 2
+            }
+        );
+    }
+
+    /// The benchmark's layer ladder replays a script with no passage
+    /// target a process could reach and a budget of exactly its length:
+    /// `run_scheduler_with` runs it whole, and the loop reports that no
+    /// process reached its target.
+    #[test]
+    fn the_ladder_shape_runs_whole_and_completes_nobody() {
+        let alg = Alternator::new(3);
+        let picks = run_scheduler(&alg, &mut RoundRobin::new(), 2, 100_000)
+            .unwrap()
+            .steps()
+            .iter()
+            .map(Step::pid)
+            .collect::<Vec<_>>();
+        let len = picks.len();
+        let steps = run_scheduler_with(
+            &alg,
+            &mut Script::new(picks.clone()),
+            usize::MAX,
+            len,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(steps, len);
+        let run = run_faulted_with(
+            &alg,
+            &mut Script::new(picks),
+            &mut FaultPlan::none(),
+            usize::MAX,
+            len,
+            &mut NoProbe,
+            |_| {},
+        )
+        .unwrap();
+        assert_eq!(
+            run,
+            Run {
+                steps: len,
+                completed: 0
+            }
+        );
+    }
+
+    /// A plan with no crash budget is never polled; it runs exactly as
+    /// the empty plan does, whatever its mode.
+    #[test]
+    fn zero_budget_plans_run_as_the_empty_plan() {
+        let alg = Alternator::new(3);
+        let none = run_faulted(
+            &alg,
+            &mut RoundRobin::new(),
+            &mut FaultPlan::none(),
+            2,
+            100_000,
+        )
+        .unwrap();
+        for mut plan in [
+            FaultPlan::random(7, 0),
+            FaultPlan::in_critical(0),
+            FaultPlan::at_steps(Vec::new()),
+        ] {
+            let exec = run_faulted(&alg, &mut RoundRobin::new(), &mut plan, 2, 100_000).unwrap();
+            assert_eq!(exec, none, "{plan:?}");
+            assert_eq!(plan.crashes(), 0);
+        }
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub use automaton::{Automaton, NextStep, Observation, RmwOp};
 pub use dynamic::{DynAutomaton, DynRef, DynState, Packed, WordState};
 pub use error::{ReplayError, RunError};
 pub use execution::Execution;
-pub use fault::{faulted_script, run_faulted, run_faulted_with, FaultPlan};
+pub use fault::{faulted_script, run_faulted, run_faulted_with, FaultPlan, Run};
 pub use ids::{ProcessId, RegisterId, Value};
 pub use probe::{NoProbe, Probe, SharedProbe, SpanScope, TraceEvent};
 pub use replay::{replay, replay_collect, StepOutcome};

@@ -10,7 +10,10 @@
 //! [`ProcessView`] per process carrying its section, completed passages,
 //! and a preview of its pending step (`shared`, `changes_state` — the SC
 //! predicate of the paper's Figure 1). [`run_scheduler`] drives any
-//! `Scheduler` until it returns `None` or a step budget is exhausted.
+//! `Scheduler` until it returns `None` or a step budget is exhausted,
+//! through the one run loop, [`run_faulted_with`], which also reports
+//! how many processes reached their target (a
+//! [`Run`](crate::fault::Run)).
 //!
 //! Built-in schedulers:
 //!
@@ -83,7 +86,9 @@ use rand::{Rng, SeedableRng};
 use crate::automaton::{Automaton, NextStep};
 use crate::error::RunError;
 use crate::execution::Execution;
+use crate::fault::{run_faulted_with, FaultPlan};
 use crate::ids::{ProcessId, RegisterId};
+use crate::probe::NoProbe;
 use crate::step::Step;
 use crate::system::{Executed, Section, System};
 
@@ -334,14 +339,15 @@ impl ViewTable {
 
 /// Drives `sched` over a fresh system of `alg` until the scheduler
 /// returns `None` or the step budget is exhausted, invoking `sink` with
-/// the [`Executed`] outcome of every step as the run produces it — the
-/// streaming core shared by [`run_scheduler`] (whose sink records the
-/// execution) and the no-record pricing path (`exclusion-cost`'s
-/// `run_priced`, whose sink feeds a cost tracker). Returns the number of
-/// steps executed.
+/// the [`Executed`] outcome of every step, and returns the number of
+/// steps executed. It is [`run_faulted_with`] with [`FaultPlan::none`]
+/// and no probe, and drops the run's completion count.
 ///
-/// Views are maintained incrementally via [`ViewTable`], so the
-/// per-step bookkeeping is O(1 + affected), not Θ(n).
+/// Kept for the benchmark's layer ladder, which times this entry point
+/// over a script that stops short on purpose (`passages = usize::MAX`).
+/// A caller that needs to know whether every process finished calls
+/// [`run_faulted_with`] and reads
+/// [`Run::completed`](crate::fault::Run::completed).
 ///
 /// # Errors
 ///
@@ -352,43 +358,24 @@ pub fn run_scheduler_with<A, S, F>(
     sched: &mut S,
     passages: usize,
     max_steps: usize,
-    mut sink: F,
+    sink: F,
 ) -> Result<usize, RunError>
 where
     A: Automaton,
     S: Scheduler + ?Sized,
     F: FnMut(&Executed),
 {
-    let n = alg.processes();
-    let mut sys = System::new(alg);
-    let mut table = ViewTable::new(&sys, passages, sched.wants_step_previews());
-    let mut executed = 0usize;
-    for step in 0..=max_steps {
-        let ctx = SchedContext {
-            step,
-            target_passages: passages,
-            views: table.views(),
-        };
-        match sched.pick(&ctx) {
-            None => return Ok(executed),
-            Some(p) if step < max_steps => {
-                debug_assert!(
-                    !table.views()[p.index()].done,
-                    "{} picked finished process {p}",
-                    sched.name()
-                );
-                sink(&table.step(&mut sys, p));
-                executed += 1;
-            }
-            Some(_) => break,
-        }
-    }
-    let completed = table.views().iter().filter(|v| v.done).count();
-    Err(RunError {
-        limit: max_steps,
-        completed,
-        processes: n,
-    })
+    let mut plan = FaultPlan::none();
+    run_faulted_with(
+        alg,
+        sched,
+        &mut plan,
+        passages,
+        max_steps,
+        &mut NoProbe,
+        sink,
+    )
+    .map(|run| run.steps)
 }
 
 /// Drives `sched` over a fresh system of `alg` until the scheduler
@@ -913,7 +900,10 @@ impl Scheduler for Stagger {
 /// is canonical and its critical-section order is exactly `order`.
 ///
 /// Implemented on the [`Sequential`] scheduler; the step budget is
-/// `max_steps_per_process` for each entry of `order`, pooled.
+/// `max_steps_per_process` for each entry of `order`, pooled. An order
+/// that leaves processes out (or repeats some more than others) stops
+/// short on purpose: the run ends when the order does, and the
+/// processes it did not name never reach the passage target.
 ///
 /// # Errors
 ///
@@ -980,46 +970,6 @@ pub fn run_random<A: Automaton>(
     seed: u64,
 ) -> Result<Execution, RunError> {
     run_scheduler(alg, &mut Random::new(seed), passages, max_steps)
-}
-
-/// Generic scheduling driver: repeatedly asks `pick` for the next process
-/// to step; stops (successfully) when `pick` returns `None`.
-///
-/// This closure-based entry point predates [`Scheduler`]; it remains the
-/// lightest way to drive ad-hoc schedules (e.g. replaying a recorded pid
-/// sequence). Policies worth naming should implement [`Scheduler`] and go
-/// through [`run_scheduler`] instead.
-///
-/// # Errors
-///
-/// Returns [`RunError`] if `pick` keeps returning processes past
-/// `max_steps`.
-pub fn run_with<A, F>(alg: &A, max_steps: usize, mut pick: F) -> Result<Execution, RunError>
-where
-    A: Automaton,
-    F: FnMut(&System<'_, A>) -> Option<ProcessId>,
-{
-    let mut sys = System::new(alg);
-    let mut exec = Execution::new();
-    for _ in 0..max_steps {
-        match pick(&sys) {
-            None => return Ok(exec),
-            Some(p) => {
-                exec.push(sys.step(p).step);
-            }
-        }
-    }
-    if pick(&sys).is_none() {
-        return Ok(exec);
-    }
-    let completed = ProcessId::all(alg.processes())
-        .filter(|&p| sys.passages(p) > 0)
-        .count();
-    Err(RunError {
-        limit: max_steps,
-        completed,
-        processes: alg.processes(),
-    })
 }
 
 #[cfg(test)]

@@ -1364,6 +1364,12 @@ fn run_trace(argv: &[String]) -> Result<(), String> {
             probe,
         )
         .map_err(|e| e.to_string())?;
+        if priced.completed < args.n {
+            return Err(format!(
+                "scheduler stopped after {} steps with {}/{} processes finished",
+                priced.steps, priced.completed, args.n
+            ));
+        }
         (
             priced.steps,
             priced.sc.total(),

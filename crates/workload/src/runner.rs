@@ -52,8 +52,9 @@ pub struct RunRecord {
     /// Wall-clock nanoseconds this run took (driving + pricing), as
     /// measured by the worker that ran it. Excluded from equality.
     pub wall_ns: u64,
-    /// Why the run failed (budget exhaustion), if it did. Failed runs
-    /// carry zero costs and are excluded from summaries.
+    /// Why the run failed (budget exhaustion, or a scheduler that stopped
+    /// before every process finished), if it did. Failed runs carry zero
+    /// costs and are excluded from summaries.
     pub error: Option<String>,
 }
 
@@ -225,6 +226,15 @@ pub fn run_probed(sc: &Scenario, seed: u64, probe: &mut dyn Probe) -> RunRecord 
     let mut sched = sc.build_scheduler(seed);
     let start = Instant::now();
     match run_priced_probed(&alg, sched.as_mut(), sc.passages, sc.max_steps, probe) {
+        // Built-in schedulers run every process to its target; one
+        // registered from outside may stop early, and such a run is no
+        // sample of the scenario.
+        Ok(priced) if priced.completed < sc.n => {
+            record.error = Some(format!(
+                "scheduler stopped after {} steps with {}/{} processes finished",
+                priced.steps, priced.completed, sc.n
+            ));
+        }
         Ok(priced) => {
             record.steps = priced.steps;
             record.sc = priced.sc.total();

@@ -8,14 +8,12 @@
 //! (`shmem::testing::fixtures`): the same scheduler specs and seeds the
 //! streaming-equivalence suite uses.
 
-use exclusion::cost::{run_priced, run_priced_dyn};
-use exclusion::explore::{
-    conformance_registry, price_schedule, worst_case, ExploreConfig, Model, WorstCost,
-};
+use exclusion::cost::run_priced;
+use exclusion::explore::{conformance_registry, worst_case, ExploreConfig, Model, WorstCost};
 use exclusion::lb::{construct, ConstructConfig, Permutation};
-use exclusion::shmem::sched::Script;
+use exclusion::shmem::sched::{run_scheduler, Script};
 use exclusion::shmem::testing::fixtures;
-use exclusion::shmem::{DynRef, ProcessId, System};
+use exclusion::shmem::{DynRef, ProcessId};
 use exclusion::workload::SchedulerRegistry;
 
 /// Pinned exact worst-case costs at passages = 1 for the register-only
@@ -58,7 +56,7 @@ fn best_sampled(alg: &exclusion::mutex::DynAlgorithm, n: usize, model: Model) ->
         let seeds: &[u64] = if sched.seeded { fixtures::SEEDS } else { &[0] };
         for &seed in seeds {
             let mut live = sched.build(1, seed);
-            let priced = run_priced_dyn(alg.as_ref(), live.as_mut(), 1, fixtures::MAX_STEPS)
+            let priced = run_priced(&DynRef(alg.as_ref()), live.as_mut(), 1, fixtures::MAX_STEPS)
                 .expect("sampled run completes");
             best = best.max(model.total_of(&priced));
         }
@@ -109,8 +107,8 @@ fn exact_witness_schedules_replay_to_the_exact_cost_via_run_priced() {
             (Some(pinned), WorstCost::Exact { cost, schedule }) => {
                 assert_eq!(*cost, pinned, "{name} n={n} {model}: exact value drifted");
                 // Replaying the witness through the streaming pricer
-                // (exactly the engine the sweeps use) reproduces the
-                // optimum step for step.
+                // (exactly the engine the sweeps use) completes every
+                // passage and reproduces the optimum step for step.
                 let dref = DynRef(alg.as_ref());
                 let priced = run_priced(
                     &dref,
@@ -119,6 +117,10 @@ fn exact_witness_schedules_replay_to_the_exact_cost_via_run_priced() {
                     schedule.len() + 1,
                 )
                 .expect("witness schedule runs");
+                assert_eq!(
+                    priced.completed, n,
+                    "{name} n={n} {model}: witness stops short"
+                );
                 assert_eq!(priced.steps, schedule.len(), "{name} n={n} {model}");
                 assert_eq!(
                     model.total_of(&priced),
@@ -128,13 +130,17 @@ fn exact_witness_schedules_replay_to_the_exact_cost_via_run_priced() {
             }
             (None, WorstCost::Unbounded { prefix, cycle }) => {
                 // Pump the cycle: each lap adds the same positive
-                // charge, so the supremum is genuinely infinite.
+                // charge, so the supremum is genuinely infinite. A
+                // pumped prefix stops short of completion on purpose.
                 let price = |laps: usize| {
                     let mut picks = prefix.clone();
                     for _ in 0..laps {
                         picks.extend_from_slice(cycle);
                     }
-                    price_schedule(alg.as_ref(), model, &picks)
+                    let len = picks.len();
+                    let priced = run_priced(&DynRef(alg.as_ref()), &mut Script::new(picks), 1, len)
+                        .expect("pump runs");
+                    model.total_of(&priced)
                 };
                 let (zero, one, two) = (price(0), price(1), price(2));
                 assert!(one > zero, "{name} n={n} {model}: cycle adds no charge");
@@ -159,30 +165,6 @@ fn dsm_worst_cases_are_unbounded_for_the_register_only_suite() {
         let alg = registry.resolve_str(name, 2).expect("resolves").automaton;
         let report = worst_case(alg.as_ref(), Model::Dsm, &cfg);
         assert!(report.cost.is_unbounded(), "{name}: {:?}", report.cost);
-    }
-}
-
-/// The witness schedule is a complete run: every process finishes its
-/// passage, so the schedule drives the system to the same completion
-/// any fair scheduler reaches.
-#[test]
-fn exact_witnesses_complete_every_passage() {
-    let registry = conformance_registry();
-    let cfg = ExploreConfig::default();
-    for (name, n) in [("dekker-tree", 3), ("bakery", 2)] {
-        let alg = registry.resolve_str(name, n).expect("resolves").automaton;
-        let report = worst_case(alg.as_ref(), Model::Sc, &cfg);
-        let WorstCost::Exact { ref schedule, .. } = report.cost else {
-            panic!("{name} must be exact under SC");
-        };
-        let dref = DynRef(alg.as_ref());
-        let mut sys = System::new(&dref);
-        for &p in schedule {
-            sys.step(p);
-        }
-        for p in ProcessId::all(n) {
-            assert_eq!(sys.passages(p), 1, "{name}: {p} did not complete");
-        }
     }
 }
 
@@ -223,17 +205,15 @@ fn canonical_executions_replay_and_stay_below_the_exact_worst_case() {
                 .unwrap_or_else(|e| panic!("{name} {pi}: {e}"));
             let alpha = c.linearize();
             let picks: Vec<ProcessId> = alpha.iter().map(|s| s.pid()).collect();
-            let priced = run_priced(&dref, &mut Script::new(picks.clone()), 1, picks.len() + 1)
-                .expect("α_π runs");
-            assert_eq!(priced.steps, picks.len(), "{name} {pi}");
+            let len = picks.len();
+            let priced =
+                run_priced(&dref, &mut Script::new(picks.clone()), 1, len + 1).expect("α_π runs");
+            assert_eq!(priced.completed, n, "{name} {pi}: α_π stops short");
+            assert_eq!(priced.steps, len, "{name} {pi}");
             assert_eq!(Model::Sc.total_of(&priced), c.cost(), "{name} {pi}");
-            let mut sys = System::new(&dref);
-            for (t, &p) in picks.iter().enumerate() {
-                assert_eq!(sys.step(p).step, alpha.steps()[t], "{name} {pi}: step {t}");
-            }
-            for p in ProcessId::all(n) {
-                assert_eq!(sys.passages(p), 1, "{name} {pi}: {p} did not complete");
-            }
+            let replayed =
+                run_scheduler(&dref, &mut Script::new(picks), 1, len + 1).expect("α_π runs");
+            assert_eq!(replayed, alpha, "{name} {pi}: step for step");
             if let Some(exact) = exact {
                 assert!(
                     c.cost() <= exact,

@@ -121,6 +121,8 @@ fn recoverable_entries_certify_or_are_refuted_under_two_crashes() {
             let Some(witness) = report.violation else {
                 continue;
             };
+            // The witness ends at the violation, so its replay stops
+            // short of completion on purpose.
             let (mut script, mut plan) = witness.replay_artifacts();
             let replayed = run_faulted(
                 &DynRef(alg.as_ref()),

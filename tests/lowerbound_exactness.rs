@@ -9,8 +9,9 @@
 //! fair-execution cost strictly beats the incumbent instead.
 //!
 //! Every witness schedule must also replay bit-identically through the
-//! streaming pricer: the same `Script` driven twice produces the same
-//! `PricedRun`, equal to the costs the game recorded.
+//! streaming pricer: the same `Script` driven twice completes every
+//! passage and produces the same `PricedRun`, equal to the costs the
+//! game recorded.
 
 use exclusion::bound::{force, register_only, BoundConfig, SC};
 use exclusion::cost::run_priced;
@@ -92,9 +93,10 @@ fn forced_cost_equals_the_exact_optimum_where_pinned() {
 }
 
 /// The witness `Script` trace replays bit-identically through the
-/// streaming pricer: two replays agree with each other and with the
-/// costs the game recorded, under every cost model — at the
-/// exhaustively searchable sizes and on past them to n = 16.
+/// streaming pricer: it completes every passage, and two replays agree
+/// with each other and with the costs the game recorded, under every
+/// cost model — at the exhaustively searchable sizes and on past them
+/// to n = 16.
 #[test]
 fn witness_scripts_replay_bit_identically_through_run_priced() {
     let registry = AlgorithmRegistry::global();
@@ -107,6 +109,7 @@ fn witness_scripts_replay_bit_identically_through_run_priced() {
             let dyn_ref = DynRef(alg.as_ref());
             let once = run_priced(&dyn_ref, &mut run.script(), cfg.passages, run.steps + 1)
                 .unwrap_or_else(|e| panic!("{name} n={n}: witness replay failed: {e}"));
+            assert_eq!(once.completed, n, "{name} n={n}: the witness stops short");
             let twice =
                 run_priced(&dyn_ref, &mut run.script(), cfg.passages, run.steps + 1).unwrap();
             assert_eq!(once, twice, "{name} n={n}: replay must be deterministic");

@@ -27,7 +27,7 @@ use exclusion::bound::{
 };
 use exclusion::cost::rmr_cc_cost;
 use exclusion::mutex::registry::AlgorithmRegistry;
-use exclusion::shmem::{run_faulted, CritKind, DynRef, ProcessId, RmwOp, Step};
+use exclusion::shmem::{run_faulted_with, DynRef, Execution, NoProbe, RmwOp, Step};
 
 /// The growth grid the satellite pins.
 const GRID: [usize; 4] = [8, 16, 32, 64];
@@ -515,25 +515,25 @@ fn crash_games_dominate_replay_and_reduce_to_the_crash_free_game() {
                 let alg = registry.resolve_str(name, cell.n).unwrap().automaton;
                 let dref = DynRef(alg.as_ref());
                 let (mut script, mut plan) = cell.replay_artifacts();
-                let replayed =
-                    run_faulted(&dref, &mut script, &mut plan, cfg.passages, cell.steps + 1)
-                        .unwrap_or_else(|e| panic!("{at}: witness replay failed: {e}"));
+                let mut replayed = Execution::new();
+                let run = run_faulted_with(
+                    &dref,
+                    &mut script,
+                    &mut plan,
+                    cfg.passages,
+                    cell.steps + 1,
+                    &mut NoProbe,
+                    |d| replayed.push(d.step),
+                )
+                .unwrap_or_else(|e| panic!("{at}: witness replay failed: {e}"));
+                assert_eq!(
+                    run.completed, cell.n,
+                    "{at}: the witness must complete every passage"
+                );
                 assert_eq!(
                     replayed.steps(),
                     cell.witness.as_slice(),
                     "{at}: witness replay"
-                );
-                // The witness is a whole game: every process ends its
-                // passages with `rem`.
-                let rems = |p: usize| {
-                    replayed
-                        .projection(ProcessId::new(p))
-                        .filter(|s| s.crit_kind() == Some(CritKind::Rem))
-                        .count()
-                };
-                assert!(
-                    (0..cell.n).all(|p| rems(p) == cfg.passages),
-                    "{at}: the witness must complete every passage"
                 );
                 let winner = if cell.winner[RMR_CC] == "fanlynch" {
                     cell.adaptive[RMR_CC]

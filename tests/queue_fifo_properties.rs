@@ -111,8 +111,8 @@ fn fifo_holds_on_the_full_fixture_grid() {
 
 /// The adaptive adversary's witnesses over the queue locks are
 /// executable: `force()`'s recorded `Script` replays through
-/// `run_priced` to exactly the recorded step count and forced SC cost,
-/// bit-identically across replays.
+/// `run_priced` to a complete run of exactly the recorded step count
+/// and forced SC cost, bit-identically across replays.
 #[test]
 fn force_witnesses_over_queue_locks_replay_bit_identically() {
     let registry = AlgorithmRegistry::global();
@@ -125,6 +125,7 @@ fn force_witnesses_over_queue_locks_replay_bit_identically() {
             let dyn_ref = DynRef(alg.as_ref());
             let once = run_priced(&dyn_ref, &mut run.script(), cfg.passages, run.steps + 1)
                 .unwrap_or_else(|e| panic!("{name} n={n}: witness replay failed: {e}"));
+            assert_eq!(once.completed, n, "{name} n={n}: the witness stops short");
             let twice =
                 run_priced(&dyn_ref, &mut run.script(), cfg.passages, run.steps + 1).unwrap();
             assert_eq!(once, twice, "{name} n={n}: replay must be deterministic");

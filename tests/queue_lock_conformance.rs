@@ -22,7 +22,7 @@
 //! are chargeable and most entries pump under SC.
 
 use exclusion::cost::run_priced;
-use exclusion::explore::{analyze, price_schedule, ExploreConfig, Model, WorstCost};
+use exclusion::explore::{analyze, ExploreConfig, Model, WorstCost};
 use exclusion::mutex::AlgorithmRegistry;
 use exclusion::shmem::sched::Script;
 use exclusion::shmem::testing::fixtures;
@@ -85,6 +85,7 @@ fn queue_locks_are_certified_with_pinned_exact_cc_worst_cases() {
                 schedule.len() + 1,
             )
             .expect("witness schedule runs");
+            assert_eq!(priced.completed, n, "{name} at n={n}: witness stops short");
             assert_eq!(priced.cc.total(), pinned, "{name} at n={n}: witness replay");
         }
     }
@@ -115,13 +116,18 @@ fn mcs_is_dsm_finite_and_clh_ticket_are_dsm_pumpable() {
                 );
             };
             // Pump the witness: every lap of the cycle adds the same
-            // positive DSM charge — the remote spin, made executable.
+            // positive DSM charge — the remote spin, made executable. A
+            // pumped prefix stops short of completion on purpose.
             let price = |laps: usize| {
                 let mut picks = prefix.clone();
                 for _ in 0..laps {
                     picks.extend_from_slice(cycle);
                 }
-                price_schedule(alg.as_ref(), Model::Dsm, &picks)
+                let len = picks.len();
+                run_priced(&DynRef(alg.as_ref()), &mut Script::new(picks), 1, len)
+                    .expect("pump runs")
+                    .dsm
+                    .total()
             };
             let (zero, one, two) = (price(0), price(1), price(2));
             assert!(one > zero, "{name} at n={n}: cycle adds no DSM charge");

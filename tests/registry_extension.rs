@@ -5,12 +5,12 @@
 
 use std::sync::Arc;
 
-use exclusion::cost::run_priced_dyn;
+use exclusion::cost::run_priced;
 use exclusion::mutex::registry::{AlgorithmEntry, AlgorithmInfo, AlgorithmRegistry};
 use exclusion::shmem::spec::ParamInfo;
 use exclusion::shmem::{
-    Automaton, CritKind, NextStep, Observation, ProcessId, RegisterId, SchedContext, Scheduler,
-    Spec, Value,
+    Automaton, CritKind, DynRef, NextStep, Observation, ProcessId, RegisterId, SchedContext,
+    Scheduler, Spec, Value,
 };
 use exclusion::workload::{
     sweep, Scenario, SchedSpec, SchedulerEntry, SchedulerInfo, SchedulerRegistry, SweepOptions,
@@ -206,8 +206,8 @@ fn custom_entries_validate_and_stream_like_builtins() {
     let (algs, scheds) = extended_registries();
     let handle = algs.resolve_str("token-ring:linger=2", 3).unwrap();
     let sched = scheds.resolve_str("reverse-robin", 3).unwrap();
-    let priced = run_priced_dyn(
-        handle.automaton.as_ref(),
+    let priced = run_priced(
+        &DynRef(handle.automaton.as_ref()),
         sched.build(1, 0).as_mut(),
         1,
         100_000,

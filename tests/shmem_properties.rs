@@ -3,7 +3,7 @@
 //! equivalences.
 
 use exclusion::mutex::{AlgorithmInfo, AlgorithmRegistry, ResolvedAlgorithm};
-use exclusion::shmem::sched::{run_random, run_sequential, run_with};
+use exclusion::shmem::sched::{run_random, run_scheduler, run_sequential, Script};
 use exclusion::shmem::{replay, replay_collect, Automaton, CritKind, DynRef, ProcessId, Step};
 use proptest::prelude::*;
 
@@ -102,8 +102,9 @@ proptest! {
         }
     }
 
-    /// `run_with` driven by a recorded schedule reproduces the same
-    /// execution (scheduling is the only nondeterminism in the model).
+    /// A recorded schedule replayed through a `Script` reproduces the
+    /// same execution (scheduling is the only nondeterminism in the
+    /// model).
     #[test]
     fn schedule_determines_execution(
         n in 1usize..=4,
@@ -114,13 +115,9 @@ proptest! {
         let alg = DynRef(r.automaton.as_ref());
         let exec = run_random(&alg, 1, 50_000_000, seed).expect("terminates");
         let schedule: Vec<ProcessId> = exec.iter().map(Step::pid).collect();
-        let mut i = 0;
-        let replayed = run_with(&alg, schedule.len() + 1, |_| {
-            let next = schedule.get(i).copied();
-            i += 1;
-            next
-        })
-        .expect("within budget");
+        let len = schedule.len();
+        let replayed =
+            run_scheduler(&alg, &mut Script::new(schedule), 1, len).expect("within budget");
         prop_assert_eq!(exec, replayed);
     }
 }

@@ -9,7 +9,7 @@
 //! a from-scratch rebuild after every step of an adversarial run driven
 //! through the dyn path.
 
-use exclusion::cost::{all_costs, run_priced, run_priced_dyn, CostTracker};
+use exclusion::cost::{all_costs, run_priced, CostTracker};
 use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
 use exclusion::mutex::{
     AlgorithmRegistry, Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra,
@@ -34,7 +34,7 @@ fn all_specs(n: usize) -> Vec<SchedSpec> {
 
 /// The acceptance bar for the streaming engine and the erased-state
 /// redesign: over the full registry × scheduler grid (RMW locks
-/// included) at several seeds, `run_priced_dyn` on the erased registry
+/// included) at several seeds, `run_priced` on the erased registry
 /// handle reproduces the typed, recorded run's replay-based SC/CC/DSM
 /// reports bit for bit — not just the totals but the per-process and
 /// per-register breakdowns.
@@ -98,9 +98,13 @@ fn grid_leg<A: Automaton>(name: &str, typed: &A, erased: DynAlgorithm, n: usize)
                 let (sc, cc, dsm) = all_costs(typed, &exec).expect("replay");
 
                 let mut streaming = sched.build(passages, seed);
-                let priced =
-                    run_priced_dyn(erased.as_ref(), streaming.as_mut(), passages, MAX_STEPS)
-                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                let priced = run_priced(
+                    &DynRef(erased.as_ref()),
+                    streaming.as_mut(),
+                    passages,
+                    MAX_STEPS,
+                )
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
 
                 assert_eq!(priced.steps, exec.len(), "{label}");
                 assert_eq!(priced.sc, sc, "{label}");
@@ -152,7 +156,7 @@ fn parameterized_specs_stream_identically_to_their_typed_constructions() {
             let mut b = sched.build(passages, 9);
             let direct = run_priced(&DynRef(typed), a.as_mut(), passages, MAX_STEPS)
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
-            let resolved = run_priced_dyn(erased.as_ref(), b.as_mut(), passages, MAX_STEPS)
+            let resolved = run_priced(&DynRef(erased.as_ref()), b.as_mut(), passages, MAX_STEPS)
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(direct, resolved, "{spec} under {sched_spec}");
             assert!(direct.sc.total() > 0, "{spec}");

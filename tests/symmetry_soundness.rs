@@ -17,9 +17,10 @@
 //!   report field must be bit-identical to the plain run (modulo the
 //!   `fingerprinted` flag).
 
+use exclusion::cost::run_priced;
 use exclusion::explore::{
-    analyze, conformance_registry, explore, explore_probed, price_schedule, ExploreConfig,
-    ExploreError, Model, WorstCost, GRAIN,
+    analyze, conformance_registry, explore, explore_probed, ExploreConfig, ExploreError, Model,
+    WorstCost, GRAIN,
 };
 use exclusion::shmem::dynamic::{DynAutomaton, DynState};
 use exclusion::shmem::probe::{Probe, TraceEvent};
@@ -189,6 +190,11 @@ fn worst_case_costs_survive_reduction() {
     for &n in fixtures::SMALL_NS {
         for name in SYMMETRIC {
             let alg = registry.resolve_str(name, n).expect("resolves").automaton;
+            let price = |picks: Vec<ProcessId>| {
+                let len = picks.len();
+                run_priced(&DynRef(alg.as_ref()), &mut Script::new(picks), 1, len)
+                    .expect("a script runs within its own length")
+            };
             // The step cap bounds only the greedy incumbent, which this
             // test never reads; the splitter locks never complete under
             // greedy and would otherwise run the default 50 M steps.
@@ -210,19 +216,26 @@ fn worst_case_costs_survive_reduction() {
             match (&reduced.cost, &plain.cost) {
                 (WorstCost::Exact { cost: rc, schedule }, WorstCost::Exact { cost: pc, .. }) => {
                     assert_eq!(rc, pc, "{name} n={n}: exact optimum must survive reduction");
+                    let priced = price(schedule.clone());
                     assert_eq!(
-                        price_schedule(alg.as_ref(), Model::Sc, schedule),
+                        priced.completed, n,
+                        "{name} n={n}: reduced witness must complete every passage"
+                    );
+                    assert_eq!(
+                        priced.sc.total(),
                         *rc,
                         "{name} n={n}: reduced witness must price to the optimum"
                     );
                 }
                 (WorstCost::Unbounded { prefix, cycle }, WorstCost::Unbounded { .. }) => {
+                    // A pumped prefix stops short of completion on
+                    // purpose.
                     let lap = |k: usize| {
                         let mut picks = prefix.clone();
                         for _ in 0..k {
                             picks.extend_from_slice(cycle);
                         }
-                        price_schedule(alg.as_ref(), Model::Sc, &picks)
+                        price(picks).sc.total()
                     };
                     let (zero, one, two) = (lap(0), lap(1), lap(2));
                     assert!(one > zero, "{name} n={n}: cycle must charge");

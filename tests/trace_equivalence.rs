@@ -8,14 +8,14 @@
 //! unprobed engines).
 
 use exclusion::bound::{force, force_probed, AdaptiveAdversary, BoundConfig};
-use exclusion::cost::{run_priced, run_priced_faulted, run_priced_probed};
+use exclusion::cost::{run_priced, run_priced_probed};
 use exclusion::explore::{
     explore, explore_probed, worst_case, worst_case_probed, ExploreConfig, Model,
 };
 use exclusion::mutex::AlgorithmRegistry;
 use exclusion::shmem::sched::Traced;
 use exclusion::shmem::testing::{fixtures, Alternator};
-use exclusion::shmem::{DynRef, FaultPlan, NoProbe, TraceEvent};
+use exclusion::shmem::{run_faulted_with, DynRef, FaultPlan, NoProbe, Probe, Step, TraceEvent};
 use exclusion::trace::{chrome_trace, CollectingProbe};
 use exclusion::workload::SchedulerRegistry;
 use proptest::prelude::*;
@@ -172,31 +172,44 @@ fn worst_case_probed_matches_unprobed_for_every_model() {
     }
 }
 
-/// The faulted pricer under a probe: outcome-preserving against the
+/// The fault driver under a probe: outcome-preserving against the
 /// [`NoProbe`] run, one `Crash` and one `Recover` event per injected
 /// crash (paired per victim, crash first), and the whole stream — and
 /// its Chrome export — byte-identical across repeated games.
 #[test]
 fn faulted_streams_cover_crash_and_recover_events_deterministically() {
+    /// One crash game of the adaptive adversary: the run and its steps,
+    /// crash steps included.
+    fn game<P: Probe>(alg: &DynRef<'_>, probe: &mut P) -> (usize, Vec<Step>) {
+        let mut steps = Vec::new();
+        let run = run_faulted_with(
+            alg,
+            &mut AdaptiveAdversary::new(7),
+            &mut FaultPlan::in_critical(2),
+            1,
+            1_000_000,
+            probe,
+            |d| steps.push(d.step),
+        )
+        .unwrap();
+        assert_eq!(run.steps, steps.len());
+        (run.completed, steps)
+    }
     let registry = AlgorithmRegistry::global();
     for name in ["rtas", "rpeterson"] {
         let alg = registry.resolve_str(name, 3).unwrap().automaton;
         let dyn_ref = DynRef(alg.as_ref());
-        let run = |probe: &mut CollectingProbe| {
-            let mut sched = AdaptiveAdversary::new(7);
-            let mut plan = FaultPlan::in_critical(2);
-            run_priced_faulted(&dyn_ref, &mut sched, &mut plan, 1, 1_000_000, probe).unwrap()
-        };
-
-        let mut sched = AdaptiveAdversary::new(7);
-        let mut plan = FaultPlan::in_critical(2);
-        let unprobed =
-            run_priced_faulted(&dyn_ref, &mut sched, &mut plan, 1, 1_000_000, NoProbe).unwrap();
+        let unprobed = game(&dyn_ref, &mut NoProbe);
 
         let mut first = CollectingProbe::new();
-        let a = run(&mut first);
+        let a = game(&dyn_ref, &mut first);
         assert_eq!(a, unprobed, "{name}: probe is observationally free");
-        assert!(a.crashes > 0, "{name}: the plan found a CS occupant");
+        assert_eq!(a.0, 3, "{name}: the game completes every passage");
+        let injected =
+            a.1.iter()
+                .filter(|s| matches!(s, Step::Crash { .. }))
+                .count();
+        assert!(injected > 0, "{name}: the plan found a CS occupant");
 
         let crashes: Vec<_> = first
             .events()
@@ -214,8 +227,8 @@ fn faulted_streams_cover_crash_and_recover_events_deterministically() {
                 _ => None,
             })
             .collect();
-        assert_eq!(crashes.len(), a.crashes, "{name}: one Crash event each");
-        assert_eq!(recovers.len(), a.crashes, "{name}: one Recover event each");
+        assert_eq!(crashes.len(), injected, "{name}: one Crash event each");
+        assert_eq!(recovers.len(), injected, "{name}: one Recover event each");
         // Each Recover is the victim's first post-crash step: same pid,
         // strictly later index, in the same order the crashes landed.
         for (&(ci, cp), &(ri, rp)) in crashes.iter().zip(&recovers) {
@@ -224,7 +237,7 @@ fn faulted_streams_cover_crash_and_recover_events_deterministically() {
         }
 
         let mut second = CollectingProbe::new();
-        let b = run(&mut second);
+        let b = game(&dyn_ref, &mut second);
         assert_eq!(a, b, "{name}");
         assert_eq!(first.events(), second.events(), "{name}");
         assert_eq!(
