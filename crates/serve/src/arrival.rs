@@ -252,6 +252,24 @@ pub struct ArrivalRegistry {
     by_name: HashMap<String, usize>,
 }
 
+/// The largest gap `steady` and `bursty` accept, 2^32 ticks: the clock
+/// of any stream of fewer than 2^32 requests then stays below 2^64.
+const GAP_MAX: u64 = 1 << 32;
+
+/// `gap` as a tick count, refused past [`GAP_MAX`].
+fn capped_gap(spec: &Spec, gap: usize) -> Result<u64, SpecError> {
+    let ticks = gap as u64;
+    if ticks > GAP_MAX {
+        return Err(SpecError::InvalidParam {
+            spec: spec.label(),
+            key: "gap".into(),
+            value: gap.to_string(),
+            expected: format!("an integer in [1, {GAP_MAX}]"),
+        });
+    }
+    Ok(ticks)
+}
+
 /// Arrival rates must be positive and sane: `[1e-6, 1e6]` requests per
 /// tick.
 const RATE_MIN: f64 = 0.000_001;
@@ -280,12 +298,12 @@ impl ArrivalRegistry {
                 seeded: false,
                 params: vec![ParamInfo {
                     key: "gap",
-                    help: "ticks between requests, >= 1 (default 4)",
+                    help: "ticks between requests, in [1, 2^32] (default 4)",
                 }],
             },
             |spec, _n| {
                 spec.expect_params(&["gap"], false)?;
-                let gap = spec.usize_param_at_least("gap", 4, 1)? as u64;
+                let gap = capped_gap(spec, spec.usize_param_at_least("gap", 4, 1)?)?;
                 let builder: ArrivalBuilder = Arc::new(move |_seed| {
                     Box::new(Steady {
                         gap,
@@ -333,14 +351,14 @@ impl ArrivalRegistry {
                     },
                     ParamInfo {
                         key: "gap",
-                        help: "ticks between bursts, >= 1 (default 2n)",
+                        help: "ticks between bursts, in [1, 2^32] (default 2n)",
                     },
                 ],
             },
             |spec, n| {
                 spec.expect_params(&["size", "gap"], false)?;
                 let size = spec.usize_param_at_least("size", n.div_ceil(2).max(1), 1)? as u64;
-                let gap = spec.usize_param_at_least("gap", (2 * n).max(1), 1)? as u64;
+                let gap = capped_gap(spec, spec.usize_param_at_least("gap", (2 * n).max(1), 1)?)?;
                 let builder: ArrivalBuilder = Arc::new(move |_seed| {
                     Box::new(Bursty {
                         size,

@@ -853,7 +853,9 @@ impl Scheduler for Burst {
 
     fn pick(&mut self, ctx: &SchedContext<'_>) -> Option<ProcessId> {
         let (wave, gap) = (self.wave, self.gap);
-        pick_arrivals(ctx, &mut self.next, |i| (i / wave) * gap)
+        // Saturating: a clock past `usize::MAX` keeps the waves in
+        // index order, which is the order they arrive in anyway.
+        pick_arrivals(ctx, &mut self.next, |i| (i / wave).saturating_mul(gap))
     }
 }
 
@@ -875,10 +877,12 @@ impl Stagger {
         Stagger { enable, next: 0 }
     }
 
-    /// The linear ramp: process `i` enabled at step `i * stride`.
+    /// The linear ramp: process `i` enabled at step `i * stride`
+    /// (saturating at `usize::MAX`, which keeps the arrivals in index
+    /// order).
     #[must_use]
     pub fn stride(n: usize, stride: usize) -> Self {
-        Stagger::new((0..n).map(|i| i * stride).collect())
+        Stagger::new((0..n).map(|i| i.saturating_mul(stride)).collect())
     }
 }
 

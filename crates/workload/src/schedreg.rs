@@ -349,6 +349,8 @@ impl SchedulerRegistry {
                         expected: "a positive wave size".into(),
                     });
                 }
+                // The last wave is enabled at ⌊(n−1)/wave⌋·gap.
+                last_arrival_fits(spec, "gap", gap, n.saturating_sub(1) / wave)?;
                 let builder: SchedBuilder =
                     Arc::new(move |_passages, _seed| Box::new(Burst::new(wave, gap)));
                 Ok((
@@ -381,6 +383,8 @@ impl SchedulerRegistry {
                     spec.expect_params(&["stride"], false)?;
                     spec.usize_param("stride", n.saturating_mul(2))?
                 };
+                // The last arrival is enabled at (n−1)·stride.
+                last_arrival_fits(spec, "stride", stride, n.saturating_sub(1))?;
                 let builder: SchedBuilder = Arc::new(move |_passages, seed| {
                     // Arrival *order* is the seeded part: the i-th
                     // arriving process is enabled at i*stride.
@@ -512,6 +516,24 @@ fn positional(spec: &Spec) -> Result<Option<&str>, SpecError> {
         }),
         _ => Ok(None),
     }
+}
+
+/// Refuses `key = value` when an arrival schedule's last enable time,
+/// `factor · value`, does not fit the step clock; the message names the
+/// largest value that does.
+fn last_arrival_fits(spec: &Spec, key: &str, value: usize, factor: usize) -> Result<(), SpecError> {
+    if factor.checked_mul(value).is_some() {
+        return Ok(());
+    }
+    Err(SpecError::InvalidParam {
+        spec: spec.label(),
+        key: key.to_string(),
+        value: value.to_string(),
+        expected: format!(
+            "at most {} so the last arrival fits the step clock",
+            usize::MAX / factor
+        ),
+    })
 }
 
 #[cfg(test)]

@@ -269,6 +269,32 @@ fn hwbench_request_totals_past_the_cap_are_flag_errors() {
     check(HWBENCH_REQUEST_CAP);
 }
 
+/// A spec whose arrival clock would overflow is refused when it is
+/// resolved (exit 1): a `burst` gap or `stagger` stride whose last
+/// enable time passes `usize::MAX` at the given `n`, and a `steady` or
+/// `bursty` gap past 2^32 ticks. The largest accepted value of each
+/// runs.
+#[rustfmt::skip]
+const OVERFLOWING_CLOCKS: &[Row] = &[
+    ("--scheds stagger:stride=9223372036854775808 --n 3", 1, 0xcbf29ce484222325, "workload: `stagger:stride=9223372036854775808`: parameter `stride=9223372036854775808` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
+    ("--scheds stagger:9223372036854775808 --n 3", 1, 0xcbf29ce484222325, "workload: `stagger:9223372036854775808`: parameter `stride=9223372036854775808` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
+    ("--algs peterson --scheds stagger:stride=9223372036854775807 --n 3 --seeds 1 --json - --quiet", 0, 0x8e527131d52f6f14, ""),
+    ("--scheds burst:wave=1,gap=18446744073709551615 --n 3", 1, 0xcbf29ce484222325, "workload: `burst:wave=1,gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
+    ("--scheds burst:1x18446744073709551615 --n 3", 1, 0xcbf29ce484222325, "workload: `burst:1x18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
+    ("--algs peterson --scheds burst:wave=1,gap=9223372036854775807 --n 3 --seeds 1 --json - --quiet", 0, 0x8a0a79b370efd9d8, ""),
+    ("serve --arrivals steady:gap=18446744073709551615 --requests 4", 1, 0xcbf29ce484222325, "workload: `steady:gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected an integer in [1, 4294967296]"),
+    ("serve --arrivals steady:gap=4294967297 --requests 4", 1, 0xcbf29ce484222325, "workload: `steady:gap=4294967297`: parameter `gap=4294967297` invalid; expected an integer in [1, 4294967296]"),
+    ("serve --arrivals steady:gap=4294967296 --requests 4 --json - --quiet", 0, 0xe190b8b4db17b7f0, ""),
+    ("serve --arrivals bursty:size=1,gap=18446744073709551615 --requests 4", 1, 0xcbf29ce484222325, "workload: `bursty:size=1,gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected an integer in [1, 4294967296]"),
+    ("serve --arrivals bursty:size=1,gap=4294967296 --requests 4 --json - --quiet", 0, 0x2df4912771d648d8, ""),
+    ("hwbench --algs mcs --arrivals steady:gap=18446744073709551615 --n 2 --requests 1", 1, 0xcbf29ce484222325, "workload: mcs under steady:gap=18446744073709551615: `steady:gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected an integer in [1, 4294967296]"),
+];
+
+#[test]
+fn specs_whose_arrival_clocks_overflow_are_refused() {
+    check(OVERFLOWING_CLOCKS);
+}
+
 /// A process count past the registry's cap is an error (exit 1) in
 /// every subcommand that builds a lock, before anything is sized by it.
 #[rustfmt::skip]
