@@ -339,13 +339,24 @@ impl AlgorithmRegistry {
             |spec, n| {
                 spec.expect_params(&["levels"], false)?;
                 let levels = spec.usize_param("levels", n.saturating_sub(1))?;
-                if levels + 1 < n {
-                    return Err(SpecError::InvalidParam {
+                let refuse = |expected: String| {
+                    Err(SpecError::InvalidParam {
                         spec: spec.label(),
                         key: "levels".into(),
                         value: levels.to_string(),
-                        expected: format!("at least n-1 = {} levels", n - 1),
-                    });
+                        expected,
+                    })
+                };
+                if levels.saturating_add(1) < n {
+                    return refuse(format!("at least n-1 = {} levels", n - 1));
+                }
+                // A lock for more processes than the registry admits;
+                // its register count, n + levels, could overflow.
+                if levels >= AlgorithmRegistry::MAX_PROCESSES {
+                    return refuse(format!(
+                        "fewer than {} levels",
+                        AlgorithmRegistry::MAX_PROCESSES
+                    ));
                 }
                 Ok(Arc::new(Packed(Filter::with_levels(n, levels))))
             },

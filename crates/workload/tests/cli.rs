@@ -269,13 +269,14 @@ fn hwbench_request_totals_past_the_cap_are_flag_errors() {
     check(HWBENCH_REQUEST_CAP);
 }
 
-/// A spec whose arrival clock would overflow is refused when it is
-/// resolved (exit 1): a `burst` gap or `stagger` stride whose last
-/// enable time passes `usize::MAX` at the given `n`, and a `steady` or
-/// `bursty` gap past 2^32 ticks. The largest accepted value of each
-/// runs.
+/// A spec whose parameter would overflow a clock or a count is refused
+/// when it is resolved (exit 1): a `burst` gap or `stagger` stride
+/// whose last enable time passes `usize::MAX` at the given `n`, a
+/// `steady` or `bursty` gap past 2^32 ticks, and a filter lock with
+/// more levels than the registry has processes. The largest accepted
+/// value of each runs.
 #[rustfmt::skip]
-const OVERFLOWING_CLOCKS: &[Row] = &[
+const OVERFLOWING_PARAMETERS: &[Row] = &[
     ("--scheds stagger:stride=9223372036854775808 --n 3", 1, 0xcbf29ce484222325, "workload: `stagger:stride=9223372036854775808`: parameter `stride=9223372036854775808` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
     ("--scheds stagger:9223372036854775808 --n 3", 1, 0xcbf29ce484222325, "workload: `stagger:9223372036854775808`: parameter `stride=9223372036854775808` invalid; expected at most 9223372036854775807 so the last arrival fits the step clock"),
     ("--algs peterson --scheds stagger:stride=9223372036854775807 --n 3 --seeds 1 --json - --quiet", 0, 0x8e527131d52f6f14, ""),
@@ -288,11 +289,14 @@ const OVERFLOWING_CLOCKS: &[Row] = &[
     ("serve --arrivals bursty:size=1,gap=18446744073709551615 --requests 4", 1, 0xcbf29ce484222325, "workload: `bursty:size=1,gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected an integer in [1, 4294967296]"),
     ("serve --arrivals bursty:size=1,gap=4294967296 --requests 4 --json - --quiet", 0, 0x2df4912771d648d8, ""),
     ("hwbench --algs mcs --arrivals steady:gap=18446744073709551615 --n 2 --requests 1", 1, 0xcbf29ce484222325, "workload: mcs under steady:gap=18446744073709551615: `steady:gap=18446744073709551615`: parameter `gap=18446744073709551615` invalid; expected an integer in [1, 4294967296]"),
+    ("--algs filter:levels=18446744073709551615 --n 2", 1, 0xcbf29ce484222325, "workload: `filter:levels=18446744073709551615`: parameter `levels=18446744073709551615` invalid; expected fewer than 1024 levels"),
+    ("--algs filter:levels=1024 --n 2", 1, 0xcbf29ce484222325, "workload: `filter:levels=1024`: parameter `levels=1024` invalid; expected fewer than 1024 levels"),
+    ("--algs filter:levels=1023 --n 2 --scheds round-robin --seeds 1 --json - --quiet", 0, 0x002f8f655d5b915c, ""),
 ];
 
 #[test]
-fn specs_whose_arrival_clocks_overflow_are_refused() {
-    check(OVERFLOWING_CLOCKS);
+fn specs_whose_parameters_overflow_are_refused() {
+    check(OVERFLOWING_PARAMETERS);
 }
 
 /// A process count past the registry's cap is an error (exit 1) in

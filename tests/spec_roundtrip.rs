@@ -1,11 +1,17 @@
 //! Integration: the spec grammar round-trips through every registry —
 //! for each algorithm and scheduler entry, with and without
 //! parameters, `parse(label(x)) == Ok(x)`; resolved report labels
-//! re-resolve to themselves; and unknown names or malformed parameters
-//! produce actionable errors listing the registry contents.
+//! re-resolve to themselves; unknown names or malformed parameters
+//! produce actionable errors listing the registry contents; and no
+//! spec built from a registry's names, its parameter keys and edge
+//! values panics when it is resolved and used.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
+
+use exclusion::cost::run_priced;
 use exclusion::mutex::AlgorithmRegistry;
-use exclusion::shmem::{Spec, SpecError};
+use exclusion::serve::ArrivalRegistry;
+use exclusion::shmem::{DynRef, ParamInfo, Spec, SpecError};
 use exclusion::workload::{SchedSpec, SchedulerRegistry};
 use proptest::prelude::*;
 
@@ -156,4 +162,121 @@ fn malformed_params_produce_actionable_errors() {
     for malformed in ["", "x:", "x:=2", "x:k="] {
         assert!(Spec::parse(malformed).is_err(), "{malformed:?}");
     }
+}
+
+/// The values every parameter is tried with: zero and one, a sign, the
+/// 32- and 64-bit boundaries, a float extreme, NaN, a word and the
+/// empty string.
+const EDGE_VALUES: [&str; 11] = [
+    "0",
+    "1",
+    "-1",
+    "4294967296",
+    "4294967297",
+    "9223372036854775808",
+    "18446744073709551615",
+    "1e308",
+    "nan",
+    "x",
+    "",
+];
+
+/// The specs built from one registry's `entries` (name, declared
+/// parameters): each name bare, with one positional edge value, with
+/// each key the registry declares set to each edge value, and with each
+/// pair of the entry's own keys set to each pair of edge values.
+fn edge_specs(entries: &[(&str, &[ParamInfo])]) -> Vec<String> {
+    let mut keys: Vec<&str> = entries
+        .iter()
+        .flat_map(|(_, own)| own.iter().map(|p| p.key))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    let mut specs = Vec::new();
+    for &(name, own) in entries {
+        specs.push(name.to_string());
+        for v in EDGE_VALUES {
+            specs.push(format!("{name}:{v}"));
+            specs.extend(keys.iter().map(|k| format!("{name}:{k}={v}")));
+            for (i, a) in own.iter().enumerate() {
+                for b in &own[i + 1..] {
+                    for w in EDGE_VALUES {
+                        specs.push(format!("{name}:{}={v},{}={w}", a.key, b.key));
+                    }
+                }
+            }
+        }
+    }
+    specs
+}
+
+/// No spec built from a registry's names, its parameter keys and the
+/// edge values panics: each algorithm spec is resolved at n ∈ {1, 2, 3,
+/// 1024, 1025}, each scheduler spec is resolved, built and drives 64
+/// steps of a 3-process lock, and each arrival spec is resolved and
+/// draws 64 arrivals. A spec is refused with an error or used; an
+/// overflowing clock, a wrapped count or a failed assertion is a
+/// failure, listed with its spec.
+#[test]
+fn edge_value_specs_resolve_and_run_without_panicking() {
+    const NS: [usize; 5] = [1, 2, 3, 1024, 1025];
+    let mut panicked = Vec::new();
+    let mut guard = |what: String, f: &mut dyn FnMut()| {
+        if catch_unwind(AssertUnwindSafe(f)).is_err() {
+            panicked.push(what);
+        }
+    };
+
+    let algs = AlgorithmRegistry::global();
+    let entries: Vec<_> = algs
+        .entries()
+        .map(|e| (e.info().name.as_str(), e.info().params.as_slice()))
+        .collect();
+    for spec in edge_specs(&entries) {
+        for n in NS {
+            guard(format!("{spec} at n = {n}"), &mut || {
+                let _ = algs.resolve_str(&spec, n);
+            });
+        }
+    }
+
+    let lock = algs
+        .resolve_str("peterson", 3)
+        .expect("peterson resolves")
+        .automaton;
+    let scheds = SchedulerRegistry::global();
+    let entries: Vec<_> = scheds
+        .entries()
+        .map(|e| (e.info().name.as_str(), e.info().params.as_slice()))
+        .collect();
+    for spec in edge_specs(&entries) {
+        guard(spec.clone(), &mut || {
+            if let Ok(sched) = scheds.resolve_str(&spec, 3) {
+                let _ = run_priced(&DynRef(lock.as_ref()), sched.build(1, 1).as_mut(), 1, 64);
+            }
+        });
+    }
+
+    let arrivals = ArrivalRegistry::global();
+    let entries: Vec<_> = arrivals
+        .entries()
+        .map(|e| (e.info().name.as_str(), e.info().params.as_slice()))
+        .collect();
+    for spec in edge_specs(&entries) {
+        for n in NS {
+            guard(format!("{spec} at n = {n}"), &mut || {
+                if let Ok(resolved) = arrivals.resolve_str(&spec, n) {
+                    let mut stream = resolved.build(1);
+                    for _ in 0..64 {
+                        stream.next_arrival();
+                    }
+                }
+            });
+        }
+    }
+    assert!(
+        panicked.is_empty(),
+        "these specs panicked:\n{}",
+        panicked.join("\n")
+    );
 }
