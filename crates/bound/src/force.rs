@@ -497,8 +497,8 @@ fn play_faulted(
 
 /// Plays the crash adversary game for one algorithm instance: every
 /// portfolio strategy runs through the fault driver with a fresh
-/// `cfg.crashes`-crash plan, each recorded run is priced under the RMR
-/// models, and the per-model best is kept (see [`CrashForcedRun`]).
+/// `cfg.crashes`-crash plan, priced under the RMR models as it runs,
+/// and the per-model best is kept (see [`CrashForcedRun`]).
 #[must_use]
 pub fn force_crash(alg: &dyn DynAutomaton, cfg: &BoundConfig) -> CrashForcedRun {
     let (adaptive, greedy) = strategies(cfg);

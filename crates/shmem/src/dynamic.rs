@@ -17,8 +17,8 @@
 //!   for automata whose states implement [`WordState`];
 //! * [`DynRef`] — the bridge back: drives a `&dyn DynAutomaton` as a plain
 //!   `Automaton` with `State = DynState`, so every generic driver
-//!   (`System`, `ViewTable`, `run_scheduler_with`, the streaming cost
-//!   engine) works unchanged on erased algorithms.
+//!   (`System`, `ViewTable`, the run loop `run_faulted_with`, the
+//!   streaming cost engine) works unchanged on erased algorithms.
 //!
 //! # The erased-state / SC-equality contract
 //!
@@ -611,9 +611,9 @@ where
 
 /// The bridge back from the erased world: wraps a `&dyn DynAutomaton`
 /// as an [`Automaton`] with `State = DynState`, so `System`,
-/// `ViewTable`, `run_scheduler_with` and the streaming cost engine all
-/// drive erased algorithms unchanged — including the incremental-view
-/// and streaming-pricing contracts.
+/// `ViewTable`, the run loop `run_faulted_with` and the streaming cost
+/// engine all drive erased algorithms unchanged — including the
+/// incremental-view and streaming-pricing contracts.
 ///
 /// The hot-path hooks ([`Automaton::observe_in_place`],
 /// [`Automaton::observe_changes`]) are overridden to go through the

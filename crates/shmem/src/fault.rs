@@ -1,5 +1,5 @@
-//! Deterministic crash injection: [`FaultPlan`]s and the faulted
-//! scheduler driver.
+//! Deterministic crash injection: [`FaultPlan`]s, and the one run loop
+//! that every scheduler-driven run goes through.
 //!
 //! The Golab–Ramaraju recoverable-mutex model extends the paper's
 //! failure-free setting with *crashes*: a crashed process loses its
@@ -114,8 +114,8 @@ impl FaultPlan {
         }
     }
 
-    /// A plan that never crashes anything — the faulted driver with
-    /// this plan behaves bit-identically to the unfaulted one.
+    /// A plan that never crashes anything — the plan every crash-free
+    /// run passes to [`run_faulted_with`], which never polls it.
     #[must_use]
     pub fn none() -> Self {
         FaultPlan::with_mode(Mode::None, 0)
@@ -416,14 +416,15 @@ mod tests {
     use crate::sched::{run_scheduler, run_scheduler_with, GreedyAdversary, RoundRobin, Traced};
     use crate::testing::Alternator;
 
-    #[test]
-    fn none_plan_is_bit_identical_to_the_unfaulted_driver() {
-        let alg = Alternator::new(3);
-        let unfaulted = run_scheduler(&alg, &mut RoundRobin::new(), 2, 100_000).unwrap();
+    /// The crash-free run of `sched` over `alg`: steps and completion.
+    fn crash_free<S: Scheduler>(
+        alg: &Alternator,
+        sched: &mut S,
+        passages: usize,
+        max: usize,
+    ) -> Run {
         let mut plan = FaultPlan::none();
-        let faulted = run_faulted(&alg, &mut RoundRobin::new(), &mut plan, 2, 100_000).unwrap();
-        assert_eq!(unfaulted, faulted);
-        assert_eq!(plan.crashes(), 0);
+        run_faulted_with(alg, sched, &mut plan, passages, max, &mut NoProbe, |_| {}).unwrap()
     }
 
     /// A run reports how many processes reached their target, so a
@@ -433,101 +434,52 @@ mod tests {
     fn a_script_one_pick_short_reports_one_process_short() {
         let alg = Alternator::new(3);
         let mut traced = Traced::new(RoundRobin::new());
-        let whole = run_faulted_with(
-            &alg,
-            &mut traced,
-            &mut FaultPlan::none(),
-            1,
-            100_000,
-            &mut NoProbe,
-            |_| {},
-        )
-        .unwrap();
+        let whole = crash_free(&alg, &mut traced, 1, 100_000);
         assert_eq!(whole.completed, 3);
         let mut picks = traced.into_picks();
-        assert_eq!(picks.len(), whole.steps);
         picks.pop();
-        let cut = run_faulted_with(
-            &alg,
-            &mut Script::new(picks),
-            &mut FaultPlan::none(),
-            1,
-            100_000,
-            &mut NoProbe,
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(
-            cut,
-            Run {
-                steps: whole.steps - 1,
-                completed: 2
-            }
-        );
+        let cut = crash_free(&alg, &mut Script::new(picks), 1, 100_000);
+        let short = Run {
+            steps: whole.steps - 1,
+            completed: 2,
+        };
+        assert_eq!(cut, short);
     }
 
-    /// The benchmark's layer ladder replays a script with no passage
-    /// target a process could reach and a budget of exactly its length:
+    /// The benchmark's layer ladder replays a script with a passage
+    /// target no process reaches and a budget of exactly its length:
     /// `run_scheduler_with` runs it whole, and the loop reports that no
     /// process reached its target.
     #[test]
     fn the_ladder_shape_runs_whole_and_completes_nobody() {
         let alg = Alternator::new(3);
-        let picks = run_scheduler(&alg, &mut RoundRobin::new(), 2, 100_000)
-            .unwrap()
-            .steps()
-            .iter()
-            .map(Step::pid)
-            .collect::<Vec<_>>();
-        let len = picks.len();
-        let steps = run_scheduler_with(
-            &alg,
-            &mut Script::new(picks.clone()),
-            usize::MAX,
-            len,
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(steps, len);
-        let run = run_faulted_with(
-            &alg,
-            &mut Script::new(picks),
-            &mut FaultPlan::none(),
-            usize::MAX,
-            len,
-            &mut NoProbe,
-            |_| {},
-        )
-        .unwrap();
-        assert_eq!(
-            run,
-            Run {
-                steps: len,
-                completed: 0
-            }
-        );
+        let mut traced = Traced::new(RoundRobin::new());
+        let len = crash_free(&alg, &mut traced, 2, 100_000).steps;
+        let mut script = Script::new(traced.into_picks());
+        let steps = run_scheduler_with(&alg, &mut script, usize::MAX, len, |_| {});
+        assert_eq!(steps, Ok(len));
+        let run = crash_free(&alg, &mut script, usize::MAX, len);
+        let nobody = Run {
+            steps: len,
+            completed: 0,
+        };
+        assert_eq!(run, nobody);
     }
 
-    /// A plan with no crash budget is never polled; it runs exactly as
-    /// the empty plan does, whatever its mode.
+    /// A plan with no crash budget is never polled: whatever its mode,
+    /// it gives the crash-free run.
     #[test]
-    fn zero_budget_plans_run_as_the_empty_plan() {
+    fn zero_budget_plans_give_the_crash_free_run() {
         let alg = Alternator::new(3);
-        let none = run_faulted(
-            &alg,
-            &mut RoundRobin::new(),
-            &mut FaultPlan::none(),
-            2,
-            100_000,
-        )
-        .unwrap();
+        let free = run_scheduler(&alg, &mut RoundRobin::new(), 2, 100_000).unwrap();
         for mut plan in [
+            FaultPlan::none(),
             FaultPlan::random(7, 0),
             FaultPlan::in_critical(0),
             FaultPlan::at_steps(Vec::new()),
         ] {
             let exec = run_faulted(&alg, &mut RoundRobin::new(), &mut plan, 2, 100_000).unwrap();
-            assert_eq!(exec, none, "{plan:?}");
+            assert_eq!(exec, free, "{plan:?}");
             assert_eq!(plan.crashes(), 0);
         }
     }
