@@ -452,8 +452,7 @@ pub struct CrashForcedRun {
 
 impl CrashForcedRun {
     /// The `(Script, FaultPlan)` pair that replays the RMR-CC-winning
-    /// run bit-identically through
-    /// [`run_faulted`].
+    /// run bit-identically through [`run_faulted_with`].
     #[must_use]
     pub fn replay_artifacts(&self) -> (Script, FaultPlan) {
         faulted_script(&self.witness)

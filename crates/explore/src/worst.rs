@@ -26,8 +26,8 @@
 //!    program over the condensation yields the exact optimum — with a
 //!    witness schedule reconstructed greedily (positive optimal edges
 //!    first, breadth-first detours through free edges otherwise) that
-//!    replays to exactly that cost via `run_priced` and a
-//!    [`Script`](exclusion_shmem::sched::Script) scheduler.
+//!    replays to a complete run of exactly that cost via `run_priced`
+//!    and a [`Script`] scheduler.
 //!
 //! The greedy adversary's cost on the same instance is computed first
 //! and reported as [`WorstCaseReport::incumbent`]: it seeds the search
