@@ -204,11 +204,10 @@ fn faulted_streams_cover_crash_and_recover_events_deterministically() {
         let mut first = CollectingProbe::new();
         let a = game(&dyn_ref, &mut first);
         assert_eq!(a, unprobed, "{name}: probe is observationally free");
-        assert_eq!(a.0, 3, "{name}: the game completes every passage");
-        let injected =
-            a.1.iter()
-                .filter(|s| matches!(s, Step::Crash { .. }))
-                .count();
+        let (completed, steps) = &a;
+        assert_eq!(*completed, 3, "{name}: the game completes every passage");
+        let crash_step = |s: &&Step| matches!(s, Step::Crash { .. });
+        let injected = steps.iter().filter(crash_step).count();
         assert!(injected > 0, "{name}: the plan found a CS occupant");
 
         let crashes: Vec<_> = first
