@@ -5,7 +5,7 @@
 
 use std::cell::RefCell;
 
-use exclusion_cost::{run_priced_probed, RmrTracker};
+use exclusion_cost::{run_priced_probed, CostTracker};
 use exclusion_mutex::registry::AlgorithmRegistry;
 use exclusion_shmem::dynamic::{DynAutomaton, DynRef};
 use exclusion_shmem::probe::{NoProbe, Probe, SharedProbe, SpanScope, TraceEvent};
@@ -414,8 +414,9 @@ fn play_grid<C, const M: usize>(
 /// aims each crash at a critical-section occupant, the point where a
 /// recoverable lock has the most volatile state to lose. With budget 0
 /// the fault driver injects nothing and the game degenerates to the
-/// crash-free pipeline: the RMR-CC/RMR-DSM columns are then
-/// bit-identical to [`force`]'s CC/DSM columns (pinned by test).
+/// crash-free pipeline: both games price with one [`CostTracker`], so
+/// the RMR-CC/RMR-DSM columns are then [`force`]'s CC/DSM columns
+/// (pinned by test).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct CrashForcedRun {
     /// Algorithm name (the automaton's own, or the registry label when
@@ -466,8 +467,10 @@ impl CrashForcedRun {
 }
 
 /// Runs one strategy through the fault driver, recording each step and
-/// pricing it under both RMR models with a streaming [`RmrTracker`] in
-/// the same pass. Like [`play`], it refuses a run that stops short.
+/// pricing it with a streaming [`CostTracker`] in the same pass: its CC
+/// cost (a crash wipes the victim's cache) is the run's RMR-CC cost and
+/// its DSM cost the RMR-DSM cost. Like [`play`], it refuses a run that
+/// stops short.
 fn play_faulted(
     alg: &dyn DynAutomaton,
     mut sched: impl Scheduler,
@@ -475,7 +478,7 @@ fn play_faulted(
 ) -> Outcome<2, Vec<Step>> {
     let dref = DynRef(alg);
     let mut plan = FaultPlan::in_critical(cfg.crashes);
-    let mut rmr = RmrTracker::new(&dref);
+    let mut tracker = CostTracker::new(&dref);
     let mut witness = Vec::new();
     let run = run_faulted_with(
         &dref,
@@ -485,13 +488,13 @@ fn play_faulted(
         cfg.max_steps,
         &mut NoProbe,
         |done| {
-            rmr.observe(done);
+            tracker.observe(done);
             witness.push(done.step);
         },
     )
     .map_err(|e| e.to_string())?;
     complete(run.steps, run.completed, alg.processes())?;
-    Ok(([rmr.rmr_cc().total(), rmr.rmr_dsm().total()], witness))
+    Ok(([tracker.cc().total(), tracker.dsm().total()], witness))
 }
 
 /// Plays the crash adversary game for one algorithm instance: every
@@ -751,7 +754,7 @@ mod tests {
             } else {
                 run.greedy[RMR_CC]
             };
-            let cc = exclusion_cost::rmr_cc_cost(
+            let cc = exclusion_cost::cc_cost(
                 &DynRef(alg.as_ref()),
                 &exclusion_shmem::Execution::from_steps(replayed),
             )

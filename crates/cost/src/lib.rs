@@ -10,11 +10,18 @@
 //!
 //! * [`cc_cost`] — the **cache-coherent (CC)** model: a read costs one
 //!   remote memory reference when the register is not in the reader's
-//!   cache (never read since the last invalidating write); a write always
-//!   costs one and invalidates all other caches;
+//!   cache (never read since the last invalidating write, or since the
+//!   reader last crashed); a write always costs one and invalidates all
+//!   other caches;
 //! * [`dsm_cost`] — the **distributed shared memory (DSM)** model: every
 //!   access to a register whose home is not the acting process costs one
 //!   (homes are declared by [`Automaton::register_home`]).
+//!
+//! The same two models price crashed runs in the recoverable-mutex RMR
+//! model (Golab–Ramaraju): a [`Step::Crash`] wipes the crashed
+//! process's cache, so RMR-CC is the CC cost of a crashed execution and
+//! RMR-DSM is its DSM cost. On a crash-free execution the crash rule
+//! never fires.
 //!
 //! All three models exist in two computations that are pinned
 //! bit-identical by tests:
@@ -155,7 +162,10 @@ pub fn sc_cost<A: Automaton>(alg: &A, exec: &Execution) -> Result<CostReport, Re
 /// A read by `p` of register `ℓ` is free if `p` has read or written `ℓ`
 /// since the last write to `ℓ` by another process, and costs one
 /// otherwise (the line must be fetched). A write always costs one and
-/// invalidates every other process's cached copy.
+/// invalidates every other process's cached copy. A crash of `p` wipes
+/// `p`'s cache (its volatile state, cache included, is lost), so every
+/// register it re-reads after recovery is fetched again; the crash step
+/// itself is free.
 ///
 /// # Errors
 ///
@@ -180,64 +190,10 @@ pub fn cc_cost<A: Automaton>(alg: &A, exec: &Execution) -> Result<CostReport, Re
                 c[reg.index()] = i == pid.index();
             }
         }
-        // The failure-free CC model is crash-oblivious: crash-free runs
-        // price identically whether or not faults *could* have happened.
-        // The crash-aware flavor is [`rmr_cc_cost`].
-        Step::Crit { .. } | Step::Crash { .. } => {}
-    })?;
-    Ok(report)
-}
-
-/// The **RMR (CC flavor)** cost of a possibly-crashed execution: the
-/// cache-coherent rules of [`cc_cost`], extended with the
-/// Golab–Ramaraju crash semantics — a [`Step::Crash`] wipes the crashed
-/// process's entire cache (its volatile state, cache included, is
-/// lost), so every register it re-reads after recovery is a fresh
-/// remote memory reference. The crash step itself is free.
-///
-/// On crash-free executions this is **bit-identical** to [`cc_cost`]
-/// (pinned by tests): the models differ only in how they price
-/// recovery.
-///
-/// # Errors
-///
-/// Returns [`ReplayError`] if the execution was not produced by `alg`.
-pub fn rmr_cc_cost<A: Automaton>(alg: &A, exec: &Execution) -> Result<CostReport, ReplayError> {
-    let n = alg.processes();
-    let regs = alg.registers();
-    let mut report = CostReport::new(n, regs);
-    let mut cached = vec![vec![false; regs]; n];
-    replay(alg, exec.steps(), |o| match o.step {
-        Step::Read { pid, reg } => {
-            if !cached[pid.index()][reg.index()] {
-                report.charge(pid, reg);
-                cached[pid.index()][reg.index()] = true;
-            }
-        }
-        Step::Write { pid, reg, .. } | Step::Rmw { pid, reg, .. } => {
-            report.charge(pid, reg);
-            for (i, c) in cached.iter_mut().enumerate() {
-                c[reg.index()] = i == pid.index();
-            }
-        }
         Step::Crash { pid } => cached[pid.index()].fill(false),
         Step::Crit { .. } => {}
     })?;
     Ok(report)
-}
-
-/// The **RMR (DSM flavor)** cost of a possibly-crashed execution. In
-/// the DSM model remoteness is a static property of the register's
-/// home, not of any volatile cache, so a crash changes nothing about
-/// how later accesses are priced — this is exactly [`dsm_cost`], which
-/// already prices crash steps at zero. The alias exists so callers can
-/// name both RMR flavors symmetrically.
-///
-/// # Errors
-///
-/// Returns [`ReplayError`] if the execution was not produced by `alg`.
-pub fn rmr_dsm_cost<A: Automaton>(alg: &A, exec: &Execution) -> Result<CostReport, ReplayError> {
-    dsm_cost(alg, exec)
 }
 
 /// The distributed-shared-memory cost: one unit per access to a register
@@ -276,12 +232,14 @@ pub fn all_costs<A: Automaton>(
 }
 
 /// Streaming pricer: accumulates the SC, CC and DSM costs of a run
-/// online, one [`Executed`] outcome at a time, with O(1) work per step —
-/// no recorded execution, no replays.
+/// online, one [`Executed`] outcome at a time, with O(1) work per
+/// ordinary step — no recorded execution, no replays.
 ///
 /// The CC model's write-invalidation is tracked with epoch counters
 /// (`valid(p, ℓ) ⇔ p touched ℓ after the last write to ℓ`) instead of
 /// clearing an n-entry cache column per write, so even writes are O(1).
+/// A crash clears the victim's row, which reads as "never touched": an
+/// O(registers) wipe, made at most once per injected crash.
 /// Totals and breakdowns are bit-identical to the replay-based pricers
 /// ([`sc_cost`], [`cc_cost`], [`dsm_cost`]) on the recorded execution of
 /// the same run — pinned by the cross-suite equivalence tests.
@@ -366,9 +324,11 @@ impl CostTracker {
                 self.invalidated[reg.index()] = self.clock;
                 self.touched[pid.index() * self.registers + reg.index()] = self.clock;
             }
-            // Crash steps are free in the failure-free models (the
-            // crash-aware CC flavor lives in [`RmrTracker`]).
-            Step::Crit { .. } | Step::Crash { .. } => {}
+            Step::Crash { pid } => {
+                let row = pid.index() * self.registers;
+                self.touched[row..row + self.registers].fill(0);
+            }
+            Step::Crit { .. } => {}
         }
         if let Some(reg) = step.register() {
             if self.home[reg.index()] != Some(step.pid()) {
@@ -453,125 +413,6 @@ impl CostTracker {
     #[must_use]
     pub fn into_reports(self) -> (CostReport, CostReport, CostReport) {
         (self.sc, self.cc, self.dsm)
-    }
-}
-
-/// Streaming **RMR** (remote-memory-reference) pricer for
-/// possibly-crashed runs — the fourth cost model, in its two standard
-/// flavors:
-///
-/// * **RMR-CC**: the write-invalidate cache rules of the CC model,
-///   plus the Golab–Ramaraju crash rule — a crash wipes the crashed
-///   process's cache, so post-recovery re-reads are remote again;
-/// * **RMR-DSM**: remoteness by static register home, insensitive to
-///   crashes.
-///
-/// Both are O(1) per step: the crash wipe is an epoch bump
-/// (`crashed_at[p] = clock`), not an O(registers) clear. On crash-free
-/// runs `rmr_cc` is bit-identical to [`CostTracker`]'s CC and
-/// `rmr_dsm` to its DSM (pinned by tests); totals also match the
-/// replay pricers [`rmr_cc_cost`]/[`rmr_dsm_cost`] on the recorded
-/// execution of the same run.
-#[derive(Clone, Debug)]
-pub struct RmrTracker {
-    registers: usize,
-    rmr_cc: CostReport,
-    rmr_dsm: CostReport,
-    /// Epoch at which process `p` last touched register `ℓ` (row-major
-    /// `p * registers + ℓ`); 0 means never.
-    touched: Vec<usize>,
-    /// Epoch of the last write (or RMW) to each register.
-    invalidated: Vec<usize>,
-    /// Epoch of each process's last crash; 0 means never. A cached copy
-    /// survives a crash only if it was touched *after* it.
-    crashed_at: Vec<usize>,
-    clock: usize,
-    crashes: usize,
-    home: Vec<Option<ProcessId>>,
-}
-
-impl RmrTracker {
-    /// A tracker for runs of `alg`, starting from zero cost.
-    #[must_use]
-    pub fn new<A: Automaton>(alg: &A) -> Self {
-        let n = alg.processes();
-        let registers = alg.registers();
-        RmrTracker {
-            registers,
-            rmr_cc: CostReport::new(n, registers),
-            rmr_dsm: CostReport::new(n, registers),
-            touched: vec![0; n * registers],
-            invalidated: vec![0; registers],
-            crashed_at: vec![0; n],
-            clock: 0,
-            crashes: 0,
-            home: RegisterId::all(registers)
-                .map(|r| alg.register_home(r))
-                .collect(),
-        }
-    }
-
-    /// Prices one executed step (crash steps included) under both RMR
-    /// flavors.
-    pub fn observe(&mut self, done: &Executed) {
-        self.clock += 1;
-        match done.step {
-            Step::Read { pid, reg } => {
-                let cell = &mut self.touched[pid.index() * self.registers + reg.index()];
-                if *cell == 0
-                    || *cell < self.invalidated[reg.index()]
-                    || *cell <= self.crashed_at[pid.index()]
-                {
-                    self.rmr_cc.charge(pid, reg);
-                }
-                *cell = self.clock;
-            }
-            Step::Write { pid, reg, .. } | Step::Rmw { pid, reg, .. } => {
-                self.rmr_cc.charge(pid, reg);
-                self.invalidated[reg.index()] = self.clock;
-                self.touched[pid.index() * self.registers + reg.index()] = self.clock;
-            }
-            Step::Crash { pid } => {
-                self.crashes += 1;
-                self.crashed_at[pid.index()] = self.clock;
-            }
-            Step::Crit { .. } => {}
-        }
-        if let Some(reg) = done.step.register() {
-            if self.home[reg.index()] != Some(done.step.pid()) {
-                self.rmr_dsm.charge(done.step.pid(), reg);
-            }
-        }
-    }
-
-    /// Steps priced so far (crash steps included).
-    #[must_use]
-    pub fn steps(&self) -> usize {
-        self.clock
-    }
-
-    /// Crash steps priced so far.
-    #[must_use]
-    pub fn crashes(&self) -> usize {
-        self.crashes
-    }
-
-    /// The RMR cost in the CC flavor accumulated so far.
-    #[must_use]
-    pub fn rmr_cc(&self) -> &CostReport {
-        &self.rmr_cc
-    }
-
-    /// The RMR cost in the DSM flavor accumulated so far.
-    #[must_use]
-    pub fn rmr_dsm(&self) -> &CostReport {
-        &self.rmr_dsm
-    }
-
-    /// Consumes the tracker, returning `(rmr_cc, rmr_dsm)`.
-    #[must_use]
-    pub fn into_reports(self) -> (CostReport, CostReport) {
-        (self.rmr_cc, self.rmr_dsm)
     }
 }
 
@@ -873,54 +714,23 @@ mod tests {
     }
 
     #[test]
-    fn rmr_flavors_match_cc_and_dsm_on_crash_free_runs() {
-        use exclusion_shmem::sched::{run_scheduler, GreedyAdversary};
-        for r in AlgorithmRegistry::global().resolve_where(4, |i| i.deadlock_free) {
-            let alg = DynRef(r.automaton.as_ref());
-            let exec = run_scheduler(&alg, &mut GreedyAdversary::new(), 2, 50_000_000).unwrap();
-            let cc = cc_cost(&alg, &exec).unwrap();
-            let dsm = dsm_cost(&alg, &exec).unwrap();
-            assert_eq!(rmr_cc_cost(&alg, &exec).unwrap(), cc, "{}", alg.name());
-            assert_eq!(rmr_dsm_cost(&alg, &exec).unwrap(), dsm, "{}", alg.name());
-            // The streaming tracker agrees bit-for-bit.
-            let mut rmr = RmrTracker::new(&alg);
-            let mut sys = exclusion_shmem::System::new(&alg);
-            for s in exec.steps() {
-                let done = sys.execute_expected(*s).unwrap();
-                rmr.observe(&done);
-            }
-            assert_eq!(rmr.rmr_cc(), &cc, "{}", alg.name());
-            assert_eq!(rmr.rmr_dsm(), &dsm, "{}", alg.name());
-            assert_eq!(rmr.crashes(), 0);
-        }
-    }
-
-    #[test]
-    fn crashes_reprice_recovery_reads_under_rmr_cc_only() {
+    fn crashes_wipe_the_victims_cache_in_both_pricers() {
         use exclusion_shmem::fault::run_faulted;
         use exclusion_shmem::sched::RoundRobin;
         let alg = Peterson::new(2);
         let mut plan = FaultPlan::in_critical(2);
         let exec = run_faulted(&alg, &mut RoundRobin::new(), &mut plan, 1, 100_000).unwrap();
         assert_eq!(exec.crash_count(), 2);
-        let cc = cc_cost(&alg, &exec).unwrap();
-        let rmr_cc = rmr_cc_cost(&alg, &exec).unwrap();
-        // A wiped cache can only make reads *more* expensive.
-        assert!(rmr_cc.total() >= cc.total());
-        // DSM flavor is insensitive to crashes.
-        assert_eq!(
-            rmr_dsm_cost(&alg, &exec).unwrap(),
-            dsm_cost(&alg, &exec).unwrap()
-        );
-        // Streaming matches replay on the crashed execution too.
-        let mut rmr = RmrTracker::new(&alg);
+        // Each victim re-reads what its crash wiped: 20 remote
+        // references, where a cache that survived the crashes gives 18.
+        let replayed = all_costs(&alg, &exec).unwrap();
+        assert_eq!(replayed.1.total(), 20);
+        let mut tracker = CostTracker::new(&alg);
         let mut sys = exclusion_shmem::System::new(&alg);
         for s in exec.steps() {
-            let done = sys.execute_expected(*s).unwrap();
-            rmr.observe(&done);
+            tracker.observe(&sys.execute_expected(*s).unwrap());
         }
-        assert_eq!(rmr.rmr_cc(), &rmr_cc);
-        assert_eq!(rmr.crashes(), 2);
+        assert_eq!(tracker.into_reports(), replayed);
     }
 
     #[test]

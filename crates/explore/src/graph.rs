@@ -262,7 +262,7 @@ impl CostLens for CcLens {
             Step::Crit { .. } => 0,
             // A crash wipes the crashed process's cache: its next read of
             // every register is a miss again. The crash step itself is free,
-            // matching the replay pricer's `rmr_cc_cost`.
+            // matching `exclusion_cost::cc_cost`.
             Step::Crash { pid } => {
                 let bit = 1u64 << pid.index();
                 for line in digest.iter_mut() {
@@ -315,7 +315,7 @@ pub(crate) struct CrashLens {
 }
 
 impl CostLens for CrashLens {
-    type Digest = u8;
+    type Digest = u64;
 
     fn initial(&self, _registers: usize) -> Self::Digest {
         0
@@ -336,10 +336,10 @@ impl CostLens for CrashLens {
         1
     }
     fn digest_to_words(&self, digest: &Self::Digest, out: &mut [u64]) {
-        out[0] = u64::from(*digest);
+        out[0] = *digest;
     }
     fn digest_from_words(&self, words: &[u64], out: &mut Self::Digest) {
-        *out = words[0] as u8;
+        *out = words[0];
     }
 }
 
@@ -1591,6 +1591,7 @@ mod tests {
             ("bakery", 2),
             ("splitter-gate", 3),
             ("ticket", 3),
+            ("mcs-sim", 2),
         ] {
             let alg = reg.resolve_str(name, n).expect("resolves").automaton;
             assert!(
@@ -1603,12 +1604,7 @@ mod tests {
     #[test]
     fn interned_states_roundtrip_through_records() {
         let reg = conformance_registry();
-        for (name, n) in [
-            ("mcs-sim", 2),
-            ("rtas", 3),
-            ("broken-recover", 2),
-            ("broken", 3),
-        ] {
+        for (name, n) in [("rtas", 3), ("broken-recover", 2), ("broken", 3)] {
             let alg = reg.resolve_str(name, n).expect("resolves").automaton;
             assert!(
                 assert_records_mirror_keys(name, alg.as_ref(), &ScLens),

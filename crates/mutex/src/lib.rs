@@ -15,16 +15,17 @@
 //! | [`Splitter`] | unbounded | two registers total; fully symmetric under process permutation (the orbit-reduction showcase) |
 //!
 //! The [`rmw`] module adds locks built on read-modify-write primitives
-//! (TAS, TTAS, MCS) — outside the paper's register-only model, but
-//! priced by the same cost models for comparison; the lower-bound
-//! construction rejects them with a diagnostic. The [`queue`] module
-//! builds the three queue locks from *composable*
+//! (TAS, TTAS) — outside the paper's register-only model, but priced by
+//! the same cost models for comparison; the lower-bound construction
+//! rejects them with a diagnostic. The [`queue`] module builds the three
+//! queue locks from *composable*
 //! [`queue::Queue`]/[`queue::Signal`]/[`queue::Handoff`] modules over a
 //! shared phase machine — registered as `mcs`, `clh`, `ticket` — and
 //! is the formal side of the hardware differential harness
-//! (`exclusion_workload::hwbench`). Each lock has one implementation,
-//! except MCS: the simulated `mcs-sim` stays beside the composed `mcs`
-//! because it homes only the spin flags, so the two differ in DSM cost.
+//! (`exclusion_workload::hwbench`). Each lock has one implementation:
+//! `mcs-sim` is the same MCS automaton built by
+//! [`Mcs::with_remote_links`], which homes only the spin flags, so the
+//! two entries differ in DSM cost.
 //!
 //! The [`recover`] module adds *crash-recoverable* locks for the
 //! fault-injection model ([`exclusion_shmem::fault`]): [`RPeterson`]
@@ -85,5 +86,5 @@ pub use recover::{BrokenRecover, RPeterson, RTas};
 pub use registry::{
     AlgorithmEntry, AlgorithmInfo, AlgorithmRegistry, DynAlgorithm, ResolvedAlgorithm,
 };
-pub use rmw::{McsSim, TasSim, TtasSim};
+pub use rmw::{TasSim, TtasSim};
 pub use splitter::Splitter;

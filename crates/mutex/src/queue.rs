@@ -24,15 +24,15 @@
 //! | [`Clh`] | [`SwapTail`] | [`PredecessorFlag`] | [`ReleaseCell`] |
 //! | [`Ticket`] | [`TicketCounter`] | [`TicketMatch`] | [`BumpCounter`] |
 //!
-//! registered as `mcs`, `clh` and `ticket`. The composed MCS executes
-//! the same steps as the monolithic [`McsSim`](crate::rmw::McsSim)
-//! under every schedule (pinned by tests), with one deliberate
-//! improvement: [`LinkedTail`] homes *both* per-process words
-//! (`locked[i]` **and** `next[i]`) at process `i`, so the composable
-//! MCS is a true local-spin lock under the DSM model —
-//! finite O(1) remote accesses per passage — while CLH (spinning on the
-//! predecessor's node) and ticket (spinning on the shared counter) are
-//! DSM-pumpable, exactly as the literature classifies them.
+//! registered as `mcs`, `clh` and `ticket`. [`Mcs::new`]'s
+//! [`LinkedTail`] homes *both* per-process words (`locked[i]` **and**
+//! `next[i]`) at process `i`, so MCS is a true local-spin lock under
+//! the DSM model — finite O(1) remote accesses per passage — while CLH
+//! (spinning on the predecessor's node) and ticket (spinning on the
+//! shared counter) are DSM-pumpable, exactly as the literature
+//! classifies them. [`Mcs::with_remote_links`], registered as
+//! `mcs-sim`, takes the same steps but homes only the `locked` bank,
+//! so its exit-path link-wait spins remotely under DSM.
 //!
 //! # Example
 //!
@@ -347,13 +347,15 @@ impl<Q: Queue, S: Signal, H: Handoff> Automaton for QueueLock<Q, S, H> {
 /// MCS enqueue: clear the own `next` link, raise the own `locked` flag,
 /// swap into the tail, link behind the predecessor if there was one.
 ///
-/// Layout: `locked[i] = i`, `next[i] = n + i`, `tail = 2n`. Both
-/// per-process words are DSM-homed at process `i` — the queue node
-/// lives in its owner's memory, which is what makes MCS local-spin
-/// under DSM (the monolithic `mcs-sim` homes only the `locked` bank).
+/// Layout: `locked[i] = i`, `next[i] = n + i`, `tail = 2n`. The first
+/// `banks` per-process banks are DSM-homed at their owner: both for
+/// [`Mcs::new`], whose queue node lives in its owner's memory, which is
+/// what makes MCS local-spin under DSM; only `locked` for
+/// [`Mcs::with_remote_links`].
 #[derive(Clone, Copy, Debug)]
 pub struct LinkedTail {
     n: usize,
+    banks: usize,
 }
 
 impl LinkedTail {
@@ -374,7 +376,7 @@ impl Queue for LinkedTail {
     }
 
     fn register_home(&self, reg: RegisterId) -> Option<ProcessId> {
-        (reg.index() < 2 * self.n).then(|| ProcessId::new(reg.index() % self.n))
+        (reg.index() < self.banks * self.n).then(|| ProcessId::new(reg.index() % self.n))
     }
 
     fn enqueue_register(&self) -> RegisterId {
@@ -698,16 +700,29 @@ impl Handoff for BumpCounter {
 pub type Mcs = QueueLock<LinkedTail, OwnFlag, SuccessorFlag>;
 
 impl Mcs {
-    /// An `n`-process composable MCS lock.
+    /// An `n`-process composable MCS lock, each queue node homed at its
+    /// owner.
     #[must_use]
     pub fn new(n: usize) -> Self {
         QueueLock {
             n,
             name: "mcs",
             symmetric: false, // pid-indexed register banks
-            queue: LinkedTail { n },
+            queue: LinkedTail { n, banks: 2 },
             signal: OwnFlag,
             handoff: SuccessorFlag { n },
+        }
+    }
+
+    /// An `n`-process MCS lock that homes only the `locked` flags: the
+    /// `next` links are remote to everyone under DSM. Registered as
+    /// `mcs-sim`.
+    #[must_use]
+    pub fn with_remote_links(n: usize) -> Self {
+        QueueLock {
+            name: "mcs-sim",
+            queue: LinkedTail { n, banks: 1 },
+            ..Mcs::new(n)
         }
     }
 }
@@ -761,7 +776,6 @@ fn unpack(v: Value) -> (Value, Value) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rmw::McsSim;
     use exclusion_shmem::sched::{run_random, run_round_robin, run_sequential};
 
     #[test]
@@ -795,45 +809,22 @@ mod tests {
         check(&Ticket::new(3));
     }
 
-    /// The decomposition is conservative: under identical schedules the
-    /// composed MCS executes the **same step sequence** as its
-    /// monolithic `crate::rmw` twin (same layout, same micro-program
-    /// order), so every verdict about the twin transfers.
-    #[test]
-    fn composed_mcs_traces_identically_to_its_monolithic_twin() {
-        fn twin<A: Automaton, B: Automaton>(a: &A, b: &B, label: &str) {
-            let order: Vec<_> = ProcessId::all(4).collect();
-            let ea = run_sequential(a, &order, 100_000).unwrap();
-            let eb = run_sequential(b, &order, 100_000).unwrap();
-            assert_eq!(ea.steps(), eb.steps(), "{label}: sequential");
-            for passages in [1, 3] {
-                let ea = run_round_robin(a, passages, 1_000_000).unwrap();
-                let eb = run_round_robin(b, passages, 1_000_000).unwrap();
-                assert_eq!(ea.steps(), eb.steps(), "{label}: round robin x{passages}");
-            }
-            for seed in [1, 7, 42] {
-                let ea = run_random(a, 2, 1_000_000, seed).unwrap();
-                let eb = run_random(b, 2, 1_000_000, seed).unwrap();
-                assert_eq!(ea.steps(), eb.steps(), "{label}: random seed {seed}");
-            }
-        }
-        twin(&Mcs::new(4), &McsSim::new(4), "mcs");
-    }
-
-    /// The one deliberate divergence from the twins: the composable MCS
-    /// homes both per-process words, so its spins (and its link-wait)
-    /// are DSM-local.
+    /// `Mcs::new` homes both per-process words, so its spins (and its
+    /// link-wait) are DSM-local; `with_remote_links` homes only the
+    /// `locked` flags.
     #[test]
     fn mcs_homes_both_per_process_banks() {
         let mcs = Mcs::new(3);
-        let sim = McsSim::new(3);
+        let sim = Mcs::with_remote_links(3);
         for i in 0..3 {
             let own = Some(ProcessId::new(i));
             assert_eq!(mcs.register_home(RegisterId::new(i)), own, "locked[{i}]");
             assert_eq!(mcs.register_home(RegisterId::new(3 + i)), own, "next[{i}]");
+            assert_eq!(sim.register_home(RegisterId::new(i)), own, "locked[{i}]");
             assert_eq!(sim.register_home(RegisterId::new(3 + i)), None);
         }
         assert_eq!(mcs.register_home(RegisterId::new(6)), None, "tail");
+        assert_eq!(sim.register_home(RegisterId::new(6)), None, "tail");
         // CLH nodes recycle across processes: no honest fixed home.
         let clh = Clh::new(3);
         for r in 0..clh.registers() {

@@ -54,7 +54,7 @@ use exclusion_shmem::dynamic::{DynAutomaton, Packed};
 use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
 
 use crate::queue::{Clh, Mcs, Ticket};
-use crate::rmw::{McsSim, TasSim, TtasSim};
+use crate::rmw::{TasSim, TtasSim};
 use crate::{
     Bakery, BrokenRecover, BurnsLynch, DekkerTournament, Dijkstra, Filter, Peterson, RPeterson,
     RTas, Splitter,
@@ -211,16 +211,16 @@ impl AlgorithmRegistry {
 
     /// The built-in suite, in report order: the six register-only
     /// algorithms of the paper's model plus the two symmetric splitter
-    /// locks, the RMW-based locks (the simulated TAS, TTAS and MCS
-    /// locks of [`crate::rmw`], then the composed `mcs`, `clh` and
-    /// `ticket` of [`crate::queue`]), and the three crash-recoverable
-    /// locks of [`crate::recover`] — including the deliberately planted
+    /// locks, the RMW-based locks (the simulated TAS and TTAS locks of
+    /// [`crate::rmw`], then `mcs-sim`, `mcs`, `clh` and `ticket` of
+    /// [`crate::queue`]), and the three crash-recoverable locks of
+    /// [`crate::recover`] — including the deliberately planted
     /// `broken-recover`.
     ///
-    /// Every entry but `mcs-sim`, `rtas` and `broken-recover` registers
-    /// through [`Packed`], so its process states are inline words (one
-    /// word for dekker-tree, peterson, burns-lynch, rpeterson and the
-    /// splitter locks, two for the rest) rather than boxes.
+    /// Every entry but `rtas` and `broken-recover` registers through
+    /// [`Packed`], so its process states are inline words (one word for
+    /// dekker-tree, peterson, burns-lynch, rpeterson and the splitter
+    /// locks, two for the rest) rather than boxes.
     #[must_use]
     pub fn standard() -> Self {
         fn plain<A>(
@@ -429,7 +429,7 @@ impl AlgorithmRegistry {
             "MCS queue lock (simulated)",
             "rmw",
             true,
-            McsSim::new,
+            |n| Packed(Mcs::with_remote_links(n)),
         ));
         reg.register(plain_with(
             "mcs",

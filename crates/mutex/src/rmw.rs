@@ -1,10 +1,9 @@
 //! Simulated locks built on read-modify-write primitives — the
 //! "stronger memory primitives" of the paper's §8 — mirroring the
-//! hardware family in `exclusion-spin`: test-and-set,
-//! test-and-test-and-set and MCS. The ticket and CLH locks are
-//! simulated by the composed [`crate::queue`] locks (`ticket`, `clh`);
-//! the composed `mcs` keeps this module's MCS as its twin because the
-//! two home their registers differently, so their DSM costs differ.
+//! hardware family in `exclusion-spin`: test-and-set and
+//! test-and-test-and-set. The MCS, CLH and ticket locks are simulated
+//! by the composed [`crate::queue`] locks (`mcs` and `mcs-sim`, `clh`,
+//! `ticket`).
 //!
 //! These automata use [`NextStep::Rmw`] and therefore live *outside*
 //! the paper's register-only model: the lower-bound construction
@@ -34,8 +33,8 @@ enum Phase {
     Resting,
 }
 
-/// Per-process state: a phase and one auxiliary word (the MCS
-/// successor, …).
+/// Per-process state: a phase and one auxiliary word (the TTAS lock's
+/// remaining backoff polls).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub struct RmwState {
     phase: Phase,
@@ -276,126 +275,6 @@ impl Automaton for TtasSim {
     // Pid-free states and register values: see `TasSim::symmetric`.
     fn symmetric(&self) -> bool {
         true
-    }
-}
-
-/// MCS queue lock: swap into the tail, link behind the predecessor,
-/// spin on the thread's own flag; exit CASes the tail out or hands off.
-#[derive(Clone, Copy, Debug)]
-pub struct McsSim {
-    n: usize,
-}
-
-impl McsSim {
-    /// An `n`-process MCS lock.
-    #[must_use]
-    pub fn new(n: usize) -> Self {
-        McsSim { n }
-    }
-
-    fn locked(&self, i: usize) -> RegisterId {
-        RegisterId::new(i)
-    }
-    fn next(&self, i: usize) -> RegisterId {
-        RegisterId::new(self.n + i)
-    }
-    fn tail(&self) -> RegisterId {
-        RegisterId::new(2 * self.n)
-    }
-}
-
-impl Automaton for McsSim {
-    type State = RmwState;
-
-    fn processes(&self) -> usize {
-        self.n
-    }
-    fn registers(&self) -> usize {
-        2 * self.n + 1
-    }
-    fn initial_state(&self, _p: ProcessId) -> RmwState {
-        RmwState::at(Phase::Remainder, 0)
-    }
-
-    fn next_step(&self, p: ProcessId, s: &RmwState) -> NextStep {
-        let me = p.index();
-        match s.phase {
-            Phase::Remainder => NextStep::Crit(CritKind::Try),
-            Phase::Entry(0) => NextStep::Write(self.next(me), 0),
-            Phase::Entry(1) => NextStep::Write(self.locked(me), 1),
-            Phase::Entry(2) => NextStep::Rmw(self.tail(), RmwOp::Swap(me as Value + 1)),
-            Phase::Entry(3) => NextStep::Write(self.next(s.aux as usize), me as Value + 1),
-            Phase::Entry(_) => NextStep::Read(self.locked(me)),
-            Phase::Entering => NextStep::Crit(CritKind::Enter),
-            Phase::Critical => NextStep::Crit(CritKind::Exit),
-            Phase::Exit(0) => NextStep::Read(self.next(me)),
-            Phase::Exit(1) => NextStep::Rmw(
-                self.tail(),
-                RmwOp::CompareAndSwap {
-                    expect: me as Value + 1,
-                    new: 0,
-                },
-            ),
-            Phase::Exit(2) => NextStep::Read(self.next(me)),
-            Phase::Exit(_) => NextStep::Write(self.locked(s.aux as usize), 0),
-            Phase::Resting => NextStep::Crit(CritKind::Rem),
-        }
-    }
-
-    fn observe(&self, p: ProcessId, s: &RmwState, obs: Observation) -> RmwState {
-        let me = p.index() as Value;
-        common_crit!(self, s, obs, RmwState::at(Phase::Entry(0), 0));
-        match (s.phase, obs) {
-            (Phase::Entry(0), Observation::Write) => RmwState::at(Phase::Entry(1), 0),
-            (Phase::Entry(1), Observation::Write) => RmwState::at(Phase::Entry(2), 0),
-            (Phase::Entry(2), Observation::Rmw(old_tail)) => {
-                if old_tail == 0 {
-                    RmwState::at(Phase::Entering, 0)
-                } else {
-                    // aux := predecessor index.
-                    RmwState::at(Phase::Entry(3), old_tail - 1)
-                }
-            }
-            (Phase::Entry(3), Observation::Write) => RmwState::at(Phase::Entry(4), 0),
-            (Phase::Entry(4), Observation::Read(locked)) => {
-                if locked == 0 {
-                    RmwState::at(Phase::Entering, 0)
-                } else {
-                    *s // spin on our own flag
-                }
-            }
-            (Phase::Exit(0), Observation::Read(next)) => {
-                if next == 0 {
-                    RmwState::at(Phase::Exit(1), 0)
-                } else {
-                    RmwState::at(Phase::Exit(3), next - 1)
-                }
-            }
-            (Phase::Exit(1), Observation::Rmw(old_tail)) => {
-                if old_tail == me + 1 {
-                    RmwState::at(Phase::Resting, 0) // no successor: done
-                } else {
-                    RmwState::at(Phase::Exit(2), 0) // successor is linking
-                }
-            }
-            (Phase::Exit(2), Observation::Read(next)) => {
-                if next == 0 {
-                    *s // wait for the successor's link: single register
-                } else {
-                    RmwState::at(Phase::Exit(3), next - 1)
-                }
-            }
-            (Phase::Exit(3), Observation::Write) => RmwState::at(Phase::Resting, 0),
-            _ => unreachable!("mcs: {s:?} cannot observe {obs:?}"),
-        }
-    }
-
-    fn register_home(&self, reg: RegisterId) -> Option<ProcessId> {
-        (reg.index() < self.n).then(|| ProcessId::new(reg.index()))
-    }
-
-    fn name(&self) -> String {
-        "mcs-sim".to_string()
     }
 }
 

@@ -83,11 +83,11 @@ pub const INLINE_WORDS: usize = 3;
 /// pinned by property tests for the provided implementations.
 ///
 /// The standard registry of `exclusion-mutex` packs every entry but
-/// three: the paper's register-only locks (dekker-tree, peterson,
+/// two: the paper's register-only locks (dekker-tree, peterson,
 /// bakery, filter, dijkstra, burns-lynch), rpeterson, the splitter
-/// locks, tas-sim, ttas-sim and the composed mcs, clh and ticket locks
-/// register through [`Packed`] in one or two words per process; mcs-sim,
-/// rtas and broken-recover keep boxed states. The explorer stores an
+/// locks, tas-sim, ttas-sim and the composed mcs-sim, mcs, clh and
+/// ticket locks register through [`Packed`] in one or two words per
+/// process; rtas and broken-recover keep boxed states. The explorer stores an
 /// inline state as its words and a boxed one as an index into an
 /// intern list, so both take its one record layout.
 pub trait WordState: Copy + Eq + Hash + fmt::Debug + Send + Sync + 'static {

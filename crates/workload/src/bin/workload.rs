@@ -856,7 +856,8 @@ OPTIONS:
                          broken-recover included)
     --n LO..HI|N,M,...   the n grid for the crash game (default: 2,3)
     --crashes K          the crash budget: games sweep every k in 0..=K
-                         and certification uses K itself (default: 1)
+                         and certification uses K itself (default: 1,
+                         at most 1024)
     --no-certify         skip the exhaustive certification pass
     --no-symmetry        disable orbit reduction in the certification
                          pass (partial-order reduction is never applied
@@ -935,6 +936,12 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     if args.cfg.passages == 0 {
         return Err("--passages must be positive".into());
     }
+    if args.budget > MAX_CRASHES {
+        return Err(format!(
+            "--crashes: at most {MAX_CRASHES} crashes (got {})",
+            args.budget
+        ));
+    }
     // Same structured validation as the explore subcommand: an
     // oversized --max-states is a flag error, not a mid-run assert.
     if let Err(e) = args.xcfg.validated() {
@@ -943,6 +950,10 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
     all_where(&mut args.algs, |info| info.recoverable);
     Ok(Some(args))
 }
+
+/// The largest crash budget. The games sweep every budget up to it, so
+/// it is bounded before the sweep is sized.
+const MAX_CRASHES: usize = 1024;
 
 fn run_crash(argv: &[String]) -> Result<(), String> {
     use exclusion_bound::{force_crash_curve, CrashCurve, RMR_CC, RMR_MODELS};
@@ -1897,7 +1908,13 @@ mod tests {
         },
         |argv| parse_explore_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &[a.n])),
         |argv| parse_bound_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
-        |argv| parse_crash_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
+        |argv| match parse_crash_args(argv)? {
+            Some(a) => {
+                assert!(a.budget <= MAX_CRASHES, "{} crashes parsed", a.budget);
+                resolve(&a.algs, &a.ns)
+            }
+            None => Ok(()),
+        },
         |argv| parse_trace_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
         |argv| parse_serve_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
         |argv| match parse_hwbench_args(argv)? {

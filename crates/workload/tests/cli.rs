@@ -170,7 +170,7 @@ const HELP_AND_LISTINGS: &[Row] = &[
     ("--list-algs", 0, 0xa38071fce391cb62, ""),
     ("explore --help", 0, 0xa735d986531bed12, ""),
     ("bound --help", 0, 0x0f15d939ea70d02c, ""),
-    ("crash --help", 0, 0x5d6ea8e16a1e1d0a, ""),
+    ("crash --help", 0, 0x3161de75e8160ab1, ""),
     ("trace --help", 0, 0xbe9d95074475733a, ""),
     ("serve --help", 0, 0x6ea7ab5b8e0eb5f1, ""),
     ("hwbench -h", 0, 0xcf2912c2bb8386da, ""),
@@ -267,6 +267,22 @@ const HWBENCH_REQUEST_CAP: &[Row] = &[
 #[test]
 fn hwbench_request_totals_past_the_cap_are_flag_errors() {
     check(HWBENCH_REQUEST_CAP);
+}
+
+/// A crash budget past its cap (1024), or past `usize::MAX`, is a flag
+/// error: the games would sweep every budget up to it. Past 255 the
+/// certification counts crashes exactly: rtas at n = 2 reaches 22,535
+/// states under 300 crashes.
+#[rustfmt::skip]
+const CRASH_BUDGET_CAP: &[Row] = &[
+    ("crash --crashes 18446744073709551615 --no-certify", 1, 0xcbf29ce484222325, "workload: --crashes: at most 1024 crashes (got 18446744073709551615)"),
+    ("crash --crashes 1025", 1, 0xcbf29ce484222325, "workload: --crashes: at most 1024 crashes (got 1025)"),
+    ("crash --algs rtas --n 2 --crashes 300 --quiet --json -", 0, 0x219376e89fb5ccbb, ""),
+];
+
+#[test]
+fn crash_budgets_past_the_cap_are_flag_errors() {
+    check(CRASH_BUDGET_CAP);
 }
 
 /// A spec whose parameter would overflow a clock or a count is refused

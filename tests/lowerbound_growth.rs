@@ -25,7 +25,7 @@ use exclusion::bound::{
     force_crash_curve, force_curve, register_only, BoundConfig, BoundCurve, CrashCurve,
     CrashForcedRun, ForcedRun, MODELS, RMR_CC, RMR_MODELS, SC,
 };
-use exclusion::cost::rmr_cc_cost;
+use exclusion::cost::cc_cost;
 use exclusion::mutex::registry::AlgorithmRegistry;
 use exclusion::shmem::{run_faulted_with, DynRef, Execution, NoProbe, RmwOp, Step};
 
@@ -541,7 +541,7 @@ fn crash_games_dominate_replay_and_reduce_to_the_crash_free_game() {
                     cell.greedy[RMR_CC]
                 };
                 assert_eq!(
-                    rmr_cc_cost(&dref, &replayed).map(|r| r.total()),
+                    cc_cost(&dref, &replayed).map(|r| r.total()),
                     Ok(winner),
                     "{at}: the witness must re-price to the winner's RMR-CC cost"
                 );

@@ -13,9 +13,10 @@
 //!   `clh` spins on the *predecessor's* node and `ticket` on the shared
 //!   counter — remote under DSM, so the adversary pumps the wait
 //!   forever, exactly the literature's local-spin classification;
-//! * the monolithic `mcs-sim` twin homes only its `locked` bank (the
-//!   exit-path link-wait spins remotely), so it is DSM-unbounded — the
-//!   composable port is pinned here as a strict improvement.
+//! * `mcs-sim`, the same MCS built by `Mcs::with_remote_links`, homes
+//!   only its `locked` bank (the exit-path link-wait spins remotely),
+//!   so it is DSM-unbounded — homing the whole node is pinned here as a
+//!   strict improvement.
 //!
 //! Contrast with the register-only suite pinned in
 //! `safety_conformance.rs` / `exhaustive_bounds.rs`, where busy-waits
@@ -140,10 +141,9 @@ fn mcs_is_dsm_finite_and_clh_ticket_are_dsm_pumpable() {
     }
 }
 
-/// The composable port's one deliberate divergence from its monolithic
-/// twin: `mcs-sim` homes only the `locked` bank, leaving the exit-path
-/// link-wait remote — DSM-pumpable — while `mcs` homes the whole
-/// per-process node and stays finite.
+/// The two MCS entries differ only in homing: `mcs-sim` homes only the
+/// `locked` bank, leaving the exit-path link-wait remote — DSM-pumpable
+/// — while `mcs` homes the whole per-process node and stays finite.
 #[test]
 fn composable_mcs_improves_on_the_sim_twin_under_dsm() {
     let cfg = ExploreConfig::default();

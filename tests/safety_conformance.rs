@@ -14,7 +14,7 @@ use exclusion::explore::{
 };
 use exclusion::explore::{ExploreReport, HazardKind};
 use exclusion::mutex::broken::{BrokenPeterson, RacyBool};
-use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
+use exclusion::mutex::rmw::{TasSim, TtasSim};
 use exclusion::mutex::stale_tournament::StaleTournament;
 use exclusion::mutex::{
     Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra, Filter, Mcs, Peterson,
@@ -203,7 +203,7 @@ fn concrete(name: &str, n: usize) -> Box<dyn DynAutomaton + Sync> {
         "splitter-gate" => Box::new(Splitter::gated(n)),
         "tas-sim" => Box::new(TasSim::new(n)),
         "ttas-sim" => Box::new(TtasSim::new(n)),
-        "mcs-sim" => Box::new(McsSim::new(n)),
+        "mcs-sim" => Box::new(Mcs::with_remote_links(n)),
         "mcs" => Box::new(Mcs::new(n)),
         "clh" => Box::new(Clh::new(n)),
         "ticket" => Box::new(Ticket::new(n)),

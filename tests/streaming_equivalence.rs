@@ -5,19 +5,24 @@
 //! path**: the recorded leg drives the concrete automaton type, the
 //! streaming leg drives the registry's `Arc<dyn DynAutomaton>` handle,
 //! so one assertion pins streaming == replay *and* dyn == typed at
-//! once. The incrementally maintained scheduler views must also equal
+//! once. On crashed runs of the recoverable locks both computations
+//! apply the one CC rule — a crash wipes the victim's cache — and agree
+//! too. The incrementally maintained scheduler views must also equal
 //! a from-scratch rebuild after every step of an adversarial run driven
 //! through the dyn path.
 
 use exclusion::cost::{all_costs, run_priced, CostTracker};
-use exclusion::mutex::rmw::{McsSim, TasSim, TtasSim};
+use exclusion::mutex::rmw::{TasSim, TtasSim};
 use exclusion::mutex::{
     AlgorithmRegistry, Bakery, BrokenRecover, BurnsLynch, Clh, DekkerTournament, Dijkstra,
     DynAlgorithm, Filter, Mcs, Peterson, RPeterson, RTas, Ticket,
 };
 use exclusion::shmem::sched::run_scheduler;
 use exclusion::shmem::testing::fixtures;
-use exclusion::shmem::{Automaton, DynRef, ProcessId, RegisterId, Section, System, ViewTable};
+use exclusion::shmem::{
+    run_faulted_with, Automaton, DynRef, Execution, FaultPlan, NoProbe, ProcessId, RegisterId,
+    Section, System, ViewTable,
+};
 use exclusion::workload::{SchedSpec, SchedulerRegistry};
 
 const MAX_STEPS: usize = fixtures::MAX_STEPS;
@@ -71,7 +76,7 @@ fn typed_grid_leg(name: &str, erased: DynAlgorithm, n: usize) {
         "burns-lynch" => grid_leg(name, &BurnsLynch::new(n), erased, n),
         "tas-sim" => grid_leg(name, &TasSim::new(n), erased, n),
         "ttas-sim" => grid_leg(name, &TtasSim::new(n), erased, n),
-        "mcs-sim" => grid_leg(name, &McsSim::new(n), erased, n),
+        "mcs-sim" => grid_leg(name, &Mcs::with_remote_links(n), erased, n),
         "mcs" => grid_leg(name, &Mcs::new(n), erased, n),
         "clh" => grid_leg(name, &Clh::new(n), erased, n),
         "ticket" => grid_leg(name, &Ticket::new(n), erased, n),
@@ -160,6 +165,64 @@ fn parameterized_specs_stream_identically_to_their_typed_constructions() {
                 .unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(direct, resolved, "{spec} under {sched_spec}");
             assert!(direct.sc.total() > 0, "{spec}");
+        }
+    }
+}
+
+/// Crashed runs: every recoverable entry at n ∈ {2, 3, 4}, under
+/// round-robin and greedy, with crashes aimed at the critical section
+/// (budgets 1–3) or drawn at random (budget 3, eight seeds). A
+/// `CostTracker` fed by the fault driver prices each run as it goes;
+/// its SC, CC and DSM reports, per process and per register, must equal
+/// the replay pricers' on the recorded execution. Either side skipping
+/// the crash wipe charges a victim's re-reads differently.
+#[test]
+fn streaming_costs_match_replay_costs_on_crashed_runs() {
+    let plans: Vec<FaultPlan> = (1..=3)
+        .map(FaultPlan::in_critical)
+        .chain((1..=8).map(|seed| FaultPlan::random(seed, 3)))
+        .collect();
+    let scheds = SchedulerRegistry::global();
+    for n in [2, 3, 4] {
+        for r in AlgorithmRegistry::global().resolve_where(n, |i| i.recoverable) {
+            let alg = DynRef(r.automaton.as_ref());
+            for (i, plan) in plans.iter().enumerate() {
+                for sched_name in ["round-robin", "greedy"] {
+                    let label = format!("{} n={n} plan {i} under {sched_name}", r.label);
+                    let mut sched = scheds
+                        .resolve_str(sched_name, n)
+                        .expect("known policy")
+                        .build(fixtures::PASSAGES, 0);
+                    let mut tracker = CostTracker::new(&alg);
+                    let mut exec = Execution::new();
+                    run_faulted_with(
+                        &alg,
+                        sched.as_mut(),
+                        &mut plan.clone(),
+                        fixtures::PASSAGES,
+                        MAX_STEPS,
+                        &mut NoProbe,
+                        |done| {
+                            tracker.observe(done);
+                            exec.push(done.step);
+                        },
+                    )
+                    .unwrap_or_else(|e| panic!("{label}: {e}"));
+                    assert!(exec.crash_count() > 0, "{label}: no crash");
+                    let replayed = all_costs(&alg, &exec).expect("replay");
+                    assert_eq!(tracker.steps(), exec.len(), "{label}");
+                    let streamed = tracker.into_reports();
+                    for (model, got, want) in [
+                        ("sc", &streamed.0, &replayed.0),
+                        ("cc", &streamed.1, &replayed.1),
+                        ("dsm", &streamed.2, &replayed.2),
+                    ] {
+                        assert_eq!(got.total(), want.total(), "{label} {model}");
+                        assert_eq!(got.per_process(), want.per_process(), "{label} {model}");
+                        assert_eq!(got.per_register(), want.per_register(), "{label} {model}");
+                    }
+                }
+            }
         }
     }
 }
