@@ -3,7 +3,7 @@
 //! [`DynAutomaton`] handles.
 //!
 //! A registry is a plain runtime value: downstream crates
-//! [`register`](AlgorithmRegistry::register) entries for their own
+//! [`register`](Registry::register) entries for their own
 //! [`Automaton`](exclusion_shmem::Automaton)s and every consumer
 //! (scenario builder, sweep runner, CLI listing, experiments, tests)
 //! picks them up through the same
@@ -12,6 +12,12 @@
 //! ([`AlgorithmRegistry::resolve_where`]), so the paper's locks are
 //! [`AlgorithmInfo::paper_lock`] and a new entry joins every grid its
 //! metadata places it in.
+//!
+//! The table itself — registration, lookup by name or alias, and the
+//! unknown-name error with its suggestion — is the [`Registry`] that
+//! the scheduler and arrival-model registries hold too. This module
+//! adds the metadata, the `min_n` floor, the process cap and label
+//! canonicalization.
 //!
 //! Resolution is also what the sweep hot loop uses, so it is cheap by
 //! construction: one hash lookup plus one constructor call.
@@ -47,11 +53,11 @@
 //! assert_eq!(resolved.automaton.name(), "alternator");
 //! ```
 
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use exclusion_shmem::dynamic::{DynAutomaton, Packed};
-use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
+use exclusion_shmem::spec::{Entry, Named, ParamInfo, Registry, Spec, SpecError};
 
 use crate::queue::{Clh, Mcs, Ticket};
 use crate::rmw::{TasSim, TtasSim};
@@ -122,44 +128,20 @@ impl AlgorithmInfo {
     }
 }
 
-type Resolver = dyn Fn(&Spec, usize) -> Result<DynAlgorithm, SpecError> + Send + Sync;
-
-/// One named constructor in an [`AlgorithmRegistry`].
-#[derive(Clone)]
-pub struct AlgorithmEntry {
-    info: AlgorithmInfo,
-    resolver: Arc<Resolver>,
-}
-
-impl AlgorithmEntry {
-    /// An entry resolving specs with `resolver`, which receives the
-    /// parsed spec (validate parameters with
-    /// [`Spec::expect_params`]) and the process count `n` (already
-    /// checked against [`AlgorithmInfo::min_n`]).
-    pub fn new(
-        info: AlgorithmInfo,
-        resolver: impl Fn(&Spec, usize) -> Result<DynAlgorithm, SpecError> + Send + Sync + 'static,
-    ) -> Self {
-        AlgorithmEntry {
-            info,
-            resolver: Arc::new(resolver),
-        }
+impl Named for AlgorithmInfo {
+    const KIND: &'static str = "algorithm";
+    fn name(&self) -> &str {
+        &self.name
     }
-
-    /// The entry's metadata.
-    #[must_use]
-    pub fn info(&self) -> &AlgorithmInfo {
-        &self.info
+    fn aliases(&self) -> &[String] {
+        &self.aliases
     }
 }
 
-impl std::fmt::Debug for AlgorithmEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("AlgorithmEntry")
-            .field("info", &self.info)
-            .finish_non_exhaustive()
-    }
-}
+/// One named constructor in an [`AlgorithmRegistry`]. Its resolver
+/// receives the parsed spec and the process count `n`, already checked
+/// against [`AlgorithmInfo::min_n`] and the process cap.
+pub type AlgorithmEntry = Entry<AlgorithmInfo, DynAlgorithm>;
 
 /// A successfully resolved algorithm spec: the erased automaton plus
 /// the metadata reports need. Resolution happens once per scenario; the
@@ -193,13 +175,27 @@ impl std::fmt::Debug for ResolvedAlgorithm {
 /// An open, runtime-extensible family of mutual exclusion algorithms.
 ///
 /// [`standard`](AlgorithmRegistry::standard) carries the whole built-in
-/// suite (register-only and RMW); [`register`](AlgorithmRegistry::register)
+/// suite (register-only and RMW); [`register`](Registry::register)
 /// adds — or overrides — entries. The long-lived default instance is
-/// [`global`](AlgorithmRegistry::global).
+/// [`global`](AlgorithmRegistry::global). The table itself (and its
+/// `register`, `get`, `entries` and `names`) is the shared [`Registry`],
+/// reached through `Deref`.
 #[derive(Clone, Debug, Default)]
 pub struct AlgorithmRegistry {
-    entries: Vec<AlgorithmEntry>,
-    by_name: HashMap<String, usize>,
+    table: Registry<AlgorithmInfo, DynAlgorithm>,
+}
+
+impl Deref for AlgorithmRegistry {
+    type Target = Registry<AlgorithmInfo, DynAlgorithm>;
+    fn deref(&self) -> &Self::Target {
+        &self.table
+    }
+}
+
+impl DerefMut for AlgorithmRegistry {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.table
+    }
 }
 
 impl AlgorithmRegistry {
@@ -489,60 +485,6 @@ impl AlgorithmRegistry {
         GLOBAL.get_or_init(AlgorithmRegistry::standard)
     }
 
-    /// Adds an entry; an existing entry with the same **canonical**
-    /// name is replaced in place (later registration wins), so
-    /// downstream crates can shadow a built-in with their own variant.
-    /// A name that merely matches another entry's alias becomes a new
-    /// entry and takes the spelling over from the alias; aliases never
-    /// displace other entries' canonical names.
-    pub fn register(&mut self, entry: AlgorithmEntry) -> &mut Self {
-        let existing = self
-            .by_name
-            .get(&entry.info.name)
-            .copied()
-            .filter(|&i| self.entries[i].info.name == entry.info.name);
-        let idx = match existing {
-            Some(i) => {
-                self.entries[i] = entry;
-                i
-            }
-            None => {
-                let i = self.entries.len();
-                self.entries.push(entry);
-                i
-            }
-        };
-        self.by_name
-            .insert(self.entries[idx].info.name.clone(), idx);
-        for alias in self.entries[idx].info.aliases.clone() {
-            let taken = self
-                .by_name
-                .get(&alias)
-                .is_some_and(|&i| self.entries[i].info.name == alias);
-            if !taken {
-                self.by_name.insert(alias, idx);
-            }
-        }
-        self
-    }
-
-    /// The entry for `name` (canonical name or alias).
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&AlgorithmEntry> {
-        self.by_name.get(name).map(|&i| &self.entries[i])
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> impl Iterator<Item = &AlgorithmEntry> {
-        self.entries.iter()
-    }
-
-    /// All entry names, in registration order.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.info.name.clone()).collect()
-    }
-
     /// The largest process count any entry resolves at. Every engine
     /// sizes its tables by `n` (register banks, cost matrices, one OS
     /// thread per process in the hardware leg), so a runaway `--n`
@@ -560,47 +502,38 @@ impl AlgorithmRegistry {
     /// # Errors
     ///
     /// [`SpecError::UnknownName`] (listing the registry contents and the
-    /// nearest valid name), [`SpecError::TooFewProcesses`],
+    /// nearest valid name or alias), [`SpecError::TooFewProcesses`],
     /// [`SpecError::TooManyProcesses`], or whatever parameter
     /// validation error the entry reports.
     pub fn resolve(&self, spec: &Spec, n: usize) -> Result<ResolvedAlgorithm, SpecError> {
-        let Some(entry) = self.get(&spec.name) else {
-            return Err(SpecError::UnknownName {
-                name: spec.name.clone(),
-                kind: "algorithm",
-                known: self.names(),
-                suggestion: suggest(
-                    &spec.name,
-                    self.entries.iter().map(|e| e.info.name.as_str()),
-                ),
-            });
-        };
-        if n < entry.info.min_n {
+        let entry = self.lookup(&spec.name)?;
+        let info = entry.info();
+        if n < info.min_n {
             return Err(SpecError::TooFewProcesses {
-                name: entry.info.name.clone(),
+                name: info.name.clone(),
                 n,
-                min_n: entry.info.min_n,
+                min_n: info.min_n,
             });
         }
         if n > Self::MAX_PROCESSES {
             return Err(SpecError::TooManyProcesses {
-                name: entry.info.name.clone(),
+                name: info.name.clone(),
                 n,
                 max_n: Self::MAX_PROCESSES,
             });
         }
-        let automaton = (entry.resolver)(spec, n)?;
+        let automaton = entry.resolve(spec, n)?;
         // Canonicalize: an aliased spelling ("ttas:backoff=4") labels
         // under the canonical name ("ttas-sim:backoff=4").
         let canonical = Spec {
-            name: entry.info.name.clone(),
+            name: info.name.clone(),
             params: spec.params.clone(),
         };
         Ok(ResolvedAlgorithm {
             label: canonical.label(),
-            uses_rmw: entry.info.uses_rmw,
-            recoverable: entry.info.recoverable,
-            deadlock_free: entry.info.deadlock_free,
+            uses_rmw: info.uses_rmw,
+            recoverable: info.recoverable,
+            deadlock_free: info.deadlock_free,
             automaton,
         })
     }
@@ -628,10 +561,9 @@ impl AlgorithmRegistry {
         n: usize,
         keep: impl Fn(&AlgorithmInfo) -> bool,
     ) -> Vec<ResolvedAlgorithm> {
-        self.entries
-            .iter()
-            .filter(|e| keep(&e.info))
-            .filter_map(|e| self.resolve_str(&e.info.name, n).ok())
+        self.entries()
+            .filter(|e| keep(e.info()))
+            .filter_map(|e| self.resolve_str(&e.info().name, n).ok())
             .collect()
     }
 
@@ -761,6 +693,14 @@ mod tests {
         };
         assert_eq!(known.len(), 17);
         assert_eq!(suggestion.as_deref(), Some("peterson"));
+        // Aliases are candidates too: `ttass` is one edit from `ttas`.
+        let err = AlgorithmRegistry::global()
+            .resolve_str("ttass", 4)
+            .unwrap_err();
+        let SpecError::UnknownName { suggestion, .. } = &err else {
+            panic!("{err}")
+        };
+        assert_eq!(suggestion.as_deref(), Some("ttas"));
     }
 
     #[test]
@@ -770,32 +710,6 @@ mod tests {
         let r = reg.resolve_str("ttas:backoff=4", 3).unwrap();
         assert_eq!(r.label, "ttas-sim:backoff=4", "labels canonicalize");
         assert_eq!(reg.resolve_str("ttas", 3).unwrap().label, "ttas-sim");
-    }
-
-    #[test]
-    fn registering_over_an_alias_does_not_clobber_its_owner() {
-        let mut reg = AlgorithmRegistry::standard();
-        // "ttas" is an alias of "ttas-sim"; an entry *named* "ttas"
-        // must append and take the spelling, not overwrite ttas-sim.
-        reg.register(AlgorithmEntry::new(
-            AlgorithmInfo {
-                name: "ttas".into(),
-                aliases: vec![],
-                summary: "impostor".into(),
-                min_n: 1,
-                uses_rmw: false,
-                recoverable: false,
-                symmetric: false,
-                deadlock_free: true,
-                cost_class: "test".into(),
-                params: vec![],
-            },
-            |_, n| Ok(Arc::new(Peterson::new(n))),
-        ));
-        assert_eq!(reg.resolve_str("ttas-sim", 3).unwrap().label, "ttas-sim");
-        let r = reg.resolve_str("ttas", 3).unwrap();
-        assert_eq!(r.automaton.name(), "peterson", "spelling reassigned");
-        assert_eq!(reg.names().len(), 18, "appended, not replaced");
     }
 
     #[test]
@@ -852,29 +766,5 @@ mod tests {
             assert!(err.to_string().contains("at most 1024 processes"), "{err}");
         }
         assert!(reg.resolve_str("peterson", cap).is_ok());
-    }
-
-    #[test]
-    fn later_registration_shadows_earlier() {
-        let mut reg = AlgorithmRegistry::standard();
-        let total = reg.names().len();
-        reg.register(AlgorithmEntry::new(
-            AlgorithmInfo {
-                name: "peterson".into(),
-                aliases: vec![],
-                summary: "shadowed".into(),
-                min_n: 1,
-                uses_rmw: false,
-                recoverable: false,
-                symmetric: false,
-                deadlock_free: true,
-                cost_class: "test".into(),
-                params: vec![],
-            },
-            |_, n| Ok(Arc::new(Bakery::new(n))),
-        ));
-        assert_eq!(reg.names().len(), total, "replaced, not appended");
-        let r = reg.resolve_str("peterson", 2).unwrap();
-        assert_eq!(r.automaton.name(), "bakery");
     }
 }

@@ -21,10 +21,10 @@
 //! derives its own seed from the stripe index, so reports cannot
 //! depend on worker count.
 
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
-use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
+use exclusion_shmem::spec::{Entry, Named, ParamInfo, Registry, Spec, SpecError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -150,8 +150,8 @@ impl ArrivalModel for Diurnal {
     }
 }
 
-/// Metadata describing one arrival-model entry — what `workload serve
-/// --list-arrivals` prints.
+/// Metadata describing one arrival-model entry — what the `arrivals:`
+/// section of `workload --list` prints.
 #[derive(Clone, Debug)]
 pub struct ArrivalInfo {
     /// The canonical spec name (`"poisson"`).
@@ -166,49 +166,26 @@ pub struct ArrivalInfo {
     pub params: Vec<ParamInfo>,
 }
 
+impl Named for ArrivalInfo {
+    const KIND: &'static str = "arrival model";
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn aliases(&self) -> &[String] {
+        &self.aliases
+    }
+}
+
 /// What an entry's resolver returns: the canonical spec (defaults made
 /// explicit — this becomes the report label) plus the per-stream
 /// builder.
 pub type ResolvedParts = (Spec, ArrivalBuilder);
 
-type Resolver = dyn Fn(&Spec, usize) -> Result<ResolvedParts, SpecError> + Send + Sync;
-
-/// One named arrival model in an [`ArrivalRegistry`].
-#[derive(Clone)]
-pub struct ArrivalEntry {
-    info: ArrivalInfo,
-    resolver: Arc<Resolver>,
-}
-
-impl ArrivalEntry {
-    /// An entry resolving specs with `resolver`, which receives the
-    /// parsed spec and the process count `n` (so defaults can scale
-    /// with it) and returns the canonical spec plus the per-stream
-    /// builder.
-    pub fn new(
-        info: ArrivalInfo,
-        resolver: impl Fn(&Spec, usize) -> Result<ResolvedParts, SpecError> + Send + Sync + 'static,
-    ) -> Self {
-        ArrivalEntry {
-            info,
-            resolver: Arc::new(resolver),
-        }
-    }
-
-    /// The entry's metadata.
-    #[must_use]
-    pub fn info(&self) -> &ArrivalInfo {
-        &self.info
-    }
-}
-
-impl std::fmt::Debug for ArrivalEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArrivalEntry")
-            .field("info", &self.info)
-            .finish_non_exhaustive()
-    }
-}
+/// One named arrival model in an [`ArrivalRegistry`]. Its resolver
+/// receives the parsed spec and the process count `n` (so defaults can
+/// scale with it) and returns the canonical spec plus the per-stream
+/// builder.
+pub type ArrivalEntry = Entry<ArrivalInfo, ResolvedParts>;
 
 /// A successfully resolved arrival spec: build one live stream per
 /// stripe with [`build`](ResolvedArrivals::build).
@@ -242,14 +219,27 @@ impl std::fmt::Debug for ResolvedArrivals {
 }
 
 /// An open, runtime-extensible family of arrival models — the third
-/// registry next to the algorithm and scheduler ones, resolving the
-/// same spec grammar with the same error vocabulary (unknown names
-/// list the registry and suggest the nearest entry).
+/// registry next to the algorithm and scheduler ones. All three hold
+/// the same [`Registry`] table (its `register`, `get`, `entries` and
+/// `names` are reached through `Deref`), so they resolve the same spec
+/// grammar with the same error vocabulary: unknown names list the
+/// registry and suggest the nearest name or alias.
 #[derive(Clone, Debug, Default)]
 pub struct ArrivalRegistry {
-    entries: Vec<ArrivalEntry>,
-    /// Canonical names *and* aliases, each mapping to an entry index.
-    by_name: HashMap<String, usize>,
+    table: Registry<ArrivalInfo, ResolvedParts>,
+}
+
+impl Deref for ArrivalRegistry {
+    type Target = Registry<ArrivalInfo, ResolvedParts>;
+    fn deref(&self) -> &Self::Target {
+        &self.table
+    }
+}
+
+impl DerefMut for ArrivalRegistry {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.table
+    }
 }
 
 /// The largest gap `steady` and `bursty` accept, 2^32 ticks: the clock
@@ -430,59 +420,6 @@ impl ArrivalRegistry {
         GLOBAL.get_or_init(ArrivalRegistry::standard)
     }
 
-    /// Adds an entry; an existing entry with the same **canonical**
-    /// name is replaced (later registration wins). A name that merely
-    /// matches another entry's alias becomes a new entry and takes the
-    /// spelling over from the alias; aliases never displace other
-    /// entries' canonical names.
-    pub fn register(&mut self, entry: ArrivalEntry) -> &mut Self {
-        let existing = self
-            .by_name
-            .get(&entry.info.name)
-            .copied()
-            .filter(|&i| self.entries[i].info.name == entry.info.name);
-        let idx = match existing {
-            Some(i) => {
-                self.entries[i] = entry;
-                i
-            }
-            None => {
-                let i = self.entries.len();
-                self.entries.push(entry);
-                i
-            }
-        };
-        self.by_name
-            .insert(self.entries[idx].info.name.clone(), idx);
-        for alias in self.entries[idx].info.aliases.clone() {
-            let taken = self
-                .by_name
-                .get(&alias)
-                .is_some_and(|&i| self.entries[i].info.name == alias);
-            if !taken {
-                self.by_name.insert(alias, idx);
-            }
-        }
-        self
-    }
-
-    /// The entry for `name` (canonical name or alias).
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&ArrivalEntry> {
-        self.by_name.get(name).map(|&i| &self.entries[i])
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> impl Iterator<Item = &ArrivalEntry> {
-        self.entries.iter()
-    }
-
-    /// All canonical entry names, in registration order.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.info.name.clone()).collect()
-    }
-
     /// Resolves a parsed spec at process count `n` (defaults scale
     /// with it): one name lookup, one parameter validation, producing
     /// the per-stream builder the engine calls per stripe.
@@ -490,27 +427,14 @@ impl ArrivalRegistry {
     /// # Errors
     ///
     /// [`SpecError::UnknownName`] (listing the registry contents and
-    /// the nearest valid name) or the entry's parameter validation
-    /// error.
+    /// the nearest valid name or alias) or the entry's parameter
+    /// validation error.
     pub fn resolve(&self, spec: &Spec, n: usize) -> Result<ResolvedArrivals, SpecError> {
-        let Some(entry) = self.get(&spec.name) else {
-            return Err(SpecError::UnknownName {
-                name: spec.name.clone(),
-                kind: "arrival model",
-                known: self.names(),
-                suggestion: suggest(
-                    &spec.name,
-                    self.entries.iter().flat_map(|e| {
-                        std::iter::once(e.info.name.as_str())
-                            .chain(e.info.aliases.iter().map(String::as_str))
-                    }),
-                ),
-            });
-        };
-        let (canonical, builder) = (entry.resolver)(spec, n)?;
+        let entry = self.lookup(&spec.name)?;
+        let (canonical, builder) = entry.resolve(spec, n)?;
         Ok(ResolvedArrivals {
             label: canonical.label(),
-            seeded: entry.info.seeded,
+            seeded: entry.info().seeded,
             builder,
         })
     }

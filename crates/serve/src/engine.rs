@@ -472,7 +472,8 @@ fn run_stripe(
         arrivals,
         lanes: std::iter::repeat_with(|| None).take(job.n).collect(),
         occupied: 0,
-        pending: VecDeque::with_capacity(ring),
+        // A stripe never holds more than its own requests.
+        pending: VecDeque::with_capacity(ring.min(usize::try_from(count).unwrap_or(usize::MAX))),
         ring,
         deadline: opts.deadline,
         count,

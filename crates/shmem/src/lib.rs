@@ -32,8 +32,9 @@
 //!   for free), [`DynState`] with inline-word and boxed representations,
 //!   and [`DynRef`] bridging erased algorithms back into the generic
 //!   drivers — the foundation of the open algorithm/scheduler registries;
-//! * [`spec`] — the `name:key=value,…` spec grammar those registries
-//!   share;
+//! * [`spec`] — the `name:key=value,…` spec grammar and the
+//!   [`Registry`](spec::Registry) table that the algorithm, scheduler
+//!   and arrival-model registries share;
 //! * [`probe`] — the observability core: the structured [`TraceEvent`]
 //!   vocabulary and the zero-overhead-when-off [`Probe`] trait every
 //!   engine above this crate emits events through (collectors and

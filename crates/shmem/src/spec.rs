@@ -1,12 +1,17 @@
-//! The spec grammar shared by the algorithm and scheduler registries:
-//! `name`, optionally followed by `:key=value,key=value` parameters.
+//! The spec grammar and the registry table shared by the algorithm,
+//! scheduler and arrival-model registries: `name`, optionally followed
+//! by `:key=value,key=value` parameters, resolved by name or alias.
 //!
 //! A [`Spec`] is a *value* — comparable, printable, and round-trippable:
 //! for every spec, `Spec::parse(&spec.label())` reproduces it exactly
-//! (pinned by property tests). Registries resolve specs into live
-//! handles; this module only owns the syntax and the shared error type,
-//! so `exclusion-mutex`'s algorithm registry and `exclusion-workload`'s
-//! scheduler registry speak the same language.
+//! (pinned by property tests). A [`Registry`] is the table every
+//! registry holds: its entries in registration order, the index of
+//! their names and aliases, and the unknown-name error. So
+//! `exclusion-mutex`'s algorithm registry, `exclusion-workload`'s
+//! scheduler registry and `exclusion-serve`'s arrival registry speak
+//! the same language and register, look up and suggest names by the
+//! same rules; each adds only its metadata type and what it checks
+//! before and after an entry's resolver runs.
 //!
 //! # Grammar
 //!
@@ -30,8 +35,10 @@
 //! assert_eq!(Spec::parse(&spec.label()).unwrap(), spec);
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 /// Metadata for one parameter a registry entry accepts — what
 /// `workload --list` prints next to the entry.
@@ -265,9 +272,9 @@ impl fmt::Display for Spec {
     }
 }
 
-/// Why a spec failed to parse or resolve. Shared by the algorithm and
-/// scheduler registries so CLI and library callers render one error
-/// vocabulary.
+/// Why a spec failed to parse or resolve. Shared by the algorithm,
+/// scheduler and arrival-model registries so CLI and library callers
+/// render one error vocabulary.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum SpecError {
     /// The spec text does not match the grammar.
@@ -283,7 +290,8 @@ pub enum SpecError {
     UnknownName {
         /// The name that failed to resolve.
         name: String,
-        /// What kind of registry was searched (`"algorithm"`, `"scheduler"`).
+        /// What kind of registry was searched (`"algorithm"`,
+        /// `"scheduler"`, `"arrival model"`).
         kind: &'static str,
         /// Every name the registry knows.
         known: Vec<String>,
@@ -392,6 +400,170 @@ impl fmt::Display for SpecError {
 
 impl Error for SpecError {}
 
+/// The names a registry entry answers to, read off its metadata: what a
+/// [`Registry`] indexes, lists and suggests from.
+pub trait Named {
+    /// What unknown-name errors call an entry (`"algorithm"`,
+    /// `"scheduler"`, `"arrival model"`).
+    const KIND: &'static str;
+    /// The canonical spec name; labels always use it.
+    fn name(&self) -> &str;
+    /// Accepted alternative spellings.
+    fn aliases(&self) -> &[String];
+}
+
+type Resolver<T> = dyn Fn(&Spec, usize) -> Result<T, SpecError> + Send + Sync;
+
+/// One named entry of a [`Registry`]: its metadata and the resolver
+/// that turns a spec at a process count into a `T`.
+#[derive(Clone)]
+pub struct Entry<I, T> {
+    info: I,
+    resolver: Arc<Resolver<T>>,
+}
+
+impl<I, T> Entry<I, T> {
+    /// An entry resolving specs with `resolver`, which receives the
+    /// parsed spec (validate parameters with [`Spec::expect_params`])
+    /// and the process count `n`.
+    pub fn new(
+        info: I,
+        resolver: impl Fn(&Spec, usize) -> Result<T, SpecError> + Send + Sync + 'static,
+    ) -> Self {
+        Entry {
+            info,
+            resolver: Arc::new(resolver),
+        }
+    }
+
+    /// The entry's metadata.
+    #[must_use]
+    pub fn info(&self) -> &I {
+        &self.info
+    }
+
+    /// Runs the entry's resolver.
+    ///
+    /// # Errors
+    ///
+    /// Whatever parameter validation error the resolver reports.
+    pub fn resolve(&self, spec: &Spec, n: usize) -> Result<T, SpecError> {
+        (self.resolver)(spec, n)
+    }
+}
+
+impl<I: fmt::Debug, T> fmt::Debug for Entry<I, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Entry")
+            .field("info", &self.info)
+            .finish_non_exhaustive()
+    }
+}
+
+/// An open, runtime-extensible table of named entries: the entries in
+/// registration order plus an index of their names and aliases.
+#[derive(Clone)]
+pub struct Registry<I, T> {
+    entries: Vec<Entry<I, T>>,
+    /// Canonical names *and* aliases, each mapping to an entry index.
+    by_name: HashMap<String, usize>,
+}
+
+impl<I, T> Default for Registry<I, T> {
+    fn default() -> Self {
+        Registry {
+            entries: Vec::new(),
+            by_name: HashMap::new(),
+        }
+    }
+}
+
+impl<I: fmt::Debug, T> fmt::Debug for Registry<I, T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.entries).finish()
+    }
+}
+
+impl<I: Named, T> Registry<I, T> {
+    /// Adds an entry; an existing entry with the same **canonical**
+    /// name is replaced in place (later registration wins), so
+    /// downstream crates can shadow a built-in with their own variant.
+    /// A name that merely matches another entry's alias becomes a new
+    /// entry and takes the spelling over from the alias; aliases never
+    /// displace other entries' canonical names.
+    pub fn register(&mut self, entry: Entry<I, T>) -> &mut Self {
+        let name = entry.info.name().to_string();
+        let existing = self
+            .by_name
+            .get(&name)
+            .copied()
+            .filter(|&i| self.entries[i].info.name() == name);
+        let idx = match existing {
+            Some(i) => {
+                self.entries[i] = entry;
+                i
+            }
+            None => {
+                self.entries.push(entry);
+                self.entries.len() - 1
+            }
+        };
+        self.by_name.insert(name, idx);
+        for alias in self.entries[idx].info.aliases() {
+            let taken = self
+                .by_name
+                .get(alias)
+                .is_some_and(|&i| self.entries[i].info.name() == alias);
+            if !taken {
+                self.by_name.insert(alias.clone(), idx);
+            }
+        }
+        self
+    }
+
+    /// The entry for `name` (canonical name or alias).
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&Entry<I, T>> {
+        self.by_name.get(name).map(|&i| &self.entries[i])
+    }
+
+    /// All entries, in registration order.
+    pub fn entries(&self) -> impl Iterator<Item = &Entry<I, T>> {
+        self.entries.iter()
+    }
+
+    /// All canonical entry names, in registration order.
+    #[must_use]
+    pub fn names(&self) -> Vec<String> {
+        self.entries
+            .iter()
+            .map(|e| e.info.name().to_string())
+            .collect()
+    }
+
+    /// The entry for `name` (canonical name or alias).
+    ///
+    /// # Errors
+    ///
+    /// [`SpecError::UnknownName`] when no entry answers to `name`,
+    /// listing every canonical name and suggesting the nearest name or
+    /// alias.
+    pub fn lookup(&self, name: &str) -> Result<&Entry<I, T>, SpecError> {
+        self.get(name).ok_or_else(|| SpecError::UnknownName {
+            name: name.to_string(),
+            kind: I::KIND,
+            known: self.names(),
+            suggestion: suggest(
+                name,
+                self.entries.iter().flat_map(|e| {
+                    std::iter::once(e.info.name())
+                        .chain(e.info.aliases().iter().map(String::as_str))
+                }),
+            ),
+        })
+    }
+}
+
 /// The nearest candidate to `name` within a small edit distance — the
 /// "did you mean" behind registry errors (unknown entry names *and*
 /// unknown parameter keys). Ties go to the earlier candidate; `None`
@@ -401,8 +573,7 @@ impl Error for SpecError {}
 /// carries no signal about which key was meant, and counting it would
 /// both inflate the distance to the intended key and widen the
 /// length-proportional cutoff until arbitrary keys qualify.
-#[must_use]
-pub fn suggest<'a>(name: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<String> {
+fn suggest<'a>(name: &str, candidates: impl IntoIterator<Item = &'a str>) -> Option<String> {
     let name = name.split_once('=').map_or(name, |(key, _)| key);
     let mut best: Option<(usize, &str)> = None;
     for c in candidates {
@@ -597,6 +768,68 @@ mod tests {
         };
         assert_eq!(suggestion.as_deref(), None);
         assert!(err.to_string().contains("accepted: wave, gap"), "{err}");
+    }
+
+    #[derive(Clone, Debug)]
+    struct Toy {
+        name: &'static str,
+        aliases: Vec<String>,
+    }
+
+    impl Named for Toy {
+        const KIND: &'static str = "toy";
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn aliases(&self) -> &[String] {
+            &self.aliases
+        }
+    }
+
+    fn toy(name: &'static str, aliases: &[&str], value: u32) -> Entry<Toy, u32> {
+        let aliases = aliases.iter().map(ToString::to_string).collect();
+        Entry::new(Toy { name, aliases }, move |_, _| Ok(value))
+    }
+
+    fn value(reg: &Registry<Toy, u32>, name: &str) -> u32 {
+        let entry = reg.lookup(name).unwrap_or_else(|e| panic!("{e}"));
+        entry.resolve(&Spec::new(name), 1).expect("toys resolve")
+    }
+
+    /// The table's rules, for every registry at once: a canonical name
+    /// replaces its own entry in place, a name that matches another
+    /// entry's alias is appended and takes the spelling over, an alias
+    /// never displaces a canonical name, and an unknown name lists the
+    /// canonical names and suggests the nearest name or alias.
+    #[test]
+    fn the_table_registers_looks_up_and_suggests_by_name_and_alias() {
+        let mut reg = Registry::default();
+        reg.register(toy("sequential", &["seq"], 1))
+            .register(toy("random", &[], 2))
+            .register(toy("random", &[], 3));
+        assert_eq!(reg.names(), ["sequential", "random"], "replaced in place");
+        assert_eq!((value(&reg, "seq"), value(&reg, "random")), (1, 3));
+
+        reg.register(toy("seq", &[], 4));
+        assert_eq!(reg.names(), ["sequential", "random", "seq"], "appended");
+        assert_eq!((value(&reg, "seq"), value(&reg, "sequential")), (4, 1));
+
+        reg.register(toy("other", &["random", "rnd"], 5));
+        assert_eq!((value(&reg, "random"), value(&reg, "rnd")), (3, 5));
+
+        let err = reg.lookup("rndd").unwrap_err();
+        let SpecError::UnknownName {
+            kind,
+            known,
+            suggestion,
+            ..
+        } = &err
+        else {
+            panic!("{err}")
+        };
+        assert_eq!(*kind, "toy");
+        assert_eq!(known, &["sequential", "random", "seq", "other"]);
+        assert_eq!(suggestion.as_deref(), Some("rnd"), "an alias is nearest");
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //!          --scheds greedy,random,burst,stagger --seeds 8 \
 //!          --threads 4 --json sweep.json --csv sweep.csv
 //! workload --algs filter:levels=6 --n 6 --scheds burst:wave=2,gap=32
-//! workload --list                           # both registries, with metadata
+//! workload --list                           # every registry, with metadata
 //! workload explore --n 3 --model sc --json explore.json
 //! workload explore --algs broken --n 2      # catch the planted race
 //! workload bound --algs all --n 4..64       # force the Ω(n log n) bound
@@ -31,7 +31,9 @@ use std::process::ExitCode;
 
 use exclusion_explore::{analyze_probed, explore_probed, report as xreport, ExploreConfig, Model};
 use exclusion_mutex::registry::{AlgorithmInfo, AlgorithmRegistry};
+use exclusion_serve::ArrivalRegistry;
 use exclusion_shmem::probe::{Probe, SpanScope, TraceEvent};
+use exclusion_shmem::spec::ParamInfo;
 use exclusion_workload::cli::{self, Flags};
 use exclusion_workload::schedreg::SchedulerRegistry;
 use exclusion_workload::{sweep, Scenario, SchedSpec, SweepOptions};
@@ -80,7 +82,8 @@ OPTIONS:
     --metrics PATH       aggregate trace metrics over every run and
                          write the metrics JSON (`-` for stdout)
     --quiet              suppress the summary table and timing
-    --list               print both registries (entries, parameters,
+    --list               print the algorithm, scheduler and arrival
+                         registries (entries, aliases, parameters,
                          metadata) and exit
     --list-algs          print known algorithm names and exit
     --help               this text
@@ -101,45 +104,92 @@ struct Args {
     quiet: bool,
 }
 
-/// Both registries rendered as aligned text — the CLI's `--list`.
-fn render_registries(algs: &AlgorithmRegistry, scheds: &SchedulerRegistry) -> String {
-    let mut out = String::from("algorithms:\n");
-    let _ = writeln!(
-        out,
-        "  {:<12} {:>5}  {:<5} {:<11} summary / params",
-        "name", "min_n", "rmw", "cost"
-    );
-    for e in algs.entries() {
-        let i = e.info();
-        let _ = writeln!(
-            out,
-            "  {:<12} {:>5}  {:<5} {:<11} {}",
-            i.name, i.min_n, i.uses_rmw, i.cost_class, i.summary
-        );
-        for p in &i.params {
-            let _ = writeln!(out, "  {:<37} :{}=…  {}", "", p.key, p.help);
+/// One `--list` row: the entry's column cells, its summary and its
+/// parameters.
+type ListRow<'a> = (Vec<String>, &'a str, &'a [ParamInfo]);
+
+/// Appends one registry as an aligned section of `--list`: every column
+/// as wide as its widest cell, the summary last, and each parameter on
+/// its own line under the summary.
+fn render_section(out: &mut String, title: &str, header: &[&str], rows: &[ListRow<'_>]) {
+    let mut widths: Vec<usize> = header.iter().map(|h| h.chars().count()).collect();
+    for (cells, _, _) in rows {
+        for (w, cell) in widths.iter_mut().zip(cells) {
+            *w = (*w).max(cell.chars().count());
         }
     }
-    out.push_str("\nschedulers:\n");
-    let _ = writeln!(
-        out,
-        "  {:<17} {:<7} {:<18} summary / params",
-        "name", "seeded", "aliases"
+    let header: ListRow<'_> = (
+        header.iter().map(ToString::to_string).collect(),
+        "summary / params",
+        &[],
     );
-    for e in scheds.entries() {
-        let i = e.info();
-        let _ = writeln!(
-            out,
-            "  {:<17} {:<7} {:<18} {}",
-            i.name,
-            i.seeded,
-            i.aliases.join(","),
-            i.summary
-        );
-        for p in &i.params {
-            let _ = writeln!(out, "  {:<44} :{}=…  {}", "", p.key, p.help);
+    let indent: usize = widths.iter().map(|w| w + 1).sum();
+    let _ = writeln!(out, "{title}:");
+    for (cells, summary, params) in std::iter::once(&header).chain(rows) {
+        out.push_str("  ");
+        for (cell, w) in cells.iter().zip(&widths) {
+            let _ = write!(out, "{cell:<w$} ");
+        }
+        let _ = writeln!(out, "{summary}");
+        for p in *params {
+            let _ = writeln!(out, "  {:<indent$}:{}=…  {}", "", p.key, p.help);
         }
     }
+}
+
+/// The algorithm, scheduler and arrival-model registries rendered as
+/// aligned text — the CLI's `--list`.
+fn render_registries(
+    algs: &AlgorithmRegistry,
+    scheds: &SchedulerRegistry,
+    arrivals: &ArrivalRegistry,
+) -> String {
+    let mut out = String::new();
+    let rows: Vec<ListRow<'_>> = algs
+        .entries()
+        .map(|e| {
+            let i = e.info();
+            let cells = vec![
+                i.name.clone(),
+                i.min_n.to_string(),
+                i.uses_rmw.to_string(),
+                i.cost_class.clone(),
+                i.aliases.join(","),
+            ];
+            (cells, i.summary.as_str(), i.params.as_slice())
+        })
+        .collect();
+    render_section(
+        &mut out,
+        "algorithms",
+        &["name", "min_n", "rmw", "cost", "aliases"],
+        &rows,
+    );
+    let rows: Vec<ListRow<'_>> = scheds
+        .entries()
+        .map(|e| {
+            let i = e.info();
+            let cells = vec![i.name.clone(), i.seeded.to_string(), i.aliases.join(",")];
+            (cells, i.summary.as_str(), i.params.as_slice())
+        })
+        .collect();
+    out.push('\n');
+    render_section(
+        &mut out,
+        "schedulers",
+        &["name", "seeded", "aliases"],
+        &rows,
+    );
+    let rows: Vec<ListRow<'_>> = arrivals
+        .entries()
+        .map(|e| {
+            let i = e.info();
+            let cells = vec![i.name.clone(), i.seeded.to_string(), i.aliases.join(",")];
+            (cells, i.summary.as_str(), i.params.as_slice())
+        })
+        .collect();
+    out.push('\n');
+    render_section(&mut out, "arrivals", &["name", "seeded", "aliases"], &rows);
     out
 }
 
@@ -171,7 +221,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--scheds" => args.scheds.extend(flags.specs()?),
             "--seeds" => args.seeds = flags.parse()?,
             "--seed-base" => args.seed_base = flags.parse()?,
-            "--threads" => args.threads = flags.parse()?,
+            "--threads" => args.threads = flags.value_with(workers)?,
             "--max-steps" => args.max_steps = flags.parse()?,
             "--json" => args.json = Some(flags.value()?.into()),
             "--csv" => args.csv = Some(flags.value()?.into()),
@@ -180,7 +230,11 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--list" => {
                 print!(
                     "{}",
-                    render_registries(AlgorithmRegistry::global(), SchedulerRegistry::global())
+                    render_registries(
+                        AlgorithmRegistry::global(),
+                        SchedulerRegistry::global(),
+                        ArrivalRegistry::global()
+                    )
                 );
                 return Ok(None);
             }
@@ -214,6 +268,23 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
 /// The most seeds one scenario may sweep. Each seed becomes a run
 /// record, so the grid is bounded before anything is allocated.
 const MAX_SEEDS: u64 = 1 << 20;
+
+/// The most worker threads `--threads` or `--workers` may ask for, the
+/// process cap's value. The engines clamp a worker count only to their
+/// job, layer or stripe count, and each worker is an OS thread, so the
+/// count is bounded before any thread starts.
+const MAX_WORKERS: usize = 1024;
+
+/// A `--threads` or `--workers` value, refused past [`MAX_WORKERS`].
+fn workers(v: &str) -> Result<usize, String> {
+    let w: usize = v
+        .parse()
+        .map_err(|e: std::num::ParseIntError| e.to_string())?;
+    if w > MAX_WORKERS {
+        return Err(format!("at most {MAX_WORKERS} worker threads (got {w})"));
+    }
+    Ok(w)
+}
 
 /// The grid is wired through the registries: scenario construction
 /// parses both specs and resolves them once, so unknown names and bad
@@ -377,7 +448,7 @@ fn parse_explore_args(argv: &[String]) -> Result<Option<ExploreArgs>, String> {
             }
             "--depth" => args.cfg.max_depth = Some(flags.parse()?),
             "--max-states" => args.cfg.max_states = flags.parse()?,
-            "--workers" => args.cfg.workers = flags.parse()?,
+            "--workers" => args.cfg.workers = flags.value_with(workers)?,
             "--no-worst" => args.no_worst = true,
             "--no-symmetry" => args.cfg.symmetry = false,
             "--por" => args.cfg.por = true,
@@ -1512,7 +1583,7 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
             "--deadline" => args.deadline = Some(flags.parse()?),
             "--ring" => args.ring = flags.parse()?,
             "--stripe" => args.stripe = flags.parse()?,
-            "--workers" => args.workers = flags.parse()?,
+            "--workers" => args.workers = flags.value_with(workers)?,
             "--seed" => args.seed = flags.parse()?,
             "--max-steps" => args.max_steps = flags.parse()?,
             "--json" => args.json = flags.value()?.into(),
@@ -1531,8 +1602,19 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
     if args.stripe == 0 {
         return Err("--stripe must be positive".into());
     }
+    if args.requests.div_ceil(args.stripe) > MAX_STRIPES {
+        return Err(format!(
+            "--requests: at most {MAX_STRIPES} stripes (got --requests {} in stripes of {})",
+            args.requests, args.stripe
+        ));
+    }
     Ok(Some(args))
 }
+
+/// The most stripes one serve may cut its stream into, ⌈`--requests` /
+/// `--stripe`⌉. The engine sizes its stripe table and its result slots
+/// by this count before any stripe runs.
+const MAX_STRIPES: u64 = 1 << 20;
 
 fn run_serve(argv: &[String]) -> Result<(), String> {
     use exclusion_serve::{ServeJob, ServeOptions};
@@ -1857,9 +1939,9 @@ mod tests {
     ];
 
     /// The edge values of the grammar, plus one valid value of each
-    /// kind; `1024` and `1025` are the registry's process cap and one
-    /// past it, `1048576` and `1048577` hwbench's request cap and one
-    /// past it.
+    /// kind; `1024` and `1025` are the registry's process cap and the
+    /// worker cap and one past them, `1048576` and `1048577` hwbench's
+    /// request cap and serve's stripe cap and one past them.
     #[rustfmt::skip]
     const VALUES: &[&str] = &[
         "0", "-1", "18446744073709551615", "", "x", "4..1", "1", "4..64", "every:0", "peterson",
@@ -1900,13 +1982,28 @@ mod tests {
     const PARSERS: [Parser; 7] = [
         |argv| match parse_args(argv)? {
             Some(args) => {
+                assert!(
+                    args.threads <= MAX_WORKERS,
+                    "{} threads parsed",
+                    args.threads
+                );
                 let grid = build_grid(&args);
                 assert!(args.n <= AlgorithmRegistry::MAX_PROCESSES || grid.is_err());
                 grid.map(drop)
             }
             None => Ok(()),
         },
-        |argv| parse_explore_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &[a.n])),
+        |argv| match parse_explore_args(argv)? {
+            Some(a) => {
+                assert!(
+                    a.cfg.workers <= MAX_WORKERS,
+                    "{} workers parsed",
+                    a.cfg.workers
+                );
+                resolve(&a.algs, &[a.n])
+            }
+            None => Ok(()),
+        },
         |argv| parse_bound_args(argv)?.map_or(Ok(()), |a| resolve(&a.algs, &a.ns)),
         |argv| match parse_crash_args(argv)? {
             Some(a) => {
@@ -1916,7 +2013,19 @@ mod tests {
             None => Ok(()),
         },
         |argv| parse_trace_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
-        |argv| parse_serve_args(argv)?.map_or(Ok(()), |a| resolve(&[a.alg], &[a.n])),
+        |argv| match parse_serve_args(argv)? {
+            Some(a) => {
+                assert!(a.workers <= MAX_WORKERS, "{} workers parsed", a.workers);
+                assert!(
+                    a.requests.div_ceil(a.stripe) <= MAX_STRIPES,
+                    "{} requests in stripes of {} parsed",
+                    a.requests,
+                    a.stripe
+                );
+                resolve(&[a.alg], &[a.n])
+            }
+            None => Ok(()),
+        },
         |argv| match parse_hwbench_args(argv)? {
             Some(a) => {
                 assert!(

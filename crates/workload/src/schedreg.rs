@@ -5,9 +5,11 @@
 //! *adversary* side of a scenario. Where `SchedSpec` used to be a
 //! hardcoded enum (new contention pattern ⇒ edit the enum, its parser,
 //! the CLI and the tests), the registry is a runtime value: downstream
-//! crates [`register`](SchedulerRegistry::register) entries for their own
+//! crates [`register`](Registry::register) entries for their own
 //! [`Scheduler`] implementations and every consumer resolves against the
-//! same table.
+//! same table. That table — registration, lookup by name or alias, and
+//! the unknown-name error with its suggestion — is the [`Registry`] the
+//! algorithm and arrival-model registries hold too.
 //!
 //! Resolution is staged to keep the sweep hot loop clean: a spec is
 //! resolved **once per scenario** (name lookup, parameter validation,
@@ -43,12 +45,12 @@
 //! assert_eq!(r.build(1, 0).name(), "round-robin");
 //! ```
 
-use std::collections::HashMap;
+use std::ops::{Deref, DerefMut};
 use std::sync::{Arc, OnceLock};
 
 use exclusion_bound::AdaptiveAdversary;
 use exclusion_shmem::sched::{Burst, GreedyAdversary, Random, RoundRobin, Sequential, Stagger};
-use exclusion_shmem::spec::{suggest, ParamInfo, Spec, SpecError};
+use exclusion_shmem::spec::{Entry, Named, ParamInfo, Registry, Spec, SpecError};
 use exclusion_shmem::{ProcessId, Scheduler};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -76,49 +78,26 @@ pub struct SchedulerInfo {
     pub params: Vec<ParamInfo>,
 }
 
+impl Named for SchedulerInfo {
+    const KIND: &'static str = "scheduler";
+    fn name(&self) -> &str {
+        &self.name
+    }
+    fn aliases(&self) -> &[String] {
+        &self.aliases
+    }
+}
+
 /// What an entry's resolver returns: the *canonical* spec (aliases
 /// normalized, defaults made explicit — this becomes the report label)
 /// plus the per-run builder.
 pub type ResolvedParts = (Spec, SchedBuilder);
 
-type Resolver = dyn Fn(&Spec, usize) -> Result<ResolvedParts, SpecError> + Send + Sync;
-
-/// One named scheduling policy in a [`SchedulerRegistry`].
-#[derive(Clone)]
-pub struct SchedulerEntry {
-    info: SchedulerInfo,
-    resolver: Arc<Resolver>,
-}
-
-impl SchedulerEntry {
-    /// An entry resolving specs with `resolver`, which receives the
-    /// parsed spec and the process count `n` (so defaults can scale
-    /// with it) and returns the canonical spec plus the per-run
-    /// builder.
-    pub fn new(
-        info: SchedulerInfo,
-        resolver: impl Fn(&Spec, usize) -> Result<ResolvedParts, SpecError> + Send + Sync + 'static,
-    ) -> Self {
-        SchedulerEntry {
-            info,
-            resolver: Arc::new(resolver),
-        }
-    }
-
-    /// The entry's metadata.
-    #[must_use]
-    pub fn info(&self) -> &SchedulerInfo {
-        &self.info
-    }
-}
-
-impl std::fmt::Debug for SchedulerEntry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SchedulerEntry")
-            .field("info", &self.info)
-            .finish_non_exhaustive()
-    }
-}
+/// One named scheduling policy in a [`SchedulerRegistry`]. Its resolver
+/// receives the parsed spec and the process count `n` (so defaults can
+/// scale with it) and returns the canonical spec plus the per-run
+/// builder.
+pub type SchedulerEntry = Entry<SchedulerInfo, ResolvedParts>;
 
 /// A successfully resolved scheduler spec, bound to a process count:
 /// build one live scheduler per run with [`build`](ResolvedSched::build).
@@ -152,12 +131,25 @@ impl std::fmt::Debug for ResolvedSched {
     }
 }
 
-/// An open, runtime-extensible family of scheduling policies.
+/// An open, runtime-extensible family of scheduling policies. The
+/// table (and its `register`, `get`, `entries` and `names`) is the
+/// shared [`Registry`], reached through `Deref`.
 #[derive(Clone, Debug, Default)]
 pub struct SchedulerRegistry {
-    entries: Vec<SchedulerEntry>,
-    /// Canonical names *and* aliases, each mapping to an entry index.
-    by_name: HashMap<String, usize>,
+    table: Registry<SchedulerInfo, ResolvedParts>,
+}
+
+impl Deref for SchedulerRegistry {
+    type Target = Registry<SchedulerInfo, ResolvedParts>;
+    fn deref(&self) -> &Self::Target {
+        &self.table
+    }
+}
+
+impl DerefMut for SchedulerRegistry {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.table
+    }
 }
 
 impl SchedulerRegistry {
@@ -410,59 +402,6 @@ impl SchedulerRegistry {
         GLOBAL.get_or_init(SchedulerRegistry::standard)
     }
 
-    /// Adds an entry; an existing entry with the same **canonical**
-    /// name is replaced (later registration wins). A name that merely
-    /// matches another entry's alias becomes a new entry and takes the
-    /// spelling over from the alias; aliases never displace other
-    /// entries' canonical names.
-    pub fn register(&mut self, entry: SchedulerEntry) -> &mut Self {
-        let existing = self
-            .by_name
-            .get(&entry.info.name)
-            .copied()
-            .filter(|&i| self.entries[i].info.name == entry.info.name);
-        let idx = match existing {
-            Some(i) => {
-                self.entries[i] = entry;
-                i
-            }
-            None => {
-                let i = self.entries.len();
-                self.entries.push(entry);
-                i
-            }
-        };
-        self.by_name
-            .insert(self.entries[idx].info.name.clone(), idx);
-        for alias in self.entries[idx].info.aliases.clone() {
-            let taken = self
-                .by_name
-                .get(&alias)
-                .is_some_and(|&i| self.entries[i].info.name == alias);
-            if !taken {
-                self.by_name.insert(alias, idx);
-            }
-        }
-        self
-    }
-
-    /// The entry for `name` (canonical name or alias).
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&SchedulerEntry> {
-        self.by_name.get(name).map(|&i| &self.entries[i])
-    }
-
-    /// All entries, in registration order.
-    pub fn entries(&self) -> impl Iterator<Item = &SchedulerEntry> {
-        self.entries.iter()
-    }
-
-    /// All canonical entry names, in registration order.
-    #[must_use]
-    pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.info.name.clone()).collect()
-    }
-
     /// Resolves a parsed spec at process count `n` (defaults scale with
     /// it): one name lookup, one parameter validation, producing the
     /// per-run builder the sweep calls per seed.
@@ -470,26 +409,14 @@ impl SchedulerRegistry {
     /// # Errors
     ///
     /// [`SpecError::UnknownName`] (listing the registry contents and the
-    /// nearest valid name) or the entry's parameter validation error.
+    /// nearest valid name or alias) or the entry's parameter validation
+    /// error.
     pub fn resolve(&self, spec: &Spec, n: usize) -> Result<ResolvedSched, SpecError> {
-        let Some(entry) = self.get(&spec.name) else {
-            return Err(SpecError::UnknownName {
-                name: spec.name.clone(),
-                kind: "scheduler",
-                known: self.names(),
-                suggestion: suggest(
-                    &spec.name,
-                    self.entries.iter().flat_map(|e| {
-                        std::iter::once(e.info.name.as_str())
-                            .chain(e.info.aliases.iter().map(String::as_str))
-                    }),
-                ),
-            });
-        };
-        let (canonical, builder) = (entry.resolver)(spec, n)?;
+        let entry = self.lookup(&spec.name)?;
+        let (canonical, builder) = entry.resolve(spec, n)?;
         Ok(ResolvedSched {
             label: canonical.label(),
-            seeded: entry.info.seeded,
+            seeded: entry.info().seeded,
             builder,
         })
     }
@@ -737,55 +664,6 @@ mod tests {
         assert_eq!(seeded.label, "fanlynch:seed=3");
         let c = run_scheduler(&alg, seeded.build(2, 5).as_mut(), 2, 100_000).unwrap();
         assert_eq!(a.critical_order().len(), c.critical_order().len());
-    }
-
-    #[test]
-    fn registering_over_an_alias_does_not_clobber_its_owner() {
-        let mut reg = SchedulerRegistry::standard();
-        // "seq" is an alias of "sequential"; a downstream entry *named*
-        // "seq" must become its own entry, not overwrite the builtin.
-        reg.register(SchedulerEntry::new(
-            SchedulerInfo {
-                name: "seq".into(),
-                aliases: vec![],
-                summary: "impostor".into(),
-                seeded: false,
-                params: vec![],
-            },
-            |spec, _n| {
-                spec.expect_params(&[], false)?;
-                Ok((
-                    Spec::new("seq"),
-                    Arc::new(|_p, _s| Box::new(RoundRobin::new()) as _),
-                ))
-            },
-        ));
-        // The builtin survives under its canonical name…
-        assert_eq!(
-            reg.resolve_str("sequential", 4).unwrap().label,
-            "sequential"
-        );
-        // …while the spelling "seq" now belongs to the new entry.
-        assert_eq!(reg.resolve_str("seq", 4).unwrap().label, "seq");
-        assert_eq!(reg.names().len(), 8, "appended, not replaced");
-        // And a new entry's alias cannot displace an existing name.
-        reg.register(SchedulerEntry::new(
-            SchedulerInfo {
-                name: "other".into(),
-                aliases: vec!["random".into()],
-                summary: "alias squatter".into(),
-                seeded: false,
-                params: vec![],
-            },
-            |spec, _n| {
-                spec.expect_params(&[], false)?;
-                Ok((
-                    Spec::new("other"),
-                    Arc::new(|_p, _s| Box::new(RoundRobin::new()) as _),
-                ))
-            },
-        ));
-        assert_eq!(reg.resolve_str("random", 4).unwrap().label, "random");
     }
 
     #[test]

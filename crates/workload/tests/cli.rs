@@ -164,9 +164,9 @@ fn trace_serve_and_hwbench_examples_match_their_pins() {
 /// Every usage text and both registry listings.
 #[rustfmt::skip]
 const HELP_AND_LISTINGS: &[Row] = &[
-    ("--help", 0, 0x2a91d54e25d3a1ac, ""),
-    ("-h", 0, 0x2a91d54e25d3a1ac, ""),
-    ("--list", 0, 0x7240ca22f9cbe0ee, ""),
+    ("--help", 0, 0x425bc16a62857fd4, ""),
+    ("-h", 0, 0x425bc16a62857fd4, ""),
+    ("--list", 0, 0x3368b0a7272cafa7, ""),
     ("--list-algs", 0, 0xa38071fce391cb62, ""),
     ("explore --help", 0, 0xa735d986531bed12, ""),
     ("bound --help", 0, 0x0f15d939ea70d02c, ""),
@@ -195,6 +195,7 @@ const MALFORMED_INPUT: &[Row] = &[
     ("--n 0", 1, 0xcbf29ce484222325, "workload: a scenario needs at least one process"),
     ("--algs nope", 1, 0xcbf29ce484222325, "workload: unknown algorithm `nope`; known: dekker-tree, peterson, bakery, filter, dijkstra, burns-lynch, splitter, splitter-gate, tas-sim, ttas-sim, mcs-sim, mcs, clh, ticket, rpeterson, rtas, broken-recover"),
     ("--algs petersn", 1, 0xcbf29ce484222325, "workload: unknown algorithm `petersn` (did you mean `peterson`?); known: dekker-tree, peterson, bakery, filter, dijkstra, burns-lynch, splitter, splitter-gate, tas-sim, ttas-sim, mcs-sim, mcs, clh, ticket, rpeterson, rtas, broken-recover"),
+    ("--algs ttass --n 3", 1, 0xcbf29ce484222325, "workload: unknown algorithm `ttass` (did you mean `ttas`?); known: dekker-tree, peterson, bakery, filter, dijkstra, burns-lynch, splitter, splitter-gate, tas-sim, ttas-sim, mcs-sim, mcs, clh, ticket, rpeterson, rtas, broken-recover"),
     ("--scheds warp", 1, 0xcbf29ce484222325, "workload: unknown scheduler `warp`; known: sequential, round-robin, random, greedy-adversary, fanlynch, burst, stagger"),
     ("--algs peterson --n 4 --max-steps 5 --quiet", 1, 0xcbf29ce484222325, "workload: 18 runs exhausted their step budget"),
     ("explore --n", 1, 0xcbf29ce484222325, "workload: --n needs a value"),
@@ -283,6 +284,36 @@ const CRASH_BUDGET_CAP: &[Row] = &[
 #[test]
 fn crash_budgets_past_the_cap_are_flag_errors() {
     check(CRASH_BUDGET_CAP);
+}
+
+/// A worker count past its cap (1024) is a flag error in every
+/// subcommand that starts workers, before any thread starts.
+#[rustfmt::skip]
+const WORKER_CAP: &[Row] = &[
+    ("--threads 1025", 1, 0xcbf29ce484222325, "workload: --threads: at most 1024 worker threads (got 1025)"),
+    ("explore --workers 1025", 1, 0xcbf29ce484222325, "workload: --workers: at most 1024 worker threads (got 1025)"),
+    ("serve --workers 1025", 1, 0xcbf29ce484222325, "workload: --workers: at most 1024 worker threads (got 1025)"),
+];
+
+#[test]
+fn worker_counts_past_the_cap_are_flag_errors() {
+    check(WORKER_CAP);
+}
+
+/// A serve cut into more than 2^20 stripes (⌈requests / stripe⌉) is a
+/// flag error: the engine sizes its stripe table by that count before
+/// anything runs. A pending ring larger than the stream is sized by
+/// each stripe's own request count, so it runs.
+#[rustfmt::skip]
+const SERVE_STRIPE_CAP: &[Row] = &[
+    ("serve --requests 18446744073709551615 --stripe 1", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 stripes (got --requests 18446744073709551615 in stripes of 1)"),
+    ("serve --requests 18446744073709551615", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 stripes (got --requests 18446744073709551615 in stripes of 8192)"),
+    ("serve --ring 18446744073709551615 --requests 10 --json - --quiet", 0, 0x9fdc74d4b9a41f9c, ""),
+];
+
+#[test]
+fn serve_stripe_counts_past_the_cap_are_flag_errors() {
+    check(SERVE_STRIPE_CAP);
 }
 
 /// A spec whose parameter would overflow a clock or a count is refused
