@@ -36,15 +36,22 @@
 //!    point into a fresh write metastep, and the SR-read completion
 //!    points into an unexecuted one. So `µ ≼ m′` is one comparison
 //!    against the prefix of µ's creator. A *cross* metastep, one with a
-//!    second owner or a non-chain predecessor, records the prefixes its
-//!    membership implies (a join adds the joiner's chain through it, a
-//!    preread or the completion its source's), and each chain lists its
-//!    cross positions. Closing a set therefore visits only the cross
-//!    metasteps among the chain entries it newly covers. The maximal
-//!    unexecuted reads of line 21 come from the same closure on a scratch
-//!    copy of the prefixes: a read metastep has one owner and no
-//!    predecessor but its chain's, so its strict ancestors are its chain
-//!    prefix, exclusive of itself.
+//!    second owner or a non-chain predecessor, implies prefixes of other
+//!    chains: a join adds the joiner's chain through it, a preread or the
+//!    completion its source's cover. Each chain keeps one list, sorted by
+//!    position, of what its cross metasteps imply on the *other* chains,
+//!    so covering a chain entry reads its needs where they are stored.
+//!    Each chain of a down-closed set also keeps a cursor: how many
+//!    entries of its list lie below its length, all of them walked. An
+//!    entry is only ever inserted at a position the live frontier does
+//!    not cover — on a fresh metastep, at a joiner's new last entry, or
+//!    on the unexecuted metastep `first_unexecuted_write` returned — so
+//!    no cursor has passed an entry it did not walk, and a closure
+//!    resumes each chain's walk at its cursor. The maximal unexecuted
+//!    reads of line 21 come from the same closure on a scratch copy of
+//!    the frontier, cursors included: a read metastep has one owner and
+//!    no predecessor but its chain's, so its strict ancestors are its
+//!    chain prefix, exclusive of itself.
 
 use exclusion_shmem::{Automaton, NextStep, Observation, ProcessId, RegisterId, Step, Value};
 
@@ -163,6 +170,15 @@ struct Prefix {
     len: u32,
 }
 
+/// One chain's part of a down-closed set: the chain's first `len`
+/// entries, and the first `walked` entries of its list of implied
+/// prefixes — those at positions below `len`.
+#[derive(Clone, Copy, Default)]
+struct Reach {
+    len: u32,
+    walked: u32,
+}
+
 /// What the construction knows of `≼` while it builds it (module
 /// note 3), and the current stage's frontier.
 struct Weave {
@@ -171,22 +187,24 @@ struct Weave {
     /// Per metastep: the prefix of its creator's chain that ends with
     /// it.
     cover: Vec<Prefix>,
-    /// Per metastep: empty unless it is cross; else the prefixes its
-    /// membership in a down-closed set implies — its cover, each
-    /// joiner's chain through it and each non-chain predecessor's cover.
-    needs: Vec<Vec<Prefix>>,
-    /// Per process: the positions of its chain that hold a cross
-    /// metastep, ascending, with the metastep.
-    crossings: Vec<Vec<(u32, MetastepId)>>,
+    /// Per process: `(position, prefix)` for each prefix of another
+    /// chain that a cross metastep on this chain implies, sorted by
+    /// position — each joiner's chain through the metastep, each
+    /// non-chain predecessor's cover and, on a joiner's list, the
+    /// creator's cover. A metastep's needs are its cover plus the
+    /// entries at its position on its creator's list. Entries are only
+    /// inserted at positions the frontier does not cover (module
+    /// note 3).
+    implied: Vec<Vec<(u32, Prefix)>>,
     /// Read metasteps per register that are not yet prereads and may
     /// still be overtaken by a future write metastep (cleared at each
     /// write metastep creation).
     pending_reads: Vec<Vec<MetastepId>>,
     /// The ancestors of the current stage's `m′`: per process, how many
-    /// entries of its chain are `≼ m′`.
-    frontier: Vec<u32>,
+    /// entries of its chain are `≼ m′`, and the cursor into its list.
+    frontier: Vec<Reach>,
     /// [`maximal_unexecuted`]'s copy of `frontier`.
-    scratch: Vec<u32>,
+    scratch: Vec<Reach>,
     /// Prefixes a closure has yet to cover.
     work: Vec<Prefix>,
 }
@@ -196,11 +214,10 @@ impl Weave {
         Weave {
             edges: Vec::new(),
             cover: Vec::new(),
-            needs: Vec::new(),
-            crossings: vec![Vec::new(); n],
+            implied: vec![Vec::new(); n],
             pending_reads: vec![Vec::new(); registers],
-            frontier: vec![0; n],
-            scratch: vec![0; n],
+            frontier: vec![Reach::default(); n],
+            scratch: vec![Reach::default(); n],
             work: Vec::new(),
         }
     }
@@ -211,67 +228,94 @@ impl Weave {
     }
 
     /// Records that `m`'s membership in a down-closed set implies
-    /// `prefix`. The first need makes `m` cross on its creator's chain.
-    fn add_need(&mut self, m: MetastepId, prefix: Prefix) {
-        if self.needs[m.index()].is_empty() {
-            let cover = self.cover[m.index()];
-            self.needs[m.index()].push(cover);
-            self.mark(cover, m);
+    /// `need`, on every chain through `m`: its creator's, and each
+    /// joiner's — a need at `m`'s position on the creator's list whose
+    /// chain holds `m` there.
+    fn add_need(&mut self, chains: &[Vec<MetastepId>], m: MetastepId, need: Prefix) {
+        let cover = self.cover[m.index()];
+        for i in self.implied_at(cover) {
+            let (_, q) = self.implied[cover.pid as usize][i];
+            if chains[q.pid as usize].get(q.len as usize - 1) == Some(&m) {
+                self.insert(q, need);
+            }
         }
-        self.needs[m.index()].push(prefix);
+        self.insert(cover, need);
     }
 
-    /// Lists `m`, the last entry of `prefix`, among its chain's
-    /// crossings.
-    fn mark(&mut self, prefix: Prefix, m: MetastepId) {
-        let list = &mut self.crossings[prefix.pid as usize];
-        let at = list.partition_point(|&(pos, _)| pos < prefix.len - 1);
-        list.insert(at, (prefix.len - 1, m));
+    /// `joiner`'s process has just joined `m`: its chain through `m`
+    /// becomes one of `m`'s needs, and `m`'s other needs go on the
+    /// joiner's list at its new last position.
+    fn join(&mut self, chains: &[Vec<MetastepId>], m: MetastepId, joiner: Prefix) {
+        let cover = self.cover[m.index()];
+        for i in self.implied_at(cover) {
+            let (_, q) = self.implied[cover.pid as usize][i];
+            if q.pid != joiner.pid {
+                self.insert(joiner, q);
+            }
+        }
+        self.insert(joiner, cover);
+        self.add_need(chains, m, joiner);
+    }
+
+    /// The indices of the entries at `at`'s last position on its
+    /// chain's list.
+    fn implied_at(&self, at: Prefix) -> std::ops::Range<usize> {
+        let list = &self.implied[at.pid as usize];
+        let pos = at.len - 1;
+        let from = list.partition_point(|&(p, _)| p < pos);
+        from..from + list[from..].iter().take_while(|&&(p, _)| p == pos).count()
+    }
+
+    /// Lists `need` on `at`'s chain, at `at`'s last position.
+    fn insert(&mut self, at: Prefix, need: Prefix) {
+        debug_assert_ne!(at.pid, need.pid, "a chain lists no need of its own");
+        debug_assert!(
+            self.frontier[at.pid as usize].len < at.len,
+            "a need inserted below the frontier"
+        );
+        let list = &mut self.implied[at.pid as usize];
+        let pos = at.len - 1;
+        let i = list.partition_point(|&(p, _)| p <= pos);
+        list.insert(i, (pos, need));
     }
 
     /// Whether `m ≼ m′`.
     fn executed(&self, m: MetastepId) -> bool {
         let Prefix { pid, len } = self.cover[m.index()];
-        self.frontier[pid as usize] >= len
+        self.frontier[pid as usize].len >= len
     }
 
     /// Moves the frontier to the last entry of `to`, which must be ≽ the
     /// previous frontier.
     fn advance(&mut self, to: Prefix) {
         self.work.push(to);
-        close(
-            &mut self.frontier,
-            &mut self.work,
-            &self.crossings,
-            &self.needs,
-        );
+        close(&mut self.frontier, &mut self.work, &self.implied);
     }
 }
 
-/// Raises the down-closed set `lens` (one prefix length per chain) to
-/// also cover the prefixes on `work`, emptying it. Of the newly covered
-/// chain entries, only the cross ones are visited.
-fn close(
-    lens: &mut [u32],
-    work: &mut Vec<Prefix>,
-    crossings: &[Vec<(u32, MetastepId)>],
-    needs: &[Vec<Prefix>],
-) {
+/// Raises the down-closed set `reach` to also cover the prefixes on
+/// `work`, emptying it. Each newly covered chain's list is walked on
+/// from its cursor up to its new length.
+fn close(reach: &mut [Reach], work: &mut Vec<Prefix>, implied: &[Vec<(u32, Prefix)>]) {
     while let Some(Prefix { pid, len }) = work.pop() {
-        let have = lens[pid as usize];
+        let Reach {
+            len: have,
+            mut walked,
+        } = reach[pid as usize];
         if len <= have {
             continue;
         }
-        lens[pid as usize] = len;
-        let list = &crossings[pid as usize];
-        let from = list.partition_point(|&(pos, _)| pos < have);
-        for &(_, m) in list[from..].iter().take_while(|&&(pos, _)| pos < len) {
-            work.extend(
-                needs[m.index()]
-                    .iter()
-                    .filter(|p| lens[p.pid as usize] < p.len),
-            );
+        let list = &implied[pid as usize];
+        for &(_, need) in list[walked as usize..]
+            .iter()
+            .take_while(|&&(pos, _)| pos < len)
+        {
+            walked += 1;
+            if reach[need.pid as usize].len < need.len {
+                work.push(need);
+            }
         }
+        reach[pid as usize] = Reach { len, walked };
     }
 }
 
@@ -498,13 +542,13 @@ fn generate<A: Automaton>(
     cfg: &ConstructConfig,
 ) -> Result<(), ConstructError> {
     let mut state = alg.initial_state(pid);
-    w.frontier.fill(0);
+    w.frontier.fill(Reach::default());
 
     // Line 8: the stage opens with p's `try` metastep.
     let try_step = Step::crit(pid, exclusion_shmem::CritKind::Try);
     let m = new_metastep(c, w, MetastepKind::Crit, try_step);
     extend_chain(c, w, pid, m);
-    state = alg.observe(pid, &state, Observation::Crit);
+    alg.observe_in_place(pid, &mut state, Observation::Crit);
 
     for _ in 0..cfg.max_steps_per_stage {
         match alg.next_step(pid, &state) {
@@ -520,9 +564,14 @@ fn generate<A: Automaton>(
                     // pending reads on the register.
                     let m = new_metastep(c, w, MetastepKind::Write, e);
                     let cands = std::mem::take(&mut w.pending_reads[reg.index()]);
-                    for r in maximal_unexecuted(w, cands) {
+                    #[cfg(test)]
+                    let asked = cands.clone();
+                    let mr = maximal_unexecuted(w, cands);
+                    #[cfg(test)]
+                    tests::audit_maximal(c, w, pid, &asked, &mr);
+                    for r in mr {
                         w.add_edge(r, m);
-                        w.add_need(m, w.cover[r.index()]);
+                        w.add_need(&c.chains, m, w.cover[r.index()]);
                         c.metasteps[m.index()].pread.push(r);
                         c.metasteps[r.index()].preread_of = Some(m);
                     }
@@ -530,11 +579,9 @@ fn generate<A: Automaton>(
                     m
                 };
                 extend_chain(c, w, pid, target);
-                let next = alg.observe(pid, &state, Observation::Write);
-                if next == state {
+                if !alg.observe_in_place(pid, &mut state, Observation::Write) {
                     return Err(ConstructError::WriteLoop { stage, pid, reg });
                 }
-                state = next;
             }
             NextStep::Read(reg) => {
                 let e = Step::read(pid, reg);
@@ -542,19 +589,18 @@ fn generate<A: Automaton>(
                 // value changes the reader's state.
                 let msw = first_unexecuted_write(c, w, reg, |m| {
                     let v = c.metasteps[m.index()].value().expect("write value");
-                    alg.observe(pid, &state, Observation::Read(v)) != state
+                    alg.observe_changes(pid, &state, Observation::Read(v))
                 });
                 if let Some(msw) = msw {
                     let v = c.metasteps[msw.index()].value().expect("write value");
                     c.metasteps[msw.index()].reads.push(e);
                     extend_chain(c, w, pid, msw);
-                    state = alg.observe(pid, &state, Observation::Read(v));
+                    alg.observe_in_place(pid, &mut state, Observation::Read(v));
                 } else {
                     // Lines 33–35 (+ the SR-read completion): fresh
                     // read metastep, reading the current value.
                     let cur = current_value(alg, c, w, reg);
-                    let next = alg.observe(pid, &state, Observation::Read(cur));
-                    if next == state {
+                    if !alg.observe_in_place(pid, &mut state, Observation::Read(cur)) {
                         return Err(ConstructError::Stuck { stage, pid, reg });
                     }
                     let m = new_metastep(c, w, MetastepKind::Read, e);
@@ -566,7 +612,7 @@ fn generate<A: Automaton>(
                         // Completion: pin the read before every
                         // unexecuted write on the register.
                         w.add_edge(m, wmin);
-                        w.add_need(wmin, w.cover[m.index()]);
+                        w.add_need(&c.chains, wmin, w.cover[m.index()]);
                         c.metasteps[wmin.index()].pread.push(m);
                         c.metasteps[m.index()].preread_of = Some(wmin);
                         c.sr_remedy_edges += 1;
@@ -574,7 +620,6 @@ fn generate<A: Automaton>(
                         w.pending_reads[reg.index()].push(m);
                     }
                     extend_chain(c, w, pid, m);
-                    state = next;
                 }
             }
             NextStep::Rmw(reg, _) => {
@@ -586,7 +631,7 @@ fn generate<A: Automaton>(
                 // Lines 37–39.
                 let m = new_metastep(c, w, MetastepKind::Crit, Step::crit(pid, kind));
                 extend_chain(c, w, pid, m);
-                state = alg.observe(pid, &state, Observation::Crit);
+                alg.observe_in_place(pid, &mut state, Observation::Crit);
                 if kind == exclusion_shmem::CritKind::Rem {
                     return Ok(());
                 }
@@ -602,7 +647,8 @@ fn generate<A: Automaton>(
 
 /// Appends `m` to `pid`'s chain, ordered after the chain's previous
 /// entry, and moves the frontier to it. If another process created `m`,
-/// `pid` joins it: covering `m` now needs `pid`'s chain through it.
+/// `pid` joins it: covering `m` now needs `pid`'s chain through it, and
+/// covering `pid`'s new entry needs `m`'s other needs.
 fn extend_chain(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: MetastepId) {
     let chain = &mut c.chains[pid.index()];
     if let Some(&prev) = chain.last() {
@@ -614,10 +660,11 @@ fn extend_chain(c: &mut Construction, w: &mut Weave, pid: ProcessId, m: Metastep
         len: chain.len() as u32,
     };
     if w.cover[m.index()] != through {
-        w.add_need(m, through);
-        w.mark(through, m);
+        w.join(&c.chains, m, through);
     }
     w.advance(through);
+    #[cfg(test)]
+    tests::audit_frontier(c, w, pid);
 }
 
 /// The first (minimal, by Lemma 5.3's total order) write metastep on
@@ -663,10 +710,10 @@ fn maximal_unexecuted(w: &mut Weave, mut cands: Vec<MetastepId>) -> Vec<Metastep
             ..cover
         }
     }));
-    close(&mut w.scratch, &mut w.work, &w.crossings, &w.needs);
+    close(&mut w.scratch, &mut w.work, &w.implied);
     cands.retain(|r| {
         let Prefix { pid, len } = w.cover[r.index()];
-        w.scratch[pid as usize] < len
+        w.scratch[pid as usize].len < len
     });
     cands
 }
@@ -696,7 +743,6 @@ fn new_metastep(c: &mut Construction, w: &mut Weave, kind: MetastepKind, step: S
         pid: pid as u32,
         len: c.chains[pid].len() as u32 + 1,
     });
-    w.needs.push(Vec::new());
     id
 }
 
@@ -706,6 +752,129 @@ mod tests {
     use exclusion_mutex::{AlgorithmInfo, AlgorithmRegistry, Bakery, DekkerTournament};
     use exclusion_shmem::testing::Alternator;
     use exclusion_shmem::{Automaton, DynRef};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// While set, this thread's constructions check every frontier
+        /// and every `Mr` against brute force, counting the checks.
+        static AUDITS: Cell<Option<usize>> = const { Cell::new(None) };
+    }
+
+    /// Counts one check, or returns false when audits are off.
+    fn audited() -> bool {
+        AUDITS
+            .with(|a| a.get().map(|k| a.set(Some(k + 1))))
+            .is_some()
+    }
+
+    /// The metasteps below some of `tops` under the edges recorded so
+    /// far, by DFS; `tops` themselves only when below another.
+    fn strictly_below(c: &Construction, w: &Weave, tops: &[MetastepId]) -> BitSet {
+        let dag = Dag::from_edges(c.metasteps.len(), &w.edges);
+        let mut below = BitSet::with_capacity(dag.len());
+        let mut stack = tops.to_vec();
+        while let Some(x) = stack.pop() {
+            for &p in dag.preds(x) {
+                if below.insert(p.index()) {
+                    stack.push(p);
+                }
+            }
+        }
+        below
+    }
+
+    /// The down-set of `pid`'s last chain entry `m′`, by DFS.
+    fn down_set(c: &Construction, w: &Weave, pid: ProcessId) -> BitSet {
+        let top = *c.chains[pid.index()]
+            .last()
+            .expect("a stage opens its chain");
+        let mut below = strictly_below(c, w, &[top]);
+        below.insert(top.index());
+        below
+    }
+
+    /// After `pid`'s frontier advanced: every chain's prefix length is
+    /// its part of the down-set of `m′`, and every cursor counts the
+    /// entries below it.
+    pub(super) fn audit_frontier(c: &Construction, w: &Weave, pid: ProcessId) {
+        if !audited() {
+            return;
+        }
+        let below = down_set(c, w, pid);
+        for (q, chain) in c.chains.iter().enumerate() {
+            let Reach { len, walked } = w.frontier[q];
+            for (i, m) in chain.iter().enumerate() {
+                assert_eq!(
+                    i < len as usize,
+                    below.contains(m.index()),
+                    "stage of {pid}: chain {q} entry {i} ({m}), frontier {len}"
+                );
+            }
+            let under = w.implied[q].partition_point(|&(pos, _)| pos < len);
+            assert_eq!(walked as usize, under, "stage of {pid}: chain {q}'s cursor");
+        }
+    }
+
+    /// `mr`, computed from `asked`, holds exactly the candidates not
+    /// below `m′` and below no other such candidate, in candidate order.
+    pub(super) fn audit_maximal(
+        c: &Construction,
+        w: &Weave,
+        pid: ProcessId,
+        asked: &[MetastepId],
+        mr: &[MetastepId],
+    ) {
+        if !audited() {
+            return;
+        }
+        let executed = down_set(c, w, pid);
+        let live: Vec<MetastepId> = asked
+            .iter()
+            .copied()
+            .filter(|m| !executed.contains(m.index()))
+            .collect();
+        let covered = strictly_below(c, w, &live);
+        let want: Vec<MetastepId> = live
+            .into_iter()
+            .filter(|m| !covered.contains(m.index()))
+            .collect();
+        assert_eq!(mr, want, "stage of {pid}: Mr of {asked:?}");
+    }
+
+    /// Every frontier and every `Mr` of the paper locks at n ≤ 5, under
+    /// the identity, the reversal and two seeded π, against DFS over the
+    /// edges recorded so far.
+    #[test]
+    fn closure_matches_brute_force() {
+        AUDITS.with(|a| a.set(Some(0)));
+        // One frontier check per chain entry, one `Mr` check per write
+        // metastep.
+        let mut want = 0;
+        for n in 2..=5 {
+            let mut rng = StdRng::seed_from_u64(n as u64);
+            let pis = [
+                Permutation::identity(n),
+                Permutation::reversed(n),
+                Permutation::random(n, &mut rng),
+                Permutation::random(n, &mut rng),
+            ];
+            let locks = AlgorithmRegistry::global().resolve_where(n, AlgorithmInfo::paper_lock);
+            assert_eq!(locks.len(), 6, "n = {n}");
+            for r in &locks {
+                let alg = DynRef(r.automaton.as_ref());
+                for pi in &pis {
+                    let c = construct(&alg, pi, &ConstructConfig::default())
+                        .unwrap_or_else(|e| panic!("{} {pi}: {e}", alg.name()));
+                    want += c.chains.iter().map(Vec::len).sum::<usize>()
+                        + c.reg_writes.iter().map(Vec::len).sum::<usize>();
+                }
+            }
+        }
+        let checks = AUDITS.with(|a| a.replace(None)).expect("audits were on");
+        assert_eq!(checks, want);
+    }
 
     #[test]
     fn dekker_identity_construction_succeeds() {

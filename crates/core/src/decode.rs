@@ -122,7 +122,7 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
             let parked_on = match (cell, next) {
                 (Cell::Crit, NextStep::Crit(kind)) => {
                     exec.push(Step::crit(pid, kind));
-                    states[i] = alg.observe(pid, &states[i], Observation::Crit);
+                    alg.observe_in_place(pid, &mut states[i], Observation::Crit);
                     if kind == CritKind::Rem && pc[i] >= column.len() {
                         finished += 1;
                         continue;
@@ -134,7 +134,7 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                     // count towards their write metastep's gate.
                     let v = regs[reg.index()];
                     exec.push(Step::read(pid, reg));
-                    states[i] = alg.observe(pid, &states[i], Observation::Read(v));
+                    alg.observe_in_place(pid, &mut states[i], Observation::Read(v));
                     if cell == Cell::Preread {
                         pr_count[reg.index()] += 1;
                         touched.push(reg.index());
@@ -193,10 +193,7 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
             let in_group: Vec<ProcessId> = readers[reg]
                 .iter()
                 .copied()
-                .filter(|p| {
-                    let st = &states[p.index()];
-                    alg.observe(*p, st, Observation::Read(v_win)) != *st
-                })
+                .filter(|&p| alg.observe_changes(p, &states[p.index()], Observation::Read(v_win)))
                 .collect();
             if writers[reg].len() != s.w || in_group.len() != s.r || pr_count[reg] < s.pr {
                 continue;
@@ -208,20 +205,19 @@ pub fn decode<A: Automaton>(alg: &A, enc: &Encoding) -> Result<Execution, Decode
                 };
                 exec.push(Step::write(p, wr, v));
                 regs[wr.index()] = v;
-                states[p.index()] = alg.observe(p, &states[p.index()], Observation::Write);
+                alg.observe_in_place(p, &mut states[p.index()], Observation::Write);
                 pending[p.index()] = None;
                 next_active.push(p);
             }
             let wreg = RegisterId::new(reg);
             exec.push(Step::write(s.winner, wreg, v_win));
             regs[reg] = v_win;
-            states[s.winner.index()] =
-                alg.observe(s.winner, &states[s.winner.index()], Observation::Write);
+            alg.observe_in_place(s.winner, &mut states[s.winner.index()], Observation::Write);
             pending[s.winner.index()] = None;
             next_active.push(s.winner);
             for &p in &in_group {
                 exec.push(Step::read(p, wreg));
-                states[p.index()] = alg.observe(p, &states[p.index()], Observation::Read(v_win));
+                alg.observe_in_place(p, &mut states[p.index()], Observation::Read(v_win));
                 pending[p.index()] = None;
                 next_active.push(p);
             }

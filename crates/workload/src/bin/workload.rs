@@ -736,6 +736,11 @@ fn parse_bound_args(argv: &[String]) -> Result<Option<BoundArgs>, String> {
     if args.cfg.passages == 0 {
         return Err("--passages must be positive".into());
     }
+    if args.ns.iter().all(|&n| n < 2) {
+        return Err(
+            "--n: a bound grid needs some n ≥ 2 (the SC fit's n·log₂n is 0 at n = 1)".into(),
+        );
+    }
     // A forced-passage game only terminates against locks that
     // guarantee progress; entries disclaiming deadlock-freedom (the
     // splitter locks) are excluded from `all`, though naming one
@@ -1039,7 +1044,8 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
     let start = std::time::Instant::now();
 
     // Pass 1: exhaustive certification at the small grid points. The
-    // planted broken-recover must be refuted, honest locks must certify.
+    // planted broken-recover must be refuted wherever it can break
+    // mutual exclusion (n ≥ 2); honest locks must certify.
     let mut certs: Vec<(String, usize, exclusion_explore::CrashReport)> = Vec::new();
     if args.certify {
         let xcfg = ExploreConfig {
@@ -1060,7 +1066,7 @@ fn run_crash(argv: &[String]) -> Result<(), String> {
                          — raise the state cap",
                         resolved.label, report.states, args.budget
                     ));
-                } else if planted && args.budget > 0 && report.violation.is_none() {
+                } else if planted && args.budget > 0 && n >= 2 && report.violation.is_none() {
                     failures.push(format!(
                         "{} n={n}: planted unsafe recovery NOT caught under {} crashes",
                         resolved.label, args.budget

@@ -135,6 +135,23 @@ fn bound_and_crash_examples_match_their_pins() {
     check(BOUND_AND_CRASH);
 }
 
+/// One-process grids. One process cannot break mutual exclusion, so
+/// crash certifies n = 1 and still refutes broken-recover at n = 2;
+/// bound refuses a grid without some n ≥ 2, where its SC fit has no
+/// positive abscissa.
+#[rustfmt::skip]
+const ONE_PROCESS: &[Row] = &[
+    ("crash --n 1", 0, 0xecd64d1ecd484ffe, ""),
+    ("crash --n 1,2 --json - --quiet", 0, 0x80907c3531140a52, ""),
+    ("bound --algs peterson --n 1", 1, 0xcbf29ce484222325, "workload: --n: a bound grid needs some n ≥ 2 (the SC fit's n·log₂n is 0 at n = 1)"),
+    ("bound --algs peterson --n 1,2", 0, 0x93220d55ccb1a7e3, ""),
+];
+
+#[test]
+fn one_process_grids_certify_or_are_refused() {
+    check(ONE_PROCESS);
+}
+
 /// The CI trace, serve and hwbench smoke commands (serve shrunk from a
 /// million requests) and their README examples. The serve rows that
 /// differ only in `--workers` share a digest.
