@@ -943,14 +943,6 @@ struct Flat {
     violations: Vec<u32>,
 }
 
-fn resolved_workers(cfg: &ExploreConfig) -> usize {
-    if cfg.workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    } else {
-        cfg.workers
-    }
-}
-
 /// A completed BFS layer parked on disk: an *unlinked* temp file (the
 /// data lives through the handle, so nothing leaks even on panic)
 /// holding the layer's words verbatim, streamed back chunk-at-a-time
@@ -1059,7 +1051,7 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
     assert!(cfg.passages >= 1, "exploration needs a passage target");
     let n = alg.processes();
     assert!(n <= 64, "the explorer supports at most 64 processes");
-    let workers = resolved_workers(cfg);
+    let workers = exclusion_shmem::pool::workers(cfg.workers);
     // Bounds that cannot be honored are refused up front with the
     // structured [`ExploreError`] message instead of asserting after
     // the shard back-off below has already run out of room.

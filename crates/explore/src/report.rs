@@ -1,37 +1,15 @@
-//! Report rendering for the `workload` CLI (its explore report and
-//! the JSON escaping of every report it writes): hand-rolled JSON (the
-//! build environment cannot vendor serde) and compact text labels.
+//! Report rendering for the `workload` CLI's explore report:
+//! hand-rolled JSON (the build environment cannot vendor serde) and
+//! compact text labels.
 
 use std::fmt::Write as _;
+
+use exclusion_shmem::json::escape as esc;
 
 use crate::{ExploreReport, WorstCaseReport, WorstCost};
 
 /// Schema tag for JSON documents composed from these fragments.
 pub const JSON_SCHEMA: &str = "exclusion-explore/v1";
-
-/// Escapes a string for embedding in a JSON document — the one copy of
-/// the escaping rules shared by every hand-rolled JSON writer downstream
-/// of this crate (`exclusion-workload`'s reports delegate here).
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-use json_escape as esc;
 
 /// One exploration verdict as a JSON object.
 #[must_use]

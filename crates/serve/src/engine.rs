@@ -34,20 +34,22 @@
 //! The stream of `requests` is split into fixed-size stripes by
 //! request id; each stripe replays the arrival model from a seed
 //! derived from the stripe index and runs as an independent instance
-//! of the event loop. Workers pull stripes from an atomic cursor and
-//! results merge in stripe order — the same discipline as `sweep` —
-//! so the report is bit-identical across worker counts and repeated
-//! runs.
+//! of the event loop. The stripes run on the same ordered worker pool
+//! as `sweep` ([`exclusion_shmem::pool`]): workers claim stripes in
+//! order, and each stripe's stats are absorbed into the report in
+//! stripe order as soon as the stripes before it have been. So the
+//! report is bit-identical across worker counts and repeated runs, and
+//! at most a window of stripes per worker is held unabsorbed at once,
+//! however long the stream.
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use exclusion_cost::CostTracker;
 use exclusion_mutex::registry::{AlgorithmRegistry, DynAlgorithm};
 use exclusion_shmem::{
-    DynRef, Executed, ProcessId, SchedContext, Scheduler, SpecError, System, ViewTable,
+    pool, DynRef, Executed, ProcessId, SchedContext, Scheduler, SpecError, System, ViewTable,
 };
 use exclusion_trace::{Hist, Progress};
 
@@ -493,9 +495,10 @@ fn run_stripe(
 ///
 /// The report is a pure function of `(job, options)` minus the
 /// `workers` and `progress` fields: stripes are fixed by
-/// `options.stripe`, workers pull them from an atomic cursor, and
-/// results merge in stripe order — bit-identical across worker counts
-/// and repeated runs.
+/// `options.stripe`, run on [`pool::ordered`]'s workers, and absorbed
+/// in stripe order as soon as the stripes before them have been —
+/// bit-identical across worker counts and repeated runs, with at most
+/// a window of stripes per worker waiting unabsorbed at once.
 #[must_use]
 pub fn serve(job: &ServeJob, options: &ServeOptions) -> ServeReport {
     let ring = if options.ring == 0 {
@@ -504,46 +507,24 @@ pub fn serve(job: &ServeJob, options: &ServeOptions) -> ServeReport {
         options.ring
     };
     let stripe_len = options.stripe.max(1);
-    let stripes: Vec<(u64, u64)> = (0..job.requests.div_ceil(stripe_len))
-        .map(|i| (i, stripe_len.min(job.requests - i * stripe_len)))
-        .collect();
-    let workers = if options.workers == 0 {
-        std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-    } else {
-        options.workers
-    }
-    .min(stripes.len().max(1));
-
-    let cursor = AtomicUsize::new(0);
-    let mut slots: Vec<Option<StripeStats>> = Vec::new();
-    slots.resize_with(stripes.len(), || None);
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut out = Vec::new();
-                    loop {
-                        let k = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(&(idx, count)) = stripes.get(k) else {
-                            return out;
-                        };
-                        out.push((k, run_stripe(job, options, idx, count, ring)));
-                    }
-                })
-            })
-            .collect();
-        for handle in handles {
-            for (k, stats) in handle.join().expect("serve worker panicked") {
-                slots[k] = Some(stats);
-            }
-        }
-    });
-
+    let stripe = |k: usize| {
+        let idx = k as u64;
+        (idx, stripe_len.min(job.requests - idx * stripe_len))
+    };
+    let stripes = usize::try_from(job.requests.div_ceil(stripe_len)).unwrap_or(usize::MAX);
     let mut report = ServeReport::new(job, options, ring);
-    for (k, slot) in slots.into_iter().enumerate() {
-        let (idx, count) = stripes[k];
-        report.absorb(idx, count, &slot.expect("every stripe ran"));
-    }
+    pool::ordered(
+        stripes,
+        options.workers,
+        |k| {
+            let (idx, count) = stripe(k);
+            run_stripe(job, options, idx, count, ring)
+        },
+        |k, stats| {
+            let (idx, count) = stripe(k);
+            report.absorb(idx, count, &stats);
+        },
+    );
     report
 }
 

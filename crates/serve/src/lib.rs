@@ -16,15 +16,18 @@
 //! The three design commitments, in order:
 //!
 //! * **Determinism** — a report is a pure function of
-//!   `(job, options)`. The stream is sharded by request-id stripe
-//!   across `thread::scope` workers and merged in stripe order, so
-//!   reports are *bit-identical across worker counts and repeated
-//!   runs*, exactly like `sweep`.
+//!   `(job, options)`. The stream is sharded by request-id stripe,
+//!   the stripes run on the ordered worker pool that `sweep` also
+//!   uses ([`exclusion_shmem::pool`]), and each stripe is absorbed
+//!   into the report in stripe order, so reports are *bit-identical
+//!   across worker counts and repeated runs*.
 //! * **Bounded memory** — live statistics come from fixed 64-bucket
 //!   log₂ histograms ([`Hist`](exclusion_trace::Hist)), the pending
-//!   ring and in-flight set are capacity-bounded, and arrivals are
-//!   materialized one at a time; memory does not grow with the request
-//!   count.
+//!   ring and in-flight set are capacity-bounded, arrivals are
+//!   materialized one at a time, and a stripe's stats are absorbed as
+//!   soon as the stripes before it have been, with at most
+//!   [`WINDOW`](exclusion_shmem::pool::WINDOW) stripes per worker
+//!   waiting; memory does not grow with the request count.
 //! * **Hot-path economy** — one stepping path: lane occupancy lives in
 //!   the driver's incrementally maintained view table as per-lane
 //!   passage targets, so the scheduler reads the views in place, and

@@ -6,6 +6,7 @@
 //! `(job, options)` compare equal with `==` and render byte-identical
 //! JSON regardless of worker count.
 
+use exclusion_shmem::json::escape;
 use exclusion_trace::Hist;
 
 use crate::engine::{ServeJob, ServeOptions, StripeStats};
@@ -236,19 +237,4 @@ impl ServeReport {
         out.push_str("]}");
         out
     }
-}
-
-/// Minimal JSON string escaping (labels and error messages only).
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }

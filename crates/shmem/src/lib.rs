@@ -35,6 +35,10 @@
 //! * [`spec`] — the `name:key=value,…` spec grammar and the
 //!   [`Registry`](spec::Registry) table that the algorithm, scheduler
 //!   and arrival-model registries share;
+//! * [`pool`] — the one ordered worker pool: jobs run on several
+//!   threads and fold on the calling thread in job order, with memory
+//!   bounded by the workers, not the jobs;
+//! * [`json`] — the JSON string escaping every report writer shares;
 //! * [`probe`] — the observability core: the structured [`TraceEvent`]
 //!   vocabulary and the zero-overhead-when-off [`Probe`] trait every
 //!   engine above this crate emits events through (collectors and
@@ -63,6 +67,8 @@ pub mod error;
 pub mod execution;
 pub mod fault;
 pub mod ids;
+pub mod json;
+pub mod pool;
 pub mod probe;
 pub mod replay;
 pub mod sched;

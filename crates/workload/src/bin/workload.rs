@@ -32,6 +32,7 @@ use std::process::ExitCode;
 use exclusion_explore::{analyze_probed, explore_probed, report as xreport, ExploreConfig, Model};
 use exclusion_mutex::registry::{AlgorithmInfo, AlgorithmRegistry};
 use exclusion_serve::ArrivalRegistry;
+use exclusion_shmem::pool;
 use exclusion_shmem::probe::{Probe, SpanScope, TraceEvent};
 use exclusion_shmem::spec::ParamInfo;
 use exclusion_workload::cli::{self, Flags};
@@ -864,7 +865,7 @@ fn run_bound(argv: &[String]) -> Result<(), String> {
 /// library API instead.
 fn bound_json(args: &BoundArgs, curves: &[exclusion_bound::BoundCurve]) -> String {
     use exclusion_bound::{models_json, MODELS};
-    use exclusion_explore::report::json_escape;
+    use exclusion_shmem::json::escape as json_escape;
 
     let mut out = format!(
         "{{\"schema\":\"exclusion-bound/v1\",\"passages\":{},\"seed\":{},\"max_steps\":{},\"grid\":{:?},\"curves\":[",
@@ -1222,7 +1223,7 @@ fn crash_json(
     curves: &[exclusion_bound::CrashCurve],
 ) -> String {
     use exclusion_bound::{rmr_models_json, RMR_CC, RMR_MODELS};
-    use exclusion_explore::report::json_escape;
+    use exclusion_shmem::json::escape as json_escape;
 
     let mut out = format!(
         "{{\"schema\":\"exclusion-crash/v1\",\"passages\":{},\"seed\":{},\"budget\":{},\"grid\":{:?},\"certify\":[",
@@ -1872,11 +1873,7 @@ fn run_sweep(argv: &[String]) -> Result<(), String> {
             "sweeping {} scenarios / {} runs on {} threads ...",
             scenarios.len(),
             jobs,
-            if args.threads == 0 {
-                std::thread::available_parallelism().map_or(1, std::num::NonZero::get)
-            } else {
-                args.threads
-            }
+            pool::workers(args.threads).min(jobs)
         );
     }
     let start = std::time::Instant::now();

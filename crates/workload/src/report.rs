@@ -52,7 +52,7 @@ pub fn text_table(rows: &[Vec<String>], left_aligned: &[usize]) -> String {
 }
 
 // One copy of the JSON escaping rules for the whole report stack.
-use exclusion_explore::report::json_escape as esc;
+use exclusion_shmem::json::escape as esc;
 
 fn model_json(out: &mut String, key: &str, m: &ModelSummary) {
     let _ = write!(

@@ -8,11 +8,11 @@
 //! record-then-replay reference (`run_scheduler` plus the replay
 //! pricers).
 
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use exclusion_cost::run_priced_probed;
 use exclusion_shmem::dynamic::DynRef;
+use exclusion_shmem::pool;
 use exclusion_shmem::probe::{NoProbe, Probe, SpanScope, TraceEvent};
 use exclusion_trace::Metrics;
 
@@ -185,14 +185,6 @@ pub struct SweepOptions {
     pub metrics: bool,
 }
 
-impl SweepOptions {
-    fn resolved_threads(&self, jobs: usize) -> usize {
-        let hw = std::thread::available_parallelism().map_or(1, std::num::NonZero::get);
-        let t = if self.threads == 0 { hw } else { self.threads };
-        t.clamp(1, jobs.max(1))
-    }
-}
-
 /// Runs one (scenario, seed) cell with a [`Probe`] observing it: the
 /// streaming pricer emits one `Executed` event per step and one
 /// `Charged` event per nonzero cost delta, and adaptive (`fanlynch`)
@@ -248,12 +240,14 @@ pub fn run_probed(sc: &Scenario, seed: u64, probe: &mut dyn Probe) -> RunRecord 
     record
 }
 
-/// Runs the full scenario × seed grid, sharded across worker threads.
+/// Runs the full scenario × seed grid on [`pool::ordered`]'s workers.
 ///
-/// Workers pull jobs from a shared cursor (no static partitioning, so an
-/// expensive scenario cannot strand one thread with all the work), and
-/// the report is assembled in grid order: results are bit-identical for
-/// any thread count.
+/// Workers claim runs in grid order from one shared counter (no static
+/// partitioning, so an expensive scenario cannot strand one thread with
+/// all the work), and each run is folded into the report in grid order
+/// as soon as the runs before it have been: results are bit-identical
+/// for any thread count, and at most a window of runs per worker waits
+/// unfolded at once.
 #[must_use]
 pub fn sweep(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
     let jobs: Vec<(usize, u64)> = scenarios
@@ -261,61 +255,36 @@ pub fn sweep(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
         .enumerate()
         .flat_map(|(i, sc)| sc.effective_seeds().iter().map(move |&s| (i, s)))
         .collect();
-    let threads = opts.resolved_threads(jobs.len());
-    let cursor = AtomicUsize::new(0);
-
-    let mut slots: Vec<Option<(RunRecord, Option<Metrics>)>> = vec![None; jobs.len()];
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for _ in 0..threads {
-            let cursor = &cursor;
-            let jobs = &jobs;
-            handles.push(scope.spawn(move || {
-                let mut out: Vec<(usize, RunRecord, Option<Metrics>)> = Vec::new();
-                loop {
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&(i, seed)) = jobs.get(k) else {
-                        return out;
-                    };
-                    if opts.metrics {
-                        // One private aggregator per run, bracketed by a
-                        // Run span; the per-run aggregates are merged in
-                        // grid order below, so the result is independent
-                        // of which worker ran which cell.
-                        let mut m = Metrics::new();
-                        let tag = u32::try_from(k).unwrap_or(u32::MAX);
-                        let scope = SpanScope::Run;
-                        m.record(&TraceEvent::SpanStart { scope, tag });
-                        let start = Instant::now();
-                        let record = run_probed(&scenarios[i], seed, &mut m);
-                        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                        m.record(&TraceEvent::SpanEnd {
-                            scope,
-                            tag,
-                            wall_ns,
-                        });
-                        out.push((k, record, Some(m)));
-                    } else {
-                        out.push((k, run_probed(&scenarios[i], seed, &mut NoProbe), None));
-                    }
-                }
-            }));
-        }
-        for h in handles {
-            for (k, record, metrics) in h.join().expect("worker panicked") {
-                slots[k] = Some((record, metrics));
-            }
-        }
-    });
     let mut metrics = opts.metrics.then(Metrics::new);
     let mut records: Vec<RunRecord> = Vec::with_capacity(jobs.len());
-    for slot in slots {
-        let (record, m) = slot.expect("every job ran");
+    let run = |k: usize| {
+        let (i, seed) = jobs[k];
+        if !opts.metrics {
+            return (run_probed(&scenarios[i], seed, &mut NoProbe), None);
+        }
+        // One private aggregator per run, bracketed by a Run span; the
+        // per-run aggregates are merged in grid order by the fold, so
+        // the result is independent of which worker ran which cell.
+        let mut m = Box::new(Metrics::new());
+        let tag = u32::try_from(k).unwrap_or(u32::MAX);
+        let scope = SpanScope::Run;
+        m.record(&TraceEvent::SpanStart { scope, tag });
+        let start = Instant::now();
+        let record = run_probed(&scenarios[i], seed, m.as_mut());
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        m.record(&TraceEvent::SpanEnd {
+            scope,
+            tag,
+            wall_ns,
+        });
+        (record, Some(m))
+    };
+    pool::ordered(jobs.len(), opts.threads, run, |_, (record, m)| {
         records.push(record);
         if let (Some(total), Some(m)) = (metrics.as_mut(), m) {
             total.merge(&m);
         }
-    }
+    });
 
     // Group by grid index, not name (two scenarios may share a name, and
     // each still gets its own summary), in one pass over the records —

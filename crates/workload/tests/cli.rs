@@ -317,6 +317,29 @@ fn worker_counts_past_the_cap_are_flag_errors() {
     check(WORKER_CAP);
 }
 
+/// The sweep's banner names the threads the worker pool really uses:
+/// the requested count, but no more than there are runs.
+#[test]
+fn the_sweep_banner_counts_the_threads_it_uses() {
+    for (argv, banner) in [
+        (
+            "--algs peterson --n 2 --scheds rr --seeds 1 --threads 8",
+            "/ 1 runs on 1 threads",
+        ),
+        (
+            "--algs peterson --n 2 --scheds random --seeds 3 --threads 2",
+            "/ 3 runs on 2 threads",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_workload"))
+            .args(argv.split_whitespace())
+            .output()
+            .expect("the workload binary runs");
+        let stderr = String::from_utf8(out.stderr).expect("stderr is UTF-8");
+        assert!(stderr.contains(banner), "{argv}: {stderr}");
+    }
+}
+
 /// A serve cut into more than 2^20 stripes (⌈requests / stripe⌉) is a
 /// flag error: the engine sizes its stripe table by that count before
 /// anything runs. A pending ring larger than the stream is sized by

@@ -23,9 +23,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// The same job served on 1, 2 and 4 workers — and served twice —
-    /// yields `==` reports and byte-identical JSON. The stripe is kept
+    /// yields `==` reports and byte-identical JSON. The stripes are kept
     /// small so every run spans many stripes and the merge order
-    /// actually matters.
+    /// actually matters: 12 stripes of 256 requests, and 188 stripes of
+    /// 16, more than four workers' window holds.
     #[test]
     fn reports_are_bit_identical_across_workers_and_reruns(
         alg_idx in 0..ALGORITHMS.len(),
@@ -40,24 +41,26 @@ proptest! {
             .unwrap()
             .arrivals(ARRIVALS[arr_idx])
             .unwrap();
-        let opts = |workers| ServeOptions {
-            workers,
-            stripe: 256,
-            deadline,
-            seed,
-            ..ServeOptions::default()
-        };
-        let one = serve(&job, &opts(1));
-        let two = serve(&job, &opts(2));
-        let four = serve(&job, &opts(4));
-        let again = serve(&job, &opts(4));
-        prop_assert_eq!(&one, &two);
-        prop_assert_eq!(&one, &four);
-        prop_assert_eq!(&four, &again);
-        prop_assert_eq!(one.to_json(), four.to_json());
-        // Conservation: every offered request ends somewhere.
-        prop_assert_eq!(one.completed + one.abandoned + one.unserved, 3_000);
-        prop_assert!(one.errors.is_empty());
+        for stripe in [256, 16] {
+            let opts = |workers| ServeOptions {
+                workers,
+                stripe,
+                deadline,
+                seed,
+                ..ServeOptions::default()
+            };
+            let one = serve(&job, &opts(1));
+            let two = serve(&job, &opts(2));
+            let four = serve(&job, &opts(4));
+            let again = serve(&job, &opts(4));
+            prop_assert_eq!(&one, &two);
+            prop_assert_eq!(&one, &four);
+            prop_assert_eq!(&four, &again);
+            prop_assert_eq!(one.to_json(), four.to_json());
+            // Conservation: every offered request ends somewhere.
+            prop_assert_eq!(one.completed + one.abandoned + one.unserved, 3_000);
+            prop_assert!(one.errors.is_empty());
+        }
     }
 }
 
