@@ -7,12 +7,16 @@
 //! tables --markdown      # emit Markdown instead of aligned text
 //! ```
 //!
-//! An unknown flag, or `--exp` without an id, exits 2 before any
-//! experiment runs.
+//! Each table is printed once, as it completes: as aligned text
+//! followed by an `[eN took …]` line, or with `--markdown` as Markdown
+//! alone. An unknown flag, or `--exp` without an id or with an unknown
+//! one, exits 2 before any experiment runs.
 
 use std::process::ExitCode;
+use std::time::{Duration, Instant};
 
-use exclusion_bench::experiments;
+use exclusion_bench::experiments::{self, EXPERIMENTS};
+use exclusion_bench::Table;
 use exclusion_workload::cli::Flags;
 
 /// The command line: `(quick, markdown, experiment id)`.
@@ -30,6 +34,16 @@ fn parse(argv: &[String]) -> Result<(bool, bool, Option<&str>), String> {
     Ok((quick, markdown, exp))
 }
 
+/// Prints one finished experiment.
+fn print(id: &str, table: &Table, took: Duration, markdown: bool) {
+    if markdown {
+        println!("{}", table.to_markdown());
+    } else {
+        println!("{table}");
+        println!("[{id} took {took:?}]\n");
+    }
+}
+
 fn main() -> ExitCode {
     exclusion_workload::cli::quiet_broken_pipe();
     let argv: Vec<String> = std::env::args().skip(1).collect();
@@ -40,28 +54,18 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match exp {
-        Some(id) => match experiments::run_one(id, quick) {
-            Some(t) => {
-                if markdown {
-                    println!("{}", t.to_markdown());
-                } else {
-                    println!("{t}");
-                }
-            }
-            None => {
-                eprintln!("unknown experiment `{id}`; use e1..e9, e10a, e10b, e11, e12, e13");
-                return ExitCode::from(2);
-            }
-        },
-        None => {
-            let tables = experiments::run_all(quick);
-            if markdown {
-                for t in tables {
-                    println!("{}", t.to_markdown());
-                }
-            }
+    let Some(id) = exp else {
+        for (id, table, took) in experiments::run_all(quick) {
+            print(id, &table, took, markdown);
         }
-    }
+        return ExitCode::SUCCESS;
+    };
+    let start = Instant::now();
+    let Some(table) = experiments::run_one(id, quick) else {
+        let ids: Vec<&str> = EXPERIMENTS.iter().map(|&(id, _)| id).collect();
+        eprintln!("tables: unknown experiment `{id}`; use {}", ids.join(", "));
+        return ExitCode::from(2);
+    };
+    print(id, &table, start.elapsed(), markdown);
     ExitCode::SUCCESS
 }

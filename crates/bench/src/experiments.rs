@@ -5,7 +5,7 @@
 //! grids so the whole suite smoke-runs in seconds (used by tests);
 //! the `tables` binary defaults to the full grids.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use exclusion_cost::{all_costs, sc_cost};
 use exclusion_lb::{
@@ -798,59 +798,46 @@ pub fn e13_adversary_pressure(quick: bool) -> Table {
     t
 }
 
-/// Runs every experiment, printing each table as it completes. Returns
-/// the tables.
-pub fn run_all(quick: bool) -> Vec<Table> {
-    type Experiment = (&'static str, fn(bool) -> Table);
-    let experiments: Vec<Experiment> = vec![
-        ("e1", e1_lower_bound_shape),
-        ("e2", e2_encoding_efficiency),
-        ("e3", e3_pipeline_verification),
-        ("e4", e4_cost_invariance),
-        ("e5", e5_counting),
-        ("e6", e6_upper_bound),
-        ("e7", e7_cost_models),
-        ("e8", e8_contended_rmr),
-        ("e9", e9_hardware),
-        ("e10a", e10a_encoding_ablation),
-        ("e10b", e10b_remedy_ablation),
-        ("e11", e11_fairness),
-        ("e12", e12_anatomy),
-        ("e13", e13_adversary_pressure),
-    ];
-    let mut out = Vec::new();
-    for (name, f) in experiments {
+/// An experiment: regenerates its table, on the quick grids when asked.
+pub type Experiment = fn(quick: bool) -> Table;
+
+/// Every experiment in report order: its id (`"e1"`, …, `"e10b"`, …)
+/// and the function that regenerates its table.
+pub const EXPERIMENTS: [(&str, Experiment); 14] = [
+    ("e1", e1_lower_bound_shape),
+    ("e2", e2_encoding_efficiency),
+    ("e3", e3_pipeline_verification),
+    ("e4", e4_cost_invariance),
+    ("e5", e5_counting),
+    ("e6", e6_upper_bound),
+    ("e7", e7_cost_models),
+    ("e8", e8_contended_rmr),
+    ("e9", e9_hardware),
+    ("e10a", e10a_encoding_ablation),
+    ("e10b", e10b_remedy_ablation),
+    ("e11", e11_fairness),
+    ("e12", e12_anatomy),
+    ("e13", e13_adversary_pressure),
+];
+
+/// Runs every experiment in report order, one per item pulled, so a
+/// caller can print each table as it completes. Each item is the
+/// experiment's id, its table and how long it took.
+pub fn run_all(quick: bool) -> impl Iterator<Item = (&'static str, Table, Duration)> {
+    EXPERIMENTS.into_iter().map(move |(id, f)| {
         let start = Instant::now();
         let table = f(quick);
-        println!("{table}");
-        println!("[{name} took {:?}]\n", start.elapsed());
-        out.push(table);
-    }
-    out
+        (id, table, start.elapsed())
+    })
 }
 
-/// Dispatches one experiment by id (`"e1"`, …, `"e10b"`); `None` if the
-/// id is unknown.
+/// Runs one experiment by id; `None` if [`EXPERIMENTS`] has no such id.
 #[must_use]
 pub fn run_one(id: &str, quick: bool) -> Option<Table> {
-    let f: fn(bool) -> Table = match id {
-        "e1" => e1_lower_bound_shape,
-        "e2" => e2_encoding_efficiency,
-        "e3" => e3_pipeline_verification,
-        "e4" => e4_cost_invariance,
-        "e5" => e5_counting,
-        "e6" => e6_upper_bound,
-        "e7" => e7_cost_models,
-        "e8" => e8_contended_rmr,
-        "e9" => e9_hardware,
-        "e10a" => e10a_encoding_ablation,
-        "e10b" => e10b_remedy_ablation,
-        "e11" => e11_fairness,
-        "e12" => e12_anatomy,
-        "e13" => e13_adversary_pressure,
-        _ => return None,
-    };
-    Some(f(quick))
+    EXPERIMENTS
+        .iter()
+        .find(|&&(name, _)| name == id)
+        .map(|(_, f)| f(quick))
 }
 
 #[cfg(test)]

@@ -1,16 +1,13 @@
 //! The experiment harness: every experiment table is generated by a
 //! function in [`experiments`], and `cargo run -p exclusion-bench
-//! --bin tables` prints them all. Three bench binaries remain beside
+//! --bin tables` prints them all. Two bench binaries remain beside
 //! it: `bench_trace` (module [`tracebench`]) times the streaming
 //! pricer with the probe absent, disabled and collecting, gates the
 //! overhead, and emits `BENCH_trace.json`; `bench_serve` (module
 //! [`servebench`]) serves the same open request stream across worker
 //! counts and arrival models, gates the aggregate throughput, and
-//! emits `BENCH_serve.json`; `bench_hw` (module [`hwbench`]) runs the
-//! composable queue locks under shared arrival schedules both
-//! simulated and on real atomics, gates the O(1)-RMR flatness of the
-//! queue locks, and emits `BENCH_hw.json`. The bound, crash, explore
-//! and sweep engines have one front end each, a `workload`
+//! emits `BENCH_serve.json`. The bound, crash, explore, sweep and
+//! hardware engines have one front end each, a `workload`
 //! subcommand, and their correctness gates are tests.
 //!
 //! Every `bench_*` binary's `main` is [`bench_main`]: it reads
@@ -30,7 +27,6 @@ use std::process::ExitCode;
 use exclusion_workload::cli::Flags;
 
 pub mod experiments;
-pub mod hwbench;
 pub mod servebench;
 pub mod table;
 pub mod tracebench;

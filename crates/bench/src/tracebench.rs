@@ -214,7 +214,7 @@ pub fn run(quick: bool) -> Vec<BenchConfig> {
             };
             out.push(BenchConfig {
                 n,
-                scheduler: scenario.scheduler.clone(),
+                scheduler: scenario.scheduler.to_string(),
                 steps: base.as_ref().map_or(0, |p| p.steps),
                 events: metrics.events,
                 failures,

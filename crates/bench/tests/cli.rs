@@ -1,15 +1,16 @@
-//! End-to-end pins of the `bench_*` binaries' argument handling.
+//! End-to-end pins of the `bench_*` binaries' argument handling, and
+//! of what `tables` prints.
 //!
 //! Each row runs one binary with arguments that stop before any
 //! benchmark starts (`--help`, an unknown flag, `--out` without its
 //! value) and pins the exit status, an FNV-1a digest of stdout and the
 //! whole of stderr, verbatim.
 
-use std::process::Command;
+use std::io::{BufRead, BufReader};
+use std::process::{Command, Stdio};
 
-/// The three bench binaries, by name and built path.
-const BINS: [(&str, &str); 3] = [
-    ("bench_hw", env!("CARGO_BIN_EXE_bench_hw")),
+/// The two bench binaries, by name and built path.
+const BINS: [(&str, &str); 2] = [
     ("bench_serve", env!("CARGO_BIN_EXE_bench_serve")),
     ("bench_trace", env!("CARGO_BIN_EXE_bench_trace")),
 ];
@@ -63,7 +64,7 @@ fn bench_binaries_answer_help_and_reject_bad_flags_before_running() {
 fn tables_rejects_bad_flags_before_running_any_experiment() {
     let tables = env!("CARGO_BIN_EXE_tables");
     let hint = "(try --quick, --exp ID or --markdown)";
-    let rows: [(&[&str], String); 3] = [
+    let rows: [(&[&str], String); 4] = [
         (
             &["--quik"],
             format!("tables: unknown flag `--quik` {hint}\n"),
@@ -76,8 +77,43 @@ fn tables_rejects_bad_flags_before_running_any_experiment() {
             &["--quick", "--exp"],
             "tables: --exp needs a value\n".into(),
         ),
+        (
+            &["--quick", "--exp", "e14"],
+            "tables: unknown experiment `e14`; use e1, e2, e3, e4, e5, e6, e7, e8, e9, \
+             e10a, e10b, e11, e12, e13\n"
+                .into(),
+        ),
     ];
     for (args, stderr) in rows {
         assert_eq!(run(tables, args), (2, EMPTY, stderr), "tables {args:?}");
     }
+}
+
+/// With `--markdown`, every table is printed once, as Markdown: the
+/// first line of a full run is the first table's Markdown title, not
+/// an aligned-text copy printed ahead of the Markdown ones. Only the
+/// first experiment runs: the child is killed once that line is read.
+#[test]
+fn tables_markdown_prints_each_table_once() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["--quick", "--markdown"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("tables runs");
+    let mut first = String::new();
+    BufReader::new(child.stdout.take().expect("piped stdout"))
+        .read_line(&mut first)
+        .expect("stdout is readable");
+    child.kill().expect("tables is killed");
+    child.wait().expect("tables exits");
+    assert!(first.starts_with("### E1"), "first line: {first:?}");
+
+    let out = Command::new(env!("CARGO_BIN_EXE_tables"))
+        .args(["--quick", "--exp", "e6", "--markdown"])
+        .output()
+        .expect("tables runs");
+    let stdout = String::from_utf8(out.stdout).expect("stdout is UTF-8");
+    assert!(out.status.success());
+    assert_eq!(stdout.matches("### ").count(), 1, "{stdout}");
+    assert!(!stdout.contains(" took "), "{stdout}");
 }

@@ -12,8 +12,8 @@
 //!
 //! # One record layout
 //!
-//! A key — a snapshot and its digest — is stored, hashed, compared,
-//! queued and spilled as one record of `u64` words ([`RecordCodec`]):
+//! A key — a snapshot and its digest — is stored, hashed, compared
+//! and queued as one record of `u64` words ([`RecordCodec`]):
 //!
 //! ```text
 //! [ states (n·w) | registers | sections (n) | passages (n) | digest ]
@@ -40,13 +40,13 @@
 //! [`ExploreConfig::compress`] the arena holds each record's 128-bit
 //! [`fingerprint`] instead.
 //!
-//! A BFS layer is one `Vec<u64>` of `[id, record]` entries, which the
-//! spill option writes to disk verbatim. Workers pull chunks of the
-//! current layer from a shared cursor (dynamic partitioning — a fast
-//! worker steals the work a slow one never claimed) and accumulate the
-//! next layer locally; layers are merged at a barrier, which is what
-//! makes node *depths* — and therefore every verdict derived from the
-//! graph — independent of the worker count.
+//! A BFS layer is one `Vec<u64>` of `[id, record]` entries. Workers
+//! pull chunks of the current layer from a shared cursor (dynamic
+//! partitioning — a fast worker steals the work a slow one never
+//! claimed) and accumulate the next layer locally; layers are merged
+//! at a barrier, which is what makes node *depths* — and therefore
+//! every verdict derived from the graph — independent of the worker
+//! count.
 //!
 //! Expanding an edge allocates nothing unless its target is new: each
 //! worker decodes an entry's record into one scratch snapshot and
@@ -520,8 +520,7 @@ struct Interner {
 /// holding its index in the build's intern list; a section is one word
 /// (0–3) and a passage count one word. Two keys are equal exactly when
 /// their records are, so the table hashes and compares records as word
-/// slices, the frontier stores them, and the spill file holds them
-/// verbatim.
+/// slices and the frontier stores them.
 struct RecordCodec {
     n: usize,
     regs: usize,
@@ -943,91 +942,6 @@ struct Flat {
     violations: Vec<u32>,
 }
 
-/// A completed BFS layer parked on disk: an *unlinked* temp file (the
-/// data lives through the handle, so nothing leaks even on panic)
-/// holding the layer's words verbatim, streamed back chunk-at-a-time
-/// during expansion.
-#[cfg(unix)]
-struct SpilledLayer {
-    file: std::fs::File,
-    /// Number of entries in the file.
-    len: usize,
-    /// Whether any spilled record still has an incomplete process —
-    /// precomputed at write time so the `max_depth` truncation check
-    /// needs no read-back.
-    incomplete: bool,
-}
-
-/// Writes a merged layer (`[id, record]` entries of `stride` words) to
-/// a fresh anonymous temp file, verbatim.
-#[cfg(unix)]
-fn spill(words: &[u64], stride: usize, incomplete: bool) -> std::io::Result<SpilledLayer> {
-    use std::io::Write;
-    static SEQ: AtomicUsize = AtomicUsize::new(0);
-    let path = std::env::temp_dir().join(format!(
-        "exclusion-spill-{}-{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let file = std::fs::OpenOptions::new()
-        .read(true)
-        .write(true)
-        .create_new(true)
-        .open(&path)?;
-    let _ = std::fs::remove_file(&path);
-    let mut sink = std::io::BufWriter::new(&file);
-    for &w in words {
-        sink.write_all(&w.to_le_bytes())?;
-    }
-    sink.flush()?;
-    drop(sink);
-    Ok(SpilledLayer {
-        file,
-        len: words.len() / stride,
-        incomplete,
-    })
-}
-
-/// Reads entries `[start, start + count)` of `stride` words back into
-/// `buf`, through the byte buffer `bytes`.
-#[cfg(unix)]
-fn read_back(
-    sp: &SpilledLayer,
-    stride: usize,
-    start: usize,
-    count: usize,
-    bytes: &mut Vec<u8>,
-    buf: &mut Vec<u64>,
-) {
-    use std::os::unix::fs::FileExt;
-    bytes.resize(count * stride * 8, 0);
-    sp.file
-        .read_exact_at(bytes, (start * stride * 8) as u64)
-        .expect("spilled frontier read failed");
-    buf.clear();
-    buf.extend(
-        bytes
-            .chunks_exact(8)
-            .map(|b| u64::from_le_bytes(b.try_into().expect("8-byte chunk"))),
-    );
-}
-
-/// The current BFS layer, `[id, record]` entries: in memory, or parked
-/// on disk behind the `spill` flag.
-enum Layer {
-    Mem(Vec<u64>),
-    #[cfg(unix)]
-    Disk(SpilledLayer),
-}
-
-/// Hands a finished layer's buffer back for reuse.
-fn recycle(spare: &mut Vec<Vec<u64>>, layer: Layer) {
-    if let Layer::Mem(mut words) = layer {
-        words.clear();
-        spare.push(words);
-    }
-}
-
 /// Explores the bounded state space of `alg` under `lens` and returns
 /// the flattened graph. When `stop_on_violation` is set, exploration
 /// halts after the first BFS layer containing a mutual exclusion
@@ -1092,27 +1006,20 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
     // A frontier entry is the node id followed by its record.
     let stride = 1 + rw;
     let table = Table::new(shard_count, if cfg.compress { 2 } else { rw }, cfg.compress);
-    let mut frontier_words = vec![0u64; stride];
-    codec.encode(lens, &root_snap, &root_digest, &mut frontier_words[1..]);
+    let mut frontier = vec![0u64; stride];
+    codec.encode(lens, &root_snap, &root_digest, &mut frontier[1..]);
     let (root, _) = table.insert(
-        &frontier_words[1..],
+        &frontier[1..],
         FlatNode {
             depth: 0,
             parent: NO_PARENT,
             via: ProcessId::new(0),
             via_crash: false,
-            goal: codec.complete(&frontier_words[1..], cfg.passages),
+            goal: codec.complete(&frontier[1..], cfg.passages),
             violating: false,
         },
     );
-    frontier_words[0] = u64::from(root);
-    // Whether a layer holds an entry with an incomplete process.
-    let incomplete = |words: &[u64]| {
-        words
-            .chunks_exact(stride)
-            .any(|e| !codec.complete(&e[1..], cfg.passages))
-    };
-    let mut frontier = Layer::Mem(frontier_words);
+    frontier[0] = u64::from(root);
     // Layer buffers, cleared and handed back to the workers for the
     // next layer: large buffers are not freed and reallocated layer
     // after layer, which fragments the heap.
@@ -1122,22 +1029,16 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
     let mut dedup_hits = 0usize;
     let mut peak_frontier = 0usize;
     loop {
-        let layer_len = match &frontier {
-            Layer::Mem(v) => v.len() / stride,
-            #[cfg(unix)]
-            Layer::Disk(sp) => sp.len,
-        };
+        let layer_len = frontier.len() / stride;
         if layer_len == 0 || stop.load(Ordering::Relaxed) {
             break;
         }
         peak_frontier = peak_frontier.max(layer_len);
         if cfg.max_depth.is_some_and(|d| depth as usize >= d) {
-            let any_incomplete = match &frontier {
-                Layer::Mem(v) => incomplete(v),
-                #[cfg(unix)]
-                Layer::Disk(sp) => sp.incomplete,
-            };
-            if any_incomplete {
+            if frontier
+                .chunks_exact(stride)
+                .any(|e| !codec.complete(&e[1..], cfg.passages))
+            {
                 truncated.store(true, Ordering::Relaxed);
             }
             break;
@@ -1164,23 +1065,13 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
             let mut rec = vec![0u64; rw];
             let mut log = EdgeLog::default();
             let mut inserts = 0usize;
-            #[cfg(unix)]
-            let (mut chunk_buf, mut bytes) = (Vec::new(), Vec::new());
             'pull: loop {
                 let start = cursor.fetch_add(CHUNK, Ordering::Relaxed);
                 if start >= layer_len || stop.load(Ordering::Relaxed) {
                     break;
                 }
                 let end = (start + CHUNK).min(layer_len);
-                let items: &[u64] = match layer {
-                    Layer::Mem(v) => &v[start * stride..end * stride],
-                    #[cfg(unix)]
-                    Layer::Disk(sp) => {
-                        read_back(sp, stride, start, end - start, &mut bytes, &mut chunk_buf);
-                        &chunk_buf
-                    }
-                };
-                for entry in items.chunks_exact(stride) {
+                for entry in layer[start * stride..end * stride].chunks_exact(stride) {
                     if stop.load(Ordering::Relaxed) {
                         break 'pull;
                     }
@@ -1330,18 +1221,9 @@ pub(crate) fn build<L: CostLens, P: Probe + ?Sized>(
         if next.is_empty() {
             break;
         }
-        let mut next = Layer::Mem(next);
-        #[cfg(unix)]
-        if cfg.spill {
-            if let Layer::Mem(words) = &next {
-                // An io failure keeps the in-memory layer: the spill is
-                // an optimization, never a correctness gate.
-                if let Ok(sp) = spill(words, stride, incomplete(words)) {
-                    recycle(&mut spare, std::mem::replace(&mut next, Layer::Disk(sp)));
-                }
-            }
-        }
-        recycle(&mut spare, std::mem::replace(&mut frontier, next));
+        let mut done = std::mem::replace(&mut frontier, next);
+        done.clear();
+        spare.push(done);
     }
 
     let states = table.count.load(Ordering::Relaxed);

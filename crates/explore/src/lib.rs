@@ -41,10 +41,9 @@
 //! process ids before they are returned. Opt-in knobs trade elsewhere:
 //! [`ExploreConfig::por`] prunes commuting local interleavings but
 //! preserves only existence verdicts (it is forced off for worst-case
-//! searches), and [`ExploreConfig::compress`]/[`ExploreConfig::spill`]
-//! shrink the visited set to 128-bit fingerprints (flagged in the
-//! report as `fingerprinted`) and park frontier layers on disk. For
-//! every exploration that is not truncated by `max_states`, the
+//! searches), and [`ExploreConfig::compress`] shrinks the visited set
+//! to 128-bit fingerprints (flagged in the report as `fingerprinted`).
+//! For every exploration that is not truncated by `max_states`, the
 //! verdicts, state counts, depths and exact costs are independent of
 //! the worker count (the layer barrier makes BFS depths deterministic,
 //! and a violation halt still completes its layer); truncated runs
@@ -217,11 +216,6 @@ pub struct ExploreConfig {
     /// costs two SipHash passes per key on top of the table's own
     /// one-pass hash, so a compressed build trades time for its memory.
     pub compress: bool,
-    /// Spill each completed BFS frontier layer to a temporary disk
-    /// shard and stream it back during expansion, so peak RAM holds one
-    /// layer of key records instead of two. The file holds the layer's
-    /// records verbatim, for every automaton; off by default.
-    pub spill: bool,
 }
 
 impl Default for ExploreConfig {
@@ -235,7 +229,6 @@ impl Default for ExploreConfig {
             symmetry: true,
             por: false,
             compress: false,
-            spill: false,
         }
     }
 }

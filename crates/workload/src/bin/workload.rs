@@ -375,8 +375,6 @@ OPTIONS:
     --compress           store 128-bit fingerprints instead of full
                          snapshots in the transposition table (verdicts
                          then hold modulo fingerprint collisions)
-    --spill              stream BFS frontiers through an unlinked temp
-                         file instead of holding them in memory
     --json PATH          write the JSON report (`-` for stdout)
     --quiet              suppress the text table
     --help               this text
@@ -454,7 +452,6 @@ fn parse_explore_args(argv: &[String]) -> Result<Option<ExploreArgs>, String> {
             "--no-symmetry" => args.cfg.symmetry = false,
             "--por" => args.cfg.por = true,
             "--compress" => args.cfg.compress = true,
-            "--spill" => args.cfg.spill = true,
             "--json" => args.json = Some(flags.value()?.into()),
             "--quiet" => args.quiet = true,
             "--help" | "-h" => {
@@ -941,8 +938,6 @@ OPTIONS:
                          under crash branching)
     --compress           fingerprint the certification pass's
                          transposition table
-    --spill              stream certification BFS frontiers through an
-                         unlinked temp file
     --max-states S       certification transposition-table cap
                          (default: 2000000)
     --passages P         passages per process (default: 1)
@@ -995,7 +990,6 @@ fn parse_crash_args(argv: &[String]) -> Result<Option<CrashArgs>, String> {
             "--no-certify" => args.certify = false,
             "--no-symmetry" => args.xcfg.symmetry = false,
             "--compress" => args.xcfg.compress = true,
-            "--spill" => args.xcfg.spill = true,
             "--max-states" => args.xcfg.max_states = flags.parse()?,
             "--passages" => args.cfg.passages = flags.parse()?,
             "--seed" => args.cfg.seed = flags.parse()?,
@@ -1619,8 +1613,10 @@ fn parse_serve_args(argv: &[String]) -> Result<Option<ServeArgs>, String> {
 }
 
 /// The most stripes one serve may cut its stream into, ⌈`--requests` /
-/// `--stripe`⌉. The engine sizes its stripe table and its result slots
-/// by this count before any stripe runs.
+/// `--stripe`⌉: the number of jobs its worker pool runs. Memory does
+/// not grow with it (the pool holds a window of stripes per worker),
+/// but every stripe pays a fixed setup cost and every failed stripe
+/// adds a line to the report's error list.
 const MAX_STRIPES: u64 = 1 << 20;
 
 fn run_serve(argv: &[String]) -> Result<(), String> {
@@ -1938,7 +1934,7 @@ mod tests {
         "--patience", "--crashes", "--arrivals", "--requests", "--deadline", "--ring", "--stripe",
         "--ns-per-tick", "--progress", "--progress=every:x", "--progress=18446744073709551615",
         "--json", "--csv", "--metrics", "--out", "--no-worst", "--no-symmetry", "--por",
-        "--compress", "--spill", "--no-certify", "--quiet",
+        "--compress", "--no-certify", "--quiet",
     ];
 
     /// The edge values of the grammar, plus one valid value of each

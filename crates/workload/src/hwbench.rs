@@ -20,9 +20,9 @@
 //! passage counts (acquisition-order multisets) and total passages —
 //! while the *costs* are deliberately different currencies: simulated
 //! remote references on one side, measured nanoseconds on the other.
-//! `BENCH_hw.json` co-reports both, which is where the O(1)-RMR
-//! queue-lock story meets the Ω(n log n) register-only boundary on
-//! actual hardware.
+//! Each row co-reports both, which is where the O(1)-RMR queue-lock
+//! story meets the Ω(n log n) register-only boundary on actual
+//! hardware.
 //!
 //! Wall-clock fields (`elapsed_ns`, wait statistics) are measurements,
 //! not reproducible artifacts: everything else in a row is

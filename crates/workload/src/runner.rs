@@ -8,6 +8,7 @@
 //! record-then-replay reference (`run_scheduler` plus the replay
 //! pricers).
 
+use std::sync::Arc;
 use std::time::Instant;
 
 use exclusion_cost::run_priced_probed;
@@ -19,7 +20,8 @@ use exclusion_trace::Metrics;
 use crate::scenario::Scenario;
 
 /// The outcome of one run: one scenario, one seed, all three cost
-/// models.
+/// models. The three names are the scenario's own, shared by every
+/// record of it.
 ///
 /// Equality deliberately ignores [`wall_ns`](RunRecord::wall_ns): the
 /// wall-clock timing is measurement metadata, not part of the result —
@@ -28,11 +30,11 @@ use crate::scenario::Scenario;
 #[derive(Clone, Debug)]
 pub struct RunRecord {
     /// Scenario name.
-    pub scenario: String,
+    pub scenario: Arc<str>,
     /// Algorithm name.
-    pub algorithm: String,
+    pub algorithm: Arc<str>,
     /// Scheduler label.
-    pub scheduler: String,
+    pub scheduler: Arc<str>,
     /// Number of processes.
     pub n: usize,
     /// Passages per process.
@@ -197,9 +199,9 @@ pub struct SweepOptions {
 #[must_use]
 pub fn run_probed(sc: &Scenario, seed: u64, probe: &mut dyn Probe) -> RunRecord {
     let mut record = RunRecord {
-        scenario: sc.name.clone(),
-        algorithm: sc.algorithm.clone(),
-        scheduler: sc.scheduler.clone(),
+        scenario: Arc::clone(&sc.name),
+        algorithm: Arc::clone(&sc.algorithm),
+        scheduler: Arc::clone(&sc.scheduler),
         n: sc.n,
         passages: sc.passages,
         seed,
@@ -299,9 +301,9 @@ pub fn sweep(scenarios: &[Scenario], opts: &SweepOptions) -> SweepReport {
         .map(|(sc, mine)| {
             let ok: Vec<&&RunRecord> = mine.iter().filter(|r| r.error.is_none()).collect();
             ScenarioSummary {
-                scenario: sc.name.clone(),
-                algorithm: sc.algorithm.clone(),
-                scheduler: sc.scheduler.clone(),
+                scenario: sc.name.to_string(),
+                algorithm: sc.algorithm.to_string(),
+                scheduler: sc.scheduler.to_string(),
                 n: sc.n,
                 passages: sc.passages,
                 runs: ok.len(),

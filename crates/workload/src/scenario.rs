@@ -14,6 +14,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::sync::Arc;
 
 use exclusion_mutex::registry::{AlgorithmRegistry, DynAlgorithm, ResolvedAlgorithm};
 use exclusion_shmem::spec::{Spec, SpecError};
@@ -116,16 +117,19 @@ impl fmt::Display for SchedSpec {
 /// A scenario: one algorithm at one size, driven to a passage count by
 /// one scheduling policy, over a seed grid — with both registry handles
 /// already resolved. Built with [`Scenario::builder`].
+///
+/// The three names are shared: every [`RunRecord`](crate::RunRecord)
+/// of the scenario points at them instead of copying them.
 #[derive(Clone)]
 pub struct Scenario {
     /// Report name, unique within a sweep.
-    pub name: String,
+    pub name: Arc<str>,
     /// Resolved algorithm label (canonical spec, e.g.
     /// `"filter:levels=5"`).
-    pub algorithm: String,
+    pub algorithm: Arc<str>,
     /// Resolved scheduler label (canonical spec with concrete
     /// parameters, e.g. `"burst:wave=4,gap=16"`).
-    pub scheduler: String,
+    pub scheduler: Arc<str>,
     /// Number of processes.
     pub n: usize,
     /// Passages every process completes.
@@ -340,9 +344,9 @@ impl ScenarioBuilder {
             )
         });
         Ok(Scenario {
-            name,
-            algorithm: alg.label.clone(),
-            scheduler: sched.label.clone(),
+            name: name.into(),
+            algorithm: alg.label.as_str().into(),
+            scheduler: sched.label.as_str().into(),
             n: self.n,
             passages: self.passages,
             seeds: self.seeds,
@@ -409,7 +413,7 @@ mod tests {
             .seeds(0..4)
             .build()
             .unwrap();
-        assert_eq!(sc.name, "dekker-tree/greedy-adversary/n8x2");
+        assert_eq!(&*sc.name, "dekker-tree/greedy-adversary/n8x2");
         // Greedy is deterministic: only one effective seed.
         assert_eq!(sc.effective_seeds(), &[0]);
         assert!(!sc.uses_rmw());
@@ -475,9 +479,9 @@ mod tests {
             .sched(SchedSpec::burst(2, 32))
             .build()
             .unwrap();
-        assert_eq!(sc.algorithm, "filter:levels=5");
-        assert_eq!(sc.scheduler, "burst:wave=2,gap=32");
-        assert_eq!(sc.name, "filter:levels=5/burst:wave=2,gap=32/n4x1");
+        assert_eq!(&*sc.algorithm, "filter:levels=5");
+        assert_eq!(&*sc.scheduler, "burst:wave=2,gap=32");
+        assert_eq!(&*sc.name, "filter:levels=5/burst:wave=2,gap=32/n4x1");
         assert_eq!(sc.automaton().registers(), 9);
 
         let err = Scenario::builder("filter:levels=1", 4).build().unwrap_err();

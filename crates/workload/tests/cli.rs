@@ -108,7 +108,7 @@ const EXPLORE: &[Row] = &[
     ("explore --algs broken,dekker-tree --n 2 --quiet", 0, 0xcbf29ce484222325, ""),
     ("explore --algs broken --n 2 --json - --quiet", 0, 0x51e371da6407bb52, ""),
     ("explore --algs splitter,splitter-gate --n 5 --json - --quiet", 0, 0x337956f4484fa4d1, ""),
-    ("explore --algs splitter,tas-sim --n 4 --no-symmetry --por --compress --spill --no-worst --json - --quiet", 0, 0x4be70eb0b20a2369, ""),
+    ("explore --algs splitter,tas-sim --n 4 --no-symmetry --por --compress --no-worst --json - --quiet", 0, 0x4be70eb0b20a2369, ""),
     ("explore --algs tas-sim --n 4 --no-symmetry --json - --quiet", 0, 0xa8e18ca98a5ffcca, ""),
     ("explore --algs peterson,dijkstra --n 2 --model cc --depth 12 --workers 1 --json - --quiet", 1, 0xc43037daf8350536, "workload: peterson: truncated at 81 states, not certified — raise --max-states; dijkstra: truncated at 92 states, not certified — raise --max-states"),
     ("explore --algs peterson --n 2 --passages 2 --model dsm --json - --quiet", 0, 0xc57fddbff600866c, ""),
@@ -127,7 +127,7 @@ const BOUND_AND_CRASH: &[Row] = &[
     ("bound --algs peterson,bakery --n 4,6 --passages 2 --seed 3 --patience 9 --max-steps 1000000 --json - --quiet", 0, 0x1c4c7debafc37464, ""),
     ("crash --crashes 2 --json - --quiet", 0, 0x5a8c27af2e02375d, ""),
     ("crash --algs rtas --n 2,3,4 --crashes 2 --no-certify", 0, 0x16ff9b182719976b, ""),
-    ("crash --algs rpeterson,broken-recover --n 2 --crashes 1 --no-symmetry --compress --spill --max-states 100000 --json - --quiet", 0, 0xe566889207c50eb6, ""),
+    ("crash --algs rpeterson,broken-recover --n 2 --crashes 1 --no-symmetry --compress --max-states 100000 --json - --quiet", 0, 0xe566889207c50eb6, ""),
 ];
 
 #[test]
@@ -185,9 +185,9 @@ const HELP_AND_LISTINGS: &[Row] = &[
     ("-h", 0, 0x425bc16a62857fd4, ""),
     ("--list", 0, 0x3368b0a7272cafa7, ""),
     ("--list-algs", 0, 0xa38071fce391cb62, ""),
-    ("explore --help", 0, 0xa735d986531bed12, ""),
+    ("explore --help", 0, 0x3516187d3dbc7ca1, ""),
     ("bound --help", 0, 0x0f15d939ea70d02c, ""),
-    ("crash --help", 0, 0x3161de75e8160ab1, ""),
+    ("crash --help", 0, 0x71bb76a1bb3d6808, ""),
     ("trace --help", 0, 0xbe9d95074475733a, ""),
     ("serve --help", 0, 0x6ea7ab5b8e0eb5f1, ""),
     ("hwbench -h", 0, 0xcf2912c2bb8386da, ""),
@@ -224,6 +224,7 @@ const MALFORMED_INPUT: &[Row] = &[
     ("explore --max-states 18446744073709551615", 1, 0xcbf29ce484222325, "workload: max_states 18446744073709551615 exceeds the 32-bit node-id limit of 268435454 (ids pack a 16-shard floor into their low bits); lower --max-states"),
     ("explore --algs nope --n 2", 1, 0xcbf29ce484222325, "workload: unknown algorithm `nope`; known: dekker-tree, peterson, bakery, filter, dijkstra, burns-lynch, splitter, splitter-gate, tas-sim, ttas-sim, mcs-sim, mcs, clh, ticket, rpeterson, rtas, broken-recover, broken"),
     ("explore --bogus", 1, 0xcbf29ce484222325, "workload: unknown flag `--bogus` (try explore --help)"),
+    ("explore --spill", 1, 0xcbf29ce484222325, "workload: unknown flag `--spill` (try explore --help)"),
     ("bound --n 4..1", 1, 0xcbf29ce484222325, "workload: --n: `4..1` is not a usable grid"),
     ("bound --n 0", 1, 0xcbf29ce484222325, "workload: --n: `0` is not a usable grid"),
     ("bound --n 4..x", 1, 0xcbf29ce484222325, "workload: --n: invalid digit found in string"),
@@ -236,6 +237,7 @@ const MALFORMED_INPUT: &[Row] = &[
     ("crash --passages 0", 1, 0xcbf29ce484222325, "workload: --passages must be positive"),
     ("crash --algs nope --n 2", 1, 0xcbf29ce484222325, "workload: unknown algorithm `nope`; known: dekker-tree, peterson, bakery, filter, dijkstra, burns-lynch, splitter, splitter-gate, tas-sim, ttas-sim, mcs-sim, mcs, clh, ticket, rpeterson, rtas, broken-recover"),
     ("crash --bogus", 1, 0xcbf29ce484222325, "workload: unknown flag `--bogus` (try crash --help)"),
+    ("crash --spill", 1, 0xcbf29ce484222325, "workload: unknown flag `--spill` (try crash --help)"),
     ("trace --n", 1, 0xcbf29ce484222325, "workload: --n needs a value"),
     ("trace --progress x", 1, 0xcbf29ce484222325, "workload: --progress: invalid digit found in string"),
     ("trace --progress=every:x", 1, 0xcbf29ce484222325, "workload: --progress: invalid digit found in string"),
@@ -341,9 +343,8 @@ fn the_sweep_banner_counts_the_threads_it_uses() {
 }
 
 /// A serve cut into more than 2^20 stripes (⌈requests / stripe⌉) is a
-/// flag error: the engine sizes its stripe table by that count before
-/// anything runs. A pending ring larger than the stream is sized by
-/// each stripe's own request count, so it runs.
+/// flag error, before anything runs. A pending ring larger than the
+/// stream is sized by each stripe's own request count, so it runs.
 #[rustfmt::skip]
 const SERVE_STRIPE_CAP: &[Row] = &[
     ("serve --requests 18446744073709551615 --stripe 1", 1, 0xcbf29ce484222325, "workload: --requests: at most 1048576 stripes (got --requests 18446744073709551615 in stripes of 1)"),

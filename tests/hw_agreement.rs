@@ -4,47 +4,96 @@
 //! often — while each leg reports the cost the other cannot measure
 //! (simulated SC/CC/DSM charges vs. wall-clock nanoseconds).
 //!
-//! These are the deterministic, debug-mode slices of the gates the
-//! `bench_hw` binary runs over the full release grid for
-//! `BENCH_hw.json`.
+//! The two gates run over the whole quick grid, five locks ×
+//! [`ARRIVALS`] × [`NS`] (40 rows): every scenario's legs agree, and
+//! the queue locks' simulated RMR per passage stays flat across sizes
+//! where the register-only tournament's grows.
 
-use exclusion::workload::hwbench::{passage_counts, run_scenario, HwScenario};
-use exclusion_bench::hwbench::{rmr_spread, ARRIVALS, FLATNESS, QUEUE_LOCKS};
+use exclusion::workload::hwbench::{passage_counts, run_scenario, HwRow, HwScenario};
+
+/// The queue locks under test — the rows the flatness gate covers.
+const QUEUE_LOCKS: [&str; 3] = ["mcs", "clh", "ticket"];
+
+/// Contrast entries: a non-queue RMW lock and the register-only
+/// tournament the lower bound applies to.
+const CONTRAST: [&str; 2] = ["ttas-sim", "dekker-tree"];
+
+/// Arrival scenarios. The first is the low-contention schedule the
+/// flatness gate measures on: passages are disjoint in time, so
+/// per-passage cost is the lock's uncontended footprint. The second
+/// overlaps arrivals in bursts to exercise real queueing.
+const ARRIVALS: [&str; 2] = ["steady:gap=64", "bursty"];
+
+/// Process/thread counts the grid sweeps.
+const NS: [usize; 4] = [2, 3, 4, 6];
+
+/// Tolerated spread (max − min) of RMR per passage across [`NS`] on
+/// the low-contention scenario. The schedule is deterministic and
+/// uncontended, so a genuinely O(1) lock is *exactly* flat; anything
+/// per-process leaks at least one whole access per added process.
+const FLATNESS: f64 = 0.5;
 
 fn scenario(alg: &str, arrivals: &str, n: usize) -> HwScenario {
     HwScenario {
         alg: alg.into(),
         arrivals: arrivals.into(),
         n,
-        requests_per_process: 3,
+        requests_per_process: 4,
         seed: 1,
-        ns_per_tick: 100,
+        ns_per_tick: 200,
     }
 }
 
-/// Both legs of every queue-lock scenario agree on the acquisition
-/// multiset: per-thread passage counts match, and each leg's order is
-/// a permutation of the other's (same length, same counts).
-#[test]
-fn sim_and_hw_legs_agree_on_acquisition_multisets() {
-    for alg in QUEUE_LOCKS {
+/// Runs the quick grid, ([`QUEUE_LOCKS`] + [`CONTRAST`]) ×
+/// [`ARRIVALS`] × [`NS`].
+fn quick_grid() -> Vec<HwRow> {
+    let mut rows = Vec::new();
+    for alg in QUEUE_LOCKS.into_iter().chain(CONTRAST) {
         for arrivals in ARRIVALS {
-            for n in [2usize, 3] {
-                let row = run_scenario(&scenario(alg, arrivals, n))
-                    .unwrap_or_else(|e| panic!("{alg} under {arrivals} n={n}: {e}"));
-                assert!(row.agree, "{alg} under {arrivals} n={n}: legs must agree");
-                assert_eq!(
-                    row.sim.passages, row.hw.passages,
-                    "{alg} under {arrivals} n={n}"
+            for n in NS {
+                rows.push(
+                    run_scenario(&scenario(alg, arrivals, n))
+                        .unwrap_or_else(|e| panic!("{alg} under {arrivals} n={n}: {e}")),
                 );
-                assert_eq!(
-                    passage_counts(&row.sim.order, n),
-                    passage_counts(&row.hw.order, n),
-                    "{alg} under {arrivals} n={n}: per-thread passage counts"
-                );
-                assert_eq!(row.sim.order.len(), row.hw.order.len());
             }
         }
+    }
+    assert_eq!(rows.len(), 40);
+    rows
+}
+
+/// The simulated RMR-per-passage spread (max − min) of `alg` across
+/// the grid's sizes on the low-contention scenario.
+fn rmr_spread(rows: &[HwRow], alg: &str) -> f64 {
+    let series: Vec<f64> = rows
+        .iter()
+        .filter(|r| r.alg == alg && r.arrivals == ARRIVALS[0])
+        .map(|r| r.sim.rmr_per_passage())
+        .collect();
+    assert_eq!(series.len(), NS.len(), "{alg}: one steady row per size");
+    let max = series.iter().copied().fold(f64::MIN, f64::max);
+    let min = series.iter().copied().fold(f64::MAX, f64::min);
+    max - min
+}
+
+/// Both legs of every grid scenario agree on the acquisition multiset:
+/// per-thread passage counts match, and each leg's order is a
+/// permutation of the other's (same length, same counts).
+#[test]
+fn sim_and_hw_legs_agree_on_acquisition_multisets() {
+    for row in quick_grid() {
+        let (alg, arrivals, n) = (&row.alg, &row.arrivals, row.n);
+        assert!(row.agree, "{alg} under {arrivals} n={n}: legs must agree");
+        assert_eq!(
+            row.sim.passages, row.hw.passages,
+            "{alg} under {arrivals} n={n}"
+        );
+        assert_eq!(
+            passage_counts(&row.sim.order, n),
+            passage_counts(&row.hw.order, n),
+            "{alg} under {arrivals} n={n}: per-thread passage counts"
+        );
+        assert_eq!(row.sim.order.len(), row.hw.order.len());
     }
 }
 
@@ -70,22 +119,13 @@ fn rows_co_report_simulated_charges_and_measured_time() {
     assert_eq!(json.matches('{').count(), json.matches('}').count());
 }
 
-/// The O(1)-RMR gate, in miniature: across sizes on the uncontended
-/// steady schedule the queue locks' simulated RMR per passage is flat
-/// (within [`FLATNESS`]), while the register-only tournament contrast
-/// entry grows — the model boundary the benchmark exists to draw.
+/// The O(1)-RMR gate: across [`NS`] on the uncontended steady schedule
+/// each queue lock's simulated RMR per passage is flat (within
+/// [`FLATNESS`]), while the register-only tournament contrast entry
+/// grows — the model boundary the harness exists to draw.
 #[test]
 fn queue_locks_are_rmr_flat_where_the_tournament_grows() {
-    let sizes = [2usize, 4];
-    let mut rows = Vec::new();
-    for alg in QUEUE_LOCKS.iter().chain(&["dekker-tree"]) {
-        for n in sizes {
-            rows.push(
-                run_scenario(&scenario(alg, ARRIVALS[0], n))
-                    .unwrap_or_else(|e| panic!("{alg} n={n}: {e}")),
-            );
-        }
-    }
+    let rows = quick_grid();
     for alg in QUEUE_LOCKS {
         let spread = rmr_spread(&rows, alg);
         assert!(

@@ -175,9 +175,12 @@ fn custom_algorithm_and_scheduler_sweep_through_the_standard_engine() {
             .build_with(&algs, &scheds)
             .unwrap(),
     ];
-    assert_eq!(scenarios[0].name, "token-ring/reverse-robin/n4x2");
-    assert_eq!(scenarios[1].algorithm, "token-ring:linger=3");
-    assert_eq!(scenarios[1].scheduler, "reverse-robin", "aliases normalize");
+    assert_eq!(&*scenarios[0].name, "token-ring/reverse-robin/n4x2");
+    assert_eq!(&*scenarios[1].algorithm, "token-ring:linger=3");
+    assert_eq!(
+        &*scenarios[1].scheduler, "reverse-robin",
+        "aliases normalize"
+    );
 
     let report = sweep(&scenarios, &SweepOptions::default());
     assert_eq!(report.records.len(), 1 + 1 + 4);

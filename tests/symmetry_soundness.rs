@@ -1,7 +1,7 @@
 //! Soundness of the explorer's orbit (symmetry) reduction, ample-set
-//! partial-order reduction, fingerprint compression and frontier
-//! spilling: every knob must change *how much* the explorer visits,
-//! never *what it concludes*.
+//! partial-order reduction and fingerprint compression: every knob
+//! must change *how much* the explorer visits, never *what it
+//! concludes*.
 //!
 //! The contract under test, per knob:
 //!
@@ -13,8 +13,8 @@
 //! * **partial-order reduction** — preserves safety and
 //!   completion-reachability but *not* minimal witness depth or hazard
 //!   kind, so only existence verdicts are compared;
-//! * **compression / spilling** — pure representation changes: every
-//!   report field must be bit-identical to the plain run (modulo the
+//! * **compression** — a pure representation change: every report
+//!   field must be bit-identical to the plain run (modulo the
 //!   `fingerprinted` flag).
 
 use exclusion::cost::run_priced;
@@ -287,31 +287,22 @@ fn partial_order_reduction_preserves_existence_verdicts() {
     }
 }
 
-/// Fingerprint compression and frontier spilling are representation
-/// changes only: every field of the report except `fingerprinted` is
-/// bit-identical to the plain run.
+/// Fingerprint compression is a representation change only: every
+/// field of the report except `fingerprinted` is bit-identical to the
+/// plain run.
 #[test]
-fn compression_and_spilling_change_no_verdict() {
+fn compression_changes_no_verdict() {
     let registry = conformance_registry();
     for name in ["splitter", "peterson", "tas-sim", "broken", "bakery"] {
         let alg = registry.resolve_str(name, 3).expect("resolves").automaton;
         let plain = explore(alg.as_ref(), &ExploreConfig::default());
-        for knob in [
-            cfg_with(|c| c.compress = true),
-            cfg_with(|c| c.spill = true),
-            cfg_with(|c| {
-                c.compress = true;
-                c.spill = true;
-            }),
-        ] {
-            let alt = explore(alg.as_ref(), &knob);
-            assert_eq!(alt.states, plain.states, "{name} under {knob:?}");
-            assert_eq!(alt.edges, plain.edges, "{name} under {knob:?}");
-            assert_eq!(alt.depth, plain.depth, "{name} under {knob:?}");
-            assert_eq!(alt.violation, plain.violation, "{name} under {knob:?}");
-            assert_eq!(alt.hazard, plain.hazard, "{name} under {knob:?}");
-            assert_eq!(alt.fingerprinted, knob.compress, "{name}");
-        }
+        let alt = explore(alg.as_ref(), &cfg_with(|c| c.compress = true));
+        assert_eq!(alt.states, plain.states, "{name}");
+        assert_eq!(alt.edges, plain.edges, "{name}");
+        assert_eq!(alt.depth, plain.depth, "{name}");
+        assert_eq!(alt.violation, plain.violation, "{name}");
+        assert_eq!(alt.hazard, plain.hazard, "{name}");
+        assert!(alt.fingerprinted && !plain.fingerprinted, "{name}");
     }
 }
 
@@ -526,7 +517,6 @@ fn reduced_witness_scripts_replay_bit_identically() {
     let cfg = cfg_with(|c| {
         c.por = true;
         c.compress = true;
-        c.spill = true;
     });
     let report = explore(alg.as_ref(), &cfg);
     let cex = report.violation.expect("broken must be caught");
